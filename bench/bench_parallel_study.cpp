@@ -6,18 +6,17 @@
 // (docs/parallel_execution.md). Independently, the simulator core can
 // fast-forward deterministic quiet stretches in one jump instead of
 // ticking cycle-by-cycle (the event-horizon contract). This bench runs
-// the same default study three ways —
+// the quick study five ways —
 //
 //   1. serial, fast-forward off (the naive reference),
 //   2. serial, fast-forward on,
 //   3. parallel (auto threads), fast-forward on, finer replicate tasks,
-//   4. bootstrap-heavy: eight replicate rigs per session on one thread,
-//      advanced serially and then in lockstep (rig_batch = 8) through
-//      the wide lane kernel,
+//   4. serial, fast-forward on, on the two-cluster FX/16,
+//   5. serial, fast-forward on, on the eight-cluster FX/64,
 //
-// verifies all runs are bit-identical, and reports simulated
-// cycles/sec for each plus the fast-forward and parallel speedups as
-// JSON — both to stdout and to BENCH_parallel_study.json — so perf
+// plus per-session serial fast-forward rates. It verifies runs 1-3 are
+// bit-identical, and reports simulated cycles/sec for each plus the
+// fast-forward and parallel speedups as JSON — both to stdout and to BENCH_parallel_study.json — so perf
 // regressions in the tick loop, the horizon logic, or the pool show up
 // as a datapoint, not an anecdote.
 //
@@ -191,45 +190,9 @@ int main(int argc, char** argv) {
                     identical(reference, parallel.result);
   }
 
-  // Run 4: the bootstrap-heavy datapoint — eight replicate rigs per
-  // session on one thread, advanced serially (rig_batch = 1) and then
-  // in lockstep through the wide lane kernel (rig_batch = 8). Same
-  // decomposition, same seeds: the two runs must be bit-identical, and
-  // their wall-clock ratio is the rig-batching speedup on top of the
-  // fused serial kernel.
-  TimedRun batch_serial;
-  TimedRun batched;
-  std::uint32_t batch_rigs = 0;
-  double batch_total_cycles = 0.0;
-  if (!baseline_only) {
-    core::StudyConfig bootstrap = core::presets::quick_study();
-    bootstrap.threads = 1;
-    bootstrap.fast_forward = true;
-    bootstrap.replicates_per_session = 8;
-    bootstrap.rig_batch = 1;
-    batch_serial = timed_study(bootstrap);
-    bootstrap.rig_batch = 8;
-    batch_rigs = bootstrap.rig_batch;
-    batched = timed_study(bootstrap);
-    bit_identical =
-        bit_identical && identical(batch_serial.result, batched.result);
-    // Every replicate warms its own rig, so the simulated-cycle total
-    // grows with the replicate count.
-    batch_total_cycles =
-        static_cast<double>(sessions) *
-        (static_cast<double>(bootstrap.replicates_per_session) *
-             static_cast<double>(bootstrap.warmup_cycles) +
-         static_cast<double>(bootstrap.samples_per_session) *
-             static_cast<double>(bootstrap.sampling.interval_cycles));
-  }
-  const double batch_speedup = !baseline_only && batched.seconds > 0.0
-                                   ? batch_serial.seconds / batched.seconds
-                                   : 0.0;
-
-  // Run 5: the width-16 topology datapoint — the same quick study on a
-  // two-cluster fx16 machine (serial, fast-forward on), plus a
-  // batched-vs-serial identity check at that width, so scale-out
-  // throughput and correctness regressions land on the dashboard too.
+  // Run 4: the width-16 topology datapoint — the same quick study on a
+  // two-cluster fx16 machine (serial, fast-forward on), so scale-out
+  // throughput regressions land on the dashboard too.
   TimedRun width16;
   if (!baseline_only) {
     core::StudyConfig wide = core::presets::quick_study();
@@ -237,17 +200,9 @@ int main(int argc, char** argv) {
     wide.fast_forward = true;
     wide.system.machine = fx8::MachineConfig::fx16();
     width16 = timed_study(wide);
-    core::StudyConfig wide_batched = wide;
-    wide_batched.replicates_per_session = 4;
-    wide_batched.rig_batch = 4;
-    core::StudyConfig wide_serial = wide_batched;
-    wide_serial.rig_batch = 1;
-    bit_identical = bit_identical &&
-                    identical(core::run_default_study(wide_serial),
-                              core::run_default_study(wide_batched));
   }
 
-  // Run 6: the width-64 datapoint — eight clusters through the
+  // Run 5: the width-64 datapoint — eight clusters through the
   // machine-wide lane pass. The widest preset is where the width-native
   // kernel (one pass per cycle instead of one per cluster) pays most, so
   // its cycles/sec rides the dashboard next to width16.
@@ -315,24 +270,14 @@ int main(int argc, char** argv) {
       rate(total_cycles, ff.seconds), rate(total_cycles, parallel.seconds),
       naive.seconds, ff.seconds, rate(total_cycles, naive.seconds),
       rate(total_cycles, ff.seconds), ff_speedup);
-  char batch_json[384];
-  std::snprintf(
-      batch_json, sizeof(batch_json),
-      "\"batch_rigs\": %u, \"lane_kernel\": \"%s\", "
-      "\"batch_total_cycles\": %.0f, "
-      "\"batch_serial_seconds\": %.4f, \"batch_seconds\": %.4f, "
-      "\"batch_serial_cycles_per_sec\": %.0f, "
-      "\"batch_cycles_per_sec\": %.0f, \"batch_speedup\": %.3f, ",
-      batch_rigs, fx8::lane_pass_name(fx8::select_lane_pass()),
-      batch_total_cycles, batch_serial.seconds, batched.seconds,
-      rate(batch_total_cycles, batch_serial.seconds),
-      rate(batch_total_cycles, batched.seconds), batch_speedup);
-  char width_json[320];
+  char width_json[384];
   std::snprintf(
       width_json, sizeof(width_json),
+      "\"lane_kernel\": \"%s\", "
       "\"width16_seconds\": %.4f, \"width16_cycles_per_sec\": %.0f, "
       "\"width64_seconds\": %.4f, \"width64_cycles_per_sec\": %.0f, ",
-      width16.seconds, rate(total_cycles, width16.seconds),
+      fx8::lane_pass_name(fx8::select_lane_pass()), width16.seconds,
+      rate(total_cycles, width16.seconds),
       width64.seconds, rate(total_cycles, width64.seconds));
 
   char tail[512];
@@ -345,8 +290,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ff.result.ff.block_cycles),
       static_cast<unsigned long long>(ff.result.ff.naive_cycles),
       bit_identical ? "true" : "false");
-  const std::string json = std::string(head) + speedup_json + batch_json +
-                           width_json + tail + session_json + "}}";
+  const std::string json =
+      std::string(head) + speedup_json + width_json + tail + session_json +
+      "}}";
 
   std::printf("%s\n", json.c_str());
   if (std::FILE* out = std::fopen("BENCH_parallel_study.json", "w")) {

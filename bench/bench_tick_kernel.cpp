@@ -9,12 +9,10 @@
 // layout, or the block loop shows up as items/sec, not as a slow CI run.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "fx8/machine.hpp"
 #include "fx8/mmu.hpp"
-#include "fx8/rig_batch.hpp"
 #include "isa/program.hpp"
 #include "workload/kernels.hpp"
 
@@ -69,45 +67,6 @@ void BM_SaturatedTickBlock(benchmark::State& state) {
 // Block sizes bracketing the controller's kBlockChunk cap (256): the gap
 // between n=1 and large n is the per-call overhead the fusion removes.
 BENCHMARK(BM_SaturatedTickBlock)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
-
-// Rig-batch width sweep: B saturated machines advanced in lockstep
-// through the wide lane pass (fx8::RigBatch). Items = aggregate machine
-// cycles across all lanes, so items/sec is directly comparable to
-// BM_SaturatedTickBlock — the B=1 row measures the lane-pass kernel
-// without cross-rig interleaving, wider rows add it.
-void BM_RigBatchTickBlock(benchmark::State& state) {
-  const auto rigs = static_cast<std::size_t>(state.range(0));
-  std::vector<std::unique_ptr<SaturatedMachine>> machines;
-  for (std::size_t r = 0; r < rigs; ++r) {
-    machines.push_back(std::make_unique<SaturatedMachine>());
-    // Desynchronize the lanes: freshly built machines are bit-identical
-    // twins whose perfectly repeating branch pattern flatters the batch
-    // (~1.8x); real bootstrap replicates diverge, so stagger each rig
-    // into a different point of the loop before measuring.
-    machines.back()->machine.run(101 * r);
-  }
-  const Cycle block = 256;  // the controller's kBlockChunk cap
-  fx8::RigBatch batch;
-  Cycle cycles = 0;
-  while (state.KeepRunningBatch(
-      static_cast<benchmark::IterationCount>(block * rigs))) {
-    Cycle done = 0;
-    while (done < block * rigs) {
-      batch.clear();
-      for (std::size_t r = 0; r < rigs; ++r) {
-        batch.add(machines[r]->machine, block, r);
-      }
-      batch.run();
-      for (const fx8::RigBatch::Lane& lane : batch.lanes()) {
-        done += lane.advanced;
-      }
-    }
-    cycles += done;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
-  state.SetLabel(batch.pass_name());
-}
-BENCHMARK(BM_RigBatchTickBlock)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 // Machine-width sweep: a saturated machine at each width preset (every
 // cluster mid concurrent loop), advanced through tick_block. Items =

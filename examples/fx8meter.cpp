@@ -7,7 +7,7 @@
 //   fx8meter [--sessions N] [--samples M] [--interval CYCLES]
 //            [--mix 0..8|high|presets] [--mix-file FILE]
 //            [--policy fifo|concurrent|serial] [--seed S]
-//            [--threads N] [--replicates R] [--rig-batch B]
+//            [--threads N] [--replicates R]
 //            [--ces N] [--clusters K]
 //            [--report table2|models|histogram|all]
 //            [--csv FILE] [--checkpoint FILE] [--resume FILE]
@@ -15,10 +15,8 @@
 // --threads 0 (the default) picks FX8_THREADS or the hardware
 // concurrency; results are bit-identical for every thread count.
 //
-// --replicates splits each session across R independent rigs;
-// --rig-batch advances up to B of them in lockstep through the wide
-// lane kernel (0 = auto). Both leave results bit-identical — see
-// docs/perf.md ("Rig-batched lanes").
+// --replicates splits each session across R independent rigs, each its
+// own thread-pool task — see docs/parallel_execution.md.
 //
 // --checkpoint FILE writes a sealed state capsule after every completed
 // sample; --resume FILE continues a run from such a capsule. Both
@@ -63,7 +61,6 @@ struct Options {
   std::uint64_t seed = 0x19870301;
   std::uint32_t threads = 0;
   std::uint32_t replicates = 1;
-  std::uint32_t rig_batch = 0;
   std::uint32_t ces = 0;       ///< 0 = the stock FX/8 width.
   std::uint32_t clusters = 0;  ///< 0 = derive from --ces.
 };
@@ -123,9 +120,6 @@ bool parse(int argc, char** argv, Options& options) {
         return false;
     } else if (arg == "--replicates") {
       if (!parse_u32_flag("--replicates", next(), options.replicates))
-        return false;
-    } else if (arg == "--rig-batch") {
-      if (!parse_u32_flag("--rig-batch", next(), options.rig_batch))
         return false;
     } else if (arg == "--ces") {
       if (!parse_u32_flag("--ces", next(), options.ces)) return false;
@@ -256,7 +250,7 @@ int main(int argc, char** argv) {
         "                [--mix 0..8|high|presets] [--policy "
         "fifo|concurrent|serial]\n"
         "                [--seed S] [--threads N] [--replicates R]\n"
-        "                [--rig-batch B] [--ces N] [--clusters K]\n"
+        "                [--ces N] [--clusters K]\n"
         "                [--report table2|models|histogram|all]\n"
         "                [--checkpoint FILE] [--resume FILE]\n");
     return 2;
@@ -331,7 +325,6 @@ int main(int argc, char** argv) {
   config.seed = options.seed;
   config.threads = options.threads;
   config.replicates_per_session = options.replicates;
-  config.rig_batch = options.rig_batch;
   if (options.policy == "concurrent") {
     config.system.scheduling = os::SchedulingPolicy::kConcurrentFirst;
   } else if (options.policy == "serial") {

@@ -49,7 +49,8 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 /// key, so a stale store degrades to a full miss.
 /// v3: study keys fold the session workload mixes (the contention
 /// family made mixes an experimental axis a key must cover).
-inline constexpr std::uint32_t kCodeVersion = 3;
+/// v4: the study-config key walk lost its rig-batch width field.
+inline constexpr std::uint32_t kCodeVersion = 4;
 
 /// The salt every key is seeded with.
 inline constexpr std::uint64_t kCodeSalt =

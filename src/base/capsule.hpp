@@ -38,7 +38,9 @@ class CapsuleError : public std::runtime_error {
 
 /// Capsule payload format version. Bump on any change to a serialize()
 /// walk; unseal() rejects every other version.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// v2: the Mmu translation memo walks one entry per CE lane, no longer
+/// one per (batch rig, CE lane).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 enum class Mode : std::uint8_t { kSave, kLoad, kDigest };
 

@@ -40,11 +40,6 @@ using LaneMask = std::uint64_t;
 /// Page size of Concentrix on the FX/8 (Appendix C: 4 Kbyte pages).
 inline constexpr std::uint64_t kPageBytes = 4096;
 
-/// Maximum machines ("rigs") advanced in lockstep by one fx8::RigBatch.
-/// Bounds the rig-indexed MMU translation memos so machines that share an
-/// Mmu inside a batch never cross-hit each other's entries.
-inline constexpr std::uint32_t kMaxBatchRigs = 16;
-
 /// Cache line size used by the shared CE cache model.
 inline constexpr std::uint64_t kLineBytes = 32;
 

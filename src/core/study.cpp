@@ -9,7 +9,6 @@
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 #include "core/checkpoint.hpp"
-#include "instr/session_batch.hpp"
 
 namespace repro::core {
 
@@ -31,22 +30,6 @@ struct SessionPart {
 std::uint32_t resolve_replicates(const StudyConfig& config) {
   const std::uint32_t requested = std::max(1u, config.replicates_per_session);
   return std::min(requested, std::max(1u, config.samples_per_session));
-}
-
-/// Rig-batch width a config resolves to: how many same-session replicate
-/// rigs advance in lockstep per group. Auto (0) batches up to eight —
-/// the lane kernel's sweet spot — and checkpoint sharding forces the
-/// serial path (capsule round-trips land at per-rig sample boundaries).
-/// Like the replicate decomposition, this is a pure function of the
-/// config, never of the thread count.
-std::uint32_t resolve_rig_batch(const StudyConfig& config,
-                                std::uint32_t replicates) {
-  if (config.checkpoint_every_samples != 0) {
-    return 1;
-  }
-  const std::uint32_t requested =
-      config.rig_batch == 0 ? 8u : config.rig_batch;
-  return std::min({requested, replicates, kMaxBatchRigs});
 }
 
 /// Seed for replicate `r` of a session. Replicate 0 consumes the session
@@ -130,85 +113,6 @@ SessionPart run_replicate(const workload::WorkloadMix& mix,
   return part;
 }
 
-/// Run a consecutive group of a session's replicates through the batched
-/// lockstep driver (instr::run_session_batch). Each rig still owns its
-/// own system/generator/controller seeded exactly as the serial path
-/// seeds it; only the fused-kernel bursts advance together, through one
-/// fx8::RigBatch. Returns one SessionPart per replicate, in replicate
-/// order, bit-identical to calling run_replicate on each.
-std::vector<SessionPart> run_replicate_group(
-    const workload::WorkloadMix& mix, const StudyConfig& config,
-    std::uint64_t session_seed, std::uint32_t first, std::uint32_t count,
-    std::uint32_t replicates) {
-  instr::SamplingConfig sampling = config.sampling;
-  sampling.fast_forward = sampling.fast_forward && config.fast_forward;
-  std::vector<std::unique_ptr<SessionRig>> rigs;
-  std::vector<instr::BatchRig> members;
-  rigs.reserve(count);
-  members.reserve(count);
-  for (std::uint32_t r = 0; r < count; ++r) {
-    rigs.push_back(std::make_unique<SessionRig>(
-        mix, config, sampling, replicate_seed(session_seed, first + r)));
-    members.push_back(
-        instr::BatchRig{&rigs.back()->controller, config.warmup_cycles,
-                        replicate_samples(config, first + r, replicates)});
-  }
-  const auto record_streams = instr::run_session_batch(members);
-
-  std::vector<SessionPart> parts;
-  parts.reserve(count);
-  for (std::uint32_t r = 0; r < count; ++r) {
-    SessionPart part;
-    part.width = rigs[r]->system.machine().total_ces();
-    part.samples.reserve(record_streams[r].size());
-    for (const instr::SampleRecord& record : record_streams[r]) {
-      part.samples.push_back(analyze(record, part.width));
-      part.totals.merge(record.hw);
-    }
-    part.ff = rigs[r]->controller.ff_stats();
-    parts.push_back(std::move(part));
-  }
-  return parts;
-}
-
-/// The session's task decomposition under rig batching: consecutive
-/// replicate chunks of `batch` rigs. Each chunk is one thread-pool task
-/// (and one lockstep batch); batch == 1 degenerates to one replicate per
-/// task, the pre-batching decomposition.
-struct ReplicateGroup {
-  std::uint32_t first = 0;
-  std::uint32_t count = 0;
-};
-
-std::vector<ReplicateGroup> replicate_groups(std::uint32_t replicates,
-                                             std::uint32_t batch) {
-  std::vector<ReplicateGroup> groups;
-  for (std::uint32_t first = 0; first < replicates; first += batch) {
-    groups.push_back(
-        ReplicateGroup{first, std::min(batch, replicates - first)});
-  }
-  return groups;
-}
-
-/// Run one group: a single-rig group takes the classic serial path
-/// (which also carries checkpoint sharding); wider groups go through the
-/// lockstep driver. Either way the parts come back in replicate order.
-std::vector<SessionPart> run_group(const workload::WorkloadMix& mix,
-                                   const StudyConfig& config,
-                                   std::uint64_t session_seed,
-                                   ReplicateGroup group,
-                                   std::uint32_t replicates) {
-  if (group.count == 1) {
-    std::vector<SessionPart> parts;
-    parts.push_back(
-        run_replicate(mix, config, replicate_seed(session_seed, group.first),
-                      replicate_samples(config, group.first, replicates)));
-    return parts;
-  }
-  return run_replicate_group(mix, config, session_seed, group.first,
-                             group.count, replicates);
-}
-
 /// Fold a session's replicate parts, in replicate order, into the
 /// SessionResult — the same arithmetic whether the parts were computed
 /// serially or on the pool.
@@ -262,15 +166,11 @@ SessionResult run_session(const workload::WorkloadMix& mix,
                           const StudyConfig& config,
                           std::uint64_t session_seed) {
   const std::uint32_t replicates = resolve_replicates(config);
-  const auto groups =
-      replicate_groups(replicates, resolve_rig_batch(config, replicates));
   std::vector<SessionPart> parts;
   parts.reserve(replicates);
-  for (const ReplicateGroup& group : groups) {
-    auto group_parts = run_group(mix, config, session_seed, group, replicates);
-    for (SessionPart& part : group_parts) {
-      parts.push_back(std::move(part));
-    }
+  for (std::uint32_t r = 0; r < replicates; ++r) {
+    parts.push_back(run_replicate(mix, config, replicate_seed(session_seed, r),
+                                  replicate_samples(config, r, replicates)));
   }
   return merge_parts(mix, std::move(parts));
 }
@@ -289,39 +189,35 @@ StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
 
   study.sessions.reserve(mixes.size());
   const std::uint32_t replicates = resolve_replicates(config);
-  const auto groups =
-      replicate_groups(replicates, resolve_rig_batch(config, replicates));
-  const std::size_t tasks = mixes.size() * groups.size();
+  const std::size_t tasks = mixes.size() * replicates;
   const std::uint32_t threads = resolve_threads(config);
   if (threads <= 1 || tasks <= 1) {
     for (std::size_t i = 0; i < mixes.size(); ++i) {
       study.sessions.push_back(run_session(mixes[i], config, seeds[i]));
     }
   } else {
-    // Each (session, group) task owns its group's independent
-    // os::Systems; the only shared state is the read-only mixes/config.
-    // Futures are collected in (mix, group) order and groups cover the
-    // replicates consecutively, so the merge arithmetic — and therefore
-    // every bit of the result — matches the serial path.
+    // Each (session, replicate) task owns its independent os::System; the
+    // only shared state is the read-only mixes/config. Futures are
+    // collected in (mix, replicate) order, so the merge arithmetic — and
+    // therefore every bit of the result — matches the serial path.
     base::ThreadPool pool(std::min<std::size_t>(threads, tasks));
-    std::vector<std::future<std::vector<SessionPart>>> futures;
+    std::vector<std::future<SessionPart>> futures;
     futures.reserve(tasks);
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-      for (const ReplicateGroup& group : groups) {
+      for (std::uint32_t r = 0; r < replicates; ++r) {
         futures.push_back(
-            pool.submit([&mixes, &config, &seeds, i, group, replicates] {
-              return run_group(mixes[i], config, seeds[i], group, replicates);
+            pool.submit([&mixes, &config, &seeds, i, r, replicates] {
+              return run_replicate(mixes[i], config,
+                                   replicate_seed(seeds[i], r),
+                                   replicate_samples(config, r, replicates));
             }));
       }
     }
     for (std::size_t i = 0; i < mixes.size(); ++i) {
       std::vector<SessionPart> parts;
       parts.reserve(replicates);
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        auto group_parts = futures[i * groups.size() + g].get();
-        for (SessionPart& part : group_parts) {
-          parts.push_back(std::move(part));
-        }
+      for (std::uint32_t r = 0; r < replicates; ++r) {
+        parts.push_back(futures[i * replicates + r].get());
       }
       study.sessions.push_back(merge_parts(mixes[i], std::move(parts)));
     }
@@ -355,7 +251,6 @@ void serialize_config(capsule::Io& io, StudyConfig& config) {
   io.u32(config.threads);
   io.boolean(config.fast_forward);
   io.u32(config.replicates_per_session);
-  io.u32(config.rig_batch);
   io.u32(config.checkpoint_every_samples);
 }
 

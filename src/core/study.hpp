@@ -47,16 +47,6 @@ struct StudyConfig {
   /// population — is a pure function of this config value, never of the
   /// thread count, so bit-identity across thread counts is preserved.
   std::uint32_t replicates_per_session = 1;
-  /// Rig batching: advance up to this many of a session's replicate rigs
-  /// in lockstep through the wide lane kernel (fx8::RigBatch +
-  /// instr::run_session_batch) instead of one at a time. 0 = auto
-  /// (min(replicates, 8)); 1 = the serial per-rig path. Same-session
-  /// replicates are grouped into consecutive chunks of this size, and a
-  /// group is the thread pool's task unit. Per-rig results are
-  /// bit-identical for every value; checkpoint-sharded studies
-  /// (checkpoint_every_samples != 0) always take the serial path, since
-  /// capsule round-trips happen at per-rig sample boundaries.
-  std::uint32_t rig_batch = 0;
   /// Checkpoint sharding: 0 = off; N > 0 breaks every replicate into
   /// shards of N samples, and at each shard boundary the whole session
   /// rig (system, generator, controller) is capsuled, torn down, rebuilt

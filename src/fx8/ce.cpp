@@ -19,11 +19,6 @@ Ce::Ce(CeId id, cache::SharedCache& cache, Crossbar& crossbar, Mmu& mmu,
   REPRO_EXPECT(id < kMaxTopologyCes, "CE id out of LaneMask range");
 }
 
-void Ce::set_mmu_rig(std::uint32_t rig) {
-  REPRO_EXPECT(rig < kMaxBatchRigs, "MMU rig index exceeds the batch cap");
-  mmu_rig_ = rig;
-}
-
 void Ce::bind_hot(CeHot& hot) {
   hot.phase[id_] = hot_->phase[id_];
   hot.bus_op[id_] = hot_->bus_op[id_];
@@ -313,7 +308,7 @@ void Ce::tick_slow() {
       case Phase::kIFetch: {
         if (!pending_translated_) {
           const Cycle fault =
-              mmu_.translate(inst_.job, id_, pending_addr_, mmu_rig_);
+              mmu_.translate(inst_.job, id_, pending_addr_);
           pending_translated_ = true;
           if (fault > 0) {
             fault_left() = fault;
@@ -346,7 +341,7 @@ void Ce::tick_slow() {
           pending_is_store_ = loads_left_ == 0;
           pending_addr_ = next_data_addr(pending_is_store_);
           const Cycle fault =
-              mmu_.translate(inst_.job, id_, pending_addr_, mmu_rig_);
+              mmu_.translate(inst_.job, id_, pending_addr_);
           pending_translated_ = true;
           if (fault > 0) {
             fault_left() = fault;

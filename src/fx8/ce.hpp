@@ -182,14 +182,6 @@ class Ce {
   /// sibling CEs already bound to the block are untouched.
   void bind_hot(CeHot& hot);
 
-  /// Rig lane this CE presents to the MMU translation memo. Machines that
-  /// share one Mmu inside an fx8::RigBatch must carry distinct rig
-  /// indices (Machine::set_mmu_rig) so their per-CE memo slots — CE ids
-  /// repeat across rigs — never cross-hit. Structural wiring like the
-  /// hot-state binding, not evolving state: it stays out of the capsule
-  /// walk and the harness re-applies it after a rebuild.
-  void set_mmu_rig(std::uint32_t rig);
-
   /// Capsule walk over the cold state, the loaded kernel instance (the
   /// spec travels by value; a loaded CE runs from its own copy), and
   /// this CE's hot-lane slots.
@@ -231,8 +223,6 @@ class Ce {
   cache::SharedCache& cache_;
   Crossbar& crossbar_;
   Mmu& mmu_;
-  /// Rig lane for the MMU memo (see set_mmu_rig). 0 for owned MMUs.
-  std::uint32_t mmu_rig_ = 0;
   cache::InstructionCache icache_;
 
   KernelInstance inst_;

@@ -578,12 +578,6 @@ void Cluster::tick_peel(LaneMask slow) {
   }
 }
 
-void Cluster::set_mmu_rig(std::uint32_t rig) {
-  for (Ce& ce : ces_) {
-    ce.set_mmu_rig(rig);
-  }
-}
-
 Cycle Cluster::quiet_horizon() const {
   // Every machine advancement either invalidates this cache (a control
   // step on a busy cluster) or updates it exactly (skip), so a valid

@@ -105,10 +105,10 @@ class Cluster {
 
   /// The control half of tick(): service-order refresh, crossbar/CCB
   /// begin_cycle, program control, detached control, and the cycle
-  /// counters — everything except the per-lane CE advancement. The wide
-  /// machine paths (Machine::tick_block, fx8::RigBatch) run this for
-  /// every cluster, then one machine-wide lane pass
-  /// (fx8/lane_kernel.hpp), then tick_peel for the pass's slow lanes.
+  /// counters — everything except the per-lane CE advancement.
+  /// Machine::tick_block runs this for every cluster, then one
+  /// machine-wide lane pass (fx8/lane_kernel.hpp), then tick_peel for
+  /// the pass's slow lanes.
   /// tick() == tick_control() + every lane's tick_lane.
   void tick_control();
 
@@ -119,9 +119,6 @@ class Cluster {
   /// valid right after tick_control() in the same cycle, with every
   /// other lane already advanced by the wide pass.
   void tick_peel(LaneMask slow);
-
-  /// Forward Machine::set_mmu_rig to every CE (see Ce::set_mmu_rig).
-  void set_mmu_rig(std::uint32_t rig);
 
   // --- Event-horizon fast-forward -------------------------------------
   /// Cycles for which the whole cluster (program control, CCB, detached

@@ -4,10 +4,10 @@
 // wait) touch only that lane's CeHot slots plus the cache's fill-ready
 // word, so one pass can classify and advance every lane of a machine —
 // all clusters, cluster-major over global CE ids — with straight-line
-// arithmetic instead of per-CE dispatched switches. The wide machine
-// paths (Machine::tick_block, fx8::RigBatch) run this pass first and
-// drop only the returned slow lanes — phase transitions, access issue,
-// stall pick-up — into each owning cluster's per-lane tick path, in
+// arithmetic instead of per-CE dispatched switches. Machine::tick_block
+// runs this pass first at every width and drops only the returned slow
+// lanes — phase transitions, access issue, stall pick-up — into each
+// owning cluster's per-lane tick path, in
 // exactly the service order Cluster::tick would have used. The pass
 // leaves slow lanes completely untouched (their bus opcode is rewritten
 // by tick_lane before dispatch), so fused and serial ticks are

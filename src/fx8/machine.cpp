@@ -201,43 +201,23 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   cache::SharedCache& shared_cache = *shared_cache_;
   HotState& hot = hot_state_;
   const std::uint64_t events_at_entry = hot.cluster_events;
-  Cycle done = 0;
-  if (clusters_.size() == 1) {
-    Cluster& cluster = *clusters_[0];
-    while (done < max_cycles) {
-      cluster.tick();
-      for (Ip& ip : ips_) {
-        ip.tick();
-      }
-      membus.tick(hot.now);
-      shared_cache.tick();
-      ++hot.now;
-      ++done;
-      if (hot.cluster_events != events_at_entry) {
-        // A job or detached job completed this cycle: stop so the OS
-        // layer ticks naively next cycle, exactly as lockstep ticking
-        // would.
-        break;
-      }
-    }
-    return done;
-  }
-  // Width-native path: run every cluster's control half, then ONE lane
-  // pass over the whole machine-wide hot block, then peel only the slow
-  // lanes into their owning cluster, cluster-major. Bit-identical to the
-  // per-cluster tick() sequence because control is strictly
+  // One loop for every width: run every cluster's control half, then ONE
+  // lane pass over the whole machine-wide hot block, then peel only the
+  // slow lanes into their owning cluster, cluster-major. Bit-identical to
+  // the per-cluster tick() sequence because control is strictly
   // cluster-local (no cache/fabric/MMU touches), fast lanes touch only
   // their own CeHot slots plus the read-only fill-ready word (set only
   // by the end-of-cycle cache tick), and the peel preserves the exact
   // service order every slow lane would have seen.
   Cluster* const* clusters = cluster_ptrs_.data();
   const std::size_t n_clusters = cluster_ptrs_.size();
-  ClusterFabric& fabric = *fabric_;
+  ClusterFabric* const fabric = fabric_.get();
   const LanePassFn pass = lane_pass_;
   CeHot& lanes = hot.lanes;
+  Cycle done = 0;
   while (done < max_cycles) {
-    if (!fabric.idle()) {
-      fabric.begin_cycle();
+    if (fabric != nullptr && !fabric->idle()) {
+      fabric->begin_cycle();
     }
     for (std::size_t k = 0; k < n_clusters; ++k) {
       clusters[k]->tick_control();
@@ -272,6 +252,8 @@ Cycle Machine::tick_block(Cycle max_cycles) {
     ++hot.now;
     ++done;
     if (hot.cluster_events != events_at_entry) {
+      // A job or detached job completed this cycle: stop so the OS layer
+      // ticks naively next cycle, exactly as lockstep ticking would.
       break;
     }
   }

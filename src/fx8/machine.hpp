@@ -146,27 +146,13 @@ class Machine {
   /// travel as rebind-pending flags (see Cluster::serialize).
   void serialize(capsule::Io& io);
 
-  /// Lane pass the multi-cluster tick_block runs over the machine-wide
-  /// hot block (select_lane_pass() by default). Exposed so differential
-  /// tests can pin the scalar pass against the dispatched one.
+  /// Lane pass tick_block runs over the machine-wide hot block
+  /// (select_lane_pass() by default). Exposed so differential tests can
+  /// pin the scalar pass against the dispatched one.
   [[nodiscard]] LanePassFn lane_pass() const { return lane_pass_; }
   void set_lane_pass(LanePassFn pass) { lane_pass_ = pass; }
 
-  /// Rig lane this machine's CEs present to the MMU translation memo.
-  /// Machines sharing one Mmu inside a RigBatch must carry distinct
-  /// indices (< kMaxBatchRigs) so their memo slots never cross-hit; a
-  /// machine owning its Mmu keeps the default 0. See Ce::set_mmu_rig.
-  void set_mmu_rig(std::uint32_t rig) {
-    for (auto& cluster : clusters_) {
-      cluster->set_mmu_rig(rig);
-    }
-  }
-
  private:
-  /// The lockstep batch driver replays tick_block's loop across several
-  /// machines and needs the per-cycle component sequence (fx8/rig_batch).
-  friend class RigBatch;
-
   MachineConfig config_;
   ResolvedTopology topology_;
   std::unique_ptr<mem::MainMemory> memory_;
@@ -179,7 +165,7 @@ class Machine {
   /// Raw mirror of clusters_ so the per-cycle loops index a flat pointer
   /// array instead of hopping through unique_ptr storage.
   std::vector<Cluster*> cluster_ptrs_;
-  /// Machine-wide lane pass used by the multi-cluster tick_block.
+  /// Machine-wide lane pass used by tick_block.
   LanePassFn lane_pass_;
   std::vector<std::unique_ptr<cache::IpCache>> ip_caches_;
   std::vector<Ip> ips_;

@@ -22,39 +22,34 @@ class Mmu {
   virtual ~Mmu() = default;
 
   /// The CE-facing entry point: touch `addr` on behalf of `job` from
-  /// processor `ce` of rig `rig`. A per-(rig, CE) single-entry memo of the
-  /// last resident (job, page) skips the virtual touch() call entirely for
-  /// the within-page streaming accesses that dominate saturated sessions;
+  /// processor `ce`. A per-CE single-entry memo of the last resident
+  /// (job, page) skips the virtual touch() call entirely for the
+  /// within-page streaming accesses that dominate saturated sessions;
   /// implementations must call invalidate_translations() whenever any
   /// mapping is removed. The memo works at kPageBytes granularity — the
   /// system page size every Mmu implementation shares.
-  ///
-  /// `rig` distinguishes machines sharing one Mmu inside an fx8::RigBatch
-  /// (CE ids repeat across rigs, so a shared memo slot would let one rig's
-  /// translation satisfy another's first touch). A machine that owns its
-  /// Mmu — every os::System — keeps the default rig 0.
-  Cycle translate(JobId job, CeId ce, Addr addr, std::uint32_t rig = 0) {
-    Memo& memo = memo_[rig * lanes_ + ce];
+  Cycle translate(JobId job, CeId ce, Addr addr) {
+    Memo& memo = memo_[ce];
     const Addr page = addr / kPageBytes;
     if (memo.epoch == epoch_ && memo.page == page && memo.job == job) {
       return 0;
     }
-    const Cycle stall = touch(job, ce, addr, rig);
+    const Cycle stall = touch(job, ce, addr);
     // A non-zero return maps the page (see touch), so the page is
     // resident either way and the memo entry is valid.
     memo = {epoch_, job, page};
     return stall;
   }
 
-  /// Touch `addr` on behalf of `job` from processor `ce` of rig `rig`.
-  /// Returns the number of cycles the access must stall for fault service
-  /// (0 when the page is already mapped). A non-zero return maps the page,
-  /// so the retried access will not fault again.
-  virtual Cycle touch(JobId job, CeId ce, Addr addr, std::uint32_t rig) = 0;
+  /// Touch `addr` on behalf of `job` from processor `ce`. Returns the
+  /// number of cycles the access must stall for fault service (0 when the
+  /// page is already mapped). A non-zero return maps the page, so the
+  /// retried access will not fault again.
+  virtual Cycle touch(JobId job, CeId ce, Addr addr) = 0;
 
-  /// Grow the per-rig memo stride to cover `n` CE lanes (a machine with
+  /// Grow the per-CE memo to cover `n` CE lanes (a machine with
   /// global CE ids up to n-1). Called by Machine at construction; only
-  /// ever grows, and the default kMaxCes stride means machines of width
+  /// ever grows, and the default kMaxCes entries mean machines of width
   /// <= 8 never reallocate (keeping the capsule walk byte-stable for
   /// them). Growing wipes the memos — harmless before any activity, and
   /// behaviour-neutral anyway since a memo miss just re-touches a
@@ -66,13 +61,13 @@ class Mmu {
       return;
     }
     lanes_ = n;
-    memo_.assign(static_cast<std::size_t>(kMaxBatchRigs) * lanes_, Memo{});
+    memo_.assign(lanes_, Memo{});
   }
 
   /// CE lanes the translation memo currently covers.
   [[nodiscard]] std::uint32_t lanes() const { return lanes_; }
 
-  /// Capsule walk over the per-(rig, CE) translation memos and their
+  /// Capsule walk over the per-CE translation memos and their
   /// epoch. Derived classes call this from their own serialize().
   void serialize_translation_state(capsule::Io& io) {
     for (Memo& memo : memo_) {
@@ -94,16 +89,14 @@ class Mmu {
     Addr page = 0;
   };
   std::uint32_t lanes_ = kMaxCes;
-  /// Rig-major: rig r's CE c memoizes at slot r * lanes_ + c.
-  std::vector<Memo> memo_ =
-      std::vector<Memo>(std::size_t{kMaxBatchRigs} * kMaxCes);
+  std::vector<Memo> memo_ = std::vector<Memo>(kMaxCes);
   std::uint64_t epoch_ = 1;
 };
 
 /// MMU that never faults; used by unit tests of the bare machine.
 class NoFaultMmu final : public Mmu {
  public:
-  Cycle touch(JobId, CeId, Addr, std::uint32_t) override { return 0; }
+  Cycle touch(JobId, CeId, Addr) override { return 0; }
 };
 
 }  // namespace repro::fx8

@@ -1,7 +1,6 @@
 #include "instr/session_controller.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "base/expect.hpp"
 #include "instr/das_controller.hpp"
@@ -56,7 +55,7 @@ Cycle SessionController::quiet_horizon() const {
   return std::min(workload, system_.quiet_horizon());
 }
 
-SessionController::Decision SessionController::quiet_decision(Cycle budget) {
+Cycle SessionController::advance_busy(Cycle budget) {
   const Cycle workload = workload_.quiet_horizon(system_);
   if (workload == 0 || system_.scheduler().quiet_horizon() == 0) {
     // An OS-layer action is due next tick (burst submission, gap draw,
@@ -64,72 +63,52 @@ SessionController::Decision SessionController::quiet_decision(Cycle budget) {
     // workload generator see exactly the states they would naively.
     step();
     ++ff_stats_.naive_cycles;
-    return {Decision::Kind::kAdvanced, 1};
+    return 1;
   }
   // Neither can act for `workload` cycles (the scheduler's horizon is
   // unbounded until the next cluster control event, where the fused
   // kernel stops on its own), so their per-cycle ticks are provably
   // no-ops: the machine alone advances through the kernel.
-  return {Decision::Kind::kBlock,
-          std::min(std::min(workload, budget), kBlockChunk)};
-}
-
-SessionController::Decision SessionController::advance_step(
-    AdvanceCursor& cursor) {
-  if (cursor.remaining == 0) {
-    return {Decision::Kind::kDone, 0};
-  }
-  if (!config_.fast_forward) {
-    step();
-    ++ff_stats_.naive_cycles;
-    --cursor.remaining;
-    return {Decision::Kind::kAdvanced, 1};
-  }
-  const Cycle horizon = std::min(quiet_horizon(), cursor.remaining);
-  if (horizon >= kMinProfitableSkip) {
-    system_.skip(horizon);
-    ff_stats_.skipped_cycles += horizon;
-    ++ff_stats_.jumps;
-    cursor.remaining -= horizon;
-    return {Decision::Kind::kAdvanced, horizon};
-  }
-  // Short horizon: too busy to bulk-jump. Advance through the fused
-  // kernel (or one lockstep step when the OS layer is due to act).
-  const Decision decision = quiet_decision(cursor.remaining);
-  if (decision.kind == Decision::Kind::kAdvanced) {
-    cursor.remaining -= decision.cycles;
-  }
-  return decision;
-}
-
-void SessionController::note_block_cycles(AdvanceCursor& cursor,
-                                          Cycle advanced) {
+  const Cycle advanced = system_.machine().tick_block(
+      std::min(std::min(workload, budget), kBlockChunk));
   ff_stats_.block_cycles += advanced;
-  cursor.remaining -= advanced;
+  return advanced;
+}
+
+void SessionController::skip(Cycle cycles) {
+  system_.skip(cycles);
+  ff_stats_.skipped_cycles += cycles;
+  ++ff_stats_.jumps;
 }
 
 void SessionController::advance(Cycle cycles) {
-  AdvanceCursor cursor = begin_advance(cycles);
-  for (;;) {
-    const Decision decision = advance_step(cursor);
-    if (decision.kind == Decision::Kind::kDone) {
-      return;
+  while (cycles > 0) {
+    if (!config_.fast_forward) {
+      step();
+      ++ff_stats_.naive_cycles;
+      --cycles;
+      continue;
     }
-    if (decision.kind == Decision::Kind::kBlock) {
-      note_block_cycles(cursor,
-                        system_.machine().tick_block(decision.cycles));
+    const Cycle horizon = std::min(quiet_horizon(), cycles);
+    if (horizon >= kMinProfitableSkip) {
+      skip(horizon);
+      cycles -= horizon;
+      continue;
     }
+    // Short horizon: too busy to bulk-jump. Advance through the fused
+    // kernel (or one lockstep step when the OS layer is due to act).
+    cycles -= advance_busy(cycles);
   }
 }
 
-void SessionController::begin_sample(SampleCursor& cursor) {
-  cursor.n_ces = system_.machine().total_ces();
-  cursor.n_buses = system_.machine().mem_bus_count();
+SampleRecord SessionController::take_sample() {
+  const std::uint32_t n_ces = system_.machine().total_ces();
+  const std::uint32_t n_buses = system_.machine().mem_bus_count();
 
   // Choose snapshot start offsets within the interval, far enough apart
   // that acquisitions never overlap. The offsets live in a member scratch
-  // buffer reused across samples (one live cursor per controller), so
-  // the per-sample path does not allocate.
+  // buffer reused across samples, so the per-sample path does not
+  // allocate.
   const Cycle slot =
       config_.interval_cycles / config_.snapshots_per_sample;
   std::vector<Cycle>& starts = starts_scratch_;
@@ -140,99 +119,65 @@ void SessionController::begin_sample(SampleCursor& cursor) {
     starts.push_back(static_cast<Cycle>(s) * slot + jitter);
   }
 
-  cursor.sw.emplace(system_.counters());
+  SoftwareSampler sw(system_.counters());
 
   // Configure the instrument over its command port (§3.3/§3.4).
-  must_ack(cursor.das, "TRIGGER IMMEDIATE");
-  must_ack(cursor.das, "DEPTH " + std::to_string(config_.buffer_depth));
+  DasController das;
+  must_ack(das, "TRIGGER IMMEDIATE");
+  must_ack(das, "DEPTH " + std::to_string(config_.buffer_depth));
 
-  cursor.record.index = next_index_++;
-  cursor.record.interval_cycles = config_.interval_cycles;
-}
+  SampleRecord record;
+  record.index = next_index_++;
+  record.interval_cycles = config_.interval_cycles;
 
-SessionController::Decision SessionController::sample_step(
-    SampleCursor& cursor) {
-  if (cursor.c >= config_.interval_cycles) {
-    return {Decision::Kind::kDone, 0};
-  }
-  const std::vector<Cycle>& starts = starts_scratch_;
-  if (cursor.next_snapshot < starts.size() &&
-      cursor.c == starts[cursor.next_snapshot]) {
-    must_ack(cursor.das, "ARM");
-    cursor.acquiring = true;
-  }
-  if (cursor.acquiring) {
-    // The probe latches this CE-bus cycle: acquisitions always run as
-    // real single ticks.
-    step();
-    ++cursor.c;
-    ++ff_stats_.naive_cycles;
-    if (cursor.das.on_sample_clock(latch(system_.machine()))) {
-      must_ack(cursor.das, "XFER");
-      cursor.record.hw.merge(
-          reduce(cursor.das.take_transfer(), cursor.n_ces, cursor.n_buses));
-      cursor.acquiring = false;
-      ++cursor.next_snapshot;
+  std::size_t next_snapshot = 0;
+  bool acquiring = false;
+  Cycle c = 0;
+  while (c < config_.interval_cycles) {
+    if (next_snapshot < starts.size() && c == starts[next_snapshot]) {
+      must_ack(das, "ARM");
+      acquiring = true;
     }
-    return {Decision::Kind::kAdvanced, 1};
+    if (acquiring) {
+      // The probe latches this CE-bus cycle: acquisitions always run as
+      // real single ticks.
+      step();
+      ++c;
+      ++ff_stats_.naive_cycles;
+      if (das.on_sample_clock(latch(system_.machine()))) {
+        must_ack(das, "XFER");
+        record.hw.merge(reduce(das.take_transfer(), n_ces, n_buses));
+        acquiring = false;
+        ++next_snapshot;
+      }
+      continue;
+    }
+    if (!config_.fast_forward) {
+      step();
+      ++c;
+      ++ff_stats_.naive_cycles;
+      continue;
+    }
+    // Between acquisitions the probe is not latched, so quiet stretches
+    // can advance in one jump — clamped to the next snapshot start so
+    // the ARM lands on exactly the naive cycle. Busy stretches advance
+    // through the fused kernel under the same clamp.
+    const Cycle bound = next_snapshot < starts.size()
+                            ? starts[next_snapshot]
+                            : config_.interval_cycles;
+    const Cycle horizon = std::min(quiet_horizon(), bound - c);
+    if (horizon >= kMinProfitableSkip) {
+      skip(horizon);
+      c += horizon;
+      continue;
+    }
+    c += advance_busy(bound - c);
   }
-  if (!config_.fast_forward) {
-    step();
-    ++cursor.c;
-    ++ff_stats_.naive_cycles;
-    return {Decision::Kind::kAdvanced, 1};
-  }
-  // Between acquisitions the probe is not latched, so quiet stretches
-  // can advance in one jump — clamped to the next snapshot start so
-  // the ARM lands on exactly the naive cycle. Busy stretches advance
-  // through the fused kernel under the same clamp.
-  const Cycle bound = cursor.next_snapshot < starts.size()
-                          ? starts[cursor.next_snapshot]
-                          : config_.interval_cycles;
-  const Cycle horizon = std::min(quiet_horizon(), bound - cursor.c);
-  if (horizon >= kMinProfitableSkip) {
-    system_.skip(horizon);
-    ff_stats_.skipped_cycles += horizon;
-    ++ff_stats_.jumps;
-    cursor.c += horizon;
-    return {Decision::Kind::kAdvanced, horizon};
-  }
-  const Decision decision = quiet_decision(bound - cursor.c);
-  if (decision.kind == Decision::Kind::kAdvanced) {
-    cursor.c += decision.cycles;
-  }
-  return decision;
-}
 
-void SessionController::note_block_cycles(SampleCursor& cursor,
-                                          Cycle advanced) {
-  ff_stats_.block_cycles += advanced;
-  cursor.c += advanced;
-}
-
-SampleRecord SessionController::finish_sample(SampleCursor& cursor) {
-  REPRO_EXPECT(cursor.c >= config_.interval_cycles,
-               "finish_sample before the interval completed");
   // sw counters are read "at the time that the hardware sample was
   // stored" — here, at interval close.
-  cursor.record.sw = cursor.sw->take_delta();
-  return std::move(cursor.record);
-}
-
-SampleRecord SessionController::take_sample() {
-  SampleCursor cursor;
-  begin_sample(cursor);
-  for (;;) {
-    const Decision decision = sample_step(cursor);
-    if (decision.kind == Decision::Kind::kDone) {
-      break;
-    }
-    if (decision.kind == Decision::Kind::kBlock) {
-      note_block_cycles(cursor,
-                        system_.machine().tick_block(decision.cycles));
-    }
-  }
-  return finish_sample(cursor);
+  record.sw = sw.take_delta();
+  return record;
 }
 
 std::vector<SampleRecord> SessionController::run_session(

@@ -100,65 +100,6 @@ class SessionController {
   /// Run one sample interval and return its record.
   [[nodiscard]] SampleRecord take_sample();
 
-  // --- Resumable cursors ----------------------------------------------
-  // advance() and take_sample() decomposed into one-decision steps, so a
-  // batch driver (instr/session_batch.hpp) can interleave several rigs:
-  // each rig runs its scalar decisions until it asks for a fused-kernel
-  // block, the driver advances all requested blocks in lockstep through
-  // one fx8::RigBatch, and the cursors resume. The decision code is the
-  // same either way — the serial entry points are thin loops over the
-  // cursors — so batched runs are bit-identical to serial ones.
-
-  /// One scheduling decision of the measurement loop.
-  struct Decision {
-    enum class Kind : std::uint8_t {
-      kDone,      ///< The cursor's work is complete.
-      kAdvanced,  ///< The controller already advanced `cycles` itself
-                  ///< (a lockstep step, a bulk skip, an acquisition tick).
-      kBlock,     ///< Caller: advance the machine up to `cycles` through
-                  ///< the fused tick kernel, then report the cycles
-                  ///< actually advanced via note_block_cycles().
-    };
-    Kind kind = Kind::kDone;
-    Cycle cycles = 0;
-  };
-
-  /// Warmup/gap cursor: begin_advance + the decision loop == advance().
-  struct AdvanceCursor {
-    Cycle remaining = 0;
-  };
-  [[nodiscard]] AdvanceCursor begin_advance(Cycle cycles) {
-    return AdvanceCursor{cycles};
-  }
-  [[nodiscard]] Decision advance_step(AdvanceCursor& cursor);
-  void note_block_cycles(AdvanceCursor& cursor, Cycle advanced);
-
-  /// Sample-interval cursor. At most one may be live per controller (it
-  /// borrows the controller's snapshot-offset scratch). Construction
-  /// draws the interval's snapshot offsets and arms the instrument —
-  /// exactly take_sample()'s preamble — so cursors must be created in
-  /// the order the samples are to be taken.
-  struct SampleCursor {
-    SampleRecord record;
-    DasController das;
-    std::optional<SoftwareSampler> sw;
-    std::uint32_t n_ces = 0;
-    std::uint32_t n_buses = 0;
-    std::size_t next_snapshot = 0;
-    bool acquiring = false;
-    Cycle c = 0;
-  };
-  void begin_sample(SampleCursor& cursor);
-  [[nodiscard]] Decision sample_step(SampleCursor& cursor);
-  void note_block_cycles(SampleCursor& cursor, Cycle advanced);
-  /// Close out a finished interval (software-counter delta) and return
-  /// the record. Requires sample_step to have returned kDone.
-  [[nodiscard]] SampleRecord finish_sample(SampleCursor& cursor);
-
-  /// The system this controller drives (the batch driver needs the
-  /// machine to enlist in a RigBatch).
-  [[nodiscard]] os::System& system() { return system_; }
-
   /// Run a whole session of `n_samples` intervals.
   [[nodiscard]] std::vector<SampleRecord> run_session(
       std::uint32_t n_samples);
@@ -193,14 +134,16 @@ class SessionController {
   /// Quiet horizon across the workload generator and the system: cycles
   /// of guaranteed repetition the controller may skip in one jump.
   [[nodiscard]] Cycle quiet_horizon() const;
-  /// The shared tail of both cursors' decision logic: advance up to
+  /// Busy-stretch advance shared by advance() and take_sample(): up to
   /// `budget` cycles without bulk-jumping and with no acquisition armed.
   /// A cycle on which the OS layer (scheduler or workload generator) is
-  /// due to act runs as one lockstep step() (kAdvanced); everything else
-  /// becomes a kBlock request for the fused tick kernel, which stops at
-  /// cluster control events so the scheduler's reaction cycle is
-  /// lockstep-ticked exactly as naive stepping would.
-  [[nodiscard]] Decision quiet_decision(Cycle budget);
+  /// due to act runs as one lockstep step(); everything else runs through
+  /// the fused tick kernel, which stops at cluster control events so the
+  /// scheduler's reaction cycle is lockstep-ticked exactly as naive
+  /// stepping would. Returns the cycles advanced (>= 1).
+  Cycle advance_busy(Cycle budget);
+  /// Bulk-jump `cycles` quiet cycles (<= quiet_horizon()).
+  void skip(Cycle cycles);
 
   os::System& system_;
   workload::WorkloadGenerator& workload_;

@@ -47,8 +47,7 @@ bool VirtualMemory::reclaim_one() {
   return false;
 }
 
-Cycle VirtualMemory::touch(JobId job, CeId ce, Addr addr,
-                           std::uint32_t /*rig*/) {
+Cycle VirtualMemory::touch(JobId job, CeId ce, Addr addr) {
   ++stats_.translations;
   const Addr page = addr / kPageBytes;
   // Memo hit: this exact (job, page) resolved resident for this CE

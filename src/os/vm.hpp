@@ -49,10 +49,8 @@ class VirtualMemory final : public fx8::Mmu {
   VirtualMemory(const VmConfig& config, KernelCounters& counters);
 
   /// fx8::Mmu: first touch of a page faults (service time returned) and
-  /// maps it to a physical frame; later touches are free. The rig index is
-  /// unused — a System-owned VM serves exactly one machine (rig 0); only
-  /// batch harnesses sharing a bare Mmu across rigs key on it.
-  Cycle touch(JobId job, CeId ce, Addr addr, std::uint32_t rig = 0) override;
+  /// maps it to a physical frame; later touches are free.
+  Cycle touch(JobId job, CeId ce, Addr addr) override;
 
   /// fx8::Mmu: widen the VM-side per-CE memos alongside the base memo
   /// when the machine resolves to more than kMaxCes global CEs.

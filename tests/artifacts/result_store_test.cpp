@@ -226,7 +226,7 @@ TEST(CacheKeys, EveryStudyConfigFieldChangesTheKey) {
   const core::StudyConfig base;
   const std::uint64_t key = study_cache_key(base);
   // One mutation per field — including the perf-only knobs that provably
-  // do not change results (threads, fast_forward, rig_batch, ...): the
+  // do not change results (threads, fast_forward, ...): the
   // cache keys conservatively on the WHOLE config.
   const auto mutated = [&](auto&& mutate) {
     core::StudyConfig config = base;
@@ -239,7 +239,6 @@ TEST(CacheKeys, EveryStudyConfigFieldChangesTheKey) {
   EXPECT_NE(key, mutated([](auto& c) { c.threads += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.fast_forward = !c.fast_forward; }));
   EXPECT_NE(key, mutated([](auto& c) { c.replicates_per_session += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.rig_batch += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.checkpoint_every_samples += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.sampling.interval_cycles += 1; }));
   EXPECT_NE(key,

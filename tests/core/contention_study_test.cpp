@@ -1,7 +1,7 @@
 // Contention-scenario differential tests: the lock and RCU workloads
 // must be bit-identical across every execution strategy the study
-// engine offers — serial vs. rig-batched, single- vs. multi-threaded,
-// dispatched vs. scalar-forced SIMD, detached clusters — and their
+// engine offers — single- vs. multi-threaded, dispatched vs.
+// scalar-forced SIMD, detached clusters — and their
 // in-flight state must survive a capsule round trip exactly.
 #include <gtest/gtest.h>
 
@@ -25,15 +25,13 @@ std::vector<workload::WorkloadMix> contention_mixes() {
           workload::rcu_search_mix()};
 }
 
-StudyConfig contention_config(std::uint32_t rig_batch,
-                              std::uint32_t threads = 1) {
+StudyConfig contention_config(std::uint32_t threads = 1) {
   StudyConfig config;
   config.samples_per_session = 6;
   config.replicates_per_session = 8;
   config.sampling.interval_cycles = 6000;
   config.warmup_cycles = 2000;
   config.threads = threads;
-  config.rig_batch = rig_batch;
   return config;
 }
 
@@ -62,23 +60,17 @@ void expect_identical(const StudyResult& a, const StudyResult& b) {
 }
 
 // The FIFO critical-section chains exercise the CCB dependence release
-// far harder than the numeric presets; the batched driver must still
-// reproduce the serial path bit-for-bit.
-TEST(ContentionStudy, BatchedBitIdenticalToSerial) {
+// far harder than the numeric presets; the pooled replicate tasks must
+// still reproduce the serial path bit-for-bit.
+TEST(ContentionStudy, ThreadedMatchesSerial) {
   const auto mixes = contention_mixes();
   expect_identical(run_study(mixes, contention_config(1)),
-                   run_study(mixes, contention_config(8)));
-}
-
-TEST(ContentionStudy, ThreadedBatchedMatchesSerial) {
-  const auto mixes = contention_mixes();
-  expect_identical(run_study(mixes, contention_config(1, 1)),
-                   run_study(mixes, contention_config(4, 4)));
+                   run_study(mixes, contention_config(4)));
 }
 
 TEST(ContentionStudy, ScalarForcedMatchesDispatched) {
   const auto mixes = contention_mixes();
-  const StudyConfig config = contention_config(4);
+  const StudyConfig config = contention_config();
   const StudyResult dispatched = run_study(mixes, config);
   ASSERT_EQ(setenv("FX8_FORCE_SCALAR", "1", 1), 0);
   const StudyResult scalar = run_study(mixes, config);
@@ -87,17 +79,17 @@ TEST(ContentionStudy, ScalarForcedMatchesDispatched) {
 }
 
 // Detached CEs never take the fast lane path; the lock chains must
-// still batch bit-identically on a narrow, partially-detached cluster.
-TEST(ContentionStudy, DetachedClusterBatchesBitIdentical) {
+// still pool bit-identically on a narrow, partially-detached cluster.
+TEST(ContentionStudy, DetachedClusterThreadedMatchesSerial) {
   const auto mixes = contention_mixes();
   StudyConfig serial_config = contention_config(1);
   serial_config.system.machine.cluster.n_ces = 4;
   serial_config.system.machine.cluster.detached_ces = 1;
   serial_config.replicates_per_session = 4;
-  StudyConfig batched_config = serial_config;
-  batched_config.rig_batch = 4;
+  StudyConfig threaded_config = serial_config;
+  threaded_config.threads = 4;
   expect_identical(run_study(mixes, serial_config),
-                   run_study(mixes, batched_config));
+                   run_study(mixes, threaded_config));
 }
 
 // --- Capsule round trip of in-flight lock state ------------------------

@@ -251,12 +251,12 @@ TEST(TickKernel, BlocksAgainstProbeLatchBoundaries) {
   }
 }
 
-// --- Width-native multi-cluster kernel ---------------------------------
+// --- Width-native machine kernel ----------------------------------------
 //
-// The multi-cluster tick_block runs one machine-wide lane pass per cycle
+// tick_block runs one machine-wide lane pass per cycle at every width
 // and peels only slow lanes into their owning cluster; these suites pin
-// that path bit-identical to per-cluster naive ticking across widths
-// 16/32/64, with detached splits, and with the scalar pass pinned
+// that loop bit-identical to per-cluster naive ticking across widths
+// 8/16/32/64, with detached splits, and with the scalar pass pinned
 // against the dispatched one. The whole suite reruns under
 // FX8_FORCE_SCALAR in CI, giving the scalar wide pass the same coverage.
 
@@ -334,8 +334,8 @@ void expect_same_wide(const WideState& a, const WideState& b) {
 }
 
 std::vector<fx8::MachineConfig> wide_configs() {
-  return {fx8::MachineConfig::fx16(), fx8::MachineConfig::fx32(),
-          fx8::MachineConfig::fx64()};
+  return {fx8::MachineConfig::fx8(), fx8::MachineConfig::fx16(),
+          fx8::MachineConfig::fx32(), fx8::MachineConfig::fx64()};
 }
 
 isa::Program wk_serial_program(std::uint64_t reps) {
@@ -376,7 +376,7 @@ bool wk_any_busy(fx8::Machine& m) {
   return false;
 }
 
-// The wide block path must reproduce per-cluster naive ticking
+// The block loop must reproduce per-cluster naive ticking
 // bit-identically at every width preset, with each block stopping at
 // the end of a cycle that raised a control event.
 TEST(WideKernel, MultiClusterBlockMatchesNaiveAcrossWidths) {

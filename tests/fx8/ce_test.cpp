@@ -16,7 +16,7 @@ class CountingMmu final : public Mmu {
  public:
   explicit CountingMmu(Cycle fault_cycles) : fault_cycles_(fault_cycles) {}
 
-  Cycle touch(JobId, CeId, Addr addr, std::uint32_t) override {
+  Cycle touch(JobId, CeId, Addr addr) override {
     const Addr page = addr / kPageBytes;
     if (mapped_.insert(page).second) {
       ++faults_;
