@@ -2,11 +2,12 @@
 //
 // Every table, figure and appendix of the paper (plus the design
 // ablations and §6 extensions) is registered in the artifact catalog
-// (src/artifacts/); this binary selects artifacts, runs them against ONE
-// shared input cache — the nine-session study and the transition study
-// execute at most once per invocation, however many artifacts read them
-// — prints the same human-readable text the old one-shot bench binaries
-// did, and optionally writes a structured JSON report.
+// (src/artifacts/); this binary selects artifacts, renders them
+// concurrently against ONE shared input cache — the nine-session study
+// and the transition study execute at most once per invocation, however
+// many artifacts read them — prints, in selection order, the same
+// human-readable text the old one-shot bench binaries did, and
+// optionally writes a structured JSON report.
 //
 // Usage:
 //   fx8bench --list                 catalog ids, one per line
@@ -188,50 +189,30 @@ int main(int argc, char** argv) {
     return 2;
   }
   artifacts::Inputs& inputs = *inputs_storage;
-  artifacts::RunReport report;
-  {
-    // Stream per-artifact output as it renders rather than waiting for
-    // the whole run.
-    const auto start_counts = [](artifacts::RunReport& out,
-                                 const artifacts::ArtifactResult& result) {
-      switch (result.status) {
-        case artifacts::ArtifactStatus::kOk:
-          ++out.ok;
-          break;
-        case artifacts::ArtifactStatus::kToleranceFailed:
-          ++out.tolerance_failed;
-          break;
-        case artifacts::ArtifactStatus::kError:
-          ++out.errors;
-          break;
-      }
-    };
-    for (const artifacts::ArtifactDef* def : selection) {
-      std::fputs(artifacts::render_header(*def).c_str(), stdout);
-      artifacts::ArtifactResult result =
-          artifacts::run_artifact(*def, inputs);
-      std::fputs(result.text.c_str(), stdout);
-      if (result.status == artifacts::ArtifactStatus::kError) {
-        std::printf("\n[%s] ERROR: %s\n", result.id.c_str(),
-                    result.error.c_str());
-      } else {
-        for (const artifacts::Check& check : result.checks) {
-          if (check.enforced && !check.pass) {
-            std::printf("\n[%s] TOLERANCE: %s = %g outside [%g, %g] "
-                        "(paper %g)\n",
-                        result.id.c_str(), check.name.c_str(),
-                        check.measured, check.lo, check.hi, check.paper);
+  // Stream each artifact's output as soon as it and every earlier one in
+  // the selection are ready, rather than waiting for the whole run.
+  std::size_t printed = 0;
+  const artifacts::RunReport report = artifacts::run_artifacts(
+      selection, inputs, [&](const artifacts::ArtifactResult& result) {
+        std::fputs(artifacts::render_header(*selection[printed++]).c_str(),
+                   stdout);
+        std::fputs(result.text.c_str(), stdout);
+        if (result.status == artifacts::ArtifactStatus::kError) {
+          std::printf("\n[%s] ERROR: %s\n", result.id.c_str(),
+                      result.error.c_str());
+        } else {
+          for (const artifacts::Check& check : result.checks) {
+            if (check.enforced && !check.pass) {
+              std::printf("\n[%s] TOLERANCE: %s = %g outside [%g, %g] "
+                          "(paper %g)\n",
+                          result.id.c_str(), check.name.c_str(),
+                          check.measured, check.lo, check.hi, check.paper);
+            }
           }
         }
-      }
-      std::printf("\n");
-      report.total_seconds += result.seconds;
-      start_counts(report, result);
-      report.results.push_back(std::move(result));
-      std::fflush(stdout);
-    }
-    report.run_counts = inputs.run_counts();
-  }
+        std::printf("\n");
+        std::fflush(stdout);
+      });
 
   // Summary footer.
   std::printf("=============================================================\n");
@@ -246,7 +227,7 @@ int main(int argc, char** argv) {
               report.run_counts.transition_runs,
               report.run_counts.private_runs);
   if (const artifacts::ResultStore* store = inputs.store()) {
-    const artifacts::CacheStats& stats = store->stats();
+    const artifacts::CacheStats stats = store->stats();
     std::printf("cache: %llu hit(s), %llu miss(es) (%llu bloom-skipped, "
                 "%llu corrupt), %llu put(s), %llu B read, %llu B written "
                 "[%s]\n",

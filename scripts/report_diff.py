@@ -4,16 +4,20 @@
 The persistent result cache (docs/benchmarks.md, "The result cache")
 promises that a warm `fx8bench --all` reproduces the cold run's report
 byte-for-byte *except* for fields that describe the run itself rather
-than the measured results:
+than the measured results; so does a run at another worker count
+(FX8_THREADS=1 against the default). Those fields are:
 
   - `summary.total_seconds` and each artifact's `seconds` (wall clock),
   - `experiment_runs` (a warm run executes zero engines),
-  - `cache` (hit/miss counters obviously differ between cold and warm).
+  - `cache` (hit/miss counters obviously differ between cold and warm),
+  - `study_engine.threads` (the worker count itself),
+  - `perf_simulator`'s wall-clock rates and the timed
+    `block_vs_naive_speedup` check built on them.
 
 This script strips exactly those fields from both reports and then
 compares the rest byte-for-byte (via a canonical JSON dump). CI uses it
-to gate the cold-then-warm `artifact-report` job; it is equally handy
-locally:
+to gate the cold-then-warm and serial-vs-threaded `artifact-report`
+checks; it is equally handy locally:
 
     python3 scripts/report_diff.py cold.json warm.json
 
@@ -28,15 +32,36 @@ import sys
 # Fields that legitimately differ between a cold and a warm run.
 VOLATILE_TOP_LEVEL = ("experiment_runs", "cache")
 
+# perf_simulator times itself: these metrics (and the check of the same
+# name) are host cycles per second, not simulated results.
+TIMED_PERF_METRICS = ("naive_cycles_per_sec", "block_cycles_per_sec",
+                      "idle_cycles_per_sec", "block_vs_naive_speedup")
+
+
+def strip_timed(artifact: dict) -> None:
+    if artifact.get("id") != "perf_simulator":
+        return
+    metrics = artifact.get("metrics")
+    if isinstance(metrics, dict):
+        for name in TIMED_PERF_METRICS:
+            metrics.pop(name, None)
+    for check in artifact.get("checks", []):
+        if isinstance(check, dict) and check.get("name") in TIMED_PERF_METRICS:
+            check.pop("measured", None)
+            check.pop("pass", None)
+
 
 def normalize(report: dict) -> dict:
     for key in VOLATILE_TOP_LEVEL:
         report.pop(key, None)
     if isinstance(report.get("summary"), dict):
         report["summary"].pop("total_seconds", None)
+    if isinstance(report.get("study_engine"), dict):
+        report["study_engine"].pop("threads", None)
     for artifact in report.get("artifacts", []):
         if isinstance(artifact, dict):
             artifact.pop("seconds", None)
+            strip_timed(artifact)
     return report
 
 

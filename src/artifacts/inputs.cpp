@@ -43,34 +43,32 @@ Inputs::Inputs(bool quick, const std::string& cache_dir)
 }
 
 const core::StudyResult& Inputs::study() {
-  if (!study_) {
+  std::call_once(study_once_, [this] {
     study_ = cached_result<core::StudyResult>(
         store_.get(), study_cache_key(study_config_), [this] {
-          ++counts_.study_runs;
+          ++study_runs_;
           return core::run_default_study(study_config_);
         });
-  }
+  });
   return *study_;
 }
 
 const std::vector<core::AnalyzedSample>& Inputs::samples() {
-  if (!samples_) {
-    samples_ = study().all_samples();
-  }
+  std::call_once(samples_once_,
+                 [this] { samples_ = study().all_samples(); });
   return *samples_;
 }
 
 const std::vector<core::AnalyzedSample>& Inputs::samples_with_pc() {
-  if (!samples_with_pc_) {
+  std::call_once(samples_with_pc_once_, [this] {
     samples_with_pc_ = core::with_defined_pc(samples());
-  }
+  });
   return *samples_with_pc_;
 }
 
 const std::vector<core::MedianModel>& Inputs::models() {
-  if (!models_) {
-    models_ = core::fit_all_models(samples());
-  }
+  std::call_once(models_once_,
+                 [this] { models_ = core::fit_all_models(samples()); });
   return *models_;
 }
 
@@ -85,32 +83,36 @@ const core::MedianModel& Inputs::model(core::SystemMeasure measure,
 }
 
 const core::TransitionResult& Inputs::transition() {
-  if (!transition_) {
+  std::call_once(transition_once_, [this] {
     transition_ = cached_result<core::TransitionResult>(
         store_.get(), transition_cache_key(transition_config_), [this] {
-          ++counts_.transition_runs;
+          ++transition_runs_;
           return core::run_transition_study(
               workload::high_concurrency_mix(), transition_config_,
               instr::TriggerMode::kTransitionFromFull);
         });
-  }
+  });
   return *transition_;
 }
 
 const core::StudyResult* Inputs::study_for_report() {
-  if (study_) {
-    return &*study_;
-  }
-  if (store_ != nullptr) {
-    if (auto payload = store_->get(study_cache_key(study_config_))) {
-      try {
-        study_ = decode_result<core::StudyResult>(std::move(*payload));
-        return &*study_;
-      } catch (const capsule::CapsuleError&) {
+  // Through the study's own flag. A miss throws out of call_once, which
+  // leaves the flag unset, so a later study() still runs the study.
+  try {
+    std::call_once(study_once_, [this] {
+      std::optional<std::vector<std::uint8_t>> payload;
+      if (store_ != nullptr) {
+        payload = store_->get(study_cache_key(study_config_));
       }
-    }
+      if (!payload) {
+        throw capsule::CapsuleError("study neither run nor cached");
+      }
+      study_ = decode_result<core::StudyResult>(std::move(*payload));
+    });
+  } catch (const capsule::CapsuleError&) {
+    return nullptr;
   }
-  return nullptr;
+  return &*study_;
 }
 
 }  // namespace repro::artifacts

@@ -11,10 +11,17 @@
 // Derived views (the flattened sample population, the Pc-defined subset,
 // the six fitted regression models) are memoized too, since half the
 // artifacts recompute them from the same study.
+//
+// Every accessor is safe to call from concurrent renders: each memo is
+// filled exactly once through its own std::once_flag (a caller that
+// arrives while another fills it waits), and the run counters are
+// atomics.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,7 +82,8 @@ class Inputs {
   const core::TransitionResult& transition();
 
   /// The cached study if some artifact already forced it, else nullptr
-  /// (for reporting — never triggers a run).
+  /// (for reporting — never triggers a run). Call it while no render is
+  /// in flight.
   [[nodiscard]] const core::StudyResult* study_if_run() const {
     return study_ ? &*study_ : nullptr;
   }
@@ -102,21 +110,31 @@ class Inputs {
     return quick_ ? quick : full;
   }
 
-  void note_private_run() { ++counts_.private_runs; }
+  void note_private_run() { ++private_runs_; }
 
-  [[nodiscard]] const RunCounts& run_counts() const { return counts_; }
+  [[nodiscard]] RunCounts run_counts() const {
+    return {study_runs_.load(), transition_runs_.load(),
+            private_runs_.load()};
+  }
 
  private:
   bool quick_;
   core::StudyConfig study_config_;
   core::TransitionConfig transition_config_;
   std::unique_ptr<ResultStore> store_;
+  std::once_flag study_once_;
+  std::once_flag samples_once_;
+  std::once_flag samples_with_pc_once_;
+  std::once_flag models_once_;
+  std::once_flag transition_once_;
   std::optional<core::StudyResult> study_;
   std::optional<std::vector<core::AnalyzedSample>> samples_;
   std::optional<std::vector<core::AnalyzedSample>> samples_with_pc_;
   std::optional<std::vector<core::MedianModel>> models_;
   std::optional<core::TransitionResult> transition_;
-  RunCounts counts_;
+  std::atomic<int> study_runs_{0};
+  std::atomic<int> transition_runs_{0};
+  std::atomic<int> private_runs_{0};
 };
 
 }  // namespace repro::artifacts

@@ -127,31 +127,42 @@ std::string ResultStore::object_path(std::uint64_t key) const {
 }
 
 std::optional<std::vector<std::uint8_t>> ResultStore::get(std::uint64_t key) {
-  if (!bloom_.maybe_contains(key)) {
-    ++stats_.bloom_skips;
-    ++stats_.misses;
-    return std::nullopt;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!bloom_.maybe_contains(key)) {
+      ++stats_.bloom_skips;
+      ++stats_.misses;
+      return std::nullopt;
+    }
   }
   const std::string path = object_path(key);
+  std::uint64_t bytes_read = 0;
   try {
     std::vector<std::uint8_t> sealed = capsule::read_file(path);
-    stats_.bytes_read += sealed.size();
+    bytes_read = sealed.size();
     std::vector<std::uint8_t> payload = capsule::unseal(sealed);
     if (payload.size() < kHeaderBytes ||
         read_key(payload.data()) != key ||
         read_version(payload.data() + 8) != kStoreFormatVersion) {
       throw capsule::CapsuleError("result store: blob header mismatch");
     }
-    ++stats_.hits;
     payload.erase(payload.begin(), payload.begin() + kHeaderBytes);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stats_.bytes_read += bytes_read;
+    ++stats_.hits;
     return payload;
   } catch (const capsule::CapsuleError&) {
     // Absent file and corrupt blob both land here; only the latter has
     // bytes on disk worth counting and removing. Either way: a miss.
     std::error_code ec;
-    if (fs::exists(path, ec) && !ec) {
-      ++stats_.corrupt_misses;
+    const bool corrupt = fs::exists(path, ec) && !ec;
+    if (corrupt) {
       fs::remove(path, ec);  // Best effort; a survivor just misses again.
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stats_.bytes_read += bytes_read;
+    if (corrupt) {
+      ++stats_.corrupt_misses;
     }
     ++stats_.misses;
     return std::nullopt;
@@ -174,9 +185,11 @@ void ResultStore::put(std::uint64_t key,
   } catch (...) {
     std::error_code ec;
     fs::remove(tmp, ec);
+    const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.put_errors;
     return;
   }
+  const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.puts;
   stats_.bytes_written += sealed.size();
   bloom_.insert(key);

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -115,15 +116,24 @@ class ResultStore {
   /// counted, never thrown) and persist the updated bloom.
   void put(std::uint64_t key, const std::vector<std::uint8_t>& payload);
 
-  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+  /// A snapshot of the counters.
+  [[nodiscard]] CacheStats stats() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
+  }
 
   [[nodiscard]] std::string object_path(std::uint64_t key) const;
 
  private:
   void load_or_rebuild_bloom();
+  /// Requires mutex_ held (or no other thread yet, as in the ctor).
   void save_bloom();
 
   std::string dir_;
+  /// Guards bloom_, stats_ and the sidecar save: concurrent renders get
+  /// and put from pool workers. Blob files are read and written outside
+  /// it; each key has its own file and publishes by rename.
+  mutable std::mutex mutex_;
   BloomFilter bloom_;
   CacheStats stats_;
 };

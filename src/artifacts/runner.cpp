@@ -1,9 +1,14 @@
 #include "artifacts/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <future>
+#include <optional>
+#include <utility>
 
 #include "artifacts/registry.hpp"
+#include "base/thread_pool.hpp"
 #include "core/study.hpp"
 
 namespace repro::artifacts {
@@ -80,29 +85,36 @@ std::string render_header(const ArtifactDef& def) {
   return header;
 }
 
-ArtifactResult run_artifact(const ArtifactDef& def, Inputs& inputs) {
-  const auto start = std::chrono::steady_clock::now();
+namespace {
 
-  // Warm path: a previously rendered artifact is restored whole from the
-  // store (text, metrics, checks), skipping its simulations entirely. A
-  // corrupt or stale blob is a miss and falls through to the render.
+/// Warm path: a previously rendered artifact is restored whole from the
+/// store (text, metrics, checks), skipping its simulations entirely. A
+/// corrupt or stale blob is a miss (nullopt), as is a disabled store.
+std::optional<ArtifactResult> load_cached(const ArtifactDef& def,
+                                          Inputs& inputs) {
   ResultStore* store = inputs.store();
-  const std::uint64_t key =
-      store != nullptr ? inputs.artifact_key(def.id) : 0;
-  if (store != nullptr) {
-    if (auto payload = store->get(key)) {
-      try {
-        ArtifactResult cached =
-            decode_result<ArtifactResult>(std::move(*payload));
-        if (cached.id == def.id) {
-          cached.seconds = seconds_since(start);
-          return cached;
-        }
-      } catch (const capsule::CapsuleError&) {
+  if (store == nullptr) {
+    return std::nullopt;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  if (auto payload = store->get(inputs.artifact_key(def.id))) {
+    try {
+      ArtifactResult cached =
+          decode_result<ArtifactResult>(std::move(*payload));
+      if (cached.id == def.id) {
+        cached.seconds = seconds_since(start);
+        return cached;
       }
+    } catch (const capsule::CapsuleError&) {
     }
   }
+  return std::nullopt;
+}
 
+/// Cold path: render, turning exceptions into kError, and write a clean
+/// result back to the store.
+ArtifactResult render(const ArtifactDef& def, Inputs& inputs) {
+  const auto start = std::chrono::steady_clock::now();
   Context ctx(inputs);
   try {
     def.render(ctx);
@@ -116,30 +128,108 @@ ArtifactResult run_artifact(const ArtifactDef& def, Inputs& inputs) {
   result.seconds = seconds_since(start);
   // Only clean renders are cached: a tolerance failure or error is cheap
   // to reproduce and should never be served from disk once fixed.
-  if (store != nullptr && result.status == ArtifactStatus::kOk) {
-    store->put(key, encode_result(result));
+  if (ResultStore* store = inputs.store();
+      store != nullptr && result.status == ArtifactStatus::kOk) {
+    store->put(inputs.artifact_key(def.id), encode_result(result));
   }
   return result;
 }
 
+}  // namespace
+
+ArtifactResult run_artifact(const ArtifactDef& def, Inputs& inputs) {
+  if (std::optional<ArtifactResult> cached = load_cached(def, inputs)) {
+    return std::move(*cached);
+  }
+  return render(def, inputs);
+}
+
 RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
-                        Inputs& inputs) {
-  RunReport report;
+                        Inputs& inputs, const ResultCallback& on_result) {
   const auto start = std::chrono::steady_clock::now();
-  for (const ArtifactDef* def : defs) {
-    ArtifactResult result = run_artifact(*def, inputs);
-    switch (result.status) {
-      case ArtifactStatus::kOk:
-        ++report.ok;
-        break;
-      case ArtifactStatus::kToleranceFailed:
-        ++report.tolerance_failed;
-        break;
-      case ArtifactStatus::kError:
-        ++report.errors;
-        break;
+  const std::size_t n = defs.size();
+
+  // Cached results first: they need no shared experiment, so a fully
+  // warm run never loads the study or transition blobs.
+  std::vector<std::optional<ArtifactResult>> slots(n);
+  unsigned reads = 0;
+  std::size_t pooled = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    slots[i] = load_cached(*defs[i], inputs);
+    if (!slots[i]) {
+      reads |= defs[i]->reads;
+      pooled += defs[i]->solo ? 0u : 1u;
     }
-    report.results.push_back(std::move(result));
+  }
+  // The shared experiments the renders will read, here on the calling
+  // thread: the study still fans out on its own pool, and no render
+  // worker sits blocked on another's call_once.
+  try {
+    if ((reads & kReadsStudy) != 0) {
+      (void)inputs.study();
+    }
+    if ((reads & kReadsTransition) != 0) {
+      (void)inputs.transition();
+    }
+  } catch (...) {
+    // Left for the renders to meet again and report as their own kError.
+  }
+
+  RunReport report;
+  std::size_t emitted = 0;
+  const auto emit_ready = [&] {
+    for (; emitted < n && slots[emitted]; ++emitted) {
+      const ArtifactResult& result = *slots[emitted];
+      switch (result.status) {
+        case ArtifactStatus::kOk:
+          ++report.ok;
+          break;
+        case ArtifactStatus::kToleranceFailed:
+          ++report.tolerance_failed;
+          break;
+        case ArtifactStatus::kError:
+          ++report.errors;
+          break;
+      }
+      if (on_result) {
+        on_result(result);
+      }
+    }
+  };
+  emit_ready();
+
+  const std::size_t workers = std::min<std::size_t>(
+      core::resolve_threads(inputs.study_config()), pooled);
+  if (workers > 1) {
+    // Workers resolve nested pools to 1 (base::ThreadPool), so a study or
+    // bootstrap inside a render runs inline rather than oversubscribing.
+    base::ThreadPool pool(workers);
+    std::vector<std::pair<std::size_t, std::future<ArtifactResult>>> renders;
+    renders.reserve(pooled);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!slots[i] && !defs[i]->solo) {
+        const ArtifactDef* def = defs[i];
+        renders.emplace_back(
+            i, pool.submit([def, &inputs] { return render(*def, inputs); }));
+      }
+    }
+    for (auto& [index, future] : renders) {
+      slots[index] = future.get();
+      emit_ready();
+    }
+  }
+  // Solo renders (and, without a pool, every render) on the calling
+  // thread, with the pool drained and joined.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!slots[i]) {
+      slots[i] = render(*defs[i], inputs);
+      emit_ready();
+    }
+  }
+
+  report.results.reserve(n);
+  for (std::optional<ArtifactResult>& slot : slots) {
+    report.results.push_back(std::move(*slot));
   }
   report.run_counts = inputs.run_counts();
   report.total_seconds = seconds_since(start);
@@ -191,7 +281,7 @@ core::Json build_report_json(const RunReport& report, const Inputs& inputs,
   // scripts/report_diff.py excludes it — like `seconds` — when checking
   // cold-vs-warm report identity.
   if (const ResultStore* store = inputs.store()) {
-    const CacheStats& stats = store->stats();
+    const CacheStats stats = store->stats();
     core::Json cache = core::Json::object();
     cache.set("enabled", true);
     cache.set("dir", store->dir());

@@ -1,8 +1,9 @@
-// The artifact runner: executes a selection of the catalog against one
-// shared input cache, times each render, and assembles the structured
-// JSON report fx8bench emits.
+// The artifact runner: executes a selection of the catalog concurrently
+// against one shared input cache, times each render, and assembles the
+// structured JSON report fx8bench emits.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,9 +34,21 @@ struct RunReport {
 [[nodiscard]] ArtifactResult run_artifact(const ArtifactDef& def,
                                           Inputs& inputs);
 
-/// Run the given defs in catalog order against one shared cache.
+/// Called with each result of run_artifacts, on the calling thread, in
+/// selection order, as soon as that result and every earlier one are
+/// ready.
+using ResultCallback = std::function<void(const ArtifactResult&)>;
+
+/// Run the given defs against one shared cache, concurrently on
+/// core::resolve_threads(inputs.study_config()) workers. Cached results
+/// load first; the shared experiments the remaining renders read (their
+/// `reads`) are computed next, on the calling thread; `solo` defs render
+/// last, alone. Results come back in selection order, identical to a
+/// serial run_artifact loop except for `seconds`, which is contended
+/// wall time; `total_seconds` is the wall time of the whole call.
 [[nodiscard]] RunReport run_artifacts(
-    const std::vector<const ArtifactDef*>& defs, Inputs& inputs);
+    const std::vector<const ArtifactDef*>& defs, Inputs& inputs,
+    const ResultCallback& on_result = {});
 
 /// The fx8bench JSON document (schema: docs/benchmarks.md).
 [[nodiscard]] core::Json build_report_json(const RunReport& report,

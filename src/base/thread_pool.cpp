@@ -9,6 +9,9 @@
 #if defined(__linux__)
 #include <sched.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace repro::base {
 
@@ -35,9 +38,28 @@ std::size_t usable_cores() {
   return advertised;
 }
 
+/// True on a pool worker thread: nested resolve_workers() calls then
+/// return 1, so work called from inside a task runs inline instead of
+/// spawning a pool of its own.
+thread_local bool t_on_worker = false;
+
+/// glibc raises its mmap threshold (and with it the trim threshold, up to
+/// 32 MiB) the first time a large mmapped block is freed. Under several
+/// worker arenas that makes freed memory stay resident; pinning the
+/// threshold at glibc's own 128 KiB default turns the dynamic raise off.
+void pin_mmap_threshold() {
+#if defined(__GLIBC__)
+  static const int pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  (void)pinned;
+#endif
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
+  if (workers > 0) {
+    pin_mmap_threshold();
+  }
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -80,6 +102,9 @@ std::size_t ThreadPool::parse_thread_count(const char* text) {
 }
 
 std::size_t ThreadPool::resolve_workers(std::size_t requested) {
+  if (t_on_worker) {
+    return 1;
+  }
   if (requested > 0) {
     return requested;
   }
@@ -98,6 +123,7 @@ std::size_t ThreadPool::resolve_workers(std::size_t requested) {
 }
 
 void ThreadPool::worker_loop() {
+  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
     {

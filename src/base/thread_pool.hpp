@@ -28,7 +28,9 @@ class ThreadPool {
  public:
   /// Spawn `workers` threads. 0 workers is a valid degenerate pool:
   /// tasks run inline on the submitting thread (handy for tests and for
-  /// the threads=1 fallback without special-casing call sites).
+  /// the threads=1 fallback without special-casing call sites). The
+  /// first non-empty pool of the process pins glibc's mmap threshold
+  /// (docs/parallel_execution.md, "Artifact renders").
   explicit ThreadPool(std::size_t workers);
 
   /// Drains nothing: joins after finishing every task already queued.
@@ -48,6 +50,8 @@ class ThreadPool {
   /// nonzero, else the FX8_THREADS environment variable if it parses
   /// strictly (see parse_thread_count), else hardware_workers() — with
   /// a one-line stderr warning when FX8_THREADS is set but invalid.
+  /// Always 1 when called from a pool worker thread: pools never nest,
+  /// so a study or bootstrap run from inside a task runs inline.
   [[nodiscard]] static std::size_t resolve_workers(std::size_t requested);
 
   /// Upper bound resolve_workers accepts from the environment; far

@@ -18,7 +18,7 @@ void ConcurrencyControlBus::start_loop(std::uint64_t trip_count,
   next_iter_ = 0;
   dispatched_count_ = 0;
   completed_count_ = 0;
-  complete_.assign(trip_count, 0);
+  complete_.assign(static_cast<std::size_t>(words_for(trip_count)), 0);
   if (policy == DispatchPolicy::kStaticChunked) {
     // Contiguous blocks of ceil(trip/width); trailing CEs may own less
     // (or nothing) when the trip count does not divide evenly.
@@ -65,11 +65,10 @@ std::optional<std::uint64_t> ConcurrencyControlBus::try_dispatch(CeId ce) {
 void ConcurrencyControlBus::mark_complete(std::uint64_t iter) {
   REPRO_EXPECT(active_, "no loop being dispatched");
   REPRO_EXPECT(iter < trip_, "iteration index out of range");
-  REPRO_EXPECT(!complete_[iter], "iteration completed twice");
-  complete_[iter] = 1;
+  REPRO_EXPECT(!is_complete(iter), "iteration completed twice");
+  complete_[iter / 64] |= std::uint64_t{1} << (iter % 64);
   ++completed_count_;
 }
-
 
 void ConcurrencyControlBus::end_loop() {
   REPRO_EXPECT(active_ && all_complete(), "loop not drained");

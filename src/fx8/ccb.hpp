@@ -58,7 +58,7 @@ class ConcurrencyControlBus {
     if (iter == 0) {
       return true;
     }
-    return complete_[iter - 1] != 0;
+    return is_complete(iter - 1);
   }
 
   [[nodiscard]] bool loop_active() const { return active_; }
@@ -95,12 +95,20 @@ class ConcurrencyControlBus {
     io.u64(next_iter_);
     io.u64(dispatched_count_);
     io.u64(completed_count_);
-    const std::uint64_t n = io.extent(complete_.size());
+    // One u8 per iteration on the wire, one bit in memory.
+    const std::uint64_t n = io.extent(trip_);
     if (io.loading()) {
-      complete_.assign(static_cast<std::size_t>(n), 0);
+      if (n != trip_) {
+        throw capsule::CapsuleError("capsule: CCB completion count mismatch");
+      }
+      complete_.assign(static_cast<std::size_t>(words_for(n)), 0);
     }
-    for (std::uint8_t& done : complete_) {
+    for (std::uint64_t iter = 0; iter < n; ++iter) {
+      std::uint8_t done = is_complete(iter) ? 1 : 0;
       io.u8(done);
+      if (done != 0) {
+        complete_[iter / 64] |= std::uint64_t{1} << (iter % 64);
+      }
     }
     for (std::uint64_t& next : chunk_next_) {
       io.u64(next);
@@ -112,13 +120,22 @@ class ConcurrencyControlBus {
   }
 
  private:
+  [[nodiscard]] static std::uint64_t words_for(std::uint64_t trip) {
+    return (trip + 63) / 64;
+  }
+  [[nodiscard]] bool is_complete(std::uint64_t iter) const {
+    return ((complete_[iter / 64] >> (iter % 64)) & 1u) != 0;
+  }
+
   bool active_ = false;
   DispatchPolicy policy_ = DispatchPolicy::kSelfScheduled;
   std::uint64_t trip_ = 0;
   std::uint64_t next_iter_ = 0;          ///< Self-scheduled queue head.
   std::uint64_t dispatched_count_ = 0;
   std::uint64_t completed_count_ = 0;
-  std::vector<std::uint8_t> complete_;
+  /// Completion bitset, one bit per iteration: a 2^20-trip loop costs
+  /// 128 KiB rather than 1 MiB.
+  std::vector<std::uint64_t> complete_;
   /// Chunked mode: per-CE [next, end) block cursors.
   std::array<std::uint64_t, kMaxCes> chunk_next_{};
   std::array<std::uint64_t, kMaxCes> chunk_end_{};

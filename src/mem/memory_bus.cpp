@@ -160,6 +160,11 @@ std::size_t MemoryBus::queue_depth(std::uint32_t bus) const {
   return buses_[bus].queue.size();
 }
 
+std::size_t MemoryBus::queue_capacity(std::uint32_t bus) const {
+  REPRO_EXPECT(bus < buses_.size(), "bus index out of range");
+  return buses_[bus].queue.items.capacity();
+}
+
 void MemoryBus::serialize(capsule::Io& io) {
   const auto txn = [&io](PendingTxn& t) {
     io.u64(t.id);
@@ -170,10 +175,11 @@ void MemoryBus::serialize(capsule::Io& io) {
     BusState& bus = buses_[b];
     const std::uint64_t depth = io.extent(bus.queue.size());
     if (io.loading()) {
-      bus.queue.assign(static_cast<std::size_t>(depth), PendingTxn{});
+      bus.queue.items.assign(static_cast<std::size_t>(depth), PendingTxn{});
+      bus.queue.head = 0;
     }
-    for (PendingTxn& queued : bus.queue) {
-      txn(queued);
+    for (std::size_t i = bus.queue.head; i < bus.queue.items.size(); ++i) {
+      txn(bus.queue.items[i]);
     }
     txn(bus.active);
     for (std::uint64_t& count : bus.op_cycle_counts) {

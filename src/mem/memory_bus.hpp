@@ -14,8 +14,8 @@
 // polling every cycle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "base/capsule.hpp"
@@ -80,6 +80,10 @@ class MemoryBus {
   /// Number of queued-but-unstarted transactions on a bus (tests).
   [[nodiscard]] std::size_t queue_depth(std::uint32_t bus) const;
 
+  /// Transactions a bus's queue has room for before it reallocates
+  /// (tests: a queue that never drains must stay bounded).
+  [[nodiscard]] std::size_t queue_capacity(std::uint32_t bus) const;
+
   /// Lifetime opcode-cycle counts per bus (op indexed by MemBusOp value).
   [[nodiscard]] std::uint64_t op_cycles(std::uint32_t bus, MemBusOp op) const;
 
@@ -98,8 +102,32 @@ class MemoryBus {
     MemBusOp op = MemBusOp::kIdle;
     Addr addr = 0;
   };
+  /// FIFO of queued transactions: a vector plus a head index, so steady
+  /// push/pop traffic reuses one buffer instead of allocating and freeing
+  /// deque nodes. An emptied queue rewinds to index 0; one that never
+  /// drains drops its served prefix once that is half the buffer.
+  struct TxnQueue {
+    std::vector<PendingTxn> items;
+    std::size_t head = 0;
+
+    [[nodiscard]] bool empty() const { return head == items.size(); }
+    [[nodiscard]] std::size_t size() const { return items.size() - head; }
+    [[nodiscard]] const PendingTxn& front() const { return items[head]; }
+    void push_back(const PendingTxn& txn) { items.push_back(txn); }
+    void pop_front() {
+      ++head;
+      if (head == items.size()) {
+        items.clear();
+        head = 0;
+      } else if (2 * head >= items.size()) {
+        items.erase(items.begin(),
+                    items.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+    }
+  };
   struct BusState {
-    std::deque<PendingTxn> queue;
+    TxnQueue queue;
     PendingTxn active;
     std::vector<std::uint64_t> op_cycle_counts =
         std::vector<std::uint64_t>(kNumMemBusOps, 0);

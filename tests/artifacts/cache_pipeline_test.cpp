@@ -84,6 +84,33 @@ TEST_F(CachePipeline, WarmRunReproducesColdWithoutExecutingEngines) {
   expect_same_artifact(cold_fig6, warm_fig6);
 }
 
+TEST_F(CachePipeline, WarmConcurrentRunReplaysTheWholeQuickCatalog) {
+  // Both runs go through the concurrent runner, so the cold one puts and
+  // the warm one reads the store from several threads.
+  std::vector<const ArtifactDef*> defs;
+  for (const ArtifactDef& def : catalog()) {
+    defs.push_back(&def);
+  }
+  Inputs cold(/*quick=*/true, dir_.string());
+  const RunReport cold_report = run_artifacts(defs, cold);
+  ASSERT_EQ(cold_report.ok, static_cast<int>(defs.size()));
+  EXPECT_EQ(cold.store()->stats().puts, defs.size() + 2);  // + study, transition
+
+  Inputs warm(/*quick=*/true, dir_.string());
+  const RunReport warm_report = run_artifacts(defs, warm);
+  ASSERT_EQ(warm_report.results.size(), defs.size());
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    expect_same_artifact(cold_report.results[i], warm_report.results[i]);
+  }
+  EXPECT_EQ(warm_report.run_counts.study_runs, 0);
+  EXPECT_EQ(warm_report.run_counts.transition_runs, 0);
+  EXPECT_EQ(warm_report.run_counts.private_runs, 0);
+  const CacheStats stats = warm.store()->stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, defs.size());
+  EXPECT_EQ(stats.puts, 0u);
+}
+
 TEST_F(CachePipeline, WarmStudyForReportMatchesColdStudy) {
   Inputs cold(/*quick=*/true, dir_.string());
   run(cold, "table2");

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "artifacts/runner.hpp"
+
 #include <set>
 #include <string>
 #include <vector>
@@ -80,6 +82,30 @@ TEST(Registry, CatalogFollowsPaperOrder) {
     }
   }
   EXPECT_LT(last_paper, first_ablation);
+}
+
+TEST(Registry, DeclaredReadsMatchRenders) {
+  // The runner computes a selection's shared experiments from `reads`
+  // before fanning renders out; an undeclared read would run the study
+  // serially inside a pool worker, an overdeclared one would run it for
+  // nothing. Each def alone on a fresh Inputs shows what it really reads.
+  for (const ArtifactDef& def : catalog()) {
+    Inputs inputs(/*quick=*/true);
+    const ArtifactResult result = run_artifact(def, inputs);
+    EXPECT_EQ(result.status, ArtifactStatus::kOk) << def.id;
+    const RunCounts counts = inputs.run_counts();
+    EXPECT_EQ(counts.study_runs, (def.reads & kReadsStudy) != 0 ? 1 : 0)
+        << def.id;
+    EXPECT_EQ(counts.transition_runs,
+              (def.reads & kReadsTransition) != 0 ? 1 : 0)
+        << def.id;
+  }
+}
+
+TEST(Registry, OnlyPerfSimulatorRendersSolo) {
+  for (const ArtifactDef& def : catalog()) {
+    EXPECT_EQ(def.solo, def.id == "perf_simulator") << def.id;
+  }
 }
 
 TEST(Registry, FindArtifactResolvesIdsOnly) {

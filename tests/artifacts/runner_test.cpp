@@ -1,17 +1,79 @@
 // Runner semantics with synthetic artifacts: status propagation, NaN
-// handling, exit codes, and the structure of the JSON report. No
-// simulation runs here — renders are stubs.
+// handling, exit codes, the structure of the JSON report, and the
+// concurrent runner's ordering and solo rules. Renders are stubs, except
+// in the tests that hold the concurrent runner and the shared Inputs to
+// the serial loop over the quick catalog.
 #include "artifacts/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "artifacts/registry.hpp"
 
 namespace repro::artifacts {
 namespace {
+
+/// Pins FX8_THREADS for one test, so the runner fans out even on a
+/// single-core host.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* count) {
+    EXPECT_EQ(setenv("FX8_THREADS", count, 1), 0);
+  }
+  ~ScopedThreads() { unsetenv("FX8_THREADS"); }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+};
+
+std::vector<const ArtifactDef*> whole_catalog() {
+  std::vector<const ArtifactDef*> defs;
+  for (const ArtifactDef& def : catalog()) {
+    defs.push_back(&def);
+  }
+  return defs;
+}
+
+/// perf_simulator's wall-clock rates (and the check built on them) are
+/// the one part of an artifact that differs between two runs.
+bool timed(const std::string& id, const std::string& name) {
+  return id == "perf_simulator" && name != "block_bit_identical";
+}
+
+void expect_same_result(const ArtifactResult& serial,
+                        const ArtifactResult& concurrent) {
+  EXPECT_EQ(serial.id, concurrent.id);
+  EXPECT_EQ(serial.status, concurrent.status) << serial.id;
+  EXPECT_EQ(serial.error, concurrent.error) << serial.id;
+  EXPECT_EQ(serial.text, concurrent.text) << serial.id;
+  ASSERT_EQ(serial.metrics.size(), concurrent.metrics.size()) << serial.id;
+  for (std::size_t i = 0; i < serial.metrics.size(); ++i) {
+    EXPECT_EQ(serial.metrics[i].name, concurrent.metrics[i].name);
+    if (!timed(serial.id, serial.metrics[i].name)) {
+      EXPECT_EQ(serial.metrics[i].value, concurrent.metrics[i].value)
+          << serial.id << ":" << serial.metrics[i].name;
+    }
+  }
+  ASSERT_EQ(serial.checks.size(), concurrent.checks.size()) << serial.id;
+  for (std::size_t i = 0; i < serial.checks.size(); ++i) {
+    const Check& a = serial.checks[i];
+    const Check& b = concurrent.checks[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.enforced, b.enforced);
+    EXPECT_EQ(a.lo, b.lo);
+    EXPECT_EQ(a.hi, b.hi);
+    if (!timed(serial.id, a.name)) {
+      EXPECT_EQ(a.measured, b.measured) << serial.id << ":" << a.name;
+      EXPECT_EQ(a.pass, b.pass) << serial.id << ":" << a.name;
+    }
+  }
+}
 
 ArtifactDef stub(const std::string& id,
                  std::function<void(Context&)> render) {
@@ -120,6 +182,126 @@ TEST(Runner, RunArtifactsAggregates) {
   ASSERT_EQ(report.results.size(), 3u);
   EXPECT_EQ(report.results[0].id, "good");
   EXPECT_GE(report.results[0].seconds, 0.0);
+}
+
+TEST(Runner, ConcurrentMatchesSerial) {
+  const std::vector<const ArtifactDef*> defs = whole_catalog();
+  Inputs serial_inputs(/*quick=*/true);
+  std::vector<ArtifactResult> serial;
+  for (const ArtifactDef* def : defs) {
+    serial.push_back(run_artifact(*def, serial_inputs));
+  }
+
+  const ScopedThreads threads("4");
+  Inputs inputs(/*quick=*/true);
+  const RunReport report = run_artifacts(defs, inputs);
+  ASSERT_EQ(report.results.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_same_result(serial[i], report.results[i]);
+  }
+  const RunCounts expected = serial_inputs.run_counts();
+  EXPECT_EQ(report.run_counts.study_runs, expected.study_runs);
+  EXPECT_EQ(report.run_counts.transition_runs, expected.transition_runs);
+  EXPECT_EQ(report.run_counts.private_runs, expected.private_runs);
+  EXPECT_EQ(report.run_counts.study_runs, 1);
+  EXPECT_EQ(report.run_counts.transition_runs, 1);
+  EXPECT_EQ(report.ok, static_cast<int>(defs.size()));
+}
+
+TEST(Runner, SoloRunsAlone) {
+  const ScopedThreads threads("4");
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> beside_solo{-1};
+  std::atomic<bool> solo_done{false};
+  std::atomic<int> after_solo{0};
+  const auto busy = [&](Context&) {
+    const int now = ++in_flight;
+    for (int seen = peak.load(); now > seen;) {
+      peak.compare_exchange_weak(seen, now);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (solo_done) {
+      ++after_solo;
+    }
+    --in_flight;
+  };
+  ArtifactDef solo = stub("solo", [&](Context&) {
+    beside_solo = in_flight.load();
+    solo_done = true;
+  });
+  solo.solo = true;
+  const ArtifactDef a = stub("a", busy);
+  const ArtifactDef b = stub("b", busy);
+  const ArtifactDef c = stub("c", busy);
+  const ArtifactDef d = stub("d", busy);
+  Inputs inputs(/*quick=*/true);
+  const RunReport report = run_artifacts({&a, &solo, &b, &c, &d}, inputs);
+
+  EXPECT_EQ(beside_solo, 0);  // Nothing else ran while the solo render did.
+  EXPECT_EQ(after_solo, 0);   // The pool had drained before it started.
+  EXPECT_GE(peak, 2);         // The other renders did overlap.
+  ASSERT_EQ(report.results.size(), 5u);
+  const char* order[] = {"a", "solo", "b", "c", "d"};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(report.results[i].id, order[i]);
+  }
+}
+
+TEST(Runner, OnResultStreamsInSelectionOrderOnTheCallingThread) {
+  const ScopedThreads threads("4");
+  // Later artifacts finish first; the callback must still see them in
+  // selection order, and only on the calling thread.
+  std::vector<ArtifactDef> defs;
+  for (int i = 0; i < 6; ++i) {
+    defs.push_back(stub("s" + std::to_string(i), [i](Context& ctx) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5 * (6 - i)));
+      ctx.printf("%d", i);
+    }));
+  }
+  std::vector<const ArtifactDef*> selection;
+  for (const ArtifactDef& def : defs) {
+    selection.push_back(&def);
+  }
+  std::vector<std::string> seen;
+  std::set<std::thread::id> callers;
+  Inputs inputs(/*quick=*/true);
+  const RunReport report = run_artifacts(
+      selection, inputs, [&](const ArtifactResult& result) {
+        seen.push_back(result.id);
+        callers.insert(std::this_thread::get_id());
+      });
+  ASSERT_EQ(seen.size(), defs.size());
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    EXPECT_EQ(seen[i], defs[i].id);
+    EXPECT_EQ(report.results[i].text, std::to_string(i));
+  }
+  EXPECT_EQ(callers, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(Inputs, ConcurrentReadersRunEachExperimentOnce) {
+  Inputs inputs(/*quick=*/true);
+  std::vector<const core::StudyResult*> studies(8, nullptr);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < studies.size(); ++t) {
+    readers.emplace_back([&inputs, &studies, t] {
+      (void)inputs.models();
+      (void)inputs.samples_with_pc();
+      (void)inputs.transition();
+      inputs.note_private_run();
+      studies[t] = &inputs.study();
+    });
+  }
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  const RunCounts counts = inputs.run_counts();
+  EXPECT_EQ(counts.study_runs, 1);
+  EXPECT_EQ(counts.transition_runs, 1);
+  EXPECT_EQ(counts.private_runs, 8);
+  for (const core::StudyResult* study : studies) {
+    EXPECT_EQ(study, inputs.study_if_run());
+  }
 }
 
 TEST(Runner, HeaderMatchesTheOldBenchFormat) {

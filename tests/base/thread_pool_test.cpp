@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace repro::base {
@@ -130,6 +131,27 @@ TEST(ThreadPool, ResolveWorkersReadsEnvironment) {
   EXPECT_EQ(ThreadPool::resolve_workers(0), ThreadPool::hardware_workers());
   ASSERT_EQ(unsetenv("FX8_THREADS"), 0);
   EXPECT_EQ(ThreadPool::resolve_workers(0), ThreadPool::hardware_workers());
+}
+
+TEST(ThreadPool, NestedResolveIsInline) {
+  // Pools never nest: on a worker thread every request resolves to one
+  // worker, explicit or not, so study and bootstrap code called from a
+  // task runs inline.
+  ThreadPool pool(2);
+  auto nested = pool.submit([] {
+    return std::pair{ThreadPool::resolve_workers(0),
+                     ThreadPool::resolve_workers(4)};
+  });
+  const auto [automatic, explicit_request] = nested.get();
+  EXPECT_EQ(automatic, 1u);
+  EXPECT_EQ(explicit_request, 1u);
+  // The submitting thread is unaffected, as is an inline (0-worker)
+  // pool's task, which runs on it.
+  EXPECT_EQ(ThreadPool::resolve_workers(4), 4u);
+  ThreadPool inline_pool(0);
+  EXPECT_EQ(inline_pool.submit([] { return ThreadPool::resolve_workers(4); })
+                .get(),
+            4u);
 }
 
 }  // namespace

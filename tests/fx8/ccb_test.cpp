@@ -75,6 +75,51 @@ TEST(Ccb, PredecessorDependence) {
   EXPECT_TRUE(ccb.predecessor_complete(2));
 }
 
+TEST(Ccb, CompletionBitsCrossWordBoundaries) {
+  ConcurrencyControlBus ccb;
+  const std::uint64_t trip = std::uint64_t{1} << 20;
+  ccb.start_loop(trip);
+  for (const std::uint64_t iter : {std::uint64_t{63}, std::uint64_t{64},
+                                   trip - 1}) {
+    EXPECT_FALSE(ccb.predecessor_complete(iter + 1)) << iter;
+    ccb.mark_complete(iter);
+    EXPECT_TRUE(ccb.predecessor_complete(iter + 1)) << iter;
+  }
+  // The neighbours of each marked bit are untouched.
+  EXPECT_FALSE(ccb.predecessor_complete(63));        // iteration 62
+  EXPECT_FALSE(ccb.predecessor_complete(66));        // iteration 65
+  EXPECT_FALSE(ccb.predecessor_complete(trip - 1));  // iteration trip - 2
+  EXPECT_EQ(ccb.completed(), 3u);
+  EXPECT_THROW(ccb.mark_complete(64), ContractViolation);
+}
+
+TEST(Ccb, CapsuleCarriesOneBytePerIteration) {
+  ConcurrencyControlBus idle;
+  capsule::Io idle_io = capsule::Io::saver();
+  idle.serialize(idle_io);
+
+  ConcurrencyControlBus ccb;
+  ccb.start_loop(130);
+  for (const std::uint64_t iter : {0u, 63u, 64u, 129u}) {
+    ccb.mark_complete(iter);
+  }
+  capsule::Io saver = capsule::Io::saver();
+  ccb.serialize(saver);
+  EXPECT_EQ(saver.bytes().size(), idle_io.bytes().size() + 130);
+
+  ConcurrencyControlBus restored;
+  capsule::Io loader = capsule::Io::loader(saver.bytes());
+  restored.serialize(loader);
+  EXPECT_TRUE(loader.exhausted());
+  for (std::uint64_t iter = 0; iter < 130; ++iter) {
+    const bool done = iter == 0 || iter == 63 || iter == 64 || iter == 129;
+    EXPECT_EQ(restored.predecessor_complete(iter + 1), done) << iter;
+  }
+  capsule::Io resaved = capsule::Io::saver();
+  restored.serialize(resaved);
+  EXPECT_EQ(resaved.bytes(), saver.bytes());
+}
+
 TEST(Ccb, EndLoopRequiresDrain) {
   ConcurrencyControlBus ccb;
   ccb.start_loop(1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "base/expect.hpp"
 #include "mem/main_memory.hpp"
 
@@ -66,6 +69,38 @@ TEST_F(MemoryBusTest, QueuedTransactionsServeInOrder) {
   EXPECT_FALSE(bus_.take_finished(b));
   run_cycles(4);
   EXPECT_TRUE(bus_.take_finished(b));
+}
+
+TEST_F(MemoryBusTest, SaturatedQueueStaysBoundedAndFifo) {
+  // A bus whose queue never drains: every completion is replaced by a new
+  // submission, so the queue's head never catches up with its tail. The
+  // served prefix must still be reclaimed, and service must stay FIFO.
+  std::deque<TxnId> waiting;
+  std::uint64_t next_line = 0;
+  const auto submit_one = [&] {
+    waiting.push_back(bus_.submit(0, MemBusOp::kLineFetch,
+                                  (next_line++ % 64) * kLineBytes));
+  };
+  for (int i = 0; i < 8; ++i) {
+    submit_one();
+  }
+  int served = 0;
+  std::size_t max_capacity = 0;
+  while (served < 5000) {
+    run_cycles(1);
+    ASSERT_GE(waiting.size(), 2u);
+    // Only the oldest transaction may have finished.
+    EXPECT_FALSE(bus_.take_finished(waiting[1]));
+    if (bus_.take_finished(waiting.front())) {
+      waiting.pop_front();
+      ++served;
+      submit_one();
+    }
+    EXPECT_GT(bus_.queue_depth(0), 0u);
+    max_capacity = std::max(max_capacity, bus_.queue_capacity(0));
+    ASSERT_LT(now_, 1'000'000u);
+  }
+  EXPECT_LE(max_capacity, 32u);
 }
 
 TEST_F(MemoryBusTest, InvalidateIsShort) {
