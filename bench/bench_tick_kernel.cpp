@@ -2,11 +2,11 @@
 //
 // The per-cycle simulation path is the floor under every study's runtime:
 // concurrency-saturated sessions have 0-3 cycle horizons, so nearly every
-// cycle runs through Machine::tick() or its fused batch form
-// Machine::tick_block(n). These benchmarks pin the cost of both on a
-// machine held in the saturated steady state (eight CEs contending mid
-// concurrent loop) so a regression in the lane kernel, the hot-state
-// layout, or the block loop shows up as items/sec, not as a slow CI run.
+// cycle runs through Machine::tick_block(n) (Machine::tick() is
+// tick_block(1)). These benchmarks pin its cost on a machine held in the
+// saturated steady state (eight CEs contending mid concurrent loop) so a
+// regression in the lane kernel, the hot-state layout, or the block loop
+// shows up as items/sec, not as a slow CI run.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -40,15 +40,6 @@ struct SaturatedMachine {
     machine.run(2000);  // past dispatch ramp-up, into the steady state
   }
 };
-
-void BM_SaturatedNaiveTick(benchmark::State& state) {
-  SaturatedMachine s;
-  for (auto _ : state) {
-    s.machine.tick();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SaturatedNaiveTick);
 
 void BM_SaturatedTickBlock(benchmark::State& state) {
   SaturatedMachine s;

@@ -4,8 +4,9 @@
 //
 // All timing metrics are recorded as informational notes — shared CI
 // runners time-slice, so wall-clock bands would flake. The one enforced
-// check is timing-independent: the fused Machine::tick_block path must
-// leave the machine bit-identical to the naive tick loop.
+// check is timing-independent: the machine running the dispatched lane
+// pass must stay bit-identical to the naive oracle, the same machine on
+// fx8::lane_pass_reference (every CE stepped through Ce::tick()).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -45,19 +46,37 @@ struct SaturatedMachine {
   fx8::Machine machine;
   isa::Program program;
 
-  SaturatedMachine() : machine(fx8::MachineConfig::fx8(), mmu) {
+  explicit SaturatedMachine(fx8::LanePassFn pass)
+      : machine(fx8::MachineConfig::fx8(), mmu) {
+    machine.set_lane_pass(pass);
     program = saturated_program();
     machine.cluster().load(&program, 1);
     machine.run(2000);  // past dispatch ramp-up
   }
 };
 
-/// Best-of-3 cycles/sec of `advance(machine, cycles)`.
+/// Probe-visible bus opcodes and full CE accounting of two saturated
+/// machines agree, as do their clocks and shared-cache access counts.
+bool same_state(const fx8::Machine& a, const fx8::Machine& b) {
+  if (a.now() != b.now() || a.shared_cache().stats().accesses !=
+                                b.shared_cache().stats().accesses) {
+    return false;
+  }
+  for (CeId ce = 0; ce < a.total_ces(); ++ce) {
+    if (a.ce_bus_op(ce) != b.ce_bus_op(ce) ||
+        a.cluster().ce(ce).stats() != b.cluster().ce(ce).stats()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Best-of-3 cycles/sec of `advance(machine, cycles)` on `pass`.
 template <typename Advance>
-double measure(Cycle cycles, Advance&& advance) {
+double measure(fx8::LanePassFn pass, Cycle cycles, Advance&& advance) {
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    SaturatedMachine s;
+    SaturatedMachine s(pass);
     const auto start = std::chrono::steady_clock::now();
     advance(s.machine, cycles);
     const double seconds = seconds_since(start);
@@ -72,13 +91,15 @@ void render_perf_simulator(Context& ctx) {
   const Cycle cycles = ctx.quick() ? 100'000 : 400'000;
 
   const double naive_rate =
-      measure(cycles, [](fx8::Machine& m, Cycle n) { m.run(n); });
-  const double block_rate = measure(cycles, [](fx8::Machine& m, Cycle n) {
-    Cycle done = 0;
-    while (done < n) {
-      done += m.tick_block(std::min<Cycle>(n - done, 256));
-    }
-  });
+      measure(&fx8::lane_pass_reference, cycles,
+              [](fx8::Machine& m, Cycle n) { m.run(n); });
+  const double block_rate =
+      measure(fx8::select_lane_pass(), cycles, [](fx8::Machine& m, Cycle n) {
+        Cycle done = 0;
+        while (done < n) {
+          done += m.tick_block(std::min<Cycle>(n - done, 256));
+        }
+      });
 
   // Idle machine: the floor cost of a cycle with nothing to simulate.
   double idle_rate = 0.0;
@@ -93,28 +114,18 @@ void render_perf_simulator(Context& ctx) {
     idle_rate = seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
   }
 
-  // The timing-independent gate: equal cycle budgets through tick() and
-  // tick_block() must land on identical machines.
+  // The timing-independent gate: the dispatched pass and the naive
+  // oracle advance 200 blocks of 256 cycles (the controller's block cap)
+  // and must agree at every block boundary.
   bool identical = true;
   {
-    SaturatedMachine a;
-    SaturatedMachine b;
-    const Cycle budget = 50'000;
-    a.machine.run(budget);
-    Cycle done = 0;
-    while (done < budget) {
-      done += b.machine.tick_block(budget - done);
+    SaturatedMachine naive(&fx8::lane_pass_reference);
+    SaturatedMachine block(fx8::select_lane_pass());
+    for (int i = 0; identical && i < 200; ++i) {
+      naive.machine.run(256);
+      block.machine.run(256);
+      identical = same_state(naive.machine, block.machine);
     }
-    identical = a.machine.now() == b.machine.now();
-    for (CeId ce = 0; ce < 8 && identical; ++ce) {
-      const fx8::CeStats sa = a.machine.cluster().ce(ce).stats();
-      const fx8::CeStats sb = b.machine.cluster().ce(ce).stats();
-      identical = sa.busy_cycles == sb.busy_cycles &&
-                  sa.mem_accesses == sb.mem_accesses &&
-                  sa.instances_completed == sb.instances_completed;
-    }
-    identical = identical && a.machine.shared_cache().stats().accesses ==
-                                 b.machine.shared_cache().stats().accesses;
   }
 
   // The artifact body stays deterministic (fx8bench stdout is diffed

@@ -236,7 +236,7 @@ void Ce::issue_access(cache::AccessType type, Addr addr) {
   }
 }
 
-void Ce::tick_slow() {
+void Ce::tick() {
   set_bus_op(mem::CeBusOp::kIdle);
   if (phase() == Phase::kIdle || phase() == Phase::kDone) {
     return;

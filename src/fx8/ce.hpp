@@ -10,10 +10,11 @@
 //
 // The per-tick hot state (phase, bus opcode, stall countdowns) lives in a
 // machine-wide CeHot lane block (fx8/hot_state.hpp), indexed by the CE's
-// global id, so the machine's fused kernel walks one contiguous array
-// for every cluster's CEs; the three steady-state behaviours (compute
-// burn, miss wait, fault wait) run as an inlined fast path and
-// everything else drops to tick_slow().
+// global id, so the machine's lane pass (fx8/lane_kernel.hpp) can
+// advance the three steady-state behaviours (compute burn, miss wait,
+// fault wait) of every cluster's CEs in one sweep. tick() is the one
+// complete per-cycle step; the machine calls it for the lanes the pass
+// leaves slow.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +63,8 @@ struct CeStats {
   std::uint64_t fault_wait_cycles = 0;
   std::uint64_t xbar_conflict_cycles = 0;
   std::uint64_t instances_completed = 0;
+
+  bool operator==(const CeStats&) const = default;
 };
 
 class Ce {
@@ -87,47 +90,11 @@ class Ce {
   /// Acknowledge completion, returning the CE to idle.
   void take_completed();
 
-  /// Advance one cycle (only meaningful while an instance is loaded).
-  /// Must be called after Crossbar::begin_cycle() for this cycle.
-  /// The steady-state behaviours are inlined; control transitions
-  /// (step setup, access issue, stall pick-up) run in tick_slow().
-  void tick() {
-    CeHot& hot = *hot_;
-    const Phase p = static_cast<Phase>(hot.phase[id_]);
-    hot.bus_op[id_] = mem::CeBusOp::kIdle;
-    switch (p) {
-      case Phase::kIdle:
-      case Phase::kDone:
-        return;
-      case Phase::kCompute:
-        if (hot.compute_left[id_] > 0) {
-          --hot.compute_left[id_];
-          ++hot.busy_cycles[id_];
-          ++hot.compute_cycles[id_];
-          return;
-        }
-        break;
-      case Phase::kMissWait:
-        if (!cache_.fill_ready(id_)) {
-          hot.bus_op[id_] = mem::CeBusOp::kWait;
-          ++hot.busy_cycles[id_];
-          ++hot.miss_wait_cycles[id_];
-          return;
-        }
-        break;
-      case Phase::kFaultWait:
-        if (hot.fault_left[id_] > 1) {
-          --hot.fault_left[id_];
-          ++hot.busy_cycles[id_];
-          ++hot.fault_wait_cycles[id_];
-          return;
-        }
-        break;
-      default:
-        break;
-    }
-    tick_slow();
-  }
+  /// Advance one cycle: the one complete per-cycle CE step, covering
+  /// every phase (steady states, transitions, access issue, stall
+  /// pick-up). Idle/done CEs latch kIdle and do nothing else. Must be
+  /// called after Crossbar::begin_cycle() for this cycle.
+  void tick();
 
   /// Bus opcode latched by a probe for the cycle just ticked. Idle CEs
   /// latch kIdle.
@@ -188,10 +155,6 @@ class Ce {
   void serialize(capsule::Io& io);
 
  private:
-  /// The cluster's fused lane kernel mirrors tick()'s fast path over the
-  /// shared CeHot block and drops into tick_slow() here.
-  friend class Cluster;
-
   using Phase = CePhase;
 
   [[nodiscard]] Phase phase() const {
@@ -212,7 +175,6 @@ class Ce {
   [[nodiscard]] Cycle& fault_left() { return hot_->fault_left[id_]; }
   void set_bus_op(mem::CeBusOp op) { hot_->bus_op[id_] = op; }
 
-  void tick_slow();
   void setup_step();
   void issue_access(cache::AccessType type, Addr addr);
   [[nodiscard]] Addr next_data_addr(bool is_store);

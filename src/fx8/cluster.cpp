@@ -43,7 +43,7 @@ std::uint64_t stream_bytes_per_instance(const isa::KernelSpec& k) {
 
 Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
                  Mmu& mmu, CeId ce_base)
-    : config_(config), cache_(cache), ce_base_(ce_base),
+    : config_(config), ce_base_(ce_base),
       crossbar_(cache.config().banks),
       base_order_(make_order(config.policy, config.n_ces)) {
   REPRO_EXPECT(config.n_ces >= 1 && config.n_ces <= kMaxCes,
@@ -462,46 +462,6 @@ void Cluster::advance_control() {
   }
 }
 
-inline void Cluster::tick_lane(CeHot& hot, CeId c) {
-  // `c` is the cluster-local lane; the hot block is machine-wide,
-  // indexed by global CE id.
-  const CeId g = ce_base_ + c;
-  const CePhase p = static_cast<CePhase>(hot.phase[g]);
-  hot.bus_op[g] = mem::CeBusOp::kIdle;
-  switch (p) {
-    case CePhase::kIdle:
-    case CePhase::kDone:
-      return;
-    case CePhase::kCompute:
-      if (hot.compute_left[g] > 0) {
-        --hot.compute_left[g];
-        ++hot.busy_cycles[g];
-        ++hot.compute_cycles[g];
-        return;
-      }
-      break;
-    case CePhase::kMissWait:
-      if (!cache_.fill_ready(g)) {
-        hot.bus_op[g] = mem::CeBusOp::kWait;
-        ++hot.busy_cycles[g];
-        ++hot.miss_wait_cycles[g];
-        return;
-      }
-      break;
-    case CePhase::kFaultWait:
-      if (hot.fault_left[g] > 1) {
-        --hot.fault_left[g];
-        ++hot.busy_cycles[g];
-        ++hot.fault_wait_cycles[g];
-        return;
-      }
-      break;
-    default:
-      break;
-  }
-  ces_[c].tick_slow();
-}
-
 void Cluster::tick_control() {
   if (program_ == nullptr && detached_live_ == 0) {
     // Idle cluster: control has provably nothing to do, every lane is
@@ -538,41 +498,26 @@ void Cluster::tick_control() {
 
 void Cluster::tick() {
   tick_control();
-  if (program_ == nullptr && detached_live_ == 0) {
-    // Every lane is parked with its bus opcode already latched kIdle;
-    // ticking them is a provable no-op (the wide path skips these lanes
-    // via its live prefix, and the two paths are bit-identical).
-    return;
-  }
-  CeHot& hot = *ce_hot_;
-  for (std::uint32_t i = 0; i < service_count_; ++i) {
-    tick_lane(hot, service_order_[i]);
-  }
-  if (has_detached_) {
-    for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
-      tick_lane(hot, detached_ce(slot));
-    }
-  }
+  tick_peel(lanes_mask_);
 }
 
 void Cluster::tick_peel(LaneMask slow) {
   if ((slow & lanes_mask_) == 0) {
     return;
   }
-  // Visit this cluster's slow lanes in exactly the order tick() would
-  // have reached them: service lanes in service order, then detached.
-  CeHot& hot = *ce_hot_;
+  // Visit this cluster's slow lanes in service order (service lanes
+  // first, then detached): the order crossbar and CCB ties resolve in.
   for (std::uint32_t i = 0; i < service_count_; ++i) {
     const CeId c = service_order_[i];
     if ((slow >> (ce_base_ + c)) & 1u) {
-      tick_lane(hot, c);
+      ces_[c].tick();
     }
   }
   if (has_detached_) {
     for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
       const CeId c = detached_ce(slot);
       if ((slow >> (ce_base_ + c)) & 1u) {
-        tick_lane(hot, c);
+        ces_[c].tick();
       }
     }
   }

@@ -100,7 +100,9 @@ class Cluster {
   /// True while a job is loaded and unfinished.
   [[nodiscard]] bool busy() const { return program_ != nullptr; }
 
-  /// Advance one cycle (program control, CCB, crossbar, all CEs).
+  /// Advance one cycle (program control, CCB, crossbar, all CEs):
+  /// tick_control() then tick_peel() over every lane. For standalone
+  /// clusters; a machine ticks its clusters through Machine::tick_block.
   void tick();
 
   /// The control half of tick(): service-order refresh, crossbar/CCB
@@ -109,15 +111,13 @@ class Cluster {
   /// Machine::tick_block runs this for every cluster, then one
   /// machine-wide lane pass (fx8/lane_kernel.hpp), then tick_peel for
   /// the pass's slow lanes.
-  /// tick() == tick_control() + every lane's tick_lane.
   void tick_control();
 
-  /// Run the per-lane tick path for this cluster's lanes flagged in the
-  /// machine-wide `slow` mask (bit = global CE id), in exactly the
-  /// service order tick() would have used (service lanes first, then
-  /// detached). No-op when none of this cluster's bits are set. Only
-  /// valid right after tick_control() in the same cycle, with every
-  /// other lane already advanced by the wide pass.
+  /// Step this cluster's lanes flagged in the machine-wide `slow` mask
+  /// (bit = global CE id) through Ce::tick(), in service order (service
+  /// lanes first, then detached). No-op when none of this cluster's bits
+  /// are set. Only valid right after tick_control() in the same cycle,
+  /// with every other lane already advanced by the wide pass.
   void tick_peel(LaneMask slow);
 
   // --- Event-horizon fast-forward -------------------------------------
@@ -226,11 +226,6 @@ class Cluster {
   void advance_control();
   /// The uncached horizon walk behind quiet_horizon().
   [[nodiscard]] Cycle compute_quiet_horizon() const;
-  /// The fused per-lane fast path — the lane-resident mirror of
-  /// Ce::tick(). Steady-state lanes touch only the shared CeHot block
-  /// (plus the cache's fill-ready word); transitions drop into the
-  /// owning Ce's tick_slow(). Defined inline in cluster.cpp.
-  void tick_lane(CeHot& hot, CeId c);
   void refresh_service_order();
   void run_detached(std::uint32_t slot);
   void run_serial_phase(const isa::SerialPhase& phase);
@@ -244,7 +239,6 @@ class Cluster {
   void finish_job();
 
   ClusterConfig config_;
-  cache::SharedCache& cache_;
   /// Global CE id of lane 0 (cluster index * ces-per-cluster).
   CeId ce_base_ = 0;
   Crossbar crossbar_;

@@ -5,6 +5,12 @@
 
 namespace repro::fx8 {
 
+LaneMask lane_pass_reference(CeHot& /*hot*/, LaneMask /*fill_ready_mask*/,
+                             std::uint32_t n_lanes) {
+  return n_lanes >= kMaxTopologyCes ? ~LaneMask{0}
+                                    : (LaneMask{1} << n_lanes) - 1;
+}
+
 LaneMask lane_pass_scalar(CeHot& hot, LaneMask fill_ready_mask,
                           std::uint32_t n_lanes) {
   LaneMask slow = 0;
@@ -52,6 +58,9 @@ const char* lane_pass_name(LanePassFn pass) {
     return "avx2";
   }
 #endif
+  if (pass == &lane_pass_reference) {
+    return "reference";
+  }
   return pass == &lane_pass_scalar ? "scalar" : "unknown";
 }
 

@@ -5,21 +5,22 @@
 // word, so one pass can classify and advance every lane of a machine —
 // all clusters, cluster-major over global CE ids — with straight-line
 // arithmetic instead of per-CE dispatched switches. Machine::tick_block
-// runs this pass first at every width and drops only the returned slow
-// lanes — phase transitions, access issue, stall pick-up — into each
-// owning cluster's per-lane tick path, in
-// exactly the service order Cluster::tick would have used. The pass
-// leaves slow lanes completely untouched (their bus opcode is rewritten
-// by tick_lane before dispatch), so fused and serial ticks are
-// bit-identical by construction.
+// runs this pass first at every width and steps only the returned slow
+// lanes — phase transitions, access issue, stall pick-up — through
+// Ce::tick() in each owning cluster, in service order. The pass leaves
+// slow lanes completely untouched, so any pass that advances a lane
+// exactly as Ce::tick() would is bit-identical to every other.
 //
-// Two implementations share the contract: a portable scalar version and,
-// when the build detects -mavx2 support (FX8_HAVE_AVX2), an AVX2 version
-// that maps the lane arrays onto 256-bit vectors, eight lanes per chunk
-// (chunks may span cluster boundaries — the pass is cluster-agnostic).
-// select_lane_pass() picks at runtime — AVX2 when compiled in and the
-// CPU reports it, unless the FX8_FORCE_SCALAR environment variable is
-// set to anything but "0" (so CI exercises both paths on any runner).
+// Three implementations share the contract: lane_pass_reference
+// advances nothing and reports every live lane slow, so every CE steps
+// through Ce::tick() — the naive oracle differential tests pin; the
+// portable scalar pass; and, when the build detects -mavx2 support
+// (FX8_HAVE_AVX2), an AVX2 pass that maps the lane arrays onto 256-bit
+// vectors, eight lanes per chunk (chunks may span cluster boundaries —
+// the pass is cluster-agnostic). select_lane_pass() picks at runtime —
+// AVX2 when compiled in and the CPU reports it, unless the
+// FX8_FORCE_SCALAR environment variable is set to anything but "0" (so
+// CI exercises both paths on any runner).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,13 @@ namespace repro::fx8 {
 using LanePassFn = LaneMask (*)(CeHot& hot, LaneMask fill_ready_mask,
                                 std::uint32_t n_lanes);
 
-/// Portable reference implementation.
+/// The naive oracle: advances no lane and reports all of the first
+/// `n_lanes` slow, so every CE steps through Ce::tick().
+[[nodiscard]] LaneMask lane_pass_reference(CeHot& hot,
+                                           LaneMask fill_ready_mask,
+                                           std::uint32_t n_lanes);
+
+/// Portable implementation.
 [[nodiscard]] LaneMask lane_pass_scalar(CeHot& hot, LaneMask fill_ready_mask,
                                         std::uint32_t n_lanes);
 
@@ -59,7 +66,7 @@ using LanePassFn = LaneMask (*)(CeHot& hot, LaneMask fill_ready_mask,
 /// environment variable is set (to anything but "0").
 [[nodiscard]] LanePassFn select_lane_pass();
 
-/// "avx2" or "scalar" — for bench/report labels.
+/// "avx2", "scalar" or "reference" — for bench/report labels.
 [[nodiscard]] const char* lane_pass_name(LanePassFn pass);
 
 }  // namespace repro::fx8

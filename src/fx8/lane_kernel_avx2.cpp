@@ -108,7 +108,7 @@ inline std::uint32_t lane_chunk_avx2(CeHot& hot, std::uint32_t base,
 
   // Latch the bus opcodes of the lanes this pass advanced (or parked) —
   // kWait on waiting misses, kIdle elsewhere — while slow lanes keep
-  // theirs for tick_lane to rewrite. Byte-blend instead of a lane loop:
+  // theirs for Ce::tick() to rewrite. Byte-blend instead of a lane loop:
   // narrow the 32-bit lane masks to one byte per CE and select.
   const auto narrow8 = [](__m256i m32) {
     const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(m32),

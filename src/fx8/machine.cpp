@@ -113,21 +113,6 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   }
 }
 
-void Machine::tick() {
-  if (fabric_ && !fabric_->idle()) {
-    fabric_->begin_cycle();
-  }
-  for (auto& cluster : clusters_) {
-    cluster->tick();
-  }
-  for (Ip& ip : ips_) {
-    ip.tick();
-  }
-  membus_->tick(hot_state_.now);
-  shared_cache_->tick();
-  ++hot_state_.now;
-}
-
 Cycle Machine::quiet_horizon() const {
   Cycle horizon = kHorizonNever;
   for (const auto& cluster : clusters_) {
@@ -162,10 +147,8 @@ void Machine::skip(Cycle cycles) {
 }
 
 void Machine::run(Cycle cycles) {
-  // tick_block is bit-identical to ticking (its early stops only split
-  // the loop and it always advances >= 1 cycle per call), so run() is
-  // just the block driven to completion — one loop body for every
-  // topology instead of duplicated single/multi cluster copies.
+  // tick_block's early stops only split the loop and it always advances
+  // >= 1 cycle per call, so run() is just the block driven to completion.
   Cycle done = 0;
   while (done < cycles) {
     done += tick_block(cycles - done);
@@ -201,14 +184,16 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   cache::SharedCache& shared_cache = *shared_cache_;
   HotState& hot = hot_state_;
   const std::uint64_t events_at_entry = hot.cluster_events;
-  // One loop for every width: run every cluster's control half, then ONE
-  // lane pass over the whole machine-wide hot block, then peel only the
-  // slow lanes into their owning cluster, cluster-major. Bit-identical to
-  // the per-cluster tick() sequence because control is strictly
-  // cluster-local (no cache/fabric/MMU touches), fast lanes touch only
-  // their own CeHot slots plus the read-only fill-ready word (set only
-  // by the end-of-cycle cache tick), and the peel preserves the exact
-  // service order every slow lane would have seen.
+  // The machine's one cycle loop, at every width: run every cluster's
+  // control half, then ONE lane pass over the whole machine-wide hot
+  // block, then step only the slow lanes through Ce::tick() in their
+  // owning cluster, cluster-major. Which lanes the pass advances itself
+  // does not change the result: control is strictly cluster-local (no
+  // cache/fabric/MMU touches), fast lanes touch only their own CeHot
+  // slots plus the read-only fill-ready word (set only by the
+  // end-of-cycle cache tick), and the peel keeps every slow lane's
+  // service order. lane_pass_reference, which advances nothing, is the
+  // naive oracle the differential tests hold the other passes to.
   Cluster* const* clusters = cluster_ptrs_.data();
   const std::size_t n_clusters = cluster_ptrs_.size();
   ClusterFabric* const fabric = fabric_.get();

@@ -60,18 +60,19 @@ class Machine {
   Machine(const MachineConfig& config, Mmu& mmu);
 
   /// Advance the whole machine one cycle.
-  void tick();
+  void tick() { tick_block(1); }
   /// Convenience: tick `cycles` times.
   void run(Cycle cycles);
 
   // --- Fused hot-tick kernel ------------------------------------------
-  /// Advance up to `max_cycles` cycles through the fused per-cycle loop,
-  /// stopping early at the end of the cycle that completes a cluster or
-  /// detached job (a control event the OS layer reacts to). Returns the
-  /// number of cycles actually advanced (>= 1 when max_cycles >= 1).
-  /// Bit-identical to calling tick() that many times; the caller must
-  /// guarantee no OS/workload action is due during the block, exactly as
-  /// for the cycles a SessionController runs between probe latch points.
+  /// Advance up to `max_cycles` cycles through the machine's one cycle
+  /// loop, stopping early at the end of the cycle that completes a
+  /// cluster or detached job (a control event the OS layer reacts to).
+  /// Returns the number of cycles actually advanced (>= 1 when
+  /// max_cycles >= 1). Bit-identical to calling tick() that many times;
+  /// the caller must guarantee no OS/workload action is due during the
+  /// block, exactly as for the cycles a SessionController runs between
+  /// probe latch points.
   Cycle tick_block(Cycle max_cycles);
 
   // --- Event-horizon fast-forward -------------------------------------
@@ -148,7 +149,8 @@ class Machine {
 
   /// Lane pass tick_block runs over the machine-wide hot block
   /// (select_lane_pass() by default). Exposed so differential tests can
-  /// pin the scalar pass against the dispatched one.
+  /// pin lane_pass_reference (the naive oracle) or the scalar pass
+  /// against the dispatched one.
   [[nodiscard]] LanePassFn lane_pass() const { return lane_pass_; }
   void set_lane_pass(LanePassFn pass) { lane_pass_ = pass; }
 

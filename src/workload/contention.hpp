@@ -3,8 +3,8 @@
 // The paper's workload is numeric kernels, but the measurement pipeline
 // is workload-agnostic (ROADMAP item 5). This family expresses classic
 // shared-memory contention scenarios through the existing Job/phase
-// machinery, so the study engine, rig batching, fast-forward, capsules,
-// the result cache, and topology scale-out all apply unmodified:
+// machinery, so the study engine, fast-forward, capsules, the result
+// cache, and topology scale-out all apply unmodified:
 //
 //  * Coarse-grained locking (ticket and MCS-style queue locks): each
 //    round is a dependence-free concurrent "parallel section" phase

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -71,10 +73,17 @@ TEST(ContentionStudy, ThreadedMatchesSerial) {
 TEST(ContentionStudy, ScalarForcedMatchesDispatched) {
   const auto mixes = contention_mixes();
   const StudyConfig config = contention_config();
+  // Restore the caller's setting afterwards: a scalar-forced run of the
+  // suite must keep the scalar pass for every test that follows.
+  const char* caller = std::getenv("FX8_FORCE_SCALAR");
+  const std::optional<std::string> saved =
+      caller != nullptr ? std::optional<std::string>(caller) : std::nullopt;
   const StudyResult dispatched = run_study(mixes, config);
   ASSERT_EQ(setenv("FX8_FORCE_SCALAR", "1", 1), 0);
   const StudyResult scalar = run_study(mixes, config);
-  ASSERT_EQ(unsetenv("FX8_FORCE_SCALAR"), 0);
+  ASSERT_EQ(saved ? setenv("FX8_FORCE_SCALAR", saved->c_str(), 1)
+                  : unsetenv("FX8_FORCE_SCALAR"),
+            0);
   expect_identical(dispatched, scalar);
 }
 

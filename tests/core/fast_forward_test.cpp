@@ -6,7 +6,10 @@
 // and detached-CE splits, then compares the full artifact set: sample
 // records (hardware reductions + kernel deltas), kernel counter
 // snapshots, per-CE stats, cluster/cache/bus/crossbar/VM/scheduler
-// stats, and the machine clock.
+// stats, and the machine clock. The naive run pins
+// fx8::lane_pass_reference, so every CE steps through Ce::tick() and
+// the fast run's lane pass (fault waits included, with real VM faults)
+// is held to that oracle, not to itself.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +19,7 @@
 
 #include "base/rng.hpp"
 #include "core/study.hpp"
+#include "fx8/lane_kernel.hpp"
 #include "instr/session_controller.hpp"
 #include "os/system.hpp"
 #include "workload/generator.hpp"
@@ -72,6 +76,9 @@ RunArtifacts run_one(const FfParam& param, bool fast_forward) {
   sys_config.machine.cluster.n_ces = param.width;
   sys_config.machine.cluster.detached_ces = param.detached;
   os::System system(sys_config);
+  if (!fast_forward) {
+    system.machine().set_lane_pass(&fx8::lane_pass_reference);
+  }
 
   workload::WorkloadGenerator generator(find_mix(param.mix), 0xFEED5EED);
   instr::SamplingConfig sampling;
@@ -205,9 +212,11 @@ std::vector<FfParam> sweep_params() {
 INSTANTIATE_TEST_SUITE_P(Sweep, FastForwardDifferential,
                          ::testing::ValuesIn(sweep_params()), param_name);
 
-// The study engine's switch: forcing the naive path through StudyConfig
-// must reproduce the fast-forward study bit-for-bit, replicates and
-// threads included.
+// The study engine's switch: turning fast-forward off through
+// StudyConfig must reproduce the fast-forward study bit-for-bit,
+// replicates and threads included. Both sides run the dispatched lane
+// pass, so this pins the skip/horizon decisions and the study plumbing;
+// the lane pass itself is held to the naive oracle by the sweep above.
 TEST(FastForward, StudyLevelBitIdentity) {
   const auto mixes = workload::session_presets();
   const std::vector<workload::WorkloadMix> three(mixes.begin(),

@@ -1,12 +1,15 @@
 // Fused hot-tick kernel differential tests.
 //
-// Machine::tick_block(n) must be bit-identical to calling tick() n times
-// for every block boundary the session controller can produce: blocks of
-// one, blocks cut short by a cluster control event, blocks requested past
-// the end of the running job, and arbitrary interleavings of block and
-// naive advancement. The controller-level case drives blocks against
-// probe-latch clamps with intervals small enough that every block abuts
-// an acquisition window.
+// Every "naive" machine here is the naive oracle: the same machine with
+// fx8::lane_pass_reference pinned, so the lane pass advances nothing and
+// every CE steps through Ce::tick() each cycle. Machine::tick_block(n)
+// on the dispatched lane pass must be bit-identical to ticking the
+// oracle n times for every block boundary the session controller can
+// produce: blocks of one, blocks cut short by a cluster control event,
+// blocks requested past the end of the running job, and arbitrary
+// interleavings of block and single-cycle advancement. The
+// controller-level case drives blocks against probe-latch clamps with
+// intervals small enough that every block abuts an acquisition window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,6 +46,11 @@ isa::Program tk_program(std::uint64_t trip) {
       .serial(tk_kernel(), 2)
       .concurrent_loop(loop)
       .build();
+}
+
+/// Pin the naive oracle on `m`: every CE steps through Ce::tick().
+void make_naive(fx8::Machine& m) {
+  m.set_lane_pass(&fx8::lane_pass_reference);
 }
 
 /// Probe-visible and accounting state of a standalone machine, compared
@@ -108,6 +116,7 @@ TEST(TickKernel, BlockOfOneMatchesSingleTick) {
   fx8::NoFaultMmu mmu_a;
   fx8::NoFaultMmu mmu_b;
   fx8::Machine naive(fx8::MachineConfig::fx8(), mmu_a);
+  make_naive(naive);
   fx8::Machine block(fx8::MachineConfig::fx8(), mmu_b);
   const isa::Program prog = tk_program(24);
   naive.cluster().load(&prog, 1);
@@ -130,6 +139,7 @@ TEST(TickKernel, BlockStopsAtClusterJobCompletion) {
   fx8::NoFaultMmu mmu_a;
   fx8::NoFaultMmu mmu_b;
   fx8::Machine naive(fx8::MachineConfig::fx8(), mmu_a);
+  make_naive(naive);
   fx8::Machine block(fx8::MachineConfig::fx8(), mmu_b);
   const isa::Program prog = tk_program(16);
   naive.cluster().load(&prog, 1);
@@ -160,6 +170,7 @@ TEST(TickKernel, BlockPastJobEndReturnsEarly) {
   fx8::NoFaultMmu mmu_a;
   fx8::NoFaultMmu mmu_b;
   fx8::Machine naive(fx8::MachineConfig::fx8(), mmu_a);
+  make_naive(naive);
   fx8::Machine block(fx8::MachineConfig::fx8(), mmu_b);
   const isa::Program prog = tk_program(8);
   naive.cluster().load(&prog, 1);
@@ -179,18 +190,19 @@ TEST(TickKernel, BlockPastJobEndReturnsEarly) {
                     MachineState::capture(block));
 }
 
-// Arbitrary interleavings of naive ticks and block runs must leave the
+// Arbitrary interleavings of single ticks and block runs must leave the
 // hot lanes (phase, countdowns, per-cycle stat counters) and the cold
 // per-component state agreeing with the pure naive run.
 TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
   fx8::NoFaultMmu mmu_a;
   fx8::NoFaultMmu mmu_b;
   fx8::Machine naive(fx8::MachineConfig::fx8(), mmu_a);
+  make_naive(naive);
   fx8::Machine mixed(fx8::MachineConfig::fx8(), mmu_b);
   const isa::Program prog = tk_program(40);
   naive.cluster().load(&prog, 1);
   mixed.cluster().load(&prog, 1);
-  // Deterministic irregular schedule: naive singles, odd-sized blocks,
+  // Deterministic irregular schedule: single ticks, odd-sized blocks,
   // and blocks of one, repeated until the job drains.
   const std::array<Cycle, 6> blocks = {1, 7, 13, 1, 29, 3};
   std::size_t next = 0;
@@ -221,6 +233,9 @@ TEST(TickKernel, BlocksAgainstProbeLatchBoundaries) {
   auto run = [](bool fast_forward) {
     os::SystemConfig sys_config;
     os::System system(sys_config);
+    if (!fast_forward) {
+      make_naive(system.machine());
+    }
     workload::WorkloadGenerator generator(
         workload::session_presets()[2] /* session-3-numeric-heavy */,
         0xB10CB10C);
@@ -255,10 +270,10 @@ TEST(TickKernel, BlocksAgainstProbeLatchBoundaries) {
 //
 // tick_block runs one machine-wide lane pass per cycle at every width
 // and peels only slow lanes into their owning cluster; these suites pin
-// that loop bit-identical to per-cluster naive ticking across widths
-// 8/16/32/64, with detached splits, and with the scalar pass pinned
-// against the dispatched one. The whole suite reruns under
-// FX8_FORCE_SCALAR in CI, giving the scalar wide pass the same coverage.
+// that loop bit-identical to the naive oracle across widths 8/16/32/64,
+// with detached splits, and with the scalar pass pinned against the
+// dispatched one. The whole suite reruns under FX8_FORCE_SCALAR in CI,
+// giving the scalar wide pass the same coverage.
 
 /// Machine-wide probe/accounting state across every cluster.
 struct WideState {
@@ -384,6 +399,7 @@ TEST(WideKernel, MultiClusterBlockMatchesNaiveAcrossWidths) {
     fx8::NoFaultMmu mmu_a;
     fx8::NoFaultMmu mmu_b;
     fx8::Machine naive(config, mmu_a);
+    make_naive(naive);
     fx8::Machine block(config, mmu_b);
     const auto progs = wk_programs(naive.n_clusters());
     wk_load(naive, progs);
@@ -411,6 +427,7 @@ TEST(WideKernel, BlockOfOneMatchesSingleTickAtWidth16) {
   fx8::NoFaultMmu mmu_a;
   fx8::NoFaultMmu mmu_b;
   fx8::Machine naive(fx8::MachineConfig::fx16(), mmu_a);
+  make_naive(naive);
   fx8::Machine block(fx8::MachineConfig::fx16(), mmu_b);
   const auto progs = wk_programs(naive.n_clusters());
   wk_load(naive, progs);
@@ -434,6 +451,7 @@ TEST(WideKernel, DetachedSplitMatchesNaiveAcrossWidths) {
     fx8::NoFaultMmu mmu_a;
     fx8::NoFaultMmu mmu_b;
     fx8::Machine naive(config, mmu_a);
+    make_naive(naive);
     fx8::Machine block(config, mmu_b);
     const auto progs = wk_programs(naive.n_clusters());
     const isa::Program detached_a = wk_serial_program(6);
@@ -496,6 +514,7 @@ TEST(WideKernel, FastForwardMatchesNaiveAcrossWidths) {
     fx8::NoFaultMmu mmu_a;
     fx8::NoFaultMmu mmu_b;
     fx8::Machine naive(config, mmu_a);
+    make_naive(naive);
     fx8::Machine ff(config, mmu_b);
     const auto progs = wk_programs(naive.n_clusters());
     wk_load(naive, progs);

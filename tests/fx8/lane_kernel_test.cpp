@@ -3,7 +3,8 @@
 // Machine::tick_block runs one machine-wide lane pass per cycle at every
 // width, so the pass must be exact: the AVX2 pass against its scalar twin
 // and the 64-lane pass against eight per-cluster 8-lane windows, both
-// fuzzed over random hot states, plus the FX8_FORCE_SCALAR dispatch pin.
+// fuzzed over random hot states, plus the naive reference pass's
+// all-slow contract and the FX8_FORCE_SCALAR dispatch pin.
 #include "fx8/lane_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace repro {
@@ -149,8 +152,29 @@ TEST(WideKernelFuzz, WidePassMatchesPerClusterWindows) {
   }
 }
 
+// The naive oracle advances nothing: every lane below n is reported slow
+// (so Ce::tick() steps it) and the hot block is left exactly as it was.
+TEST(LanePass, ReferenceReportsEveryLiveLaneSlow) {
+  std::uint64_t seed = 0x0DDBA11ULL;
+  for (const std::uint32_t n : {1u, 8u, 17u, 64u}) {
+    const fx8::CeHot base = random_hot(seed, kMaxTopologyCes);
+    fx8::CeHot hot = base;
+    const LaneMask slow =
+        fx8::lane_pass_reference(hot, next_rand(seed), n);
+    const LaneMask want = n == 64 ? ~LaneMask{0} : (LaneMask{1} << n) - 1;
+    EXPECT_EQ(slow, want) << "n " << n;
+    expect_same_hot(hot, base, static_cast<int>(n));
+  }
+  EXPECT_STREQ(fx8::lane_pass_name(&fx8::lane_pass_reference), "reference");
+}
+
 // The dispatcher honours FX8_FORCE_SCALAR regardless of host support.
 TEST(LanePass, ForceScalarEnvPinsScalarPass) {
+  // Restore the caller's setting afterwards: a scalar-forced run of the
+  // suite must keep the scalar pass for every test that follows.
+  const char* caller = std::getenv("FX8_FORCE_SCALAR");
+  const std::optional<std::string> saved =
+      caller != nullptr ? std::optional<std::string>(caller) : std::nullopt;
   ASSERT_EQ(setenv("FX8_FORCE_SCALAR", "1", 1), 0);
   EXPECT_EQ(fx8::select_lane_pass(), &fx8::lane_pass_scalar);
   EXPECT_STREQ(fx8::lane_pass_name(fx8::select_lane_pass()), "scalar");
@@ -161,7 +185,9 @@ TEST(LanePass, ForceScalarEnvPinsScalarPass) {
     EXPECT_STREQ(fx8::lane_pass_name(fx8::select_lane_pass()), "avx2");
   }
 #endif
-  ASSERT_EQ(unsetenv("FX8_FORCE_SCALAR"), 0);
+  ASSERT_EQ(saved ? setenv("FX8_FORCE_SCALAR", saved->c_str(), 1)
+                  : unsetenv("FX8_FORCE_SCALAR"),
+            0);
 }
 
 }  // namespace
