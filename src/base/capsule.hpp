@@ -40,7 +40,9 @@ class CapsuleError : public std::runtime_error {
 /// walk; unseal() rejects every other version.
 /// v2: the Mmu translation memo walks one entry per CE lane, no longer
 /// one per (batch rig, CE lane).
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3: the memory bus walks its idle cycles with the quiescent fold
+/// added in and no longer carries the fold itself.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 enum class Mode : std::uint8_t { kSave, kLoad, kDigest };
 
@@ -86,21 +88,32 @@ class Io {
 
   void str(std::string& v);
 
-  /// Enum of any underlying type, transported as u32.
+  /// Enum of any underlying type, transported as u32. `last` is the
+  /// highest enumerator: enum state indexes arrays and drives switches,
+  /// so a loaded value past it is corrupt and throws.
   template <typename E>
-  void enum32(E& v) {
+  void enum32(E& v, E last) {
     static_assert(std::is_enum_v<E>);
     auto bits = static_cast<std::uint32_t>(
         static_cast<std::underlying_type_t<E>>(v));
     u32(bits);
+    if (loading() && bits > static_cast<std::uint32_t>(
+                                static_cast<std::underlying_type_t<E>>(last))) {
+      throw CapsuleError("capsule: enum value out of range");
+    }
     v = static_cast<E>(static_cast<std::underlying_type_t<E>>(bits));
   }
 
   /// Container-size handshake: encodes `n` when saving/digesting and
   /// returns it; returns the decoded count when loading. Callers size
-  /// their container from the return value.
+  /// their container from the return value. Every element walks at
+  /// least one byte, so a loaded count larger than the bytes left is
+  /// corrupt and throws before anyone allocates for it.
   [[nodiscard]] std::uint64_t extent(std::uint64_t n) {
     u64(n);
+    if (loading() && n > buf_.size() - cursor_) {
+      throw CapsuleError("capsule: element count exceeds payload");
+    }
     return n;
   }
 

@@ -196,7 +196,7 @@ void SharedCache::serialize(capsule::Io& io) {
   }
   for (Line& line : lines_) {
     io.u64(line.tag);
-    io.enum32(line.state);
+    io.enum32(line.state, LineState::kUnique);
     io.boolean(line.dirty);
     io.u64(line.last_use);
   }

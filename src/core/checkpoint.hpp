@@ -5,9 +5,9 @@
 // sampling it. One capsule walk covers all three, so a session can be
 // stopped at a sample boundary, written to disk, and resumed later — on
 // the same rig or a freshly constructed one — bit-identically. The same
-// walk yields a 64-bit digest, which is how the tests (and the sharded
-// study engine) assert bit-identity without comparing traces. See
-// docs/checkpointing.md for the format and the deliberate exclusions.
+// walk yields a 64-bit digest, which is how the tests assert
+// bit-identity without comparing traces. See docs/checkpointing.md for
+// the format and the deliberate exclusions.
 #pragma once
 
 #include <cstdint>

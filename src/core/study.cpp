@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <future>
-#include <memory>
 #include <utility>
 
-#include "base/expect.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
-#include "core/checkpoint.hpp"
 
 namespace repro::core {
 
@@ -51,65 +48,30 @@ std::uint32_t replicate_samples(const StudyConfig& config,
          (replicate < config.samples_per_session % replicates ? 1 : 0);
 }
 
-/// One replicate's complete measurement rig. Members are declared in
-/// construction-dependency order: the controller holds references to the
-/// system and the generator.
-struct SessionRig {
-  os::System system;
-  workload::WorkloadGenerator generator;
-  instr::SessionController controller;
-
-  SessionRig(const workload::WorkloadMix& mix, const StudyConfig& config,
-             const instr::SamplingConfig& sampling, std::uint64_t seed)
-      : system(config.system),
-        generator(mix, mix64(seed ^ 0xABCD)),
-        controller(system, generator, sampling, mix64(seed ^ 0x5A5A)) {}
-};
-
 /// Run one replicate: its own system, generator, and controller, warmed
 /// up and sampled. A pure function of (mix, config, seed, n_samples).
-/// With checkpoint sharding on, the rig is capsuled, destroyed, rebuilt,
-/// and restored at every shard boundary — digest-checked bit-identity
-/// with the uninterrupted run, so the sample stream is unchanged.
 SessionPart run_replicate(const workload::WorkloadMix& mix,
                           const StudyConfig& config, std::uint64_t seed,
                           std::uint32_t n_samples) {
   instr::SamplingConfig sampling = config.sampling;
   sampling.fast_forward = sampling.fast_forward && config.fast_forward;
-  auto rig = std::make_unique<SessionRig>(mix, config, sampling, seed);
+  os::System system(config.system);
+  workload::WorkloadGenerator generator(mix, mix64(seed ^ 0xABCD));
+  instr::SessionController controller(system, generator, sampling,
+                                      mix64(seed ^ 0x5A5A));
 
   // Warm up: let the workload reach steady state before sampling.
-  rig->controller.advance(config.warmup_cycles);
+  controller.advance(config.warmup_cycles);
 
   SessionPart part;
-  part.width = rig->system.machine().total_ces();
+  part.width = system.machine().total_ces();
   part.samples.reserve(n_samples);
-  const std::uint32_t shard = config.checkpoint_every_samples;
-  std::uint32_t taken = 0;
-  while (taken < n_samples) {
-    const std::uint32_t batch =
-        shard == 0 ? n_samples - taken : std::min(shard, n_samples - taken);
-    const auto records = rig->controller.run_session(batch);
-    for (const instr::SampleRecord& record : records) {
-      part.samples.push_back(analyze(record, part.width));
-      part.totals.merge(record.hw);
-    }
-    taken += batch;
-    if (shard != 0 && taken < n_samples) {
-      // Shard boundary: round-trip the whole rig through a capsule and
-      // assert the restored copy is bit-identical to the one torn down.
-      const std::uint64_t before =
-          session_digest(rig->system, rig->generator, rig->controller);
-      const auto sealed =
-          save_session(rig->system, rig->generator, rig->controller);
-      rig = std::make_unique<SessionRig>(mix, config, sampling, seed);
-      load_session(sealed, rig->system, rig->generator, rig->controller);
-      REPRO_ENSURE(session_digest(rig->system, rig->generator,
-                                  rig->controller) == before,
-                   "checkpoint restore diverged from the saved session");
-    }
+  for (std::uint32_t s = 0; s < n_samples; ++s) {
+    const instr::SampleRecord record = controller.take_sample();
+    part.samples.push_back(analyze(record, part.width));
+    part.totals.merge(record.hw);
   }
-  part.ff = rig->controller.ff_stats();
+  part.ff = controller.ff_stats();
   return part;
 }
 
@@ -251,7 +213,6 @@ void serialize_config(capsule::Io& io, StudyConfig& config) {
   io.u32(config.threads);
   io.boolean(config.fast_forward);
   io.u32(config.replicates_per_session);
-  io.u32(config.checkpoint_every_samples);
 }
 
 void SessionResult::serialize(capsule::Io& io) {

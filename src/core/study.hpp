@@ -47,14 +47,6 @@ struct StudyConfig {
   /// population — is a pure function of this config value, never of the
   /// thread count, so bit-identity across thread counts is preserved.
   std::uint32_t replicates_per_session = 1;
-  /// Checkpoint sharding: 0 = off; N > 0 breaks every replicate into
-  /// shards of N samples, and at each shard boundary the whole session
-  /// rig (system, generator, controller) is capsuled, torn down, rebuilt
-  /// from config, and restored from the capsule before continuing. The
-  /// restored rig is bit-identical to the uninterrupted one (the restore
-  /// is digest-checked), so results match the N = 0 run exactly — this is
-  /// the in-engine proof that checkpoints carry the entire state.
-  std::uint32_t checkpoint_every_samples = 0;
 };
 
 /// The worker count a config resolves to: `threads` if nonzero, else

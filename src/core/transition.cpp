@@ -1,10 +1,6 @@
 #include "core/transition.hpp"
 
-#include <memory>
-
-#include "base/expect.hpp"
 #include "base/rng.hpp"
-#include "core/checkpoint.hpp"
 
 namespace repro::core {
 
@@ -36,55 +32,21 @@ double TransitionResult::idle_overhead(std::uint32_t at_width) const {
                              static_cast<double>(possible);
 }
 
-namespace {
-
-/// The transition experiment's measurement rig; member order matters
-/// (the controller references the system and the generator).
-struct CaptureRig {
-  os::System system;
-  workload::WorkloadGenerator generator;
-  instr::SessionController controller;
-
-  CaptureRig(const workload::WorkloadMix& mix,
-             const TransitionConfig& config)
-      : system(config.system),
-        generator(mix, mix64(config.seed ^ 0x777)),
-        controller(system, generator, config.sampling,
-                   mix64(config.seed ^ 0x888)) {}
-};
-
-}  // namespace
-
 TransitionResult run_transition_study(const workload::WorkloadMix& mix,
                                       const TransitionConfig& config,
                                       instr::TriggerMode trigger) {
-  auto rig = std::make_unique<CaptureRig>(mix, config);
-
-  for (Cycle c = 0; c < config.warmup_cycles; ++c) {
-    rig->generator.tick(rig->system);
-    rig->system.tick();
-  }
+  os::System system(config.system);
+  workload::WorkloadGenerator generator(mix, mix64(config.seed ^ 0x777));
+  instr::SessionController controller(system, generator, config.sampling,
+                                      mix64(config.seed ^ 0x888));
+  controller.advance(config.warmup_cycles);
 
   TransitionResult result;
-  const std::uint32_t width = rig->system.machine().total_ces();
+  const std::uint32_t width = system.machine().total_ces();
   result.width = width;
   for (std::uint32_t cap = 0; cap < config.captures; ++cap) {
-    if (config.checkpoint_between_captures && cap > 0) {
-      // Round-trip the rig through a capsule between captures; the
-      // restored copy must digest-match the one torn down, so the
-      // capture stream continues bit-identically.
-      const std::uint64_t before =
-          session_digest(rig->system, rig->generator, rig->controller);
-      const auto sealed =
-          save_session(rig->system, rig->generator, rig->controller);
-      rig = std::make_unique<CaptureRig>(mix, config);
-      load_session(sealed, rig->system, rig->generator, rig->controller);
-      REPRO_ENSURE(session_digest(rig->system, rig->generator,
-                                  rig->controller) == before,
-                   "checkpoint restore diverged from the saved capture rig");
-    }
     const auto buffer =
-        rig->controller.capture_triggered(trigger, config.capture_timeout);
+        controller.capture_triggered(trigger, config.capture_timeout);
     if (!buffer) {
       ++result.captures_timed_out;
       continue;
@@ -114,7 +76,6 @@ void serialize_config(capsule::Io& io, TransitionConfig& config) {
   io.u64(config.capture_timeout);
   io.u64(config.warmup_cycles);
   io.u64(config.seed);
-  io.boolean(config.checkpoint_between_captures);
 }
 
 }  // namespace repro::core

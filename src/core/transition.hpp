@@ -25,10 +25,6 @@ struct TransitionConfig {
   Cycle capture_timeout = 400000;  ///< Per-capture trigger wait bound.
   Cycle warmup_cycles = 20000;
   std::uint64_t seed = 0x19870402;
-  /// Capsule the whole rig between captures and restore it into a
-  /// freshly built one (digest-checked). Results are bit-identical with
-  /// the uninterrupted run; true exercises the checkpoint path.
-  bool checkpoint_between_captures = false;
 };
 
 /// Canonical walk over EVERY TransitionConfig field, for the result

@@ -90,7 +90,7 @@ class ConcurrencyControlBus {
   /// current loop, including the per-cycle grant budget hot slot.
   void serialize(capsule::Io& io) {
     io.boolean(active_);
-    io.enum32(policy_);
+    io.enum32(policy_, DispatchPolicy::kStaticChunked);
     io.u64(trip_);
     io.u64(next_iter_);
     io.u64(dispatched_count_);

@@ -114,7 +114,7 @@ void Ce::serialize(capsule::Io& io) {
   io.u64(inst_.stream_step_bytes);
   io.u32(inst_.extra_steps);
 
-  io.enum32(resume_phase_);
+  io.enum32(resume_phase_, CePhase::kDone);
   io.u32(step_);
   io.u32(total_steps_);
   io.u32(loads_left_);
@@ -138,11 +138,11 @@ void Ce::serialize(capsule::Io& io) {
   // cluster's done_mask bit is rebuilt on load.
   CeHot& hot = *hot_;
   Phase p = phase();
-  io.enum32(p);
+  io.enum32(p, CePhase::kDone);
   if (io.loading()) {
     set_phase(p);
   }
-  io.enum32(hot.bus_op[id_]);
+  io.enum32(hot.bus_op[id_], mem::CeBusOp::kWait);
   io.u32(hot.compute_left[id_]);
   io.u64(hot.fault_left[id_]);
   io.u64(hot.busy_cycles[id_]);

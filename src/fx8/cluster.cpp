@@ -220,7 +220,7 @@ void Cluster::serialize(capsule::Io& io) {
   io.boolean(in_loop_);
   io.boolean(in_serial_phase_);
   for (WorkerState& worker : worker_) {
-    io.enum32(worker);
+    io.enum32(worker, WorkerState::kExecuting);
   }
   for (std::uint64_t& iter : worker_iter_) {
     io.u64(iter);
@@ -657,6 +657,11 @@ mem::CeBusOp Cluster::ce_bus_op(CeId ce) const {
 }
 
 const Ce& Cluster::ce(CeId id) const {
+  REPRO_EXPECT(id < config_.n_ces, "CE index out of range");
+  return ces_[id];
+}
+
+Ce& Cluster::ce(CeId id) {
   REPRO_EXPECT(id < config_.n_ces, "CE index out of range");
   return ces_[id];
 }

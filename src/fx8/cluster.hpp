@@ -143,6 +143,7 @@ class Cluster {
 
   [[nodiscard]] mem::CeBusOp ce_bus_op(CeId ce) const;
   [[nodiscard]] const Ce& ce(CeId id) const;
+  [[nodiscard]] Ce& ce(CeId id);
   [[nodiscard]] const ConcurrencyControlBus& ccb() const { return ccb_; }
   [[nodiscard]] Crossbar& crossbar() { return crossbar_; }
   [[nodiscard]] const ClusterStats& stats() const { return stats_; }

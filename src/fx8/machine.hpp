@@ -101,6 +101,7 @@ class Machine {
   [[nodiscard]] std::uint32_t total_ces() const { return topology_.total_ces; }
   [[nodiscard]] const ResolvedTopology& topology() const { return topology_; }
   /// Second-level bank arbiter; nullptr on single-cluster machines.
+  [[nodiscard]] ClusterFabric* fabric() { return fabric_.get(); }
   [[nodiscard]] const ClusterFabric* fabric() const { return fabric_.get(); }
   [[nodiscard]] cache::SharedCache& shared_cache() { return *shared_cache_; }
   [[nodiscard]] const cache::SharedCache& shared_cache() const {
@@ -109,6 +110,10 @@ class Machine {
   [[nodiscard]] mem::MemoryBus& membus() { return *membus_; }
   [[nodiscard]] mem::MainMemory& memory() { return *memory_; }
   [[nodiscard]] std::vector<Ip>& ips() { return ips_; }
+  /// Cache of IP `ip` (indexed like ips()).
+  [[nodiscard]] cache::IpCache& ip_cache(std::uint32_t ip) {
+    return *ip_caches_[ip];
+  }
   [[nodiscard]] const MachineConfig& config() const { return config_; }
 
   // --- Probe surface -------------------------------------------------

@@ -46,7 +46,7 @@ struct AnalyzerConfig {
     auto depth = static_cast<std::uint64_t>(buffer_depth);
     io.u64(depth);
     buffer_depth = static_cast<std::size_t>(depth);
-    io.enum32(trigger);
+    io.enum32(trigger, TriggerMode::kTransitionFromFull);
     io.u32(full_width);
   }
 };
@@ -77,7 +77,7 @@ class LogicAnalyzer {
   /// analyzer from the capsuled config first (the ring buffer's capacity
   /// is structural); this walks only the mutable state.
   void serialize(capsule::Io& io) {
-    io.enum32(state_);
+    io.enum32(state_, AnalyzerState::kComplete);
     buffer_.serialize(io,
                       [](capsule::Io& inner, ProbeRecord& record) {
                         record.serialize(inner);

@@ -47,57 +47,44 @@ void SessionController::step() {
   system_.tick();
 }
 
-Cycle SessionController::quiet_horizon() const {
-  const Cycle workload = workload_.quiet_horizon(system_);
-  if (workload == 0) {
-    return 0;
+Cycle SessionController::advance_step(Cycle budget) {
+  // The workload generator's horizon bounds everything: 0 means it may
+  // draw randomness or submit on the next tick.
+  const Cycle workload =
+      config_.fast_forward ? workload_.quiet_horizon(system_) : 0;
+  if (workload > 0) {
+    const Cycle horizon =
+        std::min(std::min(workload, system_.quiet_horizon()), budget);
+    if (horizon >= kMinProfitableSkip) {
+      system_.skip(horizon);
+      ff_stats_.skipped_cycles += horizon;
+      ++ff_stats_.jumps;
+      return horizon;
+    }
+    if (system_.scheduler().quiet_horizon() > 0) {
+      // Too busy to bulk-jump, but neither the scheduler nor the
+      // generator can act for `workload` cycles (the scheduler's horizon
+      // is unbounded until the next cluster control event, where the
+      // fused kernel stops on its own), so their per-cycle ticks are
+      // provably no-ops: the machine alone advances through the kernel.
+      const Cycle advanced = system_.machine().tick_block(
+          std::min(std::min(workload, budget), kBlockChunk));
+      ff_stats_.block_cycles += advanced;
+      return advanced;
+    }
   }
-  return std::min(workload, system_.quiet_horizon());
-}
-
-Cycle SessionController::advance_busy(Cycle budget) {
-  const Cycle workload = workload_.quiet_horizon(system_);
-  if (workload == 0 || system_.scheduler().quiet_horizon() == 0) {
-    // An OS-layer action is due next tick (burst submission, gap draw,
-    // job reap/dispatch): run it in lockstep so the scheduler and the
-    // workload generator see exactly the states they would naively.
-    step();
-    ++ff_stats_.naive_cycles;
-    return 1;
-  }
-  // Neither can act for `workload` cycles (the scheduler's horizon is
-  // unbounded until the next cluster control event, where the fused
-  // kernel stops on its own), so their per-cycle ticks are provably
-  // no-ops: the machine alone advances through the kernel.
-  const Cycle advanced = system_.machine().tick_block(
-      std::min(std::min(workload, budget), kBlockChunk));
-  ff_stats_.block_cycles += advanced;
-  return advanced;
-}
-
-void SessionController::skip(Cycle cycles) {
-  system_.skip(cycles);
-  ff_stats_.skipped_cycles += cycles;
-  ++ff_stats_.jumps;
+  // Fast-forward off, or an OS-layer action is due next tick (burst
+  // submission, gap draw, job reap/dispatch): run it in lockstep so the
+  // scheduler and the workload generator see exactly the states they
+  // would naively.
+  step();
+  ++ff_stats_.naive_cycles;
+  return 1;
 }
 
 void SessionController::advance(Cycle cycles) {
   while (cycles > 0) {
-    if (!config_.fast_forward) {
-      step();
-      ++ff_stats_.naive_cycles;
-      --cycles;
-      continue;
-    }
-    const Cycle horizon = std::min(quiet_horizon(), cycles);
-    if (horizon >= kMinProfitableSkip) {
-      skip(horizon);
-      cycles -= horizon;
-      continue;
-    }
-    // Short horizon: too busy to bulk-jump. Advance through the fused
-    // kernel (or one lockstep step when the OS layer is due to act).
-    cycles -= advance_busy(cycles);
+    cycles -= advance_step(cycles);
   }
 }
 
@@ -152,26 +139,13 @@ SampleRecord SessionController::take_sample() {
       }
       continue;
     }
-    if (!config_.fast_forward) {
-      step();
-      ++c;
-      ++ff_stats_.naive_cycles;
-      continue;
-    }
-    // Between acquisitions the probe is not latched, so quiet stretches
-    // can advance in one jump — clamped to the next snapshot start so
-    // the ARM lands on exactly the naive cycle. Busy stretches advance
-    // through the fused kernel under the same clamp.
+    // Between acquisitions the probe is not latched, so the stretch
+    // advances like any other, clamped to the next snapshot start so
+    // the ARM lands on exactly the naive cycle.
     const Cycle bound = next_snapshot < starts.size()
                             ? starts[next_snapshot]
                             : config_.interval_cycles;
-    const Cycle horizon = std::min(quiet_horizon(), bound - c);
-    if (horizon >= kMinProfitableSkip) {
-      skip(horizon);
-      c += horizon;
-      continue;
-    }
-    c += advance_busy(bound - c);
+    c += advance_step(bound - c);
   }
 
   // sw counters are read "at the time that the hardware sample was

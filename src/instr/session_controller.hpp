@@ -115,35 +115,37 @@ class SessionController {
     return ff_stats_;
   }
 
-  /// Capsule walk over the controller's persistent state: the snapshot-
-  /// offset RNG, the sample index, and the fast-forward accounting.
-  /// starts_scratch_ is deliberately excluded — it is dead between
-  /// take_sample calls (rebuilt from scratch each interval), and session
-  /// checkpoints land at sample boundaries (docs/checkpointing.md).
+  /// Capsule walk over the controller's persistent state: the schedule
+  /// walk below plus the fast-forward accounting. starts_scratch_ is
+  /// deliberately excluded — it is dead between take_sample calls
+  /// (rebuilt from scratch each interval), and session checkpoints land
+  /// at sample boundaries (docs/checkpointing.md).
   void serialize(capsule::Io& io) {
+    serialize_schedule(io);
+    ff_stats_.serialize(io);
+  }
+
+  /// The part of the walk that decides what gets measured: the snapshot-
+  /// offset RNG and the sample index. A fast-forwarded and a naive
+  /// controller must walk alike here; only their bookkeeping differs.
+  void serialize_schedule(capsule::Io& io) {
     rng_.serialize(io);
     io.u64(next_index_);
-    io.u64(ff_stats_.skipped_cycles);
-    io.u64(ff_stats_.naive_cycles);
-    io.u64(ff_stats_.block_cycles);
-    io.u64(ff_stats_.jumps);
   }
 
  private:
   void step();
-  /// Quiet horizon across the workload generator and the system: cycles
-  /// of guaranteed repetition the controller may skip in one jump.
-  [[nodiscard]] Cycle quiet_horizon() const;
-  /// Busy-stretch advance shared by advance() and take_sample(): up to
-  /// `budget` cycles without bulk-jumping and with no acquisition armed.
-  /// A cycle on which the OS layer (scheduler or workload generator) is
-  /// due to act runs as one lockstep step(); everything else runs through
-  /// the fused tick kernel, which stops at cluster control events so the
+  /// The one advance decision, shared by advance() and the stretches
+  /// between acquisitions in take_sample(): up to `budget` cycles with
+  /// no acquisition armed. With fast-forward off, one lockstep step().
+  /// Otherwise a quiet horizon of at least kMinProfitableSkip across the
+  /// workload generator and the system is taken as one bulk jump; a
+  /// cycle on which the OS layer (scheduler or generator) is due to act
+  /// runs as one lockstep step(); everything else runs through the fused
+  /// tick kernel, which stops at cluster control events so the
   /// scheduler's reaction cycle is lockstep-ticked exactly as naive
   /// stepping would. Returns the cycles advanced (>= 1).
-  Cycle advance_busy(Cycle budget);
-  /// Bulk-jump `cycles` quiet cycles (<= quiet_horizon()).
-  void skip(Cycle cycles);
+  Cycle advance_step(Cycle budget);
 
   os::System& system_;
   workload::WorkloadGenerator& workload_;

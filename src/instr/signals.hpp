@@ -40,10 +40,10 @@ struct ProbeRecord {
   void serialize(capsule::Io& io) {
     io.u64(cycle);
     for (mem::CeBusOp& op : ce_ops) {
-      io.enum32(op);
+      io.enum32(op, mem::CeBusOp::kWait);
     }
     for (mem::MemBusOp& op : mem_ops) {
-      io.enum32(op);
+      io.enum32(op, mem::MemBusOp::kInvalidate);
     }
     io.u64(active_mask);
   }

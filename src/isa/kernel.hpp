@@ -78,7 +78,7 @@ struct KernelSpec {
     io.u32(compute_jitter);
     io.u32(loads_per_step);
     io.u32(stores_per_step);
-    io.enum32(pattern);
+    io.enum32(pattern, AccessPattern::kHotCold);
     io.u64(stride_bytes);
     io.u64(working_set_bytes);
     io.f64(hot_fraction);

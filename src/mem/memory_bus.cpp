@@ -168,7 +168,7 @@ std::size_t MemoryBus::queue_capacity(std::uint32_t bus) const {
 void MemoryBus::serialize(capsule::Io& io) {
   const auto txn = [&io](PendingTxn& t) {
     io.u64(t.id);
-    io.enum32(t.op);
+    io.enum32(t.op, MemBusOp::kInvalidate);
     io.u64(t.addr);
   };
   for (std::uint32_t b = 0; b < buses_.size(); ++b) {
@@ -182,11 +182,18 @@ void MemoryBus::serialize(capsule::Io& io) {
       txn(bus.queue.items[i]);
     }
     txn(bus.active);
-    for (std::uint64_t& count : bus.op_cycle_counts) {
+    for (std::size_t op = 0; op < kNumMemBusOps; ++op) {
+      // Idle cycles travel folded: a ticked idle stretch books them into
+      // quiescent_ticks_, a skipped one into the counter, and the two
+      // must walk (and digest) alike.
+      std::uint64_t count = op_cycles(b, static_cast<MemBusOp>(op));
       io.u64(count);
+      if (io.loading()) {
+        bus.op_cycle_counts[op] = count;
+      }
     }
     io.u32(hot_->remaining[b]);
-    io.enum32(hot_->current_op[b]);
+    io.enum32(hot_->current_op[b], MemBusOp::kInvalidate);
   }
   const std::uint64_t finished = io.extent(finished_.size());
   if (io.loading()) {
@@ -196,9 +203,13 @@ void MemoryBus::serialize(capsule::Io& io) {
     io.u64(id);
   }
   io.u64(next_id_);
-  io.boolean(quiescent_);
-  io.u64(quiescent_ticks_);
   io.u64(hot_->completion_epoch);
+  if (io.loading()) {
+    // The quiescent fold is a memo, not state: the loaded counters
+    // already hold its cycles, and the next tick re-derives the flag.
+    quiescent_ = false;
+    quiescent_ticks_ = 0;
+  }
 }
 
 std::uint64_t MemoryBus::op_cycles(std::uint32_t bus, MemBusOp op) const {

@@ -92,8 +92,10 @@ class MemoryBus {
   /// is transparent at any point in the bus's life.
   void bind_hot(BusHot& hot);
 
-  /// Capsule walk: per-bus queues/latches/opcode counters, the tracked
-  /// completion set, and the quiescent fold.
+  /// Capsule walk: per-bus queues/latches/opcode counters and the
+  /// tracked completion set. Idle cycles walk with the quiescent fold
+  /// already added in, so a ticked and a skipped idle stretch give the
+  /// same bytes; loading resets the fold.
   void serialize(capsule::Io& io);
 
  private:

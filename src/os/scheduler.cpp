@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/expect.hpp"
+#include "base/capsule.hpp"
 
 namespace repro::os {
 
@@ -136,7 +136,7 @@ Cycle Scheduler::quiet_horizon() const {
 void Scheduler::serialize(capsule::Io& io) {
   const auto job = [&io](Job& j) {
     io.u64(j.id);
-    io.enum32(j.cls);
+    io.enum32(j.cls, JobClass::kSerialDetached);
     j.program.serialize(io);
     io.u64(j.submitted_at);
     io.u64(j.started_at);
@@ -189,15 +189,19 @@ void Scheduler::serialize(capsule::Io& io) {
     for (std::uint32_t k = 0; k < running_.size(); ++k) {
       fx8::Cluster& cluster = machine_.cluster(k);
       if (cluster.needs_program_rebind()) {
-        REPRO_ENSURE(running_[k].has_value(),
-                     "capsule: cluster busy but no running job");
+        if (!running_[k].has_value()) {
+          throw capsule::CapsuleError(
+              "capsule: cluster busy but no running job");
+        }
         cluster.rebind_program(&running_[k]->program);
       }
       for (std::uint32_t slot = 0; slot < per; ++slot) {
         if (cluster.detached_needs_rebind(slot)) {
           const std::uint32_t flat = k * per + slot;
-          REPRO_ENSURE(detached_running_[flat].has_value(),
-                       "capsule: detached CE busy but no running job");
+          if (!detached_running_[flat].has_value()) {
+            throw capsule::CapsuleError(
+                "capsule: detached CE busy but no running job");
+          }
           cluster.rebind_detached_program(
               slot, &detached_running_[flat]->program);
         }

@@ -66,8 +66,9 @@ void serialize_config(capsule::Io& io, SystemConfig& c) {
   io.u32(c.machine.shared_cache.ways);
   io.u32(c.machine.shared_cache.max_ces);
   io.u32(c.machine.cluster.n_ces);
-  io.enum32(c.machine.cluster.policy);
-  io.enum32(c.machine.cluster.dispatch);
+  io.enum32(c.machine.cluster.policy, fx8::ServicePolicy::kRotating);
+  io.enum32(c.machine.cluster.dispatch,
+            fx8::DispatchPolicy::kStaticChunked);
   io.u64(c.machine.cluster.icache_bytes);
   io.u32(c.machine.cluster.detached_ces);
   io.f64(c.machine.ip.duty);
@@ -88,7 +89,7 @@ void serialize_config(capsule::Io& io, SystemConfig& c) {
   io.f64(c.vm.system_fault_fraction);
   io.u64(c.vm.resident_limit_pages);
   io.u64(c.vm.physical_bytes);
-  io.enum32(c.scheduling);
+  io.enum32(c.scheduling, SchedulingPolicy::kSerialFirst);
 }
 
 std::uint64_t config_fingerprint(const SystemConfig& config) {

@@ -41,7 +41,7 @@ void serialize_config(capsule::Io& io, WorkloadMix& mix) {
   io.f64(mix.contention_job_fraction);
   io.f64(mix.contention.rcu_fraction);
   LockJobParams& lock = mix.contention.lock;
-  io.enum32(lock.lock);
+  io.enum32(lock.lock, LockType::kMcs);
   io.u32(lock.contenders);
   io.u32(lock.min_rounds);
   io.u32(lock.max_rounds);

@@ -239,7 +239,6 @@ TEST(CacheKeys, EveryStudyConfigFieldChangesTheKey) {
   EXPECT_NE(key, mutated([](auto& c) { c.threads += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.fast_forward = !c.fast_forward; }));
   EXPECT_NE(key, mutated([](auto& c) { c.replicates_per_session += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.checkpoint_every_samples += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.sampling.interval_cycles += 1; }));
   EXPECT_NE(key,
             mutated([](auto& c) { c.sampling.snapshots_per_sample += 1; }));
@@ -324,9 +323,6 @@ TEST(CacheKeys, EveryTransitionConfigFieldChangesTheKey) {
   EXPECT_NE(key, mutated([](auto& c) { c.capture_timeout += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.warmup_cycles += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.seed += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) {
-              c.checkpoint_between_captures = !c.checkpoint_between_captures;
-            }));
   EXPECT_NE(key, mutated([](auto& c) { c.sampling.buffer_depth += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.system.machine.seed += 1; }));
   EXPECT_EQ(key, mutated([](auto&) {}));

@@ -38,7 +38,7 @@ struct Blob {
     io.f64(f);
     io.boolean(g);
     io.str(h);
-    io.enum32(flavor);
+    io.enum32(flavor, Flavor::kFancy);
     const std::uint64_t n = io.extent(items.size());
     if (io.loading()) {
       items.assign(static_cast<std::size_t>(n), 0);

@@ -1,14 +1,14 @@
-// Determinism contract of the parallel study engine: a study run with N
-// worker threads is bit-identical to the serial run — same totals, same
-// per-session measures, same regression coefficients (see
-// docs/parallel_execution.md).
+// Thread plumbing of the parallel study engine. Bit-identity across
+// thread counts is the differential oracle's study table
+// (tests/oracle/oracle_test.cpp); these cases pin the edges of the
+// worker-count resolution (docs/parallel_execution.md).
 #include "core/study.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
-#include "core/regression_models.hpp"
+#include "base/capsule.hpp"
 
 namespace repro::core {
 namespace {
@@ -22,69 +22,17 @@ StudyConfig quick_config(std::uint32_t threads) {
   return config;
 }
 
-void expect_identical(const StudyResult& serial, const StudyResult& pooled,
-                      bool compare_models = true) {
-  ASSERT_EQ(serial.sessions.size(), pooled.sessions.size());
-  EXPECT_EQ(serial.totals.num, pooled.totals.num);
-  EXPECT_EQ(serial.totals.proc, pooled.totals.proc);
-  EXPECT_EQ(serial.totals.ceop, pooled.totals.ceop);
-  EXPECT_EQ(serial.totals.membop, pooled.totals.membop);
-  EXPECT_EQ(serial.totals.records, pooled.totals.records);
-  EXPECT_EQ(serial.overall.cw, pooled.overall.cw);
-  EXPECT_EQ(serial.overall.pc, pooled.overall.pc);
-  for (std::size_t s = 0; s < serial.sessions.size(); ++s) {
-    const SessionResult& a = serial.sessions[s];
-    const SessionResult& b = pooled.sessions[s];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.totals.num, b.totals.num);
-    EXPECT_EQ(a.overall.cw, b.overall.cw);
-    EXPECT_EQ(a.overall.pc, b.overall.pc);
-    ASSERT_EQ(a.samples.size(), b.samples.size());
-    for (std::size_t i = 0; i < a.samples.size(); ++i) {
-      EXPECT_EQ(a.samples[i].measures.cw, b.samples[i].measures.cw);
-      EXPECT_EQ(a.samples[i].miss_rate, b.samples[i].miss_rate);
-      EXPECT_EQ(a.samples[i].bus_busy, b.samples[i].bus_busy);
-    }
-  }
-  // The Table 3/4 regressions derive from the samples; coefficients must
-  // match to the last bit. (Needs enough samples to occupy three median
-  // bins, so the truncated-mix tests skip it.)
-  if (!compare_models) {
-    return;
-  }
-  const auto models_a = fit_all_models(serial.all_samples());
-  const auto models_b = fit_all_models(pooled.all_samples());
-  ASSERT_EQ(models_a.size(), models_b.size());
-  for (std::size_t m = 0; m < models_a.size(); ++m) {
-    ASSERT_EQ(models_a[m].fit.has_value(), models_b[m].fit.has_value());
-    if (models_a[m].fit) {
-      EXPECT_EQ(models_a[m].fit->coeffs, models_b[m].fit->coeffs);
-      EXPECT_EQ(models_a[m].fit->r_squared, models_b[m].fit->r_squared);
-    }
-  }
-}
-
-TEST(StudyParallel, EightThreadsBitIdenticalToSerial) {
-  const auto mixes = workload::session_presets();
-  const StudyResult serial = run_study(mixes, quick_config(1));
-  const StudyResult pooled = run_study(mixes, quick_config(8));
-  expect_identical(serial, pooled);
-}
-
-TEST(StudyParallel, TwoThreadsBitIdenticalToSerial) {
-  const auto mixes = workload::session_presets();
-  std::vector<workload::WorkloadMix> three(mixes.begin(), mixes.begin() + 3);
-  const StudyResult serial = run_study(three, quick_config(1));
-  const StudyResult pooled = run_study(three, quick_config(2));
-  expect_identical(serial, pooled, /*compare_models=*/false);
+std::uint64_t digest(StudyResult result) {
+  capsule::Io io = capsule::Io::digester();
+  result.serialize(io);
+  return io.digest();
 }
 
 TEST(StudyParallel, MoreThreadsThanSessionsIsFine) {
   const auto mixes = workload::session_presets();
   std::vector<workload::WorkloadMix> two(mixes.begin(), mixes.begin() + 2);
-  const StudyResult serial = run_study(two, quick_config(1));
-  const StudyResult pooled = run_study(two, quick_config(16));
-  expect_identical(serial, pooled, /*compare_models=*/false);
+  EXPECT_EQ(digest(run_study(two, quick_config(16))),
+            digest(run_study(two, quick_config(1))));
 }
 
 TEST(StudyParallel, ResolveThreadsPrefersConfigThenEnv) {

@@ -17,29 +17,6 @@
 namespace repro::instr {
 namespace {
 
-struct Trajectory {
-  Cycle cycles = 0;
-  std::uint64_t page_faults = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_accesses = 0;
-  std::uint64_t iterations = 0;
-
-  bool operator==(const Trajectory&) const = default;
-};
-
-Trajectory snapshot(const os::System& system) {
-  Trajectory t;
-  t.cycles = system.now();
-  t.page_faults = system.counters().ce_page_faults();
-  t.jobs_completed =
-      system.counters().read(os::KernelCounter::kJobsCompleted);
-  t.cache_misses = system.machine().shared_cache().stats().misses;
-  t.cache_accesses = system.machine().shared_cache().stats().accesses;
-  t.iterations = system.machine().cluster().stats().iterations_completed;
-  return t;
-}
-
 TEST(NonIntrusive, SamplingDoesNotPerturbTheMachine) {
   const workload::WorkloadMix mix = workload::session_presets()[2];
   constexpr Cycle kCycles = 120000;
@@ -62,7 +39,8 @@ TEST(NonIntrusive, SamplingDoesNotPerturbTheMachine) {
                                0x12345);
   (void)controller.run_session(2);  // drives exactly kCycles cycles
 
-  EXPECT_EQ(snapshot(bare), snapshot(measured))
+  // The whole machine and OS state, not a handful of totals.
+  EXPECT_EQ(bare.state_digest(), measured.state_digest())
       << "instrumentation perturbed the machine trajectory";
 }
 
@@ -86,7 +64,7 @@ TEST(NonIntrusive, TracingDoesNotPerturbTheMachineEither) {
     traced.tick();
   }
 
-  EXPECT_EQ(snapshot(bare), snapshot(traced))
+  EXPECT_EQ(bare.state_digest(), traced.state_digest())
       << "the marker tracer perturbed the machine trajectory";
   EXPECT_FALSE(tracer.events().empty());
 }

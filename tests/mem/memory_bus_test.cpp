@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <vector>
 
+#include "base/capsule.hpp"
 #include "base/expect.hpp"
 #include "mem/main_memory.hpp"
 
@@ -145,6 +147,42 @@ TEST_F(MemoryBusTest, OpCycleCountsAccumulate) {
   run_cycles(6);
   EXPECT_EQ(bus_.op_cycles(0, MemBusOp::kLineFetch), 4u);
   EXPECT_EQ(bus_.op_cycles(0, MemBusOp::kIdle), 2u);
+}
+
+std::uint64_t walk_digest(MemoryBus& bus) {
+  capsule::Io io = capsule::Io::digester();
+  bus.serialize(io);
+  return io.digest();
+}
+
+// A ticked idle stretch books its cycles into the quiescent fold, a
+// skipped one straight into the idle counter. The capsule walk must not
+// tell them apart: both are the same observable bus.
+TEST_F(MemoryBusTest, SkippedIdleStretchDigestsLikeTickedOne) {
+  MainMemory other_memory(MainMemoryConfig{});
+  MemoryBus skipped(four_cycle_config(), other_memory);
+  run_cycles(10);
+  skipped.tick(0);
+  ASSERT_GE(skipped.quiet_horizon(1), 9u);
+  skipped.skip(9);
+  EXPECT_EQ(skipped.op_cycles(0, MemBusOp::kIdle),
+            bus_.op_cycles(0, MemBusOp::kIdle));
+  EXPECT_EQ(walk_digest(skipped), walk_digest(bus_));
+}
+
+// Crafted walks are rejected as corrupt: an opcode past the last
+// enumerator (the next tick would index the opcode counters with it) and
+// a queue depth larger than the payload. Bus 0 walks a u64 queue depth,
+// then the active transaction: u64 id, u32 opcode, u64 address.
+TEST_F(MemoryBusTest, LoadRejectsCraftedWalks) {
+  capsule::Io saver = capsule::Io::saver();
+  bus_.serialize(saver);
+  for (const std::size_t at : {std::size_t{16}, std::size_t{5}}) {
+    std::vector<std::uint8_t> crafted = saver.bytes();
+    crafted[at] = 200;  // Opcode 200; depth 200 * 2^40.
+    capsule::Io loader = capsule::Io::loader(std::move(crafted));
+    EXPECT_THROW(bus_.serialize(loader), capsule::CapsuleError) << at;
+  }
 }
 
 }  // namespace
