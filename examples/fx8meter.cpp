@@ -32,6 +32,7 @@
 #include <sstream>
 
 #include "base/capsule.hpp"
+#include "base/expect.hpp"
 #include "base/rng.hpp"
 #include "base/text.hpp"
 #include "fx8/topology.hpp"
@@ -204,8 +205,7 @@ int run_checkpointed(const Options& options, const workload::WorkloadMix& mix,
   }
 
   while (progress.samples_done < progress.samples_total) {
-    const auto records = controller.run_session(1);
-    progress.records.push_back(records.front());
+    progress.records.push_back(controller.take_sample());
     ++progress.samples_done;
     if (!options.checkpoint_file.empty()) {
       try {
@@ -268,7 +268,14 @@ int main(int argc, char** argv) {
     }
     std::ostringstream text;
     text << in.rdbuf();
-    const workload::WorkloadMix mix = workload::parse_mix(text.str());
+    workload::WorkloadMix mix;
+    try {
+      mix = workload::parse_mix(text.str());
+    } catch (const ContractViolation& error) {
+      std::fprintf(stderr, "bad mix file %s: %s\n", options.mix_file.c_str(),
+                   error.what());
+      return 2;
+    }
     for (std::uint32_t s = 0; s < options.sessions; ++s) {
       mixes.push_back(mix);
     }

@@ -1,25 +1,26 @@
 // The design-choice ablations (DESIGN.md §6): each tests the mechanism
-// the paper offers for one of its findings. These run artifact-private
-// simulations (different machines/mixes than the shared study), scaled
-// down under --quick. Ported from the bench_ablation_* binaries.
+// the paper offers for one of its findings. These declare artifact-private
+// runs (different machines/mixes than the shared study), scaled down
+// under --quick. Ported from the bench_ablation_* binaries.
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "artifacts/inputs.hpp"
 #include "artifacts/registry.hpp"
 #include "core/regression_models.hpp"
+#include "core/run.hpp"
 #include "core/sample.hpp"
+#include "core/study.hpp"
 #include "core/transition.hpp"
 #include "fx8/machine.hpp"
 #include "fx8/mmu.hpp"
-#include "instr/session_controller.hpp"
 #include "isa/program.hpp"
-#include "os/system.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
-#include "workload/generator.hpp"
 #include "workload/kernels.hpp"
 #include "workload/presets.hpp"
 
@@ -53,21 +54,23 @@ double outer_over_inner(const core::TransitionResult& result) {
   return inner > 0.0 ? outer / inner : 0.0;
 }
 
-core::TransitionResult run_with_policy(Context& ctx,
-                                       fx8::ServicePolicy policy) {
-  core::TransitionConfig config = ctx.in().transition_config();
-  config.captures = ctx.in().scaled(40, 12);
-  config.system.machine.cluster.policy = policy;
-  ctx.in().note_private_run();
-  return core::run_transition_study(workload::high_concurrency_mix(),
-                                    config);
+std::vector<core::RunSpec> service_order_runs(const Inputs& in) {
+  std::vector<core::RunSpec> specs;
+  for (const fx8::ServicePolicy policy :
+       {fx8::ServicePolicy::kOuterFirst, fx8::ServicePolicy::kRotating}) {
+    core::TransitionConfig config = in.transition_config();
+    config.captures = in.scaled(40, 12);
+    config.system.machine.cluster.policy = policy;
+    specs.push_back(
+        core::transition_spec(workload::high_concurrency_mix(), config));
+  }
+  return specs;
 }
 
 void render_ablation_service_order(Context& ctx) {
-  const core::TransitionResult fixed =
-      run_with_policy(ctx, fx8::ServicePolicy::kOuterFirst);
-  const core::TransitionResult rotating =
-      run_with_policy(ctx, fx8::ServicePolicy::kRotating);
+  const auto runs = ctx.runs();
+  const core::TransitionResult fixed = core::fold_transition(*runs.at(0));
+  const core::TransitionResult rotating = core::fold_transition(*runs.at(1));
 
   ctx.printf("per-CE transition activity (fixed priority):\n ");
   for (const std::uint64_t count : fixed.processor_counts) {
@@ -104,36 +107,49 @@ void render_ablation_service_order(Context& ctx) {
 // ---------------------------------------------------------------------
 // Ablation: data-intensive vs. serial-like concurrent kernels (§5.3).
 
-double missrate_rise(Context& ctx, const workload::WorkloadMix& base_mix) {
-  // Build a 3-session mini-study spanning low/mid/high concurrency with
-  // this mix's kernel tuning.
-  std::vector<workload::WorkloadMix> mixes;
-  const double fractions[] = {0.2, 0.55, 0.9};
-  const double idles[] = {45000, 12000, 4000};
-  for (int i = 0; i < 3; ++i) {
-    workload::WorkloadMix mix = base_mix;
-    mix.name = base_mix.name + "-" + std::to_string(i);
-    mix.concurrent_job_fraction = fractions[i];
-    mix.mean_idle_cycles = idles[i];
-    mixes.push_back(mix);
+std::vector<core::RunSpec> locality_runs(const Inputs& in) {
+  core::StudyConfig config = in.study_config();
+  config.samples_per_session = in.scaled(10, 5);
+  workload::WorkloadMix standard;
+  standard.name = "standard";
+  // One 3-session mini-study per kernel family, spanning low/mid/high
+  // concurrency with the family's kernel tuning.
+  std::vector<core::RunSpec> specs;
+  for (const workload::WorkloadMix& base :
+       {standard, workload::equal_locality_mix()}) {
+    std::vector<workload::WorkloadMix> mixes;
+    const double fractions[] = {0.2, 0.55, 0.9};
+    const double idles[] = {45000, 12000, 4000};
+    for (int i = 0; i < 3; ++i) {
+      workload::WorkloadMix mix = base;
+      mix.name = base.name + "-" + std::to_string(i);
+      mix.concurrent_job_fraction = fractions[i];
+      mix.mean_idle_cycles = idles[i];
+      mixes.push_back(mix);
+    }
+    for (core::RunSpec& spec : core::study_specs(mixes, config)) {
+      specs.push_back(std::move(spec));
+    }
   }
-  core::StudyConfig config = ctx.in().study_config();
-  config.samples_per_session = ctx.in().scaled(10, 5);
-  ctx.in().note_private_run();
-  const core::StudyResult study = core::run_study(mixes, config);
-  const auto samples = study.all_samples();
+  return specs;
+}
+
+/// Miss-rate rise over Cw 0.1 -> 1.0 across one mini-study's samples.
+double missrate_rise(std::span<const core::RunResult* const> study) {
+  std::vector<core::AnalyzedSample> samples;
+  for (const core::RunResult* run : study) {
+    samples.insert(samples.end(), run->samples.begin(), run->samples.end());
+  }
   const core::MedianModel model = core::fit_model(
       samples, core::SystemMeasure::kMissRate, core::Regressor::kCw);
   return model.predict(1.0) - model.predict(0.1);
 }
 
 void render_ablation_locality(Context& ctx) {
-  workload::WorkloadMix standard;
-  standard.name = "standard";
-  const double standard_rise = missrate_rise(ctx, standard);
-
-  const workload::WorkloadMix equal = workload::equal_locality_mix();
-  const double equal_rise = missrate_rise(ctx, equal);
+  const auto runs = ctx.runs();
+  const std::size_t half = runs.size() / 2;
+  const double standard_rise = missrate_rise(std::span(runs).first(half));
+  const double equal_rise = missrate_rise(std::span(runs).subspan(half));
 
   ctx.printf("missrate rise over Cw 0.1 -> 1.0:\n");
   ctx.printf("  data-intensive concurrent kernels: %+.4f\n", standard_rise);
@@ -150,52 +166,40 @@ void render_ablation_locality(Context& ctx) {
 // ---------------------------------------------------------------------
 // Ablation: register-to-register vector fraction vs. bus traffic (§5.1).
 
-struct SweepPoint {
-  double vector_fraction;
-  double cw;
-  double bus_busy;
-  double miss_rate;
-};
+constexpr std::array<double, 5> kVectorFractions = {0.0, 0.2, 0.4, 0.6,
+                                                      0.8};
 
-SweepPoint run_vector_point(Context& ctx, double vector_fraction) {
-  os::System system{os::SystemConfig{}};
-  workload::WorkloadMix mix = workload::high_concurrency_mix();
-  mix.numeric.tuning.vector_fraction = vector_fraction;
-  workload::WorkloadGenerator generator(mix, 0x7EC70);
-  instr::SamplingConfig sampling;
-  sampling.interval_cycles = 60000;
-  instr::SessionController controller(system, generator, sampling, 0x7EC70);
-  ctx.in().note_private_run();
-
-  instr::EventCounts totals;
-  for (const instr::SampleRecord& record :
-       controller.run_session(ctx.in().scaled(6, 3))) {
-    totals.merge(record.hw);
+std::vector<core::RunSpec> vector_traffic_runs(const Inputs& in) {
+  std::vector<core::RunSpec> specs;
+  for (const double fraction : kVectorFractions) {
+    core::RunSpec spec;
+    spec.mix = workload::high_concurrency_mix();
+    spec.mix.numeric.tuning.vector_fraction = fraction;
+    spec.generator_seed = 0x7EC70;
+    spec.controller_seed = 0x7EC70;
+    spec.sampling.interval_cycles = 60000;
+    spec.samples = in.scaled(6, 3);
+    specs.push_back(spec);
   }
-  const auto measures = core::ConcurrencyMeasures::from_counts(totals.num);
-  return {vector_fraction, measures.cw, totals.bus_busy(),
-          totals.miss_rate()};
+  return specs;
 }
 
 void render_ablation_vector_traffic(Context& ctx) {
   ctx.printf("  %-10s %8s %10s %10s\n", "vec-frac", "Cw", "busbusy",
              "missrate");
-  SweepPoint first{};
-  SweepPoint last{};
-  bool have_first = false;
-  for (const double frac : {0.0, 0.2, 0.4, 0.6, 0.8}) {
-    const SweepPoint point = run_vector_point(ctx, frac);
-    ctx.printf("  %-10.1f %8.4f %10.4f %10.4f\n", point.vector_fraction,
-               point.cw, point.bus_busy, point.miss_rate);
-    if (!have_first) {
-      first = point;
-      have_first = true;
-    }
-    last = point;
+  const auto runs = ctx.runs();
+  for (std::size_t i = 0; i < kVectorFractions.size(); ++i) {
+    const instr::EventCounts& totals = runs.at(i)->totals;
+    ctx.printf("  %-10.1f %8.4f %10.4f %10.4f\n", kVectorFractions[i],
+               core::ConcurrencyMeasures::from_counts(totals.num).cw,
+               totals.bus_busy(), totals.miss_rate());
   }
-  const double busy_drop_pct = 100.0 * (1.0 - last.bus_busy / first.bus_busy);
+  const instr::EventCounts& first = runs.front()->totals;
+  const instr::EventCounts& last = runs.back()->totals;
+  const double busy_drop_pct =
+      100.0 * (1.0 - last.bus_busy() / first.bus_busy());
   const double miss_drop_pct =
-      100.0 * (1.0 - last.miss_rate / first.miss_rate);
+      100.0 * (1.0 - last.miss_rate() / first.miss_rate());
   ctx.printf("\nbus busy drops %.0f%%, missrate drops %.0f%% from "
              "vec=0.0 to vec=0.8\n",
              busy_drop_pct, miss_drop_pct);
@@ -303,19 +307,19 @@ void register_ablations(std::vector<ArtifactDef>& catalog) {
        "ABLATION — fixed-priority vs. rotating CE service order",
        "fixed hardware priority produces the Figure-7 asymmetry; a fair "
        "rotating arbiter flattens it",
-       render_ablation_service_order});
+       render_ablation_service_order, service_order_runs});
   catalog.push_back(
       {"ablation_locality", ArtifactKind::kAblation, "§5.3",
        "ABLATION — data-intensive vs. serial-like concurrent kernels",
        "the Cw->missrate slope comes from the data intensity of parallel "
        "code (§5.3), not from parallelism itself",
-       render_ablation_locality});
+       render_ablation_locality, locality_runs});
   catalog.push_back(
       {"ablation_vector_traffic", ArtifactKind::kAblation, "§5.1",
        "ABLATION — vector (register-to-register) fraction vs. bus traffic",
        "more vector operations -> less CE-to-cache traffic and fewer "
        "misses per bus cycle (§5.1)",
-       render_ablation_vector_traffic});
+       render_ablation_vector_traffic, vector_traffic_runs});
   catalog.push_back(
       {"ablation_dispatch", ArtifactKind::kAblation, "§3.2",
        "ABLATION — self-scheduled vs. statically chunked dispatch",

@@ -66,6 +66,16 @@ void ArtifactResult::serialize(capsule::Io& io) {
 
 bool Context::quick() const { return inputs_.quick(); }
 
+std::vector<const core::RunResult*> Context::runs() {
+  std::vector<const core::RunResult*> results;
+  if (def_.runs) {
+    for (const core::RunSpec& spec : def_.runs(inputs_)) {
+      results.push_back(&inputs_.run(spec));
+    }
+  }
+  return results;
+}
+
 void Context::printf(const char* format, ...) {
   va_list args;
   va_start(args, format);

@@ -1,8 +1,9 @@
 // The artifact registry's vocabulary.
 //
 // Each table, figure, appendix, ablation, and extension of the paper
-// registers one ArtifactDef: an id, what the paper claims for it, and a
-// render function that regenerates it from the shared input cache
+// registers one ArtifactDef: an id, what the paper claims for it, the
+// sampled runs it needs (core::RunSpec), and a render function that
+// regenerates it from those runs and the shared input cache
 // (artifacts/inputs.hpp). Rendering produces an ArtifactResult — the
 // human-readable text the old one-shot bench binaries printed, plus the
 // machine-readable headline metrics and paper-tolerance checks that feed
@@ -14,10 +15,12 @@
 #include <vector>
 
 #include "base/capsule.hpp"
+#include "core/run.hpp"
 
 namespace repro::artifacts {
 
 class Inputs;
+struct ArtifactDef;
 
 enum class ArtifactKind { kTable, kFigure, kAppendix, kAblation, kExtension };
 
@@ -66,14 +69,20 @@ struct ArtifactResult {
   void serialize(capsule::Io& io);
 };
 
-/// Handed to a render function: the shared input cache plus the result
-/// under construction.
+/// Handed to a render function: the shared input cache, the artifact's
+/// declared runs, and the result under construction.
 class Context {
  public:
-  explicit Context(Inputs& inputs) : inputs_(inputs) {}
+  Context(Inputs& inputs, const ArtifactDef& def)
+      : inputs_(inputs), def_(def) {}
 
   [[nodiscard]] Inputs& in() { return inputs_; }
   [[nodiscard]] bool quick() const;
+
+  /// The results of the artifact's declared runs (ArtifactDef::runs), in
+  /// declaration order. Each comes through Inputs::run, so a run the
+  /// runner already did is not repeated.
+  [[nodiscard]] std::vector<const core::RunResult*> runs();
 
   /// Append printf-formatted text to the artifact body.
   [[gnu::format(printf, 2, 3)]] void printf(const char* format, ...);
@@ -102,6 +111,7 @@ class Context {
                     double lo, double hi, bool enforced);
 
   Inputs& inputs_;
+  const ArtifactDef& def_;
   ArtifactResult result_;
 };
 
@@ -120,6 +130,11 @@ struct ArtifactDef {
   std::string title;        ///< Header line, as the old benches printed.
   std::string paper_claim;  ///< What the paper reports for this artifact.
   std::function<void(Context&)> render;
+  /// The sampled runs the render reads through Context::runs(). The
+  /// runner runs every distinct one once, on its pool, before any render
+  /// starts. Bare-machine micro-runs stay inside the render and count
+  /// themselves with Inputs::note_private_run().
+  std::function<std::vector<core::RunSpec>(const Inputs&)> runs = {};
   /// SharedRead bits: the runner computes these on the calling thread
   /// before it fans renders out, so no render waits on another's study.
   unsigned reads = 0;

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "artifacts/inputs.hpp"
@@ -13,7 +14,7 @@
 #include "base/text.hpp"
 #include "base/types.hpp"
 #include "core/measures.hpp"
-#include "instr/session_controller.hpp"
+#include "core/run.hpp"
 #include "model/lock_model.hpp"
 #include "os/system.hpp"
 #include "workload/contention.hpp"
@@ -30,88 +31,51 @@ namespace {
 // cluster, so widening the machine adds lock *domains* (more clusters
 // serving independent lock jobs), not more contenders per lock.
 
-struct LockScalingRow {
-  core::ConcurrencyMeasures measures;
-  double bus_busy = 0.0;
-  double jobs_per_mcycle = 0.0;
-  std::uint64_t fabric_conflicts = 0;
-  std::uint32_t clusters = 1;
-};
+constexpr std::array<std::uint32_t, 4> kLockWidths = {8, 16, 32, 64};
+constexpr std::array<workload::LockType, 2> kLocks = {
+    workload::LockType::kTicket, workload::LockType::kMcs};
 
-os::SystemConfig width_config(std::uint32_t width) {
-  os::SystemConfig config;
-  switch (width) {
-    case 16:
-      config.machine = fx8::MachineConfig::fx16();
-      break;
-    case 32:
-      config.machine = fx8::MachineConfig::fx32();
-      break;
-    case 64:
-      config.machine = fx8::MachineConfig::fx64();
-      break;
-    default:
-      break;  // the stock FX/8
+std::vector<core::RunSpec> lock_scaling_runs(const Inputs& in) {
+  std::vector<core::RunSpec> specs;
+  for (const workload::LockType lock : kLocks) {
+    for (const std::uint32_t width : kLockWidths) {
+      specs.push_back(width_run(width_config(width),
+                                workload::lock_contention_mix(lock), 0x10C4,
+                                in));
+    }
   }
-  return config;
-}
-
-LockScalingRow run_lock_width(Context& ctx, std::uint32_t width,
-                              workload::LockType lock) {
-  os::System system{width_config(width)};
-  const std::uint32_t clusters = system.machine().n_clusters();
-  workload::WorkloadMix mix = workload::lock_contention_mix(lock);
-  // Clusters schedule independently off one FIFO queue; deepen the
-  // arrival bursts so every cluster stays fed (the width_scaling idiom).
-  mix.mean_burst_jobs *= clusters;
-  workload::WorkloadGenerator generator(mix, 0x10C4);
-  instr::SamplingConfig sampling;
-  sampling.interval_cycles = 50000;
-  instr::SessionController controller(system, generator, sampling, 0x10C4);
-  ctx.in().note_private_run();
-
-  instr::EventCounts totals;
-  for (const instr::SampleRecord& record :
-       controller.run_session(ctx.in().scaled(5, 2))) {
-    totals.merge(record.hw);
-  }
-  LockScalingRow row;
-  row.measures = core::ConcurrencyMeasures::from_counts(
-      std::span(totals.num).first(width + 1));
-  row.bus_busy = totals.bus_busy();
-  row.clusters = clusters;
-  const Cycle elapsed = system.now();
-  row.jobs_per_mcycle =
-      elapsed > 0 ? 1e6 * static_cast<double>(
-                              system.scheduler().stats().jobs_completed) /
-                        static_cast<double>(elapsed)
-                  : 0.0;
-  if (const fx8::ClusterFabric* fabric = system.machine().fabric()) {
-    row.fabric_conflicts = fabric->conflicts();
-  }
-  return row;
+  return specs;
 }
 
 void render_lock_scaling(Context& ctx) {
-  const std::array<std::uint32_t, 4> widths = {8, 16, 32, 64};
-  const std::array<workload::LockType, 2> locks = {
-      workload::LockType::kTicket, workload::LockType::kMcs};
+  const std::array<std::uint32_t, 4>& widths = kLockWidths;
+  const std::array<workload::LockType, 2>& locks = kLocks;
   ctx.printf("  %-7s %-6s %-9s %8s %8s %10s %12s %12s\n", "lock", "CEs",
              "clusters", "Cw", "Pc", "busbusy", "jobs/Mcyc", "xconflicts");
-  // rows[lock][width index]
-  std::array<std::array<LockScalingRow, 4>, 2> rows;
+  const auto runs = ctx.runs();
+  // run(lock, width index), and its completed jobs per million cycles.
+  const auto run = [&runs, &widths](std::size_t l,
+                                    std::size_t i) -> const core::RunResult& {
+    return *runs.at(l * widths.size() + i);
+  };
+  const auto jobs = [&run](std::size_t l, std::size_t i) {
+    const core::RunResult& r = run(l, i);
+    return r.now > 0 ? 1e6 * static_cast<double>(r.jobs_completed) /
+                           static_cast<double>(r.now)
+                     : 0.0;
+  };
+  std::array<std::array<core::ConcurrencyMeasures, 4>, 2> measures;
   for (std::size_t l = 0; l < locks.size(); ++l) {
     for (std::size_t i = 0; i < widths.size(); ++i) {
-      rows[l][i] = run_lock_width(ctx, widths[i], locks[l]);
-      const LockScalingRow& row = rows[l][i];
+      const core::RunResult& r = run(l, i);
+      const core::ConcurrencyMeasures& m = measures[l][i] =
+          core::ConcurrencyMeasures::from_counts(
+              std::span(r.totals.num).first(widths[i] + 1));
       ctx.printf("  %-7s %-6u %-9u %8.4f %8s %10.4f %12.2f %12llu\n",
-                 workload::to_string(locks[l]), widths[i], row.clusters,
-                 row.measures.cw,
-                 row.measures.pc_defined
-                     ? repro::fixed(row.measures.pc, 2).c_str()
-                     : "n/a",
-                 row.bus_busy, row.jobs_per_mcycle,
-                 static_cast<unsigned long long>(row.fabric_conflicts));
+                 workload::to_string(locks[l]), widths[i], r.clusters, m.cw,
+                 m.pc_defined ? repro::fixed(m.pc, 2).c_str() : "n/a",
+                 r.totals.bus_busy(), jobs(l, i),
+                 static_cast<unsigned long long>(r.fabric_conflicts));
     }
   }
   ctx.printf(
@@ -122,15 +86,15 @@ void render_lock_scaling(Context& ctx) {
       "critical/parallel ratio)\n");
 
   // Structural invariants. Every configuration must complete work...
-  double min_jobs = rows[0][0].jobs_per_mcycle;
+  double min_jobs = jobs(0, 0);
   double worst_pc_over_width = 0.0;
   for (std::size_t l = 0; l < locks.size(); ++l) {
     for (std::size_t i = 0; i < widths.size(); ++i) {
-      min_jobs = std::min(min_jobs, rows[l][i].jobs_per_mcycle);
-      const double pc =
-          rows[l][i].measures.pc_defined ? rows[l][i].measures.pc : 0.0;
-      worst_pc_over_width = std::max(
-          worst_pc_over_width, pc / static_cast<double>(widths[i]));
+      min_jobs = std::min(min_jobs, jobs(l, i));
+      const core::ConcurrencyMeasures& m = measures[l][i];
+      worst_pc_over_width =
+          std::max(worst_pc_over_width, (m.pc_defined ? m.pc : 0.0) /
+                                            static_cast<double>(widths[i]));
     }
   }
   ctx.check("min_jobs_per_mcycle", min_jobs, 2.0, 0.01, 1e6);
@@ -139,24 +103,20 @@ void render_lock_scaling(Context& ctx) {
   // ...adding clusters scales lock-job throughput (more lock domains):
   // 8 -> 64 CEs should buy clearly more completed jobs per cycle.
   ctx.check("mcs_throughput_gain_8_to_64",
-            rows[1][0].jobs_per_mcycle > 0.0
-                ? rows[1][3].jobs_per_mcycle / rows[1][0].jobs_per_mcycle
-                : NAN,
-            4.0, 1.5, 16.0);
+            jobs(1, 0) > 0.0 ? jobs(1, 3) / jobs(1, 0) : NAN, 4.0, 1.5,
+            16.0);
   // The MCS handoff is cheaper than the ticket lock's shared now-serving
   // bump, so at equal width MCS completes at least as many jobs. Noise
   // from arrival draws keeps this informational below a clear margin.
   ctx.note("mcs_over_ticket_throughput_width8",
-           rows[0][0].jobs_per_mcycle > 0.0
-               ? rows[1][0].jobs_per_mcycle / rows[0][0].jobs_per_mcycle
-               : NAN,
-           1.05, 0.95, 3.0);
-  ctx.metric("ticket_cw_width8", rows[0][0].measures.cw);
-  ctx.metric("mcs_cw_width8", rows[1][0].measures.cw);
-  ctx.metric("ticket_jobs_per_mcycle_width64", rows[0][3].jobs_per_mcycle);
-  ctx.metric("mcs_jobs_per_mcycle_width64", rows[1][3].jobs_per_mcycle);
+           jobs(0, 0) > 0.0 ? jobs(1, 0) / jobs(0, 0) : NAN, 1.05, 0.95,
+           3.0);
+  ctx.metric("ticket_cw_width8", measures[0][0].cw);
+  ctx.metric("mcs_cw_width8", measures[1][0].cw);
+  ctx.metric("ticket_jobs_per_mcycle_width64", jobs(0, 3));
+  ctx.metric("mcs_jobs_per_mcycle_width64", jobs(1, 3));
   ctx.metric("fabric_conflicts_width64",
-             static_cast<double>(rows[1][3].fabric_conflicts));
+             static_cast<double>(run(1, 3).fabric_conflicts));
 }
 
 // ---------------------------------------------------------------------
@@ -303,7 +263,7 @@ void register_contention(std::vector<ArtifactDef>& catalog) {
        "coarse-grained lock jobs (ticket and MCS queue locks via the CCB "
        "dependence chain) keep completing as clusters are added; Pc stays "
        "bounded by the width and MCS hands off no slower than ticket",
-       render_lock_scaling});
+       render_lock_scaling, lock_scaling_runs});
   catalog.push_back(
       {"predictor_validation", ArtifactKind::kExtension, "§6",
        "EXTENSION — analytical lock-throughput model vs. simulator",

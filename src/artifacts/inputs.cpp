@@ -95,6 +95,20 @@ const core::TransitionResult& Inputs::transition() {
   return *transition_;
 }
 
+const core::RunResult& Inputs::run(const core::RunSpec& spec) {
+  const std::uint64_t key = core::run_key(spec);
+  RunSlot* slot = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(runs_mutex_);
+    slot = &runs_[key];  // Node-based: the slot never moves.
+  }
+  std::call_once(slot->once, [this, slot, &spec] {
+    slot->result = core::run(spec);
+    ++private_runs_;
+  });
+  return *slot->result;
+}
+
 const core::StudyResult* Inputs::study_for_report() {
   // Through the study's own flag. A miss throws out of call_once, which
   // leaves the flag unset, so a later study() still runs the study.

@@ -12,6 +12,10 @@
 // the six fitted regression models) are memoized too, since half the
 // artifacts recompute them from the same study.
 //
+// Artifact-private sampled runs go through the same kind of memo:
+// run(spec) keys each core::RunSpec by its canonical-walk digest, so two
+// artifacts that declare the same run share one execution.
+//
 // Every accessor is safe to call from concurrent renders: each memo is
 // filled exactly once through its own std::once_flag (a caller that
 // arrives while another fills it waits), and the run counters are
@@ -24,11 +28,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "artifacts/result_store.hpp"
 #include "core/presets.hpp"
 #include "core/regression_models.hpp"
+#include "core/run.hpp"
 #include "core/sample.hpp"
 #include "core/study.hpp"
 #include "core/transition.hpp"
@@ -39,6 +45,10 @@ struct RunCounts {
   int study_runs = 0;       ///< Shared nine-session studies executed.
   int transition_runs = 0;  ///< Shared transition studies executed.
   int private_runs = 0;     ///< Artifact-private simulations executed.
+  /// Runs the uncached artifacts of a run_artifacts call declared, and
+  /// how many of them were distinct.
+  int declared_runs = 0;
+  int distinct_runs = 0;
 };
 
 class Inputs {
@@ -103,13 +113,18 @@ class Inputs {
   }
 
   /// Scale an artifact-private population: `full` normally, `quick`
-  /// under --quick. Call note_private_run() next to the simulation so
-  /// the run accounting stays honest.
+  /// under --quick.
   [[nodiscard]] std::uint32_t scaled(std::uint32_t full,
                                      std::uint32_t quick) const {
     return quick_ ? quick : full;
   }
 
+  /// One declared run, memoized by core::run_key (runs, and counts a
+  /// private run, on the first request).
+  const core::RunResult& run(const core::RunSpec& spec);
+
+  /// Count a private simulation that is not a session run (a bare
+  /// machine or a lock drain).
   void note_private_run() { ++private_runs_; }
 
   [[nodiscard]] RunCounts run_counts() const {
@@ -132,6 +147,12 @@ class Inputs {
   std::optional<std::vector<core::AnalyzedSample>> samples_with_pc_;
   std::optional<std::vector<core::MedianModel>> models_;
   std::optional<core::TransitionResult> transition_;
+  struct RunSlot {
+    std::once_flag once;
+    std::optional<core::RunResult> result;
+  };
+  std::mutex runs_mutex_;  ///< Guards the map, not the slots.
+  std::unordered_map<std::uint64_t, RunSlot> runs_;
   std::atomic<int> study_runs_{0};
   std::atomic<int> transition_runs_{0};
   std::atomic<int> private_runs_{0};

@@ -6,6 +6,7 @@
 // register_* function once, and the catalog order is the paper's order.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,15 @@ namespace repro::artifacts {
 /// preferring the earlier catalog entry on ties. Never nullptr while the
 /// catalog is non-empty.
 [[nodiscard]] const ArtifactDef* suggest_artifact(const std::string& id);
+
+/// The stock FX/8, FX/16, FX/32 or FX/64 (extensions.cpp).
+[[nodiscard]] os::SystemConfig width_config(std::uint32_t width);
+
+/// One point of the width studies: `mix` sampled on `system`, its
+/// arrival bursts deepened by the cluster count (extensions.cpp).
+[[nodiscard]] core::RunSpec width_run(const os::SystemConfig& system,
+                                      workload::WorkloadMix mix,
+                                      std::uint64_t seed, const Inputs& in);
 
 // Group registrars (one per artifacts/*.cpp registration file).
 void register_tables(std::vector<ArtifactDef>& catalog);

@@ -13,11 +13,13 @@
 //   key = fasthash( kind tag · code salt · config fingerprint ·
 //                   canonical config walk , seed = code salt )
 //
-// The canonical walk covers EVERY config field — including knobs like
-// `threads` that provably do not change results — so any field change
-// misses the cache. The code salt folds the capsule format version, the
-// store format version, and a manually bumped kCodeVersion; bumping any
-// of them orphans every old key (a clean miss, never a stale hit).
+// The canonical walk covers every config field that decides results, so
+// any such change misses the cache. The perf-only knobs (`threads`,
+// `fast_forward`) are left out: the differential oracle proves they do
+// not change results, so a --threads 4 run reuses a --threads 1 entry.
+// The code salt folds the capsule format version, the store format
+// version, and a manually bumped kCodeVersion; bumping any of them
+// orphans every old key (a clean miss, never a stale hit).
 //
 // Robustness contract: the store can only ever *miss*, never return a
 // wrong answer. A truncated, tampered, wrong-version, or stale-salt blob
@@ -51,7 +53,8 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 /// v3: study keys fold the session workload mixes (the contention
 /// family made mixes an experimental axis a key must cover).
 /// v4: the study-config key walk lost its rig-batch width field.
-inline constexpr std::uint32_t kCodeVersion = 4;
+/// v5: the key walks lost the perf-only knobs (threads, fast_forward).
+inline constexpr std::uint32_t kCodeVersion = 5;
 
 /// The salt every key is seeded with.
 inline constexpr std::uint64_t kCodeSalt =

@@ -10,11 +10,8 @@
 #include "artifacts/registry.hpp"
 #include "base/rng.hpp"
 #include "core/report.hpp"
-#include "instr/reduction.hpp"
-#include "instr/session_controller.hpp"
-#include "os/system.hpp"
+#include "core/run.hpp"
 #include "stats/bootstrap.hpp"
-#include "workload/generator.hpp"
 #include "workload/presets.hpp"
 
 namespace repro::artifacts {
@@ -24,21 +21,24 @@ namespace {
 // Table 1: Hardware Event Counts. One all-active triggered acquisition
 // (a 512-deep DAS buffer) off a loaded machine, reduced — the exact
 // artifact the measurement scripts produced per buffer (§3.4).
-void render_table1(Context& ctx) {
-  os::System system{os::SystemConfig{}};
-  workload::WorkloadGenerator generator(workload::high_concurrency_mix(),
-                                        0x7AB1E1);
-  instr::SamplingConfig sampling;
-  instr::SessionController controller(system, generator, sampling, 0x7AB1E1);
-  ctx.in().note_private_run();
+std::vector<core::RunSpec> table1_runs(const Inputs&) {
+  core::RunSpec spec;
+  spec.mix = workload::high_concurrency_mix();
+  spec.generator_seed = 0x7AB1E1;
+  spec.controller_seed = 0x7AB1E1;
+  spec.capture_mode = instr::TriggerMode::kAllActive;
+  spec.captures = 1;
+  spec.capture_timeout = 500000;
+  return {spec};
+}
 
-  const auto buffer =
-      controller.capture_triggered(instr::TriggerMode::kAllActive, 500000);
-  if (!buffer) {
+void render_table1(Context& ctx) {
+  const core::RunResult& run = *ctx.runs().at(0);
+  if (run.captures_completed == 0) {
     ctx.fail("trigger never fired (unexpected under this mix)");
     return;
   }
-  const instr::EventCounts counts = instr::reduce(*buffer);
+  const instr::EventCounts& counts = run.captured;
   ctx.printf("%s\n", counts.render().c_str());
   ctx.printf("derived: miss_rate=%.4f  bus_busy=%.4f  mem_bus_busy=%.4f\n",
              counts.miss_rate(), counts.bus_busy(), counts.mem_bus_busy());
@@ -178,24 +178,24 @@ void register_tables(std::vector<ArtifactDef>& catalog) {
        "TABLE 1 — Hardware Measurement Event Counts",
        "defines num_j / proc_j / ceop_j / membop_j reduced from one "
        "512-deep monitor buffer",
-       render_table1});
+       render_table1, table1_runs});
   catalog.push_back(
       {"table2", ArtifactKind::kTable, "Table 2",
        "TABLE 2 — Overall Concurrency Measures for All Sessions",
        "Cw = 0.3506, c8 = 0.2795, c(8|c) = 0.9278, Pc = 7.66",
-       render_table2, kReadsStudy});
+       render_table2, {}, kReadsStudy});
   catalog.push_back(
       {"table3", ArtifactKind::kTable, "Table 3",
        "TABLE 3 — Regression Models vs. Cw",
        "R^2: miss rate 0.74, CE bus busy 0.89, page fault rate 0.65; all "
        "medians increase with Cw",
-       render_table3, kReadsStudy});
+       render_table3, {}, kReadsStudy});
   catalog.push_back(
       {"table4", ArtifactKind::kTable, "Table 4",
        "TABLE 4 — Regression Models vs. Pc",
        "R^2: miss rate 0.07 (no relationship), CE bus busy 0.66, page "
        "fault rate 0.61",
-       render_table4, kReadsStudy});
+       render_table4, {}, kReadsStudy});
 }
 
 }  // namespace repro::artifacts

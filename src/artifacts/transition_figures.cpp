@@ -81,12 +81,12 @@ void register_transition_figures(std::vector<ArtifactDef>& catalog) {
       {"fig6", ArtifactKind::kFigure, "Figure 6",
        "FIGURE 6 — Transition-Period Activity Histogram",
        "2-active dominates at 52.4%; the 7->3 states drain quickly",
-       render_fig6, kReadsTransition});
+       render_fig6, {}, kReadsTransition});
   catalog.push_back(
       {"fig7", ArtifactKind::kFigure, "Figure 7",
        "FIGURE 7 — Transition Activity by Processor Number",
        "CE7 and CE0 most active during transitions; CE2, CE3, CE4 least",
-       render_fig7, kReadsTransition});
+       render_fig7, {}, kReadsTransition});
 }
 
 }  // namespace repro::artifacts

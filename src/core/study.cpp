@@ -11,19 +11,10 @@ namespace repro::core {
 
 namespace {
 
-/// One replicate's share of a session: the task unit of the parallel
-/// study engine (docs/parallel_execution.md). Splitting sessions into
-/// replicates turns 9 coarse tasks into 9*R finer ones, which is what
-/// keeps every worker busy through the tail of the run.
-struct SessionPart {
-  std::vector<AnalyzedSample> samples;
-  instr::EventCounts totals;
-  instr::FastForwardStats ff;
-  std::uint32_t width = kMaxCes;
-};
-
 /// Replicate count a config resolves to (always >= 1, never more than
-/// one replicate per sample).
+/// one replicate per sample). Replicates split a session into
+/// independent runs, which turns 9 coarse pool tasks into 9*R finer ones
+/// (docs/parallel_execution.md).
 std::uint32_t resolve_replicates(const StudyConfig& config) {
   const std::uint32_t requested = std::max(1u, config.replicates_per_session);
   return std::min(requested, std::max(1u, config.samples_per_session));
@@ -48,60 +39,72 @@ std::uint32_t replicate_samples(const StudyConfig& config,
          (replicate < config.samples_per_session % replicates ? 1 : 0);
 }
 
-/// Run one replicate: its own system, generator, and controller, warmed
-/// up and sampled. A pure function of (mix, config, seed, n_samples).
-SessionPart run_replicate(const workload::WorkloadMix& mix,
-                          const StudyConfig& config, std::uint64_t seed,
-                          std::uint32_t n_samples) {
-  instr::SamplingConfig sampling = config.sampling;
-  sampling.fast_forward = sampling.fast_forward && config.fast_forward;
-  os::System system(config.system);
-  workload::WorkloadGenerator generator(mix, mix64(seed ^ 0xABCD));
-  instr::SessionController controller(system, generator, sampling,
-                                      mix64(seed ^ 0x5A5A));
-
-  // Warm up: let the workload reach steady state before sampling.
-  controller.advance(config.warmup_cycles);
-
-  SessionPart part;
-  part.width = system.machine().total_ces();
-  part.samples.reserve(n_samples);
-  for (std::uint32_t s = 0; s < n_samples; ++s) {
-    const instr::SampleRecord record = controller.take_sample();
-    part.samples.push_back(analyze(record, part.width));
-    part.totals.merge(record.hw);
+/// Append one session's runs, one per replicate: each its own system,
+/// generator and controller, warmed up and sampled.
+void append_session_specs(std::vector<RunSpec>& specs,
+                          const workload::WorkloadMix& mix,
+                          const StudyConfig& config,
+                          std::uint64_t session_seed) {
+  const std::uint32_t replicates = resolve_replicates(config);
+  for (std::uint32_t r = 0; r < replicates; ++r) {
+    const std::uint64_t seed = replicate_seed(session_seed, r);
+    RunSpec spec;
+    spec.system = config.system;
+    spec.mix = mix;
+    spec.sampling = config.sampling;
+    spec.sampling.fast_forward =
+        config.sampling.fast_forward && config.fast_forward;
+    spec.generator_seed = mix64(seed ^ 0xABCD);
+    spec.controller_seed = mix64(seed ^ 0x5A5A);
+    spec.warmup_cycles = config.warmup_cycles;
+    spec.samples = replicate_samples(config, r, replicates);
+    specs.push_back(std::move(spec));
   }
-  part.ff = controller.ff_stats();
-  return part;
 }
 
-/// Fold a session's replicate parts, in replicate order, into the
-/// SessionResult — the same arithmetic whether the parts were computed
+/// Fold a session's replicate runs, in replicate order, into the
+/// SessionResult — the same arithmetic whether the runs were computed
 /// serially or on the pool.
-SessionResult merge_parts(const workload::WorkloadMix& mix,
-                          std::vector<SessionPart> parts) {
+SessionResult fold_session(const workload::WorkloadMix& mix,
+                           std::span<RunResult> runs) {
   SessionResult result;
   result.name = mix.name;
-  std::uint32_t width = kMaxCes;
-  std::size_t total = 0;
-  for (const SessionPart& part : parts) {
-    total += part.samples.size();
-  }
-  result.samples.reserve(total);
-  for (SessionPart& part : parts) {
-    width = part.width;
+  // The first replicate's samples move over whole; the rest append.
+  result.samples = std::move(runs.front().samples);
+  for (RunResult& run : runs.subspan(1)) {
     result.samples.insert(result.samples.end(),
-                          std::make_move_iterator(part.samples.begin()),
-                          std::make_move_iterator(part.samples.end()));
-    result.totals.merge(part.totals);
-    result.ff.skipped_cycles += part.ff.skipped_cycles;
-    result.ff.naive_cycles += part.ff.naive_cycles;
-    result.ff.block_cycles += part.ff.block_cycles;
-    result.ff.jumps += part.ff.jumps;
+                          std::make_move_iterator(run.samples.begin()),
+                          std::make_move_iterator(run.samples.end()));
+  }
+  for (const RunResult& run : runs) {
+    result.totals.merge(run.totals);
+    result.ff.merge(run.ff);
   }
   result.overall = ConcurrencyMeasures::from_counts(
-      std::span(result.totals.num).first(width + 1));
+      std::span(result.totals.num).first(runs.back().width + 1));
   return result;
+}
+
+/// Every spec's result, in spec order, on up to `threads` workers. Each
+/// run owns its os::System, so the fold over the results — and with it
+/// every bit of the study — is the same however many workers ran.
+std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
+                               std::size_t threads) {
+  // A pool of zero workers runs each task inline: the serial path.
+  base::ThreadPool pool(threads <= 1 || specs.size() <= 1
+                            ? 0
+                            : std::min(threads, specs.size()));
+  std::vector<std::future<RunResult>> futures;
+  futures.reserve(specs.size());
+  for (const RunSpec& spec : specs) {
+    futures.push_back(pool.submit([&spec] { return run(spec); }));
+  }
+  std::vector<RunResult> runs;
+  runs.reserve(specs.size());
+  for (std::future<RunResult>& future : futures) {
+    runs.push_back(future.get());
+  }
+  return runs;
 }
 
 }  // namespace
@@ -124,72 +127,40 @@ std::uint32_t resolve_threads(const StudyConfig& config) {
       base::ThreadPool::resolve_workers(config.threads));
 }
 
+std::vector<RunSpec> study_specs(std::span<const workload::WorkloadMix> mixes,
+                                 const StudyConfig& config) {
+  // Session seeds are derived serially, in mix order, before any
+  // dispatch: the seed stream is identical however many workers run.
+  std::uint64_t seed_state = config.seed;
+  std::vector<RunSpec> specs;
+  specs.reserve(mixes.size() * resolve_replicates(config));
+  for (const workload::WorkloadMix& mix : mixes) {
+    append_session_specs(specs, mix, config, splitmix64(seed_state));
+  }
+  return specs;
+}
+
 SessionResult run_session(const workload::WorkloadMix& mix,
                           const StudyConfig& config,
                           std::uint64_t session_seed) {
-  const std::uint32_t replicates = resolve_replicates(config);
-  std::vector<SessionPart> parts;
-  parts.reserve(replicates);
-  for (std::uint32_t r = 0; r < replicates; ++r) {
-    parts.push_back(run_replicate(mix, config, replicate_seed(session_seed, r),
-                                  replicate_samples(config, r, replicates)));
-  }
-  return merge_parts(mix, std::move(parts));
+  std::vector<RunSpec> specs;
+  append_session_specs(specs, mix, config, session_seed);
+  std::vector<RunResult> runs = run_all(specs, 1);
+  return fold_session(mix, runs);
 }
 
 StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
                       const StudyConfig& config) {
+  std::vector<RunResult> runs =
+      run_all(study_specs(mixes, config), resolve_threads(config));
   StudyResult study;
-  // Session seeds are derived serially, in mix order, *before* any
-  // dispatch: the seed stream is identical however many workers run.
-  std::uint64_t seed_state = config.seed;
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(mixes.size());
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    seeds.push_back(splitmix64(seed_state));
-  }
-
   study.sessions.reserve(mixes.size());
-  const std::uint32_t replicates = resolve_replicates(config);
-  const std::size_t tasks = mixes.size() * replicates;
-  const std::uint32_t threads = resolve_threads(config);
-  if (threads <= 1 || tasks <= 1) {
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-      study.sessions.push_back(run_session(mixes[i], config, seeds[i]));
-    }
-  } else {
-    // Each (session, replicate) task owns its independent os::System; the
-    // only shared state is the read-only mixes/config. Futures are
-    // collected in (mix, replicate) order, so the merge arithmetic — and
-    // therefore every bit of the result — matches the serial path.
-    base::ThreadPool pool(std::min<std::size_t>(threads, tasks));
-    std::vector<std::future<SessionPart>> futures;
-    futures.reserve(tasks);
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-      for (std::uint32_t r = 0; r < replicates; ++r) {
-        futures.push_back(
-            pool.submit([&mixes, &config, &seeds, i, r, replicates] {
-              return run_replicate(mixes[i], config,
-                                   replicate_seed(seeds[i], r),
-                                   replicate_samples(config, r, replicates));
-            }));
-      }
-    }
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-      std::vector<SessionPart> parts;
-      parts.reserve(replicates);
-      for (std::uint32_t r = 0; r < replicates; ++r) {
-        parts.push_back(futures[i * replicates + r].get());
-      }
-      study.sessions.push_back(merge_parts(mixes[i], std::move(parts)));
-    }
-  }
-  for (const SessionResult& session : study.sessions) {
+  const std::size_t replicates = resolve_replicates(config);
+  for (std::size_t i = 0; i < mixes.size(); ++i) {
+    const SessionResult& session = study.sessions.emplace_back(fold_session(
+        mixes[i], std::span(runs).subspan(i * replicates, replicates)));
     study.totals.merge(session.totals);
-    study.ff.skipped_cycles += session.ff.skipped_cycles;
-    study.ff.naive_cycles += session.ff.naive_cycles;
-    study.ff.block_cycles += session.ff.block_cycles;
-    study.ff.jumps += session.ff.jumps;
+    study.ff.merge(session.ff);
   }
   const std::uint32_t width =
       study.sessions.empty() ? kMaxCes
@@ -210,8 +181,6 @@ void serialize_config(capsule::Io& io, StudyConfig& config) {
   io.u32(config.samples_per_session);
   io.u64(config.warmup_cycles);
   io.u64(config.seed);
-  io.u32(config.threads);
-  io.boolean(config.fast_forward);
   io.u32(config.replicates_per_session);
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/measures.hpp"
+#include "core/run.hpp"
 #include "core/sample.hpp"
 #include "instr/session_controller.hpp"
 #include "os/system.hpp"
@@ -53,12 +54,12 @@ struct StudyConfig {
 /// FX8_THREADS from the environment, else hardware_concurrency.
 [[nodiscard]] std::uint32_t resolve_threads(const StudyConfig& config);
 
-/// Canonical walk over EVERY StudyConfig field (system, sampling,
-/// populations, seed, and the perf-only knobs). The result cache hashes
-/// this walk into its keys, so changing any field — even one that is
-/// proven not to change results, like `threads` — misses the cache and
-/// recomputes. Conservative by design: a key must never alias two
-/// configs (docs/benchmarks.md, "The result cache").
+/// Canonical walk over every StudyConfig field that decides results
+/// (system, sampling, populations, seed, replicates). The result cache
+/// hashes this walk into its keys. The perf-only knobs — `threads`,
+/// `fast_forward` and `sampling.fast_forward` — are left out, because
+/// the differential oracle (StudyOracle) proves they change nothing but
+/// the fast-forward bookkeeping (docs/benchmarks.md, "The result cache").
 void serialize_config(capsule::Io& io, StudyConfig& config);
 
 struct SessionResult {
@@ -89,6 +90,12 @@ struct StudyResult {
   /// study bit-identically without re-running it.
   void serialize(capsule::Io& io);
 };
+
+/// The runs a study over `mixes` is made of: one per (mix, replicate),
+/// in that order, each seeded from the study seed exactly as run_study
+/// seeds it.
+[[nodiscard]] std::vector<RunSpec> study_specs(
+    std::span<const workload::WorkloadMix> mixes, const StudyConfig& config);
 
 /// Run one session with the given mix.
 [[nodiscard]] SessionResult run_session(const workload::WorkloadMix& mix,

@@ -32,41 +32,36 @@ double TransitionResult::idle_overhead(std::uint32_t at_width) const {
                              static_cast<double>(possible);
 }
 
+RunSpec transition_spec(const workload::WorkloadMix& mix,
+                        const TransitionConfig& config,
+                        instr::TriggerMode trigger) {
+  RunSpec spec;
+  spec.system = config.system;
+  spec.mix = mix;
+  spec.sampling = config.sampling;
+  spec.generator_seed = mix64(config.seed ^ 0x777);
+  spec.controller_seed = mix64(config.seed ^ 0x888);
+  spec.warmup_cycles = config.warmup_cycles;
+  spec.capture_mode = trigger;
+  spec.captures = config.captures;
+  spec.capture_timeout = config.capture_timeout;
+  return spec;
+}
+
+TransitionResult fold_transition(const RunResult& run) {
+  TransitionResult result;
+  result.state_counts = run.state_counts;
+  result.processor_counts = run.processor_counts;
+  result.captures_completed = run.captures_completed;
+  result.captures_timed_out = run.captures_timed_out;
+  result.width = run.width;
+  return result;
+}
+
 TransitionResult run_transition_study(const workload::WorkloadMix& mix,
                                       const TransitionConfig& config,
                                       instr::TriggerMode trigger) {
-  os::System system(config.system);
-  workload::WorkloadGenerator generator(mix, mix64(config.seed ^ 0x777));
-  instr::SessionController controller(system, generator, config.sampling,
-                                      mix64(config.seed ^ 0x888));
-  controller.advance(config.warmup_cycles);
-
-  TransitionResult result;
-  const std::uint32_t width = system.machine().total_ces();
-  result.width = width;
-  for (std::uint32_t cap = 0; cap < config.captures; ++cap) {
-    const auto buffer =
-        controller.capture_triggered(trigger, config.capture_timeout);
-    if (!buffer) {
-      ++result.captures_timed_out;
-      continue;
-    }
-    ++result.captures_completed;
-    for (const instr::ProbeRecord& record : *buffer) {
-      const std::uint32_t active = record.active_count();
-      ++result.state_counts[active];
-      // Per-processor tallies over the transition states proper, the
-      // population Figure 7 describes.
-      if (active >= 2 && active < width) {
-        for (CeId ce = 0; ce < width; ++ce) {
-          if (record.ce_active(ce)) {
-            ++result.processor_counts[ce];
-          }
-        }
-      }
-    }
-  }
-  return result;
+  return fold_transition(run(transition_spec(mix, config, trigger)));
 }
 
 void serialize_config(capsule::Io& io, TransitionConfig& config) {

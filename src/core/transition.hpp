@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/types.hpp"
+#include "core/run.hpp"
 #include "core/study.hpp"
 #include "instr/logic_analyzer.hpp"
 #include "instr/session_controller.hpp"
@@ -27,8 +28,9 @@ struct TransitionConfig {
   std::uint64_t seed = 0x19870402;
 };
 
-/// Canonical walk over EVERY TransitionConfig field, for the result
-/// cache's key derivation: any field change changes the key.
+/// Canonical walk over every TransitionConfig field that decides
+/// results, for the result cache's key derivation (the sampling walk
+/// leaves out fast_forward).
 void serialize_config(capsule::Io& io, TransitionConfig& config);
 
 struct TransitionResult {
@@ -67,6 +69,15 @@ struct TransitionResult {
     io.u32(width);
   }
 };
+
+/// The one run a transition experiment is: warm up, then `captures`
+/// acquisitions on `trigger`.
+[[nodiscard]] RunSpec transition_spec(
+    const workload::WorkloadMix& mix, const TransitionConfig& config,
+    instr::TriggerMode trigger = instr::TriggerMode::kTransitionFromFull);
+
+/// The transition tallies of a run made from transition_spec.
+[[nodiscard]] TransitionResult fold_transition(const RunResult& run);
 
 /// Run the transition experiment with the given mix (defaults used by the
 /// benches: workload::high_concurrency_mix()).

@@ -154,16 +154,6 @@ SampleRecord SessionController::take_sample() {
   return record;
 }
 
-std::vector<SampleRecord> SessionController::run_session(
-    std::uint32_t n_samples) {
-  std::vector<SampleRecord> samples;
-  samples.reserve(n_samples);
-  for (std::uint32_t s = 0; s < n_samples; ++s) {
-    samples.push_back(take_sample());
-  }
-  return samples;
-}
-
 std::optional<std::vector<ProbeRecord>> SessionController::capture_triggered(
     TriggerMode trigger, Cycle timeout) {
   DasController das;

@@ -41,15 +41,15 @@ struct SamplingConfig {
   bool fast_forward = true;
 };
 
-/// Canonical walk over every SamplingConfig field, for the result
-/// cache's key derivation: two configs hash equal iff they match.
+/// Canonical walk over the SamplingConfig fields that decide results,
+/// for key derivation. `fast_forward` is left out: the differential
+/// oracle proves it changes only the fast-forward bookkeeping.
 inline void serialize_config(capsule::Io& io, SamplingConfig& config) {
   io.u64(config.interval_cycles);
   io.u32(config.snapshots_per_sample);
   auto depth = static_cast<std::uint64_t>(config.buffer_depth);
   io.u64(depth);
   config.buffer_depth = static_cast<std::size_t>(depth);
-  io.boolean(config.fast_forward);
 }
 
 struct SampleRecord {
@@ -77,6 +77,13 @@ struct FastForwardStats {
   Cycle block_cycles = 0;    ///< Advanced via Machine::tick_block.
   std::uint64_t jumps = 0;   ///< Number of bulk jumps taken.
 
+  void merge(const FastForwardStats& other) {
+    skipped_cycles += other.skipped_cycles;
+    naive_cycles += other.naive_cycles;
+    block_cycles += other.block_cycles;
+    jumps += other.jumps;
+  }
+
   /// Capsule walk: the accounting travels inside cached StudyResults so
   /// a warm fx8bench report matches the cold one byte for byte.
   void serialize(capsule::Io& io) {
@@ -99,10 +106,6 @@ class SessionController {
 
   /// Run one sample interval and return its record.
   [[nodiscard]] SampleRecord take_sample();
-
-  /// Run a whole session of `n_samples` intervals.
-  [[nodiscard]] std::vector<SampleRecord> run_session(
-      std::uint32_t n_samples);
 
   /// Triggered capture (high-concurrency / transition experiments): run
   /// until the analyzer completes one acquisition or `timeout` elapses.

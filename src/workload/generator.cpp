@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "base/expect.hpp"
@@ -11,8 +12,12 @@ void WorkloadMix::validate() const {
   REPRO_EXPECT(concurrent_job_fraction >= 0.0 &&
                    concurrent_job_fraction <= 1.0,
                "concurrent job fraction must be a probability");
-  REPRO_EXPECT(mean_idle_cycles >= 0.0, "idle gap cannot be negative");
-  REPRO_EXPECT(mean_burst_jobs >= 1.0, "bursts contain at least one job");
+  // The drawn gap is at most ~37x the mean and is cast to a Cycle, so
+  // the mean is bounded well inside that range.
+  REPRO_EXPECT(mean_idle_cycles >= 0.0 && mean_idle_cycles <= 1e12,
+               "idle gap must be in [0, 1e12] cycles");
+  REPRO_EXPECT(mean_burst_jobs >= 1.0 && std::isfinite(mean_burst_jobs),
+               "bursts contain a finite mean of at least one job");
   REPRO_EXPECT(contention_job_fraction >= 0.0 &&
                    contention_job_fraction <= 1.0,
                "contention job fraction must be a probability");

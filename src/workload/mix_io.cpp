@@ -1,6 +1,9 @@
 #include "workload/mix_io.hpp"
 
 #include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "base/expect.hpp"
@@ -22,8 +25,8 @@ double parse_double(const std::string& value, const std::string& line) {
   const char* begin = value.data();
   const char* end = begin + value.size();
   const auto [ptr, ec] = std::from_chars(begin, end, out);
-  REPRO_EXPECT(ec == std::errc{} && ptr == end,
-               "malformed numeric value in: " + line);
+  REPRO_EXPECT(ec == std::errc{} && ptr == end && std::isfinite(out),
+               "malformed or non-finite numeric value in: " + line);
   return out;
 }
 
@@ -35,6 +38,13 @@ std::uint64_t parse_u64(const std::string& value, const std::string& line) {
   REPRO_EXPECT(ec == std::errc{} && ptr == end,
                "malformed integer value in: " + line);
   return out;
+}
+
+std::uint32_t parse_u32(const std::string& value, const std::string& line) {
+  const std::uint64_t out = parse_u64(value, line);
+  REPRO_EXPECT(out <= std::numeric_limits<std::uint32_t>::max(),
+               "integer value out of range in: " + line);
+  return static_cast<std::uint32_t>(out);
 }
 
 std::string trim(const std::string& s) {
@@ -152,56 +162,43 @@ WorkloadMix parse_mix(const std::string& text) {
         REPRO_EXPECT(false, "unknown lock type in: " + line);
       }
     } else if (key == "contention.lock.contenders") {
-      mix.contention.lock.contenders =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.lock.contenders = parse_u32(value, line);
     } else if (key == "contention.lock.min_rounds") {
-      mix.contention.lock.min_rounds =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.lock.min_rounds = parse_u32(value, line);
     } else if (key == "contention.lock.max_rounds") {
-      mix.contention.lock.max_rounds =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.lock.max_rounds = parse_u32(value, line);
     } else if (key == "contention.lock.critical_steps") {
-      mix.contention.lock.critical_steps =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.lock.critical_steps = parse_u32(value, line);
     } else if (key == "contention.lock.parallel_steps") {
-      mix.contention.lock.parallel_steps =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.lock.parallel_steps = parse_u32(value, line);
     } else if (key == "contention.lock.ticket_handoff_steps") {
-      mix.contention.lock.ticket_handoff_steps =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.lock.ticket_handoff_steps = parse_u32(value, line);
     } else if (key == "contention.rcu.readers") {
-      mix.contention.rcu.readers =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.rcu.readers = parse_u32(value, line);
     } else if (key == "contention.rcu.min_rounds") {
-      mix.contention.rcu.min_rounds =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.rcu.min_rounds = parse_u32(value, line);
     } else if (key == "contention.rcu.max_rounds") {
-      mix.contention.rcu.max_rounds =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.rcu.max_rounds = parse_u32(value, line);
     } else if (key == "contention.rcu.reader_steps") {
-      mix.contention.rcu.reader_steps =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.rcu.reader_steps = parse_u32(value, line);
     } else if (key == "contention.rcu.writer_steps") {
-      mix.contention.rcu.writer_steps =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.rcu.writer_steps = parse_u32(value, line);
     } else if (key == "contention.rcu.writer_every") {
-      mix.contention.rcu.writer_every =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.contention.rcu.writer_every = parse_u32(value, line);
     } else if (key == "numeric.min_loops") {
-      n.min_loops = static_cast<std::uint32_t>(parse_u64(value, line));
+      n.min_loops = parse_u32(value, line);
     } else if (key == "numeric.max_loops") {
-      n.max_loops = static_cast<std::uint32_t>(parse_u64(value, line));
+      n.max_loops = parse_u32(value, line);
     } else if (key == "numeric.min_setup_reps") {
-      n.min_setup_reps = static_cast<std::uint32_t>(parse_u64(value, line));
+      n.min_setup_reps = parse_u32(value, line);
     } else if (key == "numeric.max_setup_reps") {
-      n.max_setup_reps = static_cast<std::uint32_t>(parse_u64(value, line));
+      n.max_setup_reps = parse_u32(value, line);
     } else if (key == "numeric.dependence_prob") {
       n.dependence_prob = parse_double(value, line);
     } else if (key == "numeric.long_path_prob") {
       n.long_path_prob = parse_double(value, line);
     } else if (key == "numeric.long_path_extra_steps") {
-      n.long_path_extra_steps =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      n.long_path_extra_steps = parse_u32(value, line);
     } else if (key == "trip.weight_multiple_of_width") {
       t.weight_multiple_of_width = parse_double(value, line);
     } else if (key == "trip.weight_two_leftover") {
@@ -215,10 +212,9 @@ WorkloadMix parse_mix(const std::string& text) {
     } else if (key == "trip.max_batches") {
       t.max_batches = parse_u64(value, line);
     } else if (key == "trip.width") {
-      t.width = static_cast<std::uint32_t>(parse_u64(value, line));
+      t.width = parse_u32(value, line);
     } else if (key == "tuning.concurrent_compute_cycles") {
-      k.concurrent_compute_cycles =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      k.concurrent_compute_cycles = parse_u32(value, line);
     } else if (key == "tuning.vector_fraction") {
       k.vector_fraction = parse_double(value, line);
     } else if (key == "tuning.concurrent_working_set") {
@@ -226,14 +222,13 @@ WorkloadMix parse_mix(const std::string& text) {
     } else if (key == "tuning.concurrent_stride") {
       k.concurrent_stride = parse_u64(value, line);
     } else if (key == "tuning.concurrent_steps_scale") {
-      k.concurrent_steps_scale =
-          static_cast<std::uint32_t>(parse_u64(value, line));
+      k.concurrent_steps_scale = parse_u32(value, line);
     } else if (key == "tuning.serial_hot_fraction") {
       k.serial_hot_fraction = parse_double(value, line);
     } else if (key == "serial.min_reps") {
-      mix.serial.min_reps = static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.serial.min_reps = parse_u32(value, line);
     } else if (key == "serial.max_reps") {
-      mix.serial.max_reps = static_cast<std::uint32_t>(parse_u64(value, line));
+      mix.serial.max_reps = parse_u32(value, line);
     } else {
       REPRO_EXPECT(false, "unknown key in: " + line);
     }

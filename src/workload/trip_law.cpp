@@ -1,15 +1,18 @@
 #include "workload/trip_law.hpp"
 
 #include <array>
+#include <cmath>
 
 #include "base/expect.hpp"
 
 namespace repro::workload {
 
 void TripLaw::validate() const {
-  REPRO_EXPECT(weight_multiple_of_width >= 0.0 && weight_two_leftover >= 0.0 &&
-                   weight_uniform >= 0.0 && weight_narrow >= 0.0,
-               "trip law weights must be non-negative");
+  for (const double weight : {weight_multiple_of_width, weight_two_leftover,
+                              weight_uniform, weight_narrow}) {
+    REPRO_EXPECT(weight >= 0.0 && std::isfinite(weight),
+                 "trip law weights must be finite and non-negative");
+  }
   REPRO_EXPECT(weight_multiple_of_width + weight_two_leftover +
                        weight_uniform + weight_narrow >
                    0.0,

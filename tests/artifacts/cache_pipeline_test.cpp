@@ -12,10 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "artifacts/registry.hpp"
 #include "artifacts/result_store.hpp"
 #include "artifacts/runner.hpp"
+#include "core/presets.hpp"
+#include "workload/presets.hpp"
 
 namespace repro::artifacts {
 namespace {
@@ -156,6 +159,29 @@ TEST_F(CachePipeline, TamperedArtifactBlobRecomputesIdentically) {
   expect_same_artifact(cold_fig6, warm_fig6);
   // The recompute healed the store for next time.
   EXPECT_GT(warm.store()->stats().puts, 0u);
+}
+
+TEST_F(CachePipeline, ThreadedRunReusesASerialEntry) {
+  // threads is a perf-only knob, so a threads=4 study finds the entry a
+  // threads=1 study stored, and that entry is bit for bit what the
+  // threads=4 study computes.
+  const auto presets = workload::session_presets();
+  const std::vector<workload::WorkloadMix> mixes(presets.begin(),
+                                                 presets.begin() + 3);
+  core::StudyConfig serial = core::presets::tiny_study();
+  serial.threads = 1;
+  core::StudyConfig threaded = serial;
+  threaded.threads = 4;
+
+  ResultStore cold(dir_.string());
+  cold.put(study_cache_key(serial, mixes),
+           encode_result(core::run_study(mixes, serial)));
+
+  ResultStore warm(dir_.string());
+  const auto hit = warm.get(study_cache_key(threaded, mixes));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(warm.stats().hits, 1u);
+  EXPECT_EQ(*hit, encode_result(core::run_study(mixes, threaded)));
 }
 
 TEST_F(CachePipeline, QuickAndFullPopulationsNeverShareEntries) {

@@ -2,7 +2,8 @@
 // handling, exit codes, the structure of the JSON report, and the
 // concurrent runner's ordering and solo rules. Renders are stubs, except
 // in the tests that hold the concurrent runner and the shared Inputs to
-// the serial loop over the quick catalog.
+// the serial loop over the quick catalog, and the run-graph tests that
+// check each distinct declared run happens once.
 #include "artifacts/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <thread>
 
 #include "artifacts/registry.hpp"
+#include "workload/presets.hpp"
 
 namespace repro::artifacts {
 namespace {
@@ -205,7 +207,44 @@ TEST(Runner, ConcurrentMatchesSerial) {
   EXPECT_EQ(report.run_counts.private_runs, expected.private_runs);
   EXPECT_EQ(report.run_counts.study_runs, 1);
   EXPECT_EQ(report.run_counts.transition_runs, 1);
+  // 40 distinct declared runs, plus ablation_dispatch's 6 quick loops
+  // and predictor_validation's 2 quick anchor points.
+  EXPECT_EQ(report.run_counts.private_runs, 48);
+  EXPECT_EQ(report.run_counts.declared_runs, 41);
+  EXPECT_EQ(report.run_counts.distinct_runs, 40);
   EXPECT_EQ(report.ok, static_cast<int>(defs.size()));
+}
+
+TEST(Runner, DuplicateSpecsRunOnce) {
+  const Inputs quick(/*quick=*/true);
+  int declared = 0;
+  std::set<std::uint64_t> keys;
+  for (const ArtifactDef& def : catalog()) {
+    if (def.runs) {
+      for (const core::RunSpec& spec : def.runs(quick)) {
+        ++declared;
+        keys.insert(core::run_key(spec));
+      }
+    }
+  }
+  EXPECT_EQ(declared, 41);
+  EXPECT_EQ(keys.size(), 40u);
+  // The one duplicate: width_sweep's width-8 row is width_scaling's.
+  const ArtifactDef* sweep = find_artifact("width_sweep");
+  const ArtifactDef* scaling = find_artifact("width_scaling");
+  ASSERT_NE(sweep, nullptr);
+  ASSERT_NE(scaling, nullptr);
+  EXPECT_EQ(core::run_key(sweep->runs(quick).at(7)),
+            core::run_key(scaling->runs(quick).at(0)));
+
+  // Run together, the two artifacts make 12 declarations and 11 runs.
+  const ScopedThreads threads("4");
+  Inputs inputs(/*quick=*/true);
+  const RunReport report = run_artifacts({sweep, scaling}, inputs);
+  EXPECT_EQ(report.ok, 2);
+  EXPECT_EQ(report.run_counts.declared_runs, 12);
+  EXPECT_EQ(report.run_counts.distinct_runs, 11);
+  EXPECT_EQ(report.run_counts.private_runs, 11);
 }
 
 TEST(Runner, SoloRunsAlone) {
@@ -302,6 +341,30 @@ TEST(Inputs, ConcurrentReadersRunEachExperimentOnce) {
   for (const core::StudyResult* study : studies) {
     EXPECT_EQ(study, inputs.study_if_run());
   }
+}
+
+TEST(Inputs, ConcurrentRunsOfOneSpecRunOnce) {
+  Inputs inputs(/*quick=*/true);
+  core::RunSpec spec;
+  spec.mix = workload::session_presets()[2];
+  spec.generator_seed = 7;
+  spec.controller_seed = 11;
+  spec.sampling.interval_cycles = 15000;
+  spec.samples = 2;
+  std::vector<const core::RunResult*> results(8, nullptr);
+  std::vector<std::thread> requesters;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    requesters.emplace_back(
+        [&inputs, &results, &spec, t] { results[t] = &inputs.run(spec); });
+  }
+  for (std::thread& requester : requesters) {
+    requester.join();
+  }
+  EXPECT_EQ(inputs.run_counts().private_runs, 1);
+  for (const core::RunResult* result : results) {
+    EXPECT_EQ(result, results.front());
+  }
+  EXPECT_EQ(results.front()->samples.size(), 2u);
 }
 
 TEST(Runner, HeaderMatchesTheOldBenchFormat) {

@@ -105,7 +105,7 @@ TEST(CapsuleStudyCheckpoint, ProgressRoundTrips) {
   StudyCheckpoint progress;
   progress.samples_total = 4;
   for (int i = 0; i < 2; ++i) {
-    progress.records.push_back(rig->controller.run_session(1).front());
+    progress.records.push_back(rig->controller.take_sample());
     ++progress.samples_done;
   }
   const auto sealed = save_study_checkpoint(progress, rig->system,
@@ -194,7 +194,8 @@ TEST(CapsuleFuzz, MutatedSystemCapsulesLoadOrThrowCapsuleError) {
 
 TEST(CapsuleFuzz, MutatedStudyCheckpointsLoadOrThrowCapsuleError) {
   auto rig = warm_rig();
-  const StudyCheckpoint progress{2, 3, rig->controller.run_session(2)};
+  const StudyCheckpoint progress{
+      2, 3, {rig->controller.take_sample(), rig->controller.take_sample()}};
   const auto payload = capsule::unseal(save_study_checkpoint(
       progress, rig->system, rig->generator, rig->controller));
   EXPECT_GT(fuzz(payload, 0xF023,

@@ -43,15 +43,20 @@ TEST_F(SessionControllerTest, SampleAdvancesSystemTime) {
 
 TEST_F(SessionControllerTest, SessionIndexesSamples) {
   SessionController controller(system_, generator_, quick_config(), 1);
-  const auto samples = controller.run_session(3);
-  ASSERT_EQ(samples.size(), 3u);
+  std::vector<SampleRecord> samples;
+  for (int s = 0; s < 3; ++s) {
+    samples.push_back(controller.take_sample());
+  }
   EXPECT_EQ(samples[0].index, 0u);
   EXPECT_EQ(samples[2].index, 2u);
 }
 
 TEST_F(SessionControllerTest, SoftwareCountersAreDeltas) {
   SessionController controller(system_, generator_, quick_config(), 1);
-  const auto samples = controller.run_session(4);
+  std::vector<SampleRecord> samples;
+  for (int s = 0; s < 4; ++s) {
+    samples.push_back(controller.take_sample());
+  }
   std::uint64_t total_faults = 0;
   for (const SampleRecord& sample : samples) {
     total_faults += sample.sw.ce_page_faults();

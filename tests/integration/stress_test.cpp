@@ -24,8 +24,11 @@ std::vector<AnalyzedSample> run_short(const os::SystemConfig& system_config,
   instr::SamplingConfig sampling;
   sampling.interval_cycles = 20000;
   instr::SessionController controller(system, generator, sampling, seed);
-  return analyze_all(controller.run_session(2),
-                     system.machine().cluster().width());
+  std::vector<instr::SampleRecord> records;
+  for (int s = 0; s < 2; ++s) {
+    records.push_back(controller.take_sample());
+  }
+  return analyze_all(records, system.machine().cluster().width());
 }
 
 void expect_sane(const std::vector<AnalyzedSample>& samples) {

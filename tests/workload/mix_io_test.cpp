@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "base/expect.hpp"
+#include "base/rng.hpp"
 #include "workload/presets.hpp"
 
 namespace repro::workload {
@@ -98,6 +102,93 @@ TEST(MixIo, ParsedMixIsValidated) {
   // A fraction above 1 parses numerically but fails validation.
   EXPECT_THROW((void)parse_mix("concurrent_job_fraction = 1.5\n"),
                ContractViolation);
+}
+
+TEST(MixIo, NonFiniteValuesThrow) {
+  EXPECT_THROW((void)parse_mix("mean_idle_cycles = inf\n"), ContractViolation);
+  EXPECT_THROW((void)parse_mix("mean_idle_cycles = nan\n"), ContractViolation);
+  EXPECT_THROW((void)parse_mix("trip.weight_uniform = inf\n"),
+               ContractViolation);
+}
+
+TEST(MixIo, IdleGapsTooLongToDrawThrow) {
+  // Finite, but the drawn gap would overflow its Cycle cast.
+  EXPECT_THROW((void)parse_mix("mean_idle_cycles = 1e300\n"),
+               ContractViolation);
+  WorkloadMix mix;
+  mix.mean_idle_cycles = 1e300;
+  EXPECT_THROW(mix.validate(), ContractViolation);
+  mix.mean_idle_cycles = 1e12;
+  EXPECT_NO_THROW(mix.validate());
+}
+
+TEST(MixIo, U32FieldsRejectValuesPastTheirRange) {
+  // 2^32 + 2 used to wrap silently to 2.
+  EXPECT_THROW((void)parse_mix("numeric.max_loops = 4294967298\n"),
+               ContractViolation);
+  EXPECT_EQ(parse_mix("numeric.max_loops = 4294967295\n").numeric.max_loops,
+            4294967295u);
+}
+
+/// Every preset and contention mix, as text.
+std::vector<std::string> mix_texts() {
+  std::vector<std::string> texts;
+  for (const WorkloadMix& mix : session_presets()) {
+    texts.push_back(mix_to_text(mix));
+  }
+  for (const WorkloadMix& mix :
+       {high_concurrency_mix(), lock_contention_mix(LockType::kTicket),
+        lock_contention_mix(LockType::kMcs), rcu_search_mix()}) {
+    texts.push_back(mix_to_text(mix));
+  }
+  return texts;
+}
+
+// Seeded mutants of every mix file — a flipped bit, a truncation, a
+// deleted or duplicated byte, or a digit run pushed to a huge or
+// negative value — must either parse to a mix that validates or throw
+// ContractViolation. A crash, or any other exception, fails.
+TEST(MixFuzz, MutatedMixFilesParseToValidMixesOrThrow) {
+  Rng rng(0x313F);
+  int parsed = 0;
+  int mutants = 0;
+  for (const std::string& text : mix_texts()) {
+    for (int i = 0; i < 200; ++i, ++mutants) {
+      std::string mutant = text;
+      const std::size_t at = rng.uniform(text.size());
+      switch (rng.uniform(5)) {
+        case 0:
+          mutant[at] = static_cast<char>(
+              static_cast<unsigned char>(mutant[at]) ^ (1u << rng.uniform(8)));
+          break;
+        case 1:
+          mutant.resize(at);
+          break;
+        case 2:
+          mutant.erase(at, 1);
+          break;
+        case 3:
+          mutant.insert(at, 1, mutant[at]);
+          break;
+        default: {
+          const std::size_t digit = mutant.find_first_of("0123456789", at);
+          if (digit != std::string::npos) {
+            mutant.insert(digit, rng.bernoulli(0.5) ? "99999999999" : "-");
+          }
+        }
+      }
+      try {
+        parse_mix(mutant).validate();
+        ++parsed;
+      } catch (const ContractViolation&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << mutants << " threw " << e.what();
+      }
+    }
+  }
+  // Flips inside names and comments still parse: the parser is reached.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, mutants);
 }
 
 TEST(MixIo, ParsedMixDrivesAGenerator) {
