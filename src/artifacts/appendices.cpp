@@ -283,19 +283,19 @@ void register_appendices(std::vector<ArtifactDef>& catalog) {
        "APPENDIX A — Workload Sampling Data",
        "per-session measures vary widely; miss-rate samples concentrate "
        "near zero; bus-busy spreads to ~0.5",
-       render_appendix_a, {}, kReadsStudy});
+       render_appendix_a, &Inputs::study_specs});
   catalog.push_back(
       {"appendix_b_busbusy", ArtifactKind::kAppendix, "Appendix B",
        "APPENDIX B — CE Bus Busy vs. concurrency (Figures B.1-B.4)",
        "bus busy rises with Cw (band medians 0.005/0.115/0.305) and with "
        "Pc up to saturation",
-       render_appendix_b_busbusy, {}, kReadsStudy});
+       render_appendix_b_busbusy, &Inputs::study_specs});
   catalog.push_back(
       {"appendix_b_pagefault", ArtifactKind::kAppendix, "Appendix B",
        "APPENDIX B — Page Fault Rate vs. concurrency (Figures B.5-B.10)",
        "page-fault rate rises with Cw (R^2 = 0.65) and more weakly with Pc "
        "(R^2 = 0.61)",
-       render_appendix_b_pagefault, {}, kReadsStudy});
+       render_appendix_b_pagefault, &Inputs::study_specs});
 }
 
 }  // namespace repro::artifacts

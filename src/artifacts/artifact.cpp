@@ -39,10 +39,6 @@ const char* to_string(ArtifactStatus status) {
 void ArtifactResult::serialize(capsule::Io& io) {
   io.str(id);
   io.enum32(status, ArtifactStatus::kError);
-  if (io.loading() && static_cast<std::uint32_t>(status) >
-                          static_cast<std::uint32_t>(ArtifactStatus::kError)) {
-    throw capsule::CapsuleError("artifact capsule: bad status encoding");
-  }
   io.str(error);
   io.str(text);
   auto n_metrics = io.extent(metrics.size());

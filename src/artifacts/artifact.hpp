@@ -115,14 +115,6 @@ class Context {
   ArtifactResult result_;
 };
 
-/// Shared experiments a render pulls through Inputs, as bits of
-/// ArtifactDef::reads. The derived views (samples, models) count as the
-/// study.
-enum SharedRead : unsigned {
-  kReadsStudy = 1u << 0,       ///< Inputs::study() and its derived views.
-  kReadsTransition = 1u << 1,  ///< Inputs::transition().
-};
-
 struct ArtifactDef {
   std::string id;           ///< Stable CLI id, e.g. "fig12".
   ArtifactKind kind = ArtifactKind::kFigure;
@@ -130,14 +122,13 @@ struct ArtifactDef {
   std::string title;        ///< Header line, as the old benches printed.
   std::string paper_claim;  ///< What the paper reports for this artifact.
   std::function<void(Context&)> render;
-  /// The sampled runs the render reads through Context::runs(). The
-  /// runner runs every distinct one once, on its pool, before any render
-  /// starts. Bare-machine micro-runs stay inside the render and count
-  /// themselves with Inputs::note_private_run().
+  /// The sampled runs the render reads, through Context::runs() or a
+  /// fold over them (Inputs::study_specs for Inputs::study(),
+  /// Inputs::transition_run for Inputs::transition()). The runner runs
+  /// every distinct one once, on its pool, before any render starts.
+  /// Bare-machine micro-runs stay inside the render and count themselves
+  /// with Inputs::note_private_run().
   std::function<std::vector<core::RunSpec>(const Inputs&)> runs = {};
-  /// SharedRead bits: the runner computes these on the calling thread
-  /// before it fans renders out, so no render waits on another's study.
-  unsigned reads = 0;
   /// Renders alone, after every other render has finished (an artifact
   /// that times itself must not share the cores).
   bool solo = false;

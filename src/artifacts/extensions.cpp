@@ -470,7 +470,7 @@ void register_extensions(std::vector<ArtifactDef>& catalog) {
       {"correlation_matrix", ArtifactKind::kExtension, "§5.3",
        "EXTENSION — correlation matrix of the sampled measures",
        "strong Cw columns, weak missrate-vs-Pc entry (§5.3)",
-       render_correlation_matrix, {}, kReadsStudy});
+       render_correlation_matrix, &Inputs::study_specs});
   catalog.push_back(
       {"detached_artifact", ArtifactKind::kExtension, "Figure 3 footnote",
        "EXTENSION — detached processes and the Figure-3 footnote",

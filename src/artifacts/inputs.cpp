@@ -1,35 +1,11 @@
 #include "artifacts/inputs.hpp"
 
+#include <algorithm>
+
 #include "base/expect.hpp"
 #include "workload/presets.hpp"
 
 namespace repro::artifacts {
-
-namespace {
-
-/// Fetch-or-compute through the store: a hit deserializes the cold run's
-/// result, a miss (of any kind — absent, truncated, tampered, stale
-/// salt) runs the experiment and writes back. A blob that unseals but
-/// fails the result walk is also just a miss.
-template <typename T, typename Run>
-T cached_result(ResultStore* store, std::uint64_t key, const Run& run) {
-  if (store != nullptr) {
-    if (auto payload = store->get(key)) {
-      try {
-        return decode_result<T>(std::move(*payload));
-      } catch (const capsule::CapsuleError&) {
-        // Walk-shape mismatch after a clean unseal: recompute below.
-      }
-    }
-  }
-  T result = run();
-  if (store != nullptr) {
-    store->put(key, encode_result(result));
-  }
-  return result;
-}
-
-}  // namespace
 
 Inputs::Inputs(bool quick, const std::string& cache_dir)
     : quick_(quick),
@@ -42,13 +18,21 @@ Inputs::Inputs(bool quick, const std::string& cache_dir)
   }
 }
 
+std::vector<core::RunSpec> Inputs::study_specs() const {
+  return core::study_specs(workload::session_presets(), study_config_);
+}
+
+core::RunSpec Inputs::transition_run() const {
+  return core::transition_spec(workload::high_concurrency_mix(),
+                               transition_config_);
+}
+
 const core::StudyResult& Inputs::study() {
   std::call_once(study_once_, [this] {
-    study_ = cached_result<core::StudyResult>(
-        store_.get(), study_cache_key(study_config_), [this] {
-          ++study_runs_;
-          return core::run_default_study(study_config_);
-        });
+    study_ = core::fold_study(
+        workload::session_presets(), study_config_,
+        core::run_all(study_specs(), core::resolve_threads(study_config_),
+                      [this](const core::RunSpec& spec) { return run(spec); }));
   });
   return *study_;
 }
@@ -84,49 +68,73 @@ const core::MedianModel& Inputs::model(core::SystemMeasure measure,
 
 const core::TransitionResult& Inputs::transition() {
   std::call_once(transition_once_, [this] {
-    transition_ = cached_result<core::TransitionResult>(
-        store_.get(), transition_cache_key(transition_config_), [this] {
-          ++transition_runs_;
-          return core::run_transition_study(
-              workload::high_concurrency_mix(), transition_config_,
-              instr::TriggerMode::kTransitionFromFull);
-        });
+    transition_ = core::fold_transition(run(transition_run()));
   });
   return *transition_;
 }
 
 const core::RunResult& Inputs::run(const core::RunSpec& spec) {
+  return memo(spec, /*simulate=*/true);
+}
+
+const core::RunResult& Inputs::memo(const core::RunSpec& spec,
+                                    bool simulate) {
   const std::uint64_t key = core::run_key(spec);
   RunSlot* slot = nullptr;
   {
     const std::lock_guard<std::mutex> lock(runs_mutex_);
     slot = &runs_[key];  // Node-based: the slot never moves.
   }
-  std::call_once(slot->once, [this, slot, &spec] {
+  // A throw leaves the slot's flag unset, so a later run() still runs.
+  std::call_once(slot->once, [this, slot, &spec, key, simulate] {
+    // Fetch-or-compute through the store. A miss of any kind (absent,
+    // truncated, tampered, stale salt, or a walk that fails after a clean
+    // unseal) simulates the run and writes it back.
+    const std::uint64_t stored = run_cache_key(spec);
+    if (auto payload = store_ ? store_->get(stored) : std::nullopt) {
+      try {
+        slot->result = decode_result<core::RunResult>(std::move(*payload));
+        return;
+      } catch (const capsule::CapsuleError&) {
+      }
+    }
+    if (!simulate) {
+      throw capsule::CapsuleError("run neither memoized nor stored");
+    }
     slot->result = core::run(spec);
-    ++private_runs_;
+    count_simulated(key);
+    if (store_) {
+      store_->put(stored, encode_result(*slot->result));
+    }
   });
   return *slot->result;
 }
 
+void Inputs::count_simulated(std::uint64_t key) {
+  const auto is = [key](const core::RunSpec& spec) {
+    return core::run_key(spec) == key;
+  };
+  const std::vector<core::RunSpec> study = study_specs();
+  if (is(transition_run())) {
+    transition_runs_ = 1;
+  } else if (std::any_of(study.begin(), study.end(), is)) {
+    study_runs_ = 1;
+  } else {
+    ++private_runs_;
+  }
+}
+
 const core::StudyResult* Inputs::study_for_report() {
-  // Through the study's own flag. A miss throws out of call_once, which
-  // leaves the flag unset, so a later study() still runs the study.
+  // With every study run memoized or stored, study() folds without
+  // simulating.
   try {
-    std::call_once(study_once_, [this] {
-      std::optional<std::vector<std::uint8_t>> payload;
-      if (store_ != nullptr) {
-        payload = store_->get(study_cache_key(study_config_));
-      }
-      if (!payload) {
-        throw capsule::CapsuleError("study neither run nor cached");
-      }
-      study_ = decode_result<core::StudyResult>(std::move(*payload));
-    });
+    for (const core::RunSpec& spec : study_specs()) {
+      (void)memo(spec, /*simulate=*/false);
+    }
   } catch (const capsule::CapsuleError&) {
     return nullptr;
   }
-  return &*study_;
+  return &study();
 }
 
 }  // namespace repro::artifacts

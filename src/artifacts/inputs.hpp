@@ -1,20 +1,18 @@
-// The shared study cache behind the artifact pipeline.
+// The run memo behind the artifact pipeline.
 //
-// Sixteen of the paper's artifacts read the same nine-session
-// random-sampling study and two read the same triggered transition
-// study; the old one-shot bench binaries re-ran them once each (~20
-// study runs per full reproduction). Inputs memoizes each experiment
-// the first time an artifact asks for it and hands every later artifact
-// the cached result — the experiments run *at most once* per fx8bench
-// invocation, which `run_counts()` makes auditable in the JSON report.
+// Every sampled run an artifact needs is a core::RunSpec, and run(spec)
+// memoizes each by its canonical-walk digest (core::run_key): two
+// artifacts that declare the same run share one execution. The shared
+// nine-session study that seventeen artifacts read and the triggered
+// transition that two more read are folds over such runs (study_specs(),
+// transition_run()), so they run at most once per fx8bench invocation,
+// which `run_counts()` makes auditable in the JSON report. With a result
+// store, a run is fetched before it is simulated and stored after.
 //
-// Derived views (the flattened sample population, the Pc-defined subset,
-// the six fitted regression models) are memoized too, since half the
-// artifacts recompute them from the same study.
-//
-// Artifact-private sampled runs go through the same kind of memo:
-// run(spec) keys each core::RunSpec by its canonical-walk digest, so two
-// artifacts that declare the same run share one execution.
+// Derived views (the folded study and transition, the flattened sample
+// population, the Pc-defined subset, the six fitted regression models)
+// are memoized too, since half the artifacts recompute them from the
+// same study.
 //
 // Every accessor is safe to call from concurrent renders: each memo is
 // filled exactly once through its own std::once_flag (a caller that
@@ -41,10 +39,11 @@
 
 namespace repro::artifacts {
 
+/// Simulations one Inputs made. A run loaded from the store is not one.
 struct RunCounts {
-  int study_runs = 0;       ///< Shared nine-session studies executed.
-  int transition_runs = 0;  ///< Shared transition studies executed.
-  int private_runs = 0;     ///< Artifact-private simulations executed.
+  int study_runs = 0;       ///< 1 once any study_specs() run simulated.
+  int transition_runs = 0;  ///< 1 once transition_run() simulated.
+  int private_runs = 0;     ///< Every other simulation.
   /// Runs the uncached artifacts of a run_artifacts call declared, and
   /// how many of them were distinct.
   int declared_runs = 0;
@@ -58,10 +57,9 @@ class Inputs {
   /// shrink via scaled().
   ///
   /// A non-empty `cache_dir` opens (creating if needed) the persistent
-  /// result store there: study() and transition() consult it before
-  /// running and write back after, and the runner caches whole rendered
-  /// artifacts through store(). Empty = in-process memoization only,
-  /// exactly the pre-cache behaviour.
+  /// result store there: run() consults it before simulating and writes
+  /// back after, and the runner caches whole rendered artifacts through
+  /// store(). Empty = in-process memoization only.
   explicit Inputs(bool quick = false, const std::string& cache_dir = {});
 
   [[nodiscard]] bool quick() const { return quick_; }
@@ -72,7 +70,15 @@ class Inputs {
     return transition_config_;
   }
 
-  /// The shared nine-session study (memoized; runs on first call).
+  /// The runs of the shared nine-session study, in fold order.
+  [[nodiscard]] std::vector<core::RunSpec> study_specs() const;
+
+  /// The run of the shared 8-active -> lower transition study.
+  [[nodiscard]] core::RunSpec transition_run() const;
+
+  /// The shared study: core::fold_study over run() of study_specs(). The
+  /// runs not yet memoized fan out on resolve_threads workers (inline
+  /// inside a pool worker). Folded once.
   const core::StudyResult& study();
 
   /// study().all_samples(), flattened once.
@@ -88,19 +94,15 @@ class Inputs {
   const core::MedianModel& model(core::SystemMeasure measure,
                                  core::Regressor regressor);
 
-  /// The shared 8-active -> lower transition study (memoized).
+  /// The shared transition study: core::fold_transition of
+  /// run(transition_run()). Folded once.
   const core::TransitionResult& transition();
 
-  /// The cached study if some artifact already forced it, else nullptr
-  /// (for reporting — never triggers a run). Call it while no render is
-  /// in flight.
-  [[nodiscard]] const core::StudyResult* study_if_run() const {
-    return study_ ? &*study_ : nullptr;
-  }
-
-  /// study_if_run(), except a warm store may satisfy it without a run:
-  /// on a fully cached invocation the report's `study_engine` section
-  /// still matches the cold run's byte for byte. Never simulates.
+  /// The study, folded from the memo or from the store when every study
+  /// run is in one of them, else nullptr: on a fully cached invocation
+  /// the report's `study_engine` section still matches the cold run's
+  /// byte for byte. Never simulates. Call it while no render is in
+  /// flight.
   [[nodiscard]] const core::StudyResult* study_for_report();
 
   /// The persistent store, or nullptr when caching is disabled.
@@ -119,8 +121,8 @@ class Inputs {
     return quick_ ? quick : full;
   }
 
-  /// One declared run, memoized by core::run_key (runs, and counts a
-  /// private run, on the first request).
+  /// One declared run, memoized by core::run_key. The first request
+  /// loads it from the store or simulates it (and counts it).
   const core::RunResult& run(const core::RunSpec& spec);
 
   /// Count a private simulation that is not a session run (a bare
@@ -133,6 +135,12 @@ class Inputs {
   }
 
  private:
+  /// run(), except that with `simulate` false a run neither memoized
+  /// nor stored throws capsule::CapsuleError instead of simulating.
+  const core::RunResult& memo(const core::RunSpec& spec, bool simulate);
+  /// Count a simulated run under the counter its key belongs to.
+  void count_simulated(std::uint64_t key);
+
   bool quick_;
   core::StudyConfig study_config_;
   core::TransitionConfig transition_config_;

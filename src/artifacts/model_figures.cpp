@@ -119,17 +119,17 @@ void register_model_figures(std::vector<ArtifactDef>& catalog) {
       {"fig12", ArtifactKind::kFigure, "Figure 12",
        "FIGURE 12 — Regression model: Missrate vs. Cw",
        "missrate(0.5) = 0.007 -> missrate(1.0) = 0.024, a >3x increase",
-       render_fig12, {}, kReadsStudy});
+       render_fig12, &Inputs::study_specs});
   catalog.push_back(
       {"fig13", ArtifactKind::kFigure, "Figure 13",
        "FIGURE 13 — Regression model: CE Bus Busy vs. Cw",
        "near-linear increase with Cw (R^2 = 0.89)",
-       render_fig13, {}, kReadsStudy});
+       render_fig13, &Inputs::study_specs});
   catalog.push_back(
       {"fig14", ArtifactKind::kFigure, "Figure 14",
        "FIGURE 14 — Regression model: CE Bus Busy vs. Pc",
        "increases with Pc, levelling off near Pc = 6 (R^2 = 0.66)",
-       render_fig14, {}, kReadsStudy});
+       render_fig14, &Inputs::study_specs});
 }
 
 }  // namespace repro::artifacts

@@ -157,7 +157,7 @@ void register_perf(std::vector<ArtifactDef>& catalog) {
        "PERF — simulated-machine throughput (fused tick kernel)",
        "substrate self-check: cycles/sec of the naive and fused per-cycle "
        "paths (no paper claim; timing notes are informational)",
-       render_perf_simulator, {}, /*reads=*/0, /*solo=*/true});
+       render_perf_simulator, {}, /*solo=*/true});
 }
 
 }  // namespace repro::artifacts

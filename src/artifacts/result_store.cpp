@@ -8,7 +8,6 @@
 
 #include "base/fasthash.hpp"
 #include "os/system.hpp"
-#include "workload/presets.hpp"
 
 namespace repro::artifacts {
 
@@ -262,35 +261,10 @@ std::uint64_t hash_walk(const char* tag, std::uint64_t salt,
 
 }  // namespace
 
-std::uint64_t study_cache_key(const core::StudyConfig& config,
-                              std::uint64_t salt) {
-  const auto mixes = workload::session_presets();
-  return study_cache_key(config, mixes, salt);
-}
-
-std::uint64_t study_cache_key(const core::StudyConfig& config,
-                              std::span<const workload::WorkloadMix> mixes,
-                              std::uint64_t salt) {
-  core::StudyConfig copy = config;
-  std::vector<workload::WorkloadMix> mix_copies(mixes.begin(), mixes.end());
-  return hash_walk("study-result/2", salt,
-                   os::config_fingerprint(config.system),
-                   [&copy, &mix_copies](capsule::Io& io) {
-                     serialize_config(io, copy);
-                     auto count = static_cast<std::uint64_t>(mix_copies.size());
-                     io.u64(count);
-                     for (workload::WorkloadMix& mix : mix_copies) {
-                       workload::serialize_config(io, mix);
-                     }
-                   });
-}
-
-std::uint64_t transition_cache_key(const core::TransitionConfig& config,
-                                   std::uint64_t salt) {
-  core::TransitionConfig copy = config;
-  return hash_walk("transition-result/1:high-concurrency:from-full", salt,
-                   os::config_fingerprint(config.system),
-                   [&copy](capsule::Io& io) { serialize_config(io, copy); });
+std::uint64_t run_cache_key(const core::RunSpec& spec, std::uint64_t salt) {
+  std::uint64_t key = core::run_key(spec);
+  return hash_walk("run-result/1", salt, os::config_fingerprint(spec.system),
+                   [&key](capsule::Io& io) { io.u64(key); });
 }
 
 std::uint64_t artifact_cache_key(const std::string& id,

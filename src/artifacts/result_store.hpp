@@ -1,22 +1,24 @@
 // Persistent content-addressed result store: incremental fx8bench.
 //
-// Every artifact of the reproduction is a deterministic function of its
-// study/transition config, so its result can be addressed by a 64-bit
-// content hash of that config and reused across processes. The store
-// maps such a key to a sealed capsule-envelope blob (base/capsule.hpp)
-// holding a serialized StudyResult, TransitionResult, or ArtifactResult;
-// a warm `fx8bench --all` then only re-runs artifacts whose inputs
-// actually changed.
+// Every sampled run (core::RunSpec) and every rendered artifact of the
+// reproduction is a deterministic function of its config, so its result
+// can be addressed by a 64-bit content hash of that config and reused
+// across processes. The store maps such a key to a sealed
+// capsule-envelope blob (base/capsule.hpp) holding a serialized
+// core::RunResult or ArtifactResult. A warm `fx8bench --all` re-renders
+// only the artifacts whose blobs are gone, and replays their runs from
+// the run blobs.
 //
 // Key derivation (docs/benchmarks.md, "The result cache"):
 //
 //   key = fasthash( kind tag · code salt · config fingerprint ·
 //                   canonical config walk , seed = code salt )
 //
-// The canonical walk covers every config field that decides results, so
-// any such change misses the cache. The perf-only knobs (`threads`,
-// `fast_forward`) are left out: the differential oracle proves they do
-// not change results, so a --threads 4 run reuses a --threads 1 entry.
+// where a run's canonical walk is its core::run_key digest. The walk
+// covers every config field that decides results, so any such change
+// misses the cache. The perf-only knobs (`threads`, `fast_forward`) are
+// left out: the differential oracle proves they do not change results,
+// so a --threads 4 run reuses a --threads 1 entry.
 // The code salt folds the capsule format version, the store format
 // version, and a manually bumped kCodeVersion; bumping any of them
 // orphans every old key (a clean miss, never a stale hit).
@@ -31,14 +33,13 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "base/capsule.hpp"
+#include "core/run.hpp"
 #include "core/study.hpp"
 #include "core/transition.hpp"
-#include "workload/generator.hpp"
 
 namespace repro::artifacts {
 
@@ -54,7 +55,9 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 /// family made mixes an experimental axis a key must cover).
 /// v4: the study-config key walk lost its rig-batch width field.
 /// v5: the key walks lost the perf-only knobs (threads, fast_forward).
-inline constexpr std::uint32_t kCodeVersion = 5;
+/// v6: the store caches runs (run-result/1) instead of whole studies and
+/// transitions.
+inline constexpr std::uint32_t kCodeVersion = 6;
 
 /// The salt every key is seeded with.
 inline constexpr std::uint64_t kCodeSalt =
@@ -143,25 +146,10 @@ class ResultStore {
 
 // --- Key derivation ---------------------------------------------------
 
-/// Key of the shared nine-session study result for `config`. The walk
-/// covers the config AND the session mixes the study runs (the default
-/// workload::session_presets()): a preset edit is a condition change
-/// and must miss, never stale-hit.
-[[nodiscard]] std::uint64_t study_cache_key(const core::StudyConfig& config,
-                                            std::uint64_t salt = kCodeSalt);
-
-/// Same key derivation over an explicit mix list (run_study overloads
-/// that take caller-provided mixes, e.g. the contention scenarios).
-[[nodiscard]] std::uint64_t study_cache_key(
-    const core::StudyConfig& config,
-    std::span<const workload::WorkloadMix> mixes,
-    std::uint64_t salt = kCodeSalt);
-
-/// Key of the shared triggered-transition result for `config` (the
-/// high-concurrency mix, kTransitionFromFull trigger — the one
-/// combination Inputs caches).
-[[nodiscard]] std::uint64_t transition_cache_key(
-    const core::TransitionConfig& config, std::uint64_t salt = kCodeSalt);
+/// Key of one sampled run: core::run_key(spec), which walks every field
+/// that decides the run's result, salted.
+[[nodiscard]] std::uint64_t run_cache_key(const core::RunSpec& spec,
+                                          std::uint64_t salt = kCodeSalt);
 
 /// Key of one rendered artifact: its id plus both shared configs plus
 /// the quick flag (which also scales artifact-private populations).

@@ -150,14 +150,13 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n = defs.size();
 
-  // Cached results first: they need no shared experiment and no run, so
-  // a fully warm run never loads the study or transition blobs. The runs
-  // the other renders declare are gathered, one per distinct key. Key
-  // order scatters each sweep's points across the run phase, so the
-  // widest or busiest rigs of one sweep seldom run side by side (catalog
-  // order measured about a tenth more peak RSS on `reproduce`).
+  // Cached results first: they need no run, so a fully warm run loads no
+  // run blob. The runs the other renders declare are gathered, one per
+  // distinct key. Key order scatters each sweep's points across the run
+  // phase, so the widest or busiest rigs of one sweep seldom run side by
+  // side (catalog order measured about a tenth more peak RSS on
+  // `reproduce`).
   std::vector<std::optional<ArtifactResult>> slots(n);
-  unsigned reads = 0;
   std::size_t pooled = 0;
   int declared = 0;
   std::map<std::uint64_t, core::RunSpec> specs;
@@ -166,7 +165,6 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
     if (slots[i]) {
       continue;
     }
-    reads |= defs[i]->reads;
     pooled += defs[i]->solo ? 0u : 1u;
     if (defs[i]->runs) {
       for (core::RunSpec& spec : defs[i]->runs(inputs)) {
@@ -174,19 +172,6 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
         specs.try_emplace(core::run_key(spec), std::move(spec));
       }
     }
-  }
-  // The shared experiments the renders will read, here on the calling
-  // thread: the study still fans out on its own pool, and no render
-  // worker sits blocked on another's call_once.
-  try {
-    if ((reads & kReadsStudy) != 0) {
-      (void)inputs.study();
-    }
-    if ((reads & kReadsTransition) != 0) {
-      (void)inputs.transition();
-    }
-  } catch (...) {
-    // Left for the renders to meet again and report as their own kError.
   }
 
   RunReport report;
@@ -215,8 +200,9 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
   const std::size_t workers = std::min<std::size_t>(
       core::resolve_threads(inputs.study_config()), pooled + specs.size());
   if (workers > 1) {
-    // Workers resolve nested pools to 1 (base::ThreadPool), so a study or
-    // bootstrap inside a render runs inline rather than oversubscribing.
+    // Workers resolve nested pools to 1 (base::ThreadPool), so a study
+    // fold or bootstrap inside a render runs inline rather than
+    // oversubscribing.
     base::ThreadPool pool(workers);
     // Runs before renders. The queue is FIFO, so by the time a worker
     // takes a render, every run has been taken by some worker; a render

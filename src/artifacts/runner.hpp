@@ -41,13 +41,12 @@ using ResultCallback = std::function<void(const ArtifactResult&)>;
 
 /// Run the given defs against one shared cache, concurrently on
 /// core::resolve_threads(inputs.study_config()) workers. Cached results
-/// load first; the shared experiments the remaining renders read (their
-/// `reads`) are computed next, on the calling thread; then every
-/// distinct run they declare goes to the pool, ahead of the renders;
-/// `solo` defs render last, alone. Results come back in selection order,
-/// identical to a serial run_artifact loop except for `seconds`, which
-/// is contended wall time; `total_seconds` is the wall time of the whole
-/// call.
+/// load first; then every distinct run the remaining renders declare
+/// goes to the pool, ahead of the renders; `solo` defs render last,
+/// alone, on the calling thread (as does everything when there is no
+/// pool). Results come back in selection order, identical to a serial
+/// run_artifact loop except for `seconds`, which is contended wall time;
+/// `total_seconds` is the wall time of the whole call.
 [[nodiscard]] RunReport run_artifacts(
     const std::vector<const ArtifactDef*>& defs, Inputs& inputs,
     const ResultCallback& on_result = {});

@@ -259,40 +259,40 @@ void register_study_figures(std::vector<ArtifactDef>& catalog) {
       {"fig3", ArtifactKind::kFigure, "Figure 3",
        "FIGURE 3 — Records with N Processors Active / All Sessions",
        "peaks at 8, 1 and 0 active; states 2..7 are slivers",
-       render_fig3, {}, kReadsStudy});
+       render_fig3, &Inputs::study_specs});
   catalog.push_back(
       {"fig4", ArtifactKind::kFigure, "Figure 4",
        "FIGURE 4 — Distribution of Samples by Workload Concurrency",
        "44.6% of samples at Cw ~ 0; 55% show some concurrency; mass up to "
        "Cw = 1.0",
-       render_fig4, {}, kReadsStudy});
+       render_fig4, &Inputs::study_specs});
   catalog.push_back(
       {"fig5", ArtifactKind::kFigure, "Figure 5",
        "FIGURE 5 — Distribution of Samples by Mean Concurrency Level",
        ">94% of concurrent samples have Pc > 6.5; 83% in the 8.0 bin",
-       render_fig5, {}, kReadsStudy});
+       render_fig5, &Inputs::study_specs});
   catalog.push_back(
       {"fig8", ArtifactKind::kFigure, "Figure 8",
        "FIGURE 8 — Missrate vs. Workload Concurrency (scatter)",
        "highest missrates at max Cw; high Cw does not preclude low "
        "missrate",
-       render_fig8, {}, kReadsStudy});
+       render_fig8, &Inputs::study_specs});
   catalog.push_back(
       {"fig9", ArtifactKind::kFigure, "Figure 9",
        "FIGURE 9 — Missrate vs. Mean Concurrency Level (scatter)",
        "mild increase with Pc; flat beyond Pc ~ 7",
-       render_fig9, {}, kReadsStudy});
+       render_fig9, &Inputs::study_specs});
   catalog.push_back(
       {"fig10", ArtifactKind::kFigure, "Figure 10",
        "FIGURE 10 — Distribution of Miss Rate by Cw band",
        "medians 0.001 / 0.009 / 0.023 for Cw <=0.4 / (0.4,0.8] / >0.8",
-       render_fig10, {}, kReadsStudy});
+       render_fig10, &Inputs::study_specs});
   catalog.push_back(
       {"fig11", ArtifactKind::kFigure, "Figure 11",
        "FIGURE 11 — Distribution of Miss Rate by Pc band",
        "medians 0.004 / 0.017 / 0.017: no increase between the middle and "
        "high Pc ranges",
-       render_fig11, {}, kReadsStudy});
+       render_fig11, &Inputs::study_specs});
 }
 
 }  // namespace repro::artifacts

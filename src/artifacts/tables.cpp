@@ -183,19 +183,19 @@ void register_tables(std::vector<ArtifactDef>& catalog) {
       {"table2", ArtifactKind::kTable, "Table 2",
        "TABLE 2 — Overall Concurrency Measures for All Sessions",
        "Cw = 0.3506, c8 = 0.2795, c(8|c) = 0.9278, Pc = 7.66",
-       render_table2, {}, kReadsStudy});
+       render_table2, &Inputs::study_specs});
   catalog.push_back(
       {"table3", ArtifactKind::kTable, "Table 3",
        "TABLE 3 — Regression Models vs. Cw",
        "R^2: miss rate 0.74, CE bus busy 0.89, page fault rate 0.65; all "
        "medians increase with Cw",
-       render_table3, {}, kReadsStudy});
+       render_table3, &Inputs::study_specs});
   catalog.push_back(
       {"table4", ArtifactKind::kTable, "Table 4",
        "TABLE 4 — Regression Models vs. Pc",
        "R^2: miss rate 0.07 (no relationship), CE bus busy 0.66, page "
        "fault rate 0.61",
-       render_table4, {}, kReadsStudy});
+       render_table4, &Inputs::study_specs});
 }
 
 }  // namespace repro::artifacts

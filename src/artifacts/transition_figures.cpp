@@ -1,6 +1,7 @@
 // Figures 6-7: the Chapter 4.3 triggered transition captures, off the
 // shared transition study. Ported from bench_fig6/_fig7.
 #include <cmath>
+#include <vector>
 
 #include "artifacts/inputs.hpp"
 #include "artifacts/registry.hpp"
@@ -74,6 +75,11 @@ void render_fig7(Context& ctx) {
   ctx.check("outer_over_inner_activity", ratio, 2.0, 1.05, 10.0);
 }
 
+/// The shared transition run both figures fold (Inputs::transition()).
+std::vector<core::RunSpec> shared_transition_run(const Inputs& in) {
+  return {in.transition_run()};
+}
+
 }  // namespace
 
 void register_transition_figures(std::vector<ArtifactDef>& catalog) {
@@ -81,12 +87,12 @@ void register_transition_figures(std::vector<ArtifactDef>& catalog) {
       {"fig6", ArtifactKind::kFigure, "Figure 6",
        "FIGURE 6 — Transition-Period Activity Histogram",
        "2-active dominates at 52.4%; the 7->3 states drain quickly",
-       render_fig6, {}, kReadsTransition});
+       render_fig6, shared_transition_run});
   catalog.push_back(
       {"fig7", ArtifactKind::kFigure, "Figure 7",
        "FIGURE 7 — Transition Activity by Processor Number",
        "CE7 and CE0 most active during transitions; CE2, CE3, CE4 least",
-       render_fig7, {}, kReadsTransition});
+       render_fig7, shared_transition_run});
 }
 
 }  // namespace repro::artifacts

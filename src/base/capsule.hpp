@@ -104,6 +104,15 @@ class Io {
     v = static_cast<E>(static_cast<std::underlying_type_t<E>>(bits));
   }
 
+  /// A u32 that bounds array reads (a machine width, a cluster count): a
+  /// loaded value outside [lo, hi] is corrupt and throws.
+  void u32_in(std::uint32_t& v, std::uint32_t lo, std::uint32_t hi) {
+    u32(v);
+    if (loading() && (v < lo || v > hi)) {
+      throw CapsuleError("capsule: value out of range");
+    }
+  }
+
   /// Container-size handshake: encodes `n` when saving/digesting and
   /// returns it; returns the decoded count when loading. Callers size
   /// their container from the return value. Every element walks at

@@ -49,9 +49,11 @@ struct ConcurrencyMeasures {
   [[nodiscard]] std::string describe() const;
 
   /// Capsule walk: derived measures travel whole inside cached results
-  /// (src/artifacts/result_store.hpp) rather than being refit on load.
+  /// (src/artifacts/result_store.hpp) rather than being refit on load. A
+  /// loaded width past the widest topology throws, since renders read
+  /// c and c_cond up to it.
   void serialize(capsule::Io& io) {
-    io.u32(width);
+    io.u32_in(width, 1, kMaxTopologyCes);
     for (double& v : c) {
       io.f64(v);
     }

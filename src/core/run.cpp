@@ -69,6 +69,38 @@ std::uint64_t run_key(const RunSpec& spec) {
   return io.digest();
 }
 
+void RunResult::serialize(capsule::Io& io) {
+  samples.resize(io.extent(samples.size()));
+  for (AnalyzedSample& sample : samples) {
+    sample.serialize(io);
+  }
+  totals.serialize(io);
+  io.u32(captures_completed);
+  io.u32(captures_timed_out);
+  for (std::uint64_t& n : state_counts) {
+    io.u64(n);
+  }
+  for (std::uint64_t& n : processor_counts) {
+    io.u64(n);
+  }
+  captured.serialize(io);
+  ff.serialize(io);
+  io.u32_in(width, 1, kMaxTopologyCes);
+  io.u32_in(clusters, 1, kMaxTopologyCes);
+  io.u64(jobs_completed);
+  io.u64(total_wait_cycles);
+  io.u64(fabric_conflicts);
+  io.u64(now);
+  io.f64(trace_cw);
+  io.f64(trace_pc);
+  auto events = static_cast<std::uint64_t>(trace_events);
+  io.u64(events);
+  trace_events = static_cast<std::size_t>(events);
+  auto jobs = static_cast<std::uint64_t>(trace_jobs);
+  io.u64(jobs);
+  trace_jobs = static_cast<std::size_t>(jobs);
+}
+
 RunResult run(const RunSpec& spec) {
   os::System system(spec.system);
   workload::WorkloadGenerator generator(spec.mix, spec.generator_seed);

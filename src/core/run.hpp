@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/capsule.hpp"
 #include "base/types.hpp"
 #include "core/sample.hpp"
 #include "instr/logic_analyzer.hpp"
@@ -74,6 +75,11 @@ struct RunResult {
   double trace_pc = 0.0;
   std::size_t trace_events = 0;
   std::size_t trace_jobs = 0;
+
+  /// Capsule walk over every field, so the result store restores a run
+  /// bit-identically. A loaded width or cluster count outside
+  /// [1, kMaxTopologyCes] throws, since folds read arrays up to them.
+  void serialize(capsule::Io& io);
 };
 
 /// Warm up, capture, then sample. A pure function of the spec.

@@ -4,6 +4,7 @@
 #include <future>
 #include <utility>
 
+#include "base/expect.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 
@@ -85,11 +86,11 @@ SessionResult fold_session(const workload::WorkloadMix& mix,
   return result;
 }
 
-/// Every spec's result, in spec order, on up to `threads` workers. Each
-/// run owns its os::System, so the fold over the results — and with it
-/// every bit of the study — is the same however many workers ran.
-std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
-                               std::size_t threads) {
+}  // namespace
+
+std::vector<RunResult> run_all(
+    const std::vector<RunSpec>& specs, std::size_t threads,
+    const std::function<RunResult(const RunSpec&)>& execute) {
   // A pool of zero workers runs each task inline: the serial path.
   base::ThreadPool pool(threads <= 1 || specs.size() <= 1
                             ? 0
@@ -97,7 +98,7 @@ std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
   std::vector<std::future<RunResult>> futures;
   futures.reserve(specs.size());
   for (const RunSpec& spec : specs) {
-    futures.push_back(pool.submit([&spec] { return run(spec); }));
+    futures.push_back(pool.submit([&execute, &spec] { return execute(spec); }));
   }
   std::vector<RunResult> runs;
   runs.reserve(specs.size());
@@ -106,8 +107,6 @@ std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
   }
   return runs;
 }
-
-}  // namespace
 
 std::vector<AnalyzedSample> StudyResult::all_samples() const {
   std::size_t total = 0;
@@ -149,13 +148,14 @@ SessionResult run_session(const workload::WorkloadMix& mix,
   return fold_session(mix, runs);
 }
 
-StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
-                      const StudyConfig& config) {
-  std::vector<RunResult> runs =
-      run_all(study_specs(mixes, config), resolve_threads(config));
+StudyResult fold_study(std::span<const workload::WorkloadMix> mixes,
+                       const StudyConfig& config,
+                       std::vector<RunResult> runs) {
+  const std::size_t replicates = resolve_replicates(config);
+  REPRO_EXPECT(runs.size() == mixes.size() * replicates,
+               "a study folds one run per (mix, replicate)");
   StudyResult study;
   study.sessions.reserve(mixes.size());
-  const std::size_t replicates = resolve_replicates(config);
   for (std::size_t i = 0; i < mixes.size(); ++i) {
     const SessionResult& session = study.sessions.emplace_back(fold_session(
         mixes[i], std::span(runs).subspan(i * replicates, replicates)));
@@ -168,6 +168,13 @@ StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
   study.overall = ConcurrencyMeasures::from_counts(
       std::span(study.totals.num).first(width + 1));
   return study;
+}
+
+StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
+                      const StudyConfig& config) {
+  return fold_study(
+      mixes, config,
+      run_all(study_specs(mixes, config), resolve_threads(config)));
 }
 
 StudyResult run_default_study(const StudyConfig& config) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,8 +87,7 @@ struct StudyResult {
   [[nodiscard]] std::vector<AnalyzedSample> all_samples() const;
 
   /// Capsule walk over the whole result — sessions, totals, aggregate
-  /// measures, fast-forward accounting — so the result cache restores a
-  /// study bit-identically without re-running it.
+  /// measures, fast-forward accounting — for whole-study digests.
   void serialize(capsule::Io& io);
 };
 
@@ -97,12 +97,27 @@ struct StudyResult {
 [[nodiscard]] std::vector<RunSpec> study_specs(
     std::span<const workload::WorkloadMix> mixes, const StudyConfig& config);
 
+/// Every spec's result, in spec order, from `execute` on up to `threads`
+/// workers; serially when `threads` <= 1, as resolve_threads always is
+/// on a pool worker.
+[[nodiscard]] std::vector<RunResult> run_all(
+    const std::vector<RunSpec>& specs, std::size_t threads,
+    const std::function<RunResult(const RunSpec&)>& execute = run);
+
+/// Fold a study's runs, in study_specs(mixes, config) order, into the
+/// study, however the runs were obtained. Moves the samples out of
+/// `runs`.
+[[nodiscard]] StudyResult fold_study(
+    std::span<const workload::WorkloadMix> mixes, const StudyConfig& config,
+    std::vector<RunResult> runs);
+
 /// Run one session with the given mix.
 [[nodiscard]] SessionResult run_session(const workload::WorkloadMix& mix,
                                         const StudyConfig& config,
                                         std::uint64_t session_seed);
 
-/// Run a whole study over the given mixes (defaults to the nine presets).
+/// Run a whole study over the given mixes: fold_study over run_all of
+/// study_specs on resolve_threads workers.
 [[nodiscard]] StudyResult run_study(
     std::span<const workload::WorkloadMix> mixes, const StudyConfig& config);
 

@@ -55,19 +55,6 @@ struct TransitionResult {
   /// P processors to one is instantaneous, processors do not incur any
   /// idle time" — this measures how far the machine is from that ideal.
   [[nodiscard]] double idle_overhead(std::uint32_t at_width = kMaxCes) const;
-
-  /// Capsule walk over the whole result, for the result cache.
-  void serialize(capsule::Io& io) {
-    for (std::uint64_t& n : state_counts) {
-      io.u64(n);
-    }
-    for (std::uint64_t& n : processor_counts) {
-      io.u64(n);
-    }
-    io.u32(captures_completed);
-    io.u32(captures_timed_out);
-    io.u32(width);
-  }
 };
 
 /// The one run a transition experiment is: warm up, then `captures`

@@ -57,7 +57,8 @@ struct EventCounts {
   /// Table-1-style rendering.
   [[nodiscard]] std::string render() const;
 
-  /// Capsule walk: every reduced count.
+  /// Capsule walk: every reduced count. A loaded width past the widest
+  /// topology throws, since render() reads num/proc up to it.
   void serialize(capsule::Io& io) {
     for (std::uint64_t& n : num) {
       io.u64(n);
@@ -73,7 +74,7 @@ struct EventCounts {
     }
     io.u64(records);
     io.u64(ce_bus_cycles);
-    io.u32(width);
+    io.u32_in(width, 1, kMaxTopologyCes);
   }
 };
 

@@ -40,9 +40,9 @@ struct WorkloadMix {
 };
 
 /// Capsule walk over every WorkloadMix knob. The mix is config, not
-/// state — generators never capsule it — but cache fingerprints must
-/// fold it in so that editing a preset can never stale-hit a study
-/// result computed under the old conditions (see study_cache_key).
+/// state — generators never capsule it — but run keys must fold it in
+/// so that editing a preset can never stale-hit a run result computed
+/// under the old conditions (see core::run_key).
 void serialize_config(capsule::Io& io, WorkloadMix& mix);
 
 class WorkloadGenerator {

@@ -4,13 +4,14 @@
 // and every corruption or config change degrades to recompute — the
 // warm results must be indistinguishable from the cold ones.
 //
-// Artifacts here are the cheap shared-experiment readers (table2 reads
-// the study, fig6 the transition study) so the whole file costs one
-// quick study + one quick transition run.
+// Most artifacts here are the cheap shared-experiment readers (table2
+// folds the study's runs, fig6 the transition run), so most cases cost
+// one quick study and one quick transition run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,9 @@ TEST_F(CachePipeline, WarmConcurrentRunReplaysTheWholeQuickCatalog) {
   Inputs cold(/*quick=*/true, dir_.string());
   const RunReport cold_report = run_artifacts(defs, cold);
   ASSERT_EQ(cold_report.ok, static_cast<int>(defs.size()));
-  EXPECT_EQ(cold.store()->stats().puts, defs.size() + 2);  // + study, transition
+  // Every artifact and every distinct declared run.
+  EXPECT_EQ(cold_report.run_counts.distinct_runs, 50);
+  EXPECT_EQ(cold.store()->stats().puts, defs.size() + 50);
 
   Inputs warm(/*quick=*/true, dir_.string());
   const RunReport warm_report = run_artifacts(defs, warm);
@@ -108,10 +111,44 @@ TEST_F(CachePipeline, WarmConcurrentRunReplaysTheWholeQuickCatalog) {
   EXPECT_EQ(warm_report.run_counts.study_runs, 0);
   EXPECT_EQ(warm_report.run_counts.transition_runs, 0);
   EXPECT_EQ(warm_report.run_counts.private_runs, 0);
+  EXPECT_EQ(warm_report.run_counts.declared_runs, 0);
+  EXPECT_EQ(warm_report.run_counts.distinct_runs, 0);
   const CacheStats stats = warm.store()->stats();
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.hits, defs.size());
   EXPECT_EQ(stats.puts, 0u);
+}
+
+TEST_F(CachePipeline, EvictedArtifactReplaysItsRunsWarm) {
+  // A change to one artifact's analysis orphans only that artifact's
+  // blob: its runs still hit the store, so re-rendering it simulates
+  // nothing. ablation_locality declares six private runs, fig3 folds the
+  // study's nine.
+  std::vector<const ArtifactDef*> defs;
+  for (const ArtifactDef& def : catalog()) {
+    defs.push_back(&def);
+  }
+  Inputs cold(/*quick=*/true, dir_.string());
+  const RunReport cold_report = run_artifacts(defs, cold);
+  ASSERT_EQ(cold_report.ok, static_cast<int>(defs.size()));
+  for (const char* id : {"ablation_locality", "fig3"}) {
+    ASSERT_TRUE(fs::remove(cold.store()->object_path(cold.artifact_key(id))))
+        << id;
+  }
+
+  Inputs warm(/*quick=*/true, dir_.string());
+  const RunReport warm_report = run_artifacts(defs, warm);
+  ASSERT_EQ(warm_report.results.size(), defs.size());
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    expect_same_artifact(cold_report.results[i], warm_report.results[i]);
+  }
+  EXPECT_EQ(warm_report.run_counts.study_runs, 0);
+  EXPECT_EQ(warm_report.run_counts.transition_runs, 0);
+  EXPECT_EQ(warm_report.run_counts.private_runs, 0);
+  EXPECT_EQ(warm_report.run_counts.declared_runs, 6 + 9);
+  EXPECT_EQ(warm_report.run_counts.distinct_runs, 6 + 9);
+  // The two artifacts were put back; no run was.
+  EXPECT_EQ(warm.store()->stats().puts, 2u);
 }
 
 TEST_F(CachePipeline, WarmStudyForReportMatchesColdStudy) {
@@ -126,8 +163,11 @@ TEST_F(CachePipeline, WarmStudyForReportMatchesColdStudy) {
   // study never ran — but the report path still reconstructs it from
   // the store, bit-identical to the cold one.
   EXPECT_EQ(warm.run_counts().study_runs, 0);
-  EXPECT_EQ(warm.study_if_run(), nullptr);
+  const std::uint64_t hits = warm.store()->stats().hits;
   const core::StudyResult* restored = warm.study_for_report();
+  // Folded from the nine stored study runs, without simulating.
+  EXPECT_EQ(warm.store()->stats().hits, hits + 9);
+  EXPECT_EQ(warm.run_counts().study_runs, 0);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(encode_result(*restored), cold_blob);
 }
@@ -152,7 +192,7 @@ TEST_F(CachePipeline, TamperedArtifactBlobRecomputesIdentically) {
 
   Inputs warm(/*quick=*/true, dir_.string());
   const ArtifactResult warm_fig6 = run(warm, "fig6");
-  // The corrupt blob forced a real recompute (the shared transition blob
+  // The corrupt blob forced a real recompute (the transition run's blob
   // is still good, so only the artifact render re-ran)...
   EXPECT_GE(warm.store()->stats().corrupt_misses, 1u);
   // ...and the recomputed result is byte-for-byte the cold one.
@@ -162,9 +202,9 @@ TEST_F(CachePipeline, TamperedArtifactBlobRecomputesIdentically) {
 }
 
 TEST_F(CachePipeline, ThreadedRunReusesASerialEntry) {
-  // threads is a perf-only knob, so a threads=4 study finds the entry a
-  // threads=1 study stored, and that entry is bit for bit what the
-  // threads=4 study computes.
+  // threads is a perf-only knob, so a threads=4 study finds the run
+  // entries a threads=1 study stored, and each entry is bit for bit what
+  // the threads=4 study computes.
   const auto presets = workload::session_presets();
   const std::vector<workload::WorkloadMix> mixes(presets.begin(),
                                                  presets.begin() + 3);
@@ -174,22 +214,41 @@ TEST_F(CachePipeline, ThreadedRunReusesASerialEntry) {
   threaded.threads = 4;
 
   ResultStore cold(dir_.string());
-  cold.put(study_cache_key(serial, mixes),
-           encode_result(core::run_study(mixes, serial)));
+  const std::vector<core::RunSpec> serial_specs =
+      core::study_specs(mixes, serial);
+  const std::vector<core::RunResult> serial_runs =
+      core::run_all(serial_specs, serial.threads);
+  for (std::size_t i = 0; i < serial_specs.size(); ++i) {
+    cold.put(run_cache_key(serial_specs[i]), encode_result(serial_runs[i]));
+  }
 
   ResultStore warm(dir_.string());
-  const auto hit = warm.get(study_cache_key(threaded, mixes));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(warm.stats().hits, 1u);
-  EXPECT_EQ(*hit, encode_result(core::run_study(mixes, threaded)));
+  const std::vector<core::RunSpec> threaded_specs =
+      core::study_specs(mixes, threaded);
+  const std::vector<core::RunResult> threaded_runs =
+      core::run_all(threaded_specs, threaded.threads);
+  ASSERT_EQ(threaded_specs.size(), mixes.size());
+  for (std::size_t i = 0; i < threaded_specs.size(); ++i) {
+    const auto hit = warm.get(run_cache_key(threaded_specs[i]));
+    ASSERT_TRUE(hit.has_value()) << i;
+    EXPECT_EQ(*hit, encode_result(threaded_runs[i])) << i;
+  }
+  EXPECT_EQ(warm.stats().hits, mixes.size());
 }
 
 TEST_F(CachePipeline, QuickAndFullPopulationsNeverShareEntries) {
   Inputs quick(/*quick=*/true, dir_.string());
   Inputs full(/*quick=*/false, dir_.string());
   EXPECT_NE(quick.artifact_key("table2"), full.artifact_key("table2"));
-  EXPECT_NE(study_cache_key(quick.study_config()),
-            study_cache_key(full.study_config()));
+  std::set<std::uint64_t> full_keys;
+  for (const core::RunSpec& spec : full.study_specs()) {
+    full_keys.insert(run_cache_key(spec));
+  }
+  full_keys.insert(run_cache_key(full.transition_run()));
+  for (const core::RunSpec& spec : quick.study_specs()) {
+    EXPECT_EQ(full_keys.count(run_cache_key(spec)), 0u);
+  }
+  EXPECT_EQ(full_keys.count(run_cache_key(quick.transition_run())), 0u);
 }
 
 TEST_F(CachePipeline, DisabledCacheKeepsTheOldBehaviour) {

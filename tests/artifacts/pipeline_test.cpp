@@ -88,12 +88,12 @@ TEST_F(QuickPipeline, SharedExperimentsRunAtMostOnce) {
   const RunCounts& counts = inputs().run_counts();
   EXPECT_EQ(counts.study_runs, 1);
   EXPECT_EQ(counts.transition_runs, 1);
-  EXPECT_NE(inputs().study_if_run(), nullptr);
+  EXPECT_NE(inputs().study_for_report(), nullptr);
 }
 
 TEST_F(QuickPipeline, StudyEngineReportsFastForwardActivity) {
   result("table2");  // ensures the study ran
-  const core::StudyResult* study = inputs().study_if_run();
+  const core::StudyResult* study = inputs().study_for_report();
   ASSERT_NE(study, nullptr);
   // The event-horizon fast-forward is on by default; a study this size
   // must have taken jumps, and accounting must cover real cycles.

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/capsule.hpp"
+#include "base/rng.hpp"
+#include "core/run.hpp"
 #include "core/study.hpp"
 #include "core/transition.hpp"
 #include "workload/presets.hpp"
@@ -210,76 +215,109 @@ TEST_F(ResultStoreTest, BloomSidecarFailureIsNotAPutError) {
 
 // --- Key derivation ---------------------------------------------------
 
+/// The store keys of a study's runs: a study is stored as its runs.
+std::vector<std::uint64_t> study_keys(
+    const core::StudyConfig& config,
+    std::span<const workload::WorkloadMix> mixes) {
+  std::vector<std::uint64_t> keys;
+  for (const core::RunSpec& spec : core::study_specs(mixes, config)) {
+    keys.push_back(run_cache_key(spec));
+  }
+  return keys;
+}
+
+std::vector<std::uint64_t> study_keys(const core::StudyConfig& config) {
+  return study_keys(config, workload::session_presets());
+}
+
+std::uint64_t transition_key(const core::TransitionConfig& config) {
+  return run_cache_key(
+      core::transition_spec(workload::high_concurrency_mix(), config));
+}
+
 TEST(CacheKeys, StaleCodeSaltChangesEveryKey) {
   const core::StudyConfig config;
-  EXPECT_NE(study_cache_key(config, kCodeSalt),
-            study_cache_key(config, kCodeSalt + 1));
+  const core::RunSpec spec =
+      core::study_specs(workload::session_presets(), config).front();
+  EXPECT_NE(run_cache_key(spec, kCodeSalt), run_cache_key(spec, kCodeSalt + 1));
   const core::TransitionConfig transition;
-  EXPECT_NE(transition_cache_key(transition, kCodeSalt),
-            transition_cache_key(transition, kCodeSalt + 1));
   EXPECT_NE(artifact_cache_key("fig3", config, transition, false, kCodeSalt),
             artifact_cache_key("fig3", config, transition, false,
                                kCodeSalt + 1));
 }
 
 TEST(CacheKeys, EveryStudyConfigFieldChangesTheKey) {
+  // A field that decides results changes every study run's key and the
+  // artifact key. The perf-only knobs (threads, fast_forward,
+  // sampling.fast_forward), which StudyOracle proves change nothing but
+  // the fast-forward bookkeeping, keep both.
   const core::StudyConfig base;
-  const std::uint64_t key = study_cache_key(base);
-  // One mutation per field that decides results. The perf-only knobs
-  // (threads, fast_forward, sampling.fast_forward), which StudyOracle
-  // proves change nothing but the fast-forward bookkeeping, keep the key.
-  const auto mutated = [&](auto&& mutate) {
+  const core::TransitionConfig transition;
+  const std::vector<std::uint64_t> keys = study_keys(base);
+  const std::uint64_t artifact =
+      artifact_cache_key("table2", base, transition, false);
+  const auto changes = [&](auto&& mutate) {
     core::StudyConfig config = base;
     mutate(config);
-    return study_cache_key(config);
+    const std::vector<std::uint64_t> mutated = study_keys(config);
+    const bool artifact_changed =
+        artifact_cache_key("table2", config, transition, false) != artifact;
+    bool every_run_changed = true;
+    for (std::size_t i = 0; i < keys.size() && i < mutated.size(); ++i) {
+      every_run_changed = every_run_changed && mutated[i] != keys[i];
+    }
+    EXPECT_EQ(every_run_changed, artifact_changed);
+    return artifact_changed || mutated != keys;
   };
-  EXPECT_NE(key, mutated([](auto& c) { c.samples_per_session += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.warmup_cycles += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.seed += 1; }));
-  EXPECT_EQ(key, mutated([](auto& c) { c.threads += 1; }));
-  EXPECT_EQ(key, mutated([](auto& c) { c.fast_forward = !c.fast_forward; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.replicates_per_session += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.sampling.interval_cycles += 1; }));
-  EXPECT_NE(key,
-            mutated([](auto& c) { c.sampling.snapshots_per_sample += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.sampling.buffer_depth += 1; }));
-  EXPECT_EQ(key, mutated([](auto& c) {
-              c.sampling.fast_forward = !c.sampling.fast_forward;
-            }));
-  EXPECT_NE(key, mutated([](auto& c) { c.system.machine.n_ips += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) { c.system.machine.seed += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.samples_per_session += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.warmup_cycles += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.seed += 1; }));
+  EXPECT_FALSE(changes([](auto& c) { c.threads += 1; }));
+  EXPECT_FALSE(changes([](auto& c) { c.fast_forward = !c.fast_forward; }));
+  EXPECT_TRUE(changes([](auto& c) { c.sampling.interval_cycles += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.sampling.snapshots_per_sample += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.sampling.buffer_depth += 1; }));
+  EXPECT_FALSE(changes([](auto& c) {
+    c.sampling.fast_forward = !c.sampling.fast_forward;
+  }));
+  EXPECT_TRUE(changes([](auto& c) { c.system.machine.n_ips += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.system.machine.seed += 1; }));
   // The topology block: every field keys (a width-16 run must never
   // serve a width-8 blob and vice versa).
-  EXPECT_NE(key,
-            mutated([](auto& c) { c.system.machine.topology.n_ces += 1; }));
-  EXPECT_NE(key, mutated(
-                     [](auto& c) { c.system.machine.topology.n_clusters += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) {
-              c.system.machine.topology.cache_banks += 1;
-            }));
-  EXPECT_NE(key, mutated([](auto& c) {
-              c.system.machine.topology.mem_buses += 1;
-            }));
-  EXPECT_NE(key, mutated([](auto& c) { c.system.vm.fault_service_cycles += 1; }));
-  EXPECT_NE(key, mutated([](auto& c) {
-              c.system.scheduling = os::SchedulingPolicy::kConcurrentFirst;
-            }));
-  // And the identity mutation does NOT change the key (determinism).
-  EXPECT_EQ(key, mutated([](auto&) {}));
+  EXPECT_TRUE(changes([](auto& c) { c.system.machine.topology.n_ces += 1; }));
+  EXPECT_TRUE(
+      changes([](auto& c) { c.system.machine.topology.n_clusters += 1; }));
+  EXPECT_TRUE(
+      changes([](auto& c) { c.system.machine.topology.cache_banks += 1; }));
+  EXPECT_TRUE(
+      changes([](auto& c) { c.system.machine.topology.mem_buses += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.system.vm.fault_service_cycles += 1; }));
+  EXPECT_TRUE(changes([](auto& c) {
+    c.system.scheduling = os::SchedulingPolicy::kConcurrentFirst;
+  }));
+  // And the identity mutation does NOT change the keys (determinism).
+  EXPECT_FALSE(changes([](auto&) {}));
+  // Replicates split each session into more runs of fewer samples.
+  core::StudyConfig split = base;
+  split.replicates_per_session = 2;
+  EXPECT_EQ(study_keys(split).size(), 2 * keys.size());
+  EXPECT_NE(study_keys(split).front(), keys.front());
+  EXPECT_NE(artifact_cache_key("table2", split, transition, false), artifact);
 }
 
 TEST(CacheKeys, EveryContentionMixFieldChangesTheStudyKey) {
-  // The v3 keys fold the session mixes: a cached blob computed for one
-  // contention configuration must never be served for another. One
-  // mutation per new WorkloadMix field.
+  // Run keys fold the session mixes: a run stored for one contention
+  // configuration must never be served for another. One mutation per
+  // WorkloadMix contention field.
   const core::StudyConfig config;
   const std::vector<workload::WorkloadMix> mixes = {
       workload::lock_contention_mix(workload::LockType::kTicket)};
-  const std::uint64_t key = study_cache_key(config, mixes);
+  const std::vector<std::uint64_t> key = study_keys(config, mixes);
+  ASSERT_EQ(key.size(), 1u);
   const auto mutated = [&](auto&& mutate) {
     auto copy = mixes;
     mutate(copy[0]);
-    return study_cache_key(config, copy);
+    return study_keys(config, copy);
   };
   EXPECT_NE(key, mutated([](auto& m) { m.contention_job_fraction -= 0.5; }));
   EXPECT_NE(key, mutated([](auto& m) { m.contention.rcu_fraction += 0.5; }));
@@ -302,22 +340,23 @@ TEST(CacheKeys, EveryContentionMixFieldChangesTheStudyKey) {
   EXPECT_NE(key, mutated([](auto& m) { m.contention.rcu.reader_steps += 1; }));
   EXPECT_NE(key, mutated([](auto& m) { m.contention.rcu.writer_steps += 1; }));
   EXPECT_NE(key, mutated([](auto& m) { m.contention.rcu.writer_every += 1; }));
-  // The identity mutation keeps the key; the mix COUNT keys as well.
+  // The identity mutation keeps the key. A second mix adds a run and
+  // draws the next session seed, so the key set is not merely extended.
   EXPECT_EQ(key, mutated([](auto&) {}));
   const std::vector<workload::WorkloadMix> two = {mixes[0], mixes[0]};
-  EXPECT_NE(key, study_cache_key(config, two));
-  // The default overload is exactly the session-preset overload.
-  const auto presets = workload::session_presets();
-  EXPECT_EQ(study_cache_key(config), study_cache_key(config, presets));
+  const std::vector<std::uint64_t> keys_two = study_keys(config, two);
+  ASSERT_EQ(keys_two.size(), 2u);
+  EXPECT_EQ(keys_two[0], key[0]);
+  EXPECT_NE(keys_two[1], key[0]);
 }
 
 TEST(CacheKeys, EveryTransitionConfigFieldChangesTheKey) {
   const core::TransitionConfig base;
-  const std::uint64_t key = transition_cache_key(base);
+  const std::uint64_t key = transition_key(base);
   const auto mutated = [&](auto&& mutate) {
     core::TransitionConfig config = base;
     mutate(config);
-    return transition_cache_key(config);
+    return transition_key(config);
   };
   EXPECT_NE(key, mutated([](auto& c) { c.captures += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.capture_timeout += 1; }));
@@ -326,6 +365,11 @@ TEST(CacheKeys, EveryTransitionConfigFieldChangesTheKey) {
   EXPECT_NE(key, mutated([](auto& c) { c.sampling.buffer_depth += 1; }));
   EXPECT_NE(key, mutated([](auto& c) { c.system.machine.seed += 1; }));
   EXPECT_EQ(key, mutated([](auto&) {}));
+  // The trigger mode keys too: the same config under another trigger is
+  // another run.
+  EXPECT_NE(key, run_cache_key(core::transition_spec(
+                     workload::high_concurrency_mix(), base,
+                     instr::TriggerMode::kAllActive)));
 }
 
 TEST(CacheKeys, ArtifactKeysSeparateIdQuickAndKind) {
@@ -337,40 +381,284 @@ TEST(CacheKeys, ArtifactKeysSeparateIdQuickAndKind) {
   EXPECT_NE(fig3, artifact_cache_key("fig3", study, transition, true));
   // Different result kinds never share a key even over the same config
   // (the kind tag is hashed in).
-  EXPECT_NE(study_cache_key(study), fig3);
-  EXPECT_NE(study_cache_key(study), transition_cache_key(transition));
+  for (const std::uint64_t key : study_keys(study)) {
+    EXPECT_NE(key, fig3);
+  }
+  EXPECT_NE(transition_key(transition), fig3);
 }
 
 // --- Result blob encode/decode ----------------------------------------
 
-TEST(ResultBlobs, TransitionResultRoundTrips) {
-  core::TransitionResult result;
-  result.state_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  result.processor_counts = {10, 20, 30, 40, 50, 60, 70, 80};
-  result.captures_completed = 40;
-  result.captures_timed_out = 2;
+/// A short run with samples, captures and a trace: every RunResult field
+/// is nonzero somewhere.
+core::RunResult small_run() {
+  core::RunSpec spec;
+  spec.mix = workload::high_concurrency_mix();
+  spec.sampling.interval_cycles = 15000;
+  spec.generator_seed = 7;
+  spec.controller_seed = 11;
+  spec.warmup_cycles = 3000;
+  spec.capture_mode = instr::TriggerMode::kTransitionFromFull;
+  spec.captures = 1;
+  spec.capture_timeout = 300000;
+  spec.samples = 2;
+  spec.trace_overlap = true;
+  return core::run(spec);
+}
+
+TEST(ResultBlobs, RunResultRoundTrips) {
+  core::RunResult result = small_run();
+  ASSERT_EQ(result.samples.size(), 2u);
+  ASSERT_GT(result.captures_completed, 0u);
+  // Distinct nonzero values in the fields this short run leaves at zero,
+  // so a field the walk skipped cannot come back equal by default.
+  result.captures_timed_out = 3;
+  result.clusters = 5;
+  result.jobs_completed = 7;
+  result.total_wait_cycles = 11;
+  result.fabric_conflicts = 13;
+  result.trace_cw = 0.25;
+  result.trace_pc = 2.5;
+  result.trace_jobs = 17;
   const auto blob = encode_result(result);
-  const auto back = decode_result<core::TransitionResult>(blob);
-  EXPECT_EQ(back.state_counts, result.state_counts);
-  EXPECT_EQ(back.processor_counts, result.processor_counts);
+  const auto back = decode_result<core::RunResult>(blob);
+  ASSERT_EQ(back.samples.size(), result.samples.size());
+  for (std::size_t i = 0; i < result.samples.size(); ++i) {
+    EXPECT_EQ(encode_result(back.samples[i]), encode_result(result.samples[i]));
+  }
+  EXPECT_EQ(encode_result(back.totals), encode_result(result.totals));
   EXPECT_EQ(back.captures_completed, result.captures_completed);
   EXPECT_EQ(back.captures_timed_out, result.captures_timed_out);
+  EXPECT_EQ(back.state_counts, result.state_counts);
+  EXPECT_EQ(back.processor_counts, result.processor_counts);
+  EXPECT_EQ(encode_result(back.captured), encode_result(result.captured));
+  EXPECT_EQ(encode_result(back.ff), encode_result(result.ff));
+  EXPECT_EQ(back.width, result.width);
+  EXPECT_EQ(back.clusters, result.clusters);
+  EXPECT_EQ(back.jobs_completed, result.jobs_completed);
+  EXPECT_EQ(back.total_wait_cycles, result.total_wait_cycles);
+  EXPECT_EQ(back.fabric_conflicts, result.fabric_conflicts);
+  EXPECT_EQ(back.now, result.now);
+  EXPECT_EQ(back.trace_cw, result.trace_cw);
+  EXPECT_EQ(back.trace_pc, result.trace_pc);
+  EXPECT_EQ(back.trace_events, result.trace_events);
+  EXPECT_EQ(back.trace_jobs, result.trace_jobs);
+  EXPECT_EQ(encode_result(back), blob);
 }
 
 TEST(ResultBlobs, TrailingBytesAreAShapeMismatch) {
-  core::TransitionResult result;
+  core::RunResult result;
   auto blob = encode_result(result);
   blob.push_back(0);  // One stray byte: the walk must not silently pass.
-  EXPECT_THROW(static_cast<void>(decode_result<core::TransitionResult>(blob)),
+  EXPECT_THROW(static_cast<void>(decode_result<core::RunResult>(blob)),
                capsule::CapsuleError);
 }
 
 TEST(ResultBlobs, ShortPayloadIsAShapeMismatch) {
-  core::TransitionResult result;
+  core::RunResult result;
   auto blob = encode_result(result);
   blob.resize(blob.size() / 2);
-  EXPECT_THROW(static_cast<void>(decode_result<core::TransitionResult>(blob)),
+  EXPECT_THROW(static_cast<void>(decode_result<core::RunResult>(blob)),
                capsule::CapsuleError);
+}
+
+// A width past kMaxTopologyCes would send Table 2's render (and every
+// fold) past the end of the c/num arrays: loading it must throw.
+TEST(ResultBlobs, MeasuresWiderThanTheWidestTopologyThrow) {
+  core::ConcurrencyMeasures measures;
+  measures.width = 1000;
+  EXPECT_THROW(static_cast<void>(decode_result<core::ConcurrencyMeasures>(
+                   encode_result(measures))),
+               capsule::CapsuleError);
+  measures.width = kMaxTopologyCes;
+  EXPECT_NO_THROW(static_cast<void>(decode_result<core::ConcurrencyMeasures>(
+      encode_result(measures))));
+}
+
+TEST(ResultBlobs, EventCountsWiderThanTheWidestTopologyThrow) {
+  instr::EventCounts counts;
+  counts.width = 1000;
+  EXPECT_THROW(static_cast<void>(
+                   decode_result<instr::EventCounts>(encode_result(counts))),
+               capsule::CapsuleError);
+  counts.width = kMaxTopologyCes;
+  EXPECT_NO_THROW(static_cast<void>(
+      decode_result<instr::EventCounts>(encode_result(counts))));
+}
+
+TEST(ResultBlobs, RunWidthsOutsideTheTopologyRangeThrow) {
+  for (const std::uint32_t bad : {0u, kMaxTopologyCes + 1, 1000u}) {
+    core::RunResult result;
+    result.width = bad;
+    EXPECT_THROW(static_cast<void>(
+                     decode_result<core::RunResult>(encode_result(result))),
+                 capsule::CapsuleError)
+        << bad;
+    result.width = kMaxCes;
+    result.clusters = bad;
+    EXPECT_THROW(static_cast<void>(
+                     decode_result<core::RunResult>(encode_result(result))),
+                 capsule::CapsuleError)
+        << bad;
+  }
+}
+
+// --- Crafted blobs and sidecars ---------------------------------------
+//
+// Seeded mutants in the style of CapsuleFuzz: a bit flip, a truncation,
+// or a small little-endian u64 (the likely element count) pushed past
+// 2^40. Raw mutants damage the sealed file as it lies on disk; re-sealed
+// ones edit the payload and seal it again, so they pass the envelope and
+// header checks and reach the decode walk.
+
+std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> bytes, Rng& rng,
+                                 std::size_t from) {
+  const std::size_t at = from + rng.uniform(bytes.size() - from - 8);
+  switch (rng.uniform(3)) {
+    case 0:
+      bytes[at] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
+      break;
+    case 1:
+      bytes.resize(at);
+      break;
+    default:
+      for (std::size_t c = at; c < at + 4096 && c + 8 < bytes.size(); ++c) {
+        if (bytes[c] != 0 && std::all_of(&bytes[c + 2], &bytes[c + 8],
+                                         [](auto b) { return b == 0; })) {
+          bytes[c + 5] = 1;
+          break;
+        }
+      }
+  }
+  return bytes;
+}
+
+void write_bytes(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every width a RunResult carries is one a fold may index by.
+bool in_range(const core::RunResult& run) {
+  const auto ok = [](std::uint32_t width) {
+    return width >= 1 && width <= kMaxTopologyCes;
+  };
+  bool all = ok(run.width) && ok(run.clusters) && ok(run.totals.width) &&
+             ok(run.captured.width);
+  for (const core::AnalyzedSample& sample : run.samples) {
+    all = all && ok(sample.raw.hw.width) && ok(sample.measures.width);
+  }
+  return all;
+}
+
+class ResultFuzz : public ResultStoreTest {
+ protected:
+  struct Outcomes {
+    int misses = 0;
+    int throws = 0;
+    int decoded = 0;
+  };
+
+  /// Each mutant run blob must miss, throw CapsuleError on decode, or
+  /// decode to an in-range result that re-encodes to exactly the bytes
+  /// it came from.
+  Outcomes fuzz_run_blobs(bool raw);
+
+  /// A mangled bloom sidecar must never stop the store from opening, and
+  /// every stored key must still read back exactly or miss cleanly.
+  /// Returns how many reads were served.
+  int fuzz_bloom(bool raw);
+};
+
+ResultFuzz::Outcomes ResultFuzz::fuzz_run_blobs(bool raw) {
+  ResultStore store(dir_.string());
+  const std::vector<std::uint8_t> payload = encode_result(small_run());
+  constexpr std::uint64_t kKey = 0x5EED;
+  store.put(kKey, payload);
+  const std::vector<std::uint8_t> sealed =
+      capsule::read_file(store.object_path(kKey));
+  // The sealed file's payload: key echo, store version, result.
+  const std::vector<std::uint8_t> framed = capsule::unseal(sealed);
+  EXPECT_EQ(framed.size(), payload.size() + 12);
+
+  Rng rng(raw ? 0xB10B : 0xB10C);
+  Outcomes outcomes;
+  for (int i = 0; i < 150; ++i) {
+    write_bytes(store.object_path(kKey),
+                raw ? mutate(sealed, rng, 0)
+                    : capsule::seal(mutate(framed, rng, 12)));
+    const auto got = store.get(kKey);
+    if (!got) {
+      ++outcomes.misses;
+      continue;
+    }
+    try {
+      const core::RunResult run = decode_result<core::RunResult>(*got);
+      EXPECT_TRUE(in_range(run)) << "mutant " << i;
+      EXPECT_EQ(encode_result(run), *got) << "mutant " << i;
+      ++outcomes.decoded;
+    } catch (const capsule::CapsuleError&) {
+      ++outcomes.throws;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what();
+    }
+  }
+  return outcomes;
+}
+
+int ResultFuzz::fuzz_bloom(bool raw) {
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> stored;
+  {
+    ResultStore store(dir_.string());
+    for (std::uint64_t key = 1; key <= 6; ++key) {
+      stored.emplace_back(key * 0x9E3779B97F4A7C15ULL,
+                          payload({static_cast<int>(key), 2, 3}));
+      store.put(stored.back().first, stored.back().second);
+    }
+  }
+  const fs::path bloom = dir_ / "bloom.bin";
+  const std::vector<std::uint8_t> sealed = capsule::read_file(bloom.string());
+  const std::vector<std::uint8_t> bits = capsule::unseal(sealed);
+
+  Rng rng(raw ? 0xB100 : 0xB101);
+  int served = 0;
+  for (int i = 0; i < 150; ++i) {
+    write_bytes(bloom, raw ? mutate(sealed, rng, 0)
+                           : capsule::seal(mutate(bits, rng, 0)));
+    try {
+      ResultStore store(dir_.string());
+      for (const auto& [key, body] : stored) {
+        if (const auto got = store.get(key)) {
+          EXPECT_EQ(*got, body) << "mutant " << i;
+          ++served;
+        }
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what();
+    }
+  }
+  return served;
+}
+
+TEST_F(ResultFuzz, RawRunBlobsMiss) {
+  // The envelope digest catches every damaged file.
+  EXPECT_EQ(fuzz_run_blobs(/*raw=*/true).misses, 150);
+}
+
+TEST_F(ResultFuzz, ResealedRunBlobsThrowOrDecodeInRange) {
+  const Outcomes outcomes = fuzz_run_blobs(/*raw=*/false);
+  EXPECT_EQ(outcomes.misses, 0);   // Sealed and framed: the walk is reached.
+  EXPECT_GT(outcomes.decoded, 0);  // Flips in plain counters decode...
+  EXPECT_GT(outcomes.throws, 0);   // ...truncations and inflations do not.
+}
+
+TEST_F(ResultFuzz, RawBloomSidecarsStillServeEveryKey) {
+  EXPECT_GT(fuzz_bloom(/*raw=*/true), 0);
+}
+
+TEST_F(ResultFuzz, ResealedBloomSidecarsStillServeEveryKey) {
+  EXPECT_GT(fuzz_bloom(/*raw=*/false), 0);
 }
 
 }  // namespace

@@ -207,11 +207,12 @@ TEST(Runner, ConcurrentMatchesSerial) {
   EXPECT_EQ(report.run_counts.private_runs, expected.private_runs);
   EXPECT_EQ(report.run_counts.study_runs, 1);
   EXPECT_EQ(report.run_counts.transition_runs, 1);
-  // 40 distinct declared runs, plus ablation_dispatch's 6 quick loops
-  // and predictor_validation's 2 quick anchor points.
+  // 40 distinct artifact-private declared runs, plus ablation_dispatch's
+  // 6 quick loops and predictor_validation's 2 quick anchor points.
   EXPECT_EQ(report.run_counts.private_runs, 48);
-  EXPECT_EQ(report.run_counts.declared_runs, 41);
-  EXPECT_EQ(report.run_counts.distinct_runs, 40);
+  // Those 40, the 9 study runs and the transition run.
+  EXPECT_EQ(report.run_counts.declared_runs, 196);
+  EXPECT_EQ(report.run_counts.distinct_runs, 50);
   EXPECT_EQ(report.ok, static_cast<int>(defs.size()));
 }
 
@@ -227,9 +228,12 @@ TEST(Runner, DuplicateSpecsRunOnce) {
       }
     }
   }
-  EXPECT_EQ(declared, 41);
-  EXPECT_EQ(keys.size(), 40u);
-  // The one duplicate: width_sweep's width-8 row is width_scaling's.
+  // 17 study readers declare the 9 study runs, fig6 and fig7 the
+  // transition run, and 11 more artifacts 41 runs of their own.
+  EXPECT_EQ(declared, 17 * 9 + 2 + 41);
+  EXPECT_EQ(keys.size(), 9u + 1u + 40u);
+  // The one duplicate among the artifacts' own runs: width_sweep's
+  // width-8 row is width_scaling's.
   const ArtifactDef* sweep = find_artifact("width_sweep");
   const ArtifactDef* scaling = find_artifact("width_scaling");
   ASSERT_NE(sweep, nullptr);
@@ -339,7 +343,7 @@ TEST(Inputs, ConcurrentReadersRunEachExperimentOnce) {
   EXPECT_EQ(counts.transition_runs, 1);
   EXPECT_EQ(counts.private_runs, 8);
   for (const core::StudyResult* study : studies) {
-    EXPECT_EQ(study, inputs.study_if_run());
+    EXPECT_EQ(study, inputs.study_for_report());
   }
 }
 

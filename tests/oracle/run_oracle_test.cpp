@@ -1,4 +1,4 @@
-// The run oracle: every run the quick catalog declares, executed with
+// The run oracle: every distinct run the quick catalog declares, run with
 // fast-forward on and with it off, must agree on every field of its
 // RunResult except the fast-forward bookkeeping. A failure names the
 // artifact, the run's index among its declarations, and the first field
@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,16 +26,23 @@ struct DeclaredRun {
 
 void PrintTo(const DeclaredRun& run, std::ostream* os) { *os << run.name; }
 
+/// Each distinct declared run once, named after its first declaration in
+/// catalog order (the study's runs after table2, the transition's after
+/// fig6).
 std::vector<DeclaredRun> quick_catalog_runs() {
   const artifacts::Inputs quick(/*quick=*/true);
   std::vector<DeclaredRun> runs;
+  std::set<std::uint64_t> keys;
   for (const artifacts::ArtifactDef& def : artifacts::catalog()) {
     if (!def.runs) {
       continue;
     }
     std::size_t index = 0;
     for (core::RunSpec& spec : def.runs(quick)) {
-      runs.push_back({def.id + "_" + std::to_string(index++), std::move(spec)});
+      const std::string name = def.id + "_" + std::to_string(index++);
+      if (keys.insert(core::run_key(spec)).second) {
+        runs.push_back({name, std::move(spec)});
+      }
     }
   }
   return runs;
