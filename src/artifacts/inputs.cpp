@@ -87,10 +87,11 @@ const core::RunResult& Inputs::memo(const core::RunSpec& spec,
   }
   // A throw leaves the slot's flag unset, so a later run() still runs.
   std::call_once(slot->once, [this, slot, &spec, key, simulate] {
-    // Fetch-or-compute through the store. A miss of any kind (absent,
-    // truncated, tampered, stale salt, or a walk that fails after a clean
-    // unseal) simulates the run and writes it back.
-    const std::uint64_t stored = run_cache_key(spec);
+    // Fetch-or-compute through the store, when one is open (only then is
+    // the store key derived). A miss of any kind (absent, truncated,
+    // tampered, stale salt, or a walk that fails after a clean unseal)
+    // simulates the run and writes it back.
+    const std::uint64_t stored = store_ ? run_cache_key(spec) : 0;
     if (auto payload = store_ ? store_->get(stored) : std::nullopt) {
       try {
         slot->result = decode_result<core::RunResult>(std::move(*payload));

@@ -11,14 +11,15 @@
 //
 // Key derivation (docs/benchmarks.md, "The result cache"):
 //
-//   key = fasthash( kind tag · code salt · config fingerprint ·
-//                   canonical config walk , seed = code salt )
+//   key = digest( kind tag · code salt · canonical config walk )
 //
-// where a run's canonical walk is its core::run_key digest. The walk
-// covers every config field that decides results, so any such change
-// misses the cache. The perf-only knobs (`threads`, `fast_forward`) are
-// left out: the differential oracle proves they do not change results,
-// so a --threads 4 run reuses a --threads 1 entry.
+// where digest is the FNV-1a capsule digester (capsule::Io::digester(),
+// the hash core::run_key already uses for a run's identity) and a run's
+// canonical walk is its core::run_key digest. The walk covers every
+// config field that decides results, so any such change misses the
+// cache. The perf-only knobs (`threads`, `fast_forward`) are left out:
+// the differential oracle proves they do not change results, so a
+// --threads 4 run reuses a --threads 1 entry.
 // The code salt folds the capsule format version, the store format
 // version, and a manually bumped kCodeVersion; bumping any of them
 // orphans every old key (a clean miss, never a stale hit).
@@ -26,8 +27,7 @@
 // Robustness contract: the store can only ever *miss*, never return a
 // wrong answer. A truncated, tampered, wrong-version, or stale-salt blob
 // fails the envelope or header checks, is counted in CacheStats, deleted
-// when possible, and recomputed. A missing or corrupt bloom sidecar is
-// rebuilt from the object directory.
+// when possible, and recomputed.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,11 @@
 
 namespace repro::artifacts {
 
-/// Store directory format version: the envelope laid around blobs and
-/// the bloom sidecar. Bump on layout changes.
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+/// Store directory format version: the directory layout, the envelope
+/// laid around blobs, and the key derivation. Bump on any change to them.
+/// v2: the negative-cache sidecar is gone, and keys are capsule digests
+/// with no separate system-config digest folded in.
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Manually bumped experiment-semantics version. Bump whenever simulator
 /// or artifact-render changes alter what any config would produce — the
@@ -59,7 +61,7 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 /// transitions.
 inline constexpr std::uint32_t kCodeVersion = 6;
 
-/// The salt every key is seeded with.
+/// The salt walked into every key.
 inline constexpr std::uint64_t kCodeSalt =
     (static_cast<std::uint64_t>(kCodeVersion) << 40) |
     (static_cast<std::uint64_t>(kStoreFormatVersion) << 20) |
@@ -69,45 +71,18 @@ inline constexpr std::uint64_t kCodeSalt =
 /// and by --cache-stats.
 struct CacheStats {
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;        ///< Includes bloom skips and corrupt blobs.
-  std::uint64_t bloom_skips = 0;   ///< Misses resolved without touching disk.
+  std::uint64_t misses = 0;          ///< Includes corrupt blobs.
   std::uint64_t corrupt_misses = 0;  ///< Blobs rejected by envelope/header.
   std::uint64_t puts = 0;
-  std::uint64_t put_errors = 0;    ///< Failed blob writes (read-only dir, ...).
-  /// Failed bloom-sidecar writes. Counted separately from put_errors:
-  /// a lost sidecar never loses the blob (it is rebuilt from the object
-  /// directory on reopen), and save_bloom also runs on reopen-rebuild,
-  /// where no put is in flight to blame.
-  std::uint64_t bloom_save_errors = 0;
+  std::uint64_t put_errors = 0;  ///< Failed blob writes (read-only dir, ...).
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
-};
-
-/// Membership bloom over every key ever put: if it says "absent" the key
-/// is definitely not stored and the open/stat path is skipped (the
-/// negative cache of SNIPPETS 1-2). False positives cost one failed
-/// open; false negatives cannot occur for keys inserted through this
-/// process, and a stale sidecar only costs a spurious recompute.
-class BloomFilter {
- public:
-  static constexpr std::uint32_t kBits = 1u << 16;  // 8 KiB of bits.
-  static constexpr int kProbes = 4;
-
-  void insert(std::uint64_t key);
-  [[nodiscard]] bool maybe_contains(std::uint64_t key) const;
-
-  /// Capsule walk for the persisted sidecar.
-  void serialize(capsule::Io& io);
-
- private:
-  std::vector<std::uint8_t> bits_ = std::vector<std::uint8_t>(kBits / 8, 0);
 };
 
 class ResultStore {
  public:
   /// Opens (creating if needed) the store at `dir`. Layout:
   ///   <dir>/objects/<16-hex-key>.blob   sealed result blobs
-  ///   <dir>/bloom.bin                   sealed bloom sidecar
   /// Throws capsule::CapsuleError if the directory cannot be created.
   explicit ResultStore(std::string dir);
 
@@ -118,8 +93,9 @@ class ResultStore {
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(
       std::uint64_t key);
 
-  /// Store `payload` under `key` (tmp-file + rename; failures are
-  /// counted, never thrown) and persist the updated bloom.
+  /// Store `payload` under `key`: written to a temp file of this put's
+  /// own, then renamed into place, so racing writers of one key each
+  /// publish a whole blob. Failures are counted, never thrown.
   void put(std::uint64_t key, const std::vector<std::uint8_t>& payload);
 
   /// A snapshot of the counters.
@@ -131,16 +107,11 @@ class ResultStore {
   [[nodiscard]] std::string object_path(std::uint64_t key) const;
 
  private:
-  void load_or_rebuild_bloom();
-  /// Requires mutex_ held (or no other thread yet, as in the ctor).
-  void save_bloom();
-
   std::string dir_;
-  /// Guards bloom_, stats_ and the sidecar save: concurrent renders get
-  /// and put from pool workers. Blob files are read and written outside
-  /// it; each key has its own file and publishes by rename.
+  /// Guards stats_: concurrent renders get and put from pool workers.
+  /// Blob files are read and written outside it; each key has its own
+  /// file and publishes by rename.
   mutable std::mutex mutex_;
-  BloomFilter bloom_;
   CacheStats stats_;
 };
 

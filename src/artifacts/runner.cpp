@@ -299,11 +299,9 @@ core::Json build_report_json(const RunReport& report, const Inputs& inputs,
     cache.set("dir", store->dir());
     cache.set("hits", stats.hits);
     cache.set("misses", stats.misses);
-    cache.set("bloom_skips", stats.bloom_skips);
     cache.set("corrupt_misses", stats.corrupt_misses);
     cache.set("puts", stats.puts);
     cache.set("put_errors", stats.put_errors);
-    cache.set("bloom_save_errors", stats.bloom_save_errors);
     cache.set("bytes_read", stats.bytes_read);
     cache.set("bytes_written", stats.bytes_written);
     root.set("cache", cache);

@@ -1,12 +1,13 @@
-// FNV-1a 64: the one home of the hash constants.
+// FNV-1a 64: the repo's one hash family and the one home of its
+// constants.
 //
-// The capsule layer (envelope digests, state-walk digests) and every
-// test that cross-checks a digest fold bytes through this helper; the
-// offset basis and prime live here and nowhere else. FNV-1a stays the
-// digest of record for capsules — it is simple, byte-order-free, and
-// streamable one byte at a time — while the content-addressed result
-// cache uses the faster seeded base::fasthash for its keys
-// (base/fasthash.hpp).
+// Every digest in the repo folds bytes through this helper: the capsule
+// layer (envelope digests, state-walk digests), core::run_key's run
+// identity, the result store's content keys (capsule::Io::digester()
+// walks, src/artifacts/result_store.hpp), and every test that
+// cross-checks a digest. The offset basis and prime live here and
+// nowhere else. FNV-1a is simple, byte-order-free, and streamable one
+// byte at a time.
 #pragma once
 
 #include <cstddef>

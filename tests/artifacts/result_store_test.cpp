@@ -1,21 +1,26 @@
 // ResultStore robustness: the store may only ever MISS, never return a
 // wrong or stale answer. Every corruption in the matrix — truncation,
-// tampering, version skew, foreign blobs, stale code salt, lost or
-// mangled bloom sidecars — must degrade to a clean miss that the caller
-// resolves by recomputing.
+// tampering, version skew, foreign blobs, stale code salt, racing
+// writers — must degrade to a clean miss that the caller resolves by
+// recomputing.
 #include "artifacts/result_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <string>
-#include <utility>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "artifacts/artifact.hpp"
 #include "base/capsule.hpp"
 #include "base/rng.hpp"
 #include "core/run.hpp"
@@ -71,12 +76,12 @@ TEST_F(ResultStoreTest, PutThenGetRoundTrips) {
   EXPECT_GT(store.stats().bytes_read, 0u);
 }
 
-TEST_F(ResultStoreTest, AbsentKeyIsABloomSkippedMiss) {
+TEST_F(ResultStoreTest, AbsentKeyIsAMiss) {
   ResultStore store(dir_.string());
   EXPECT_FALSE(store.get(0x1111).has_value());
   EXPECT_EQ(store.stats().misses, 1u);
-  EXPECT_EQ(store.stats().bloom_skips, 1u);
-  EXPECT_EQ(store.stats().bytes_read, 0u);  // Never touched the disk.
+  EXPECT_EQ(store.stats().corrupt_misses, 0u);
+  EXPECT_EQ(store.stats().bytes_read, 0u);
 }
 
 TEST_F(ResultStoreTest, ResultsSurviveReopen) {
@@ -89,6 +94,25 @@ TEST_F(ResultStoreTest, ResultsSurviveReopen) {
   const auto got = reopened.get(0x2222);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, body);
+}
+
+TEST_F(ResultStoreTest, BlobsPutThroughAnotherStoreAreServed) {
+  // Two stores open one directory (two processes sharing a cache). What
+  // either puts is on disk, so a fresh store serves both.
+  const auto k = payload({1, 1});
+  const auto j = payload({2, 2});
+  ResultStore a(dir_.string());
+  ResultStore b(dir_.string());
+  b.put(0xC0DE, k);
+  a.put(0xD0DE, j);
+  ResultStore fresh(dir_.string());
+  const auto got_k = fresh.get(0xC0DE);
+  const auto got_j = fresh.get(0xD0DE);
+  ASSERT_TRUE(got_k.has_value());
+  ASSERT_TRUE(got_j.has_value());
+  EXPECT_EQ(*got_k, k);
+  EXPECT_EQ(*got_j, j);
+  EXPECT_EQ(fresh.stats().misses, 0u);
 }
 
 TEST_F(ResultStoreTest, TruncatedBlobIsACleanMissAndIsRemoved) {
@@ -136,10 +160,6 @@ TEST_F(ResultStoreTest, ForeignKeyEchoIsACleanMiss) {
   ResultStore store(dir_.string());
   store.put(0x6666, payload({42}));
   fs::copy_file(store.object_path(0x6666), store.object_path(0x7777));
-  // Insert 0x7777 into the bloom via a put, then swap the foreign blob in.
-  store.put(0x7777, payload({43}));
-  fs::copy_file(store.object_path(0x6666), store.object_path(0x7777),
-                fs::copy_options::overwrite_existing);
   EXPECT_FALSE(store.get(0x7777).has_value());
   EXPECT_EQ(store.stats().corrupt_misses, 1u);
   // The original is untouched.
@@ -161,56 +181,65 @@ TEST_F(ResultStoreTest, WrongEnvelopeVersionIsACleanMiss) {
   EXPECT_EQ(store.stats().corrupt_misses, 1u);
 }
 
-TEST_F(ResultStoreTest, LostBloomSidecarIsRebuiltFromObjects) {
-  const auto body = payload({5, 5, 5});
-  {
-    ResultStore store(dir_.string());
-    store.put(0x9999, body);
-  }
-  fs::remove(dir_ / "bloom.bin");
-  ResultStore reopened(dir_.string());
-  const auto got = reopened.get(0x9999);  // Bloom must not skip it.
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, body);
-  EXPECT_EQ(reopened.stats().bloom_skips, 0u);
-}
-
-TEST_F(ResultStoreTest, CorruptBloomSidecarIsRebuiltFromObjects) {
-  const auto body = payload({6, 6});
-  {
-    ResultStore store(dir_.string());
-    store.put(0xAAAA, body);
-  }
-  std::ofstream(dir_ / "bloom.bin", std::ios::binary) << "garbage";
-  ResultStore reopened(dir_.string());
-  ASSERT_TRUE(reopened.get(0xAAAA).has_value());
-}
-
 TEST_F(ResultStoreTest, UnwritableDirectoryCountsPutErrors) {
   ResultStore store(dir_.string());
   fs::remove_all(dir_ / "objects");  // Yank the rug out from under put().
   store.put(0xBBBB, payload({1}));
   EXPECT_EQ(store.stats().puts, 0u);
   EXPECT_GE(store.stats().put_errors, 1u);
-  // The blob write failed before the sidecar save was even attempted.
-  EXPECT_EQ(store.stats().bloom_save_errors, 0u);
 }
 
-TEST_F(ResultStoreTest, BloomSidecarFailureIsNotAPutError) {
-  ResultStore store(dir_.string());
-  store.put(0xCCC0, payload({7}));
-  EXPECT_EQ(store.stats().bloom_save_errors, 0u);
-  // Squat a non-empty directory on the sidecar's temp path: the blob
-  // itself still lands, only the bloom save fails. This used to be
-  // charged to put_errors — double-counting every sidecar failure
-  // against puts that had in fact succeeded.
-  fs::create_directories(dir_ / "bloom.bin.tmp" / "squat");
-  store.put(0xCCCC, payload({1, 2}));
-  EXPECT_EQ(store.stats().puts, 2u);
-  EXPECT_EQ(store.stats().put_errors, 0u);
-  EXPECT_GE(store.stats().bloom_save_errors, 1u);
-  // The freshly put blob is still perfectly readable.
-  EXPECT_TRUE(store.get(0xCCCC).has_value());
+TEST_F(ResultStoreTest, ConcurrentPutsOfOneKeyPublishWhole) {
+  // Three writers put one key at once, each through its own store (as
+  // processes sharing a cache directory do, or duplicate ids in one
+  // catalog), while a reader reads it. Every put must publish a whole
+  // blob: none fails, and the reader never sees a torn one.
+  constexpr std::uint64_t kKey = 0xF00D;
+  constexpr int kWriters = 3;
+  constexpr int kPuts = 100;
+  constexpr std::size_t kBytes = 256 * 1024;
+  std::vector<std::unique_ptr<ResultStore>> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.push_back(std::make_unique<ResultStore>(dir_.string()));
+  }
+  ResultStore reader(dir_.string());
+  std::atomic<int> ready{0};
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < writers.size(); ++w) {
+    threads.emplace_back([&, w] {
+      const std::vector<std::uint8_t> body(kBytes,
+                                           static_cast<std::uint8_t>(w + 1));
+      ++ready;
+      while (ready < kWriters) {  // Start the writers together.
+      }
+      for (int i = 0; i < kPuts; ++i) {
+        writers[w]->put(kKey, body);
+      }
+      --running;
+    });
+  }
+  while (running > 0) {
+    if (const auto got = reader.get(kKey)) {
+      // One writer's whole body: the right size, and one byte throughout.
+      EXPECT_TRUE(got->size() == kBytes &&
+                  std::count(got->begin(), got->end(), got->front()) ==
+                      static_cast<std::ptrdiff_t>(kBytes));
+    }
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const auto& writer : writers) {
+    EXPECT_EQ(writer->stats().puts, static_cast<std::uint64_t>(kPuts));
+    EXPECT_EQ(writer->stats().put_errors, 0u);
+  }
+  EXPECT_EQ(reader.stats().corrupt_misses, 0u);
+  EXPECT_TRUE(reader.get(kKey).has_value());
+  // Every temp file was renamed into place: only the blob is left.
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir_ / "objects"),
+                          fs::directory_iterator()),
+            1);
 }
 
 // --- Key derivation ---------------------------------------------------
@@ -503,7 +532,7 @@ TEST(ResultBlobs, RunWidthsOutsideTheTopologyRangeThrow) {
   }
 }
 
-// --- Crafted blobs and sidecars ---------------------------------------
+// --- Crafted blobs ----------------------------------------------------
 //
 // Seeded mutants in the style of CapsuleFuzz: a bit flip, a truncation,
 // or a small little-endian u64 (the likely element count) pushed past
@@ -552,6 +581,18 @@ bool in_range(const core::RunResult& run) {
   return all;
 }
 
+/// An artifact blob with text, metrics, and both kinds of check.
+ArtifactResult small_artifact() {
+  ArtifactResult result;
+  result.id = "table2";
+  result.status = ArtifactStatus::kToleranceFailed;
+  result.text = "Table 2. Concurrency measures\n  Cw 0.7560  Pc 7.77\n";
+  result.metrics = {{"cw", 0.756}, {"pc", 7.77}};
+  result.checks = {{"cw", 0.756, 0.70, 0.65, 0.75, false, true},
+                   {"pc", 7.77, 7.5, 7.0, 8.0, true, false}};
+  return result;
+}
+
 class ResultFuzz : public ResultStoreTest {
  protected:
   struct Outcomes {
@@ -560,20 +601,18 @@ class ResultFuzz : public ResultStoreTest {
     int decoded = 0;
   };
 
-  /// Each mutant run blob must miss, throw CapsuleError on decode, or
-  /// decode to an in-range result that re-encodes to exactly the bytes
-  /// it came from.
-  Outcomes fuzz_run_blobs(bool raw);
-
-  /// A mangled bloom sidecar must never stop the store from opening, and
-  /// every stored key must still read back exactly or miss cleanly.
-  /// Returns how many reads were served.
-  int fuzz_bloom(bool raw);
+  /// Each mutant of `value`'s blob must miss, throw CapsuleError on
+  /// decode, or decode to a result (for a run, with every width in range)
+  /// that re-encodes to exactly the bytes it came from.
+  template <typename T>
+  Outcomes fuzz_blobs(const T& value, bool raw, std::uint64_t seed);
 };
 
-ResultFuzz::Outcomes ResultFuzz::fuzz_run_blobs(bool raw) {
+template <typename T>
+ResultFuzz::Outcomes ResultFuzz::fuzz_blobs(const T& value, bool raw,
+                                            std::uint64_t seed) {
   ResultStore store(dir_.string());
-  const std::vector<std::uint8_t> payload = encode_result(small_run());
+  const std::vector<std::uint8_t> payload = encode_result(value);
   constexpr std::uint64_t kKey = 0x5EED;
   store.put(kKey, payload);
   const std::vector<std::uint8_t> sealed =
@@ -582,21 +621,28 @@ ResultFuzz::Outcomes ResultFuzz::fuzz_run_blobs(bool raw) {
   const std::vector<std::uint8_t> framed = capsule::unseal(sealed);
   EXPECT_EQ(framed.size(), payload.size() + 12);
 
-  Rng rng(raw ? 0xB10B : 0xB10C);
+  Rng rng(seed);
   Outcomes outcomes;
   for (int i = 0; i < 150; ++i) {
-    write_bytes(store.object_path(kKey),
-                raw ? mutate(sealed, rng, 0)
-                    : capsule::seal(mutate(framed, rng, 12)));
+    // An inflation that finds no count to inflate leaves the bytes as
+    // they were; draw again until the mutant differs.
+    std::vector<std::uint8_t> mutant;
+    do {
+      mutant = raw ? mutate(sealed, rng, 0)
+                   : capsule::seal(mutate(framed, rng, 12));
+    } while (mutant == sealed);
+    write_bytes(store.object_path(kKey), mutant);
     const auto got = store.get(kKey);
     if (!got) {
       ++outcomes.misses;
       continue;
     }
     try {
-      const core::RunResult run = decode_result<core::RunResult>(*got);
-      EXPECT_TRUE(in_range(run)) << "mutant " << i;
-      EXPECT_EQ(encode_result(run), *got) << "mutant " << i;
+      const T decoded = decode_result<T>(*got);
+      if constexpr (std::is_same_v<T, core::RunResult>) {
+        EXPECT_TRUE(in_range(decoded)) << "mutant " << i;
+      }
+      EXPECT_EQ(encode_result(decoded), *got) << "mutant " << i;
       ++outcomes.decoded;
     } catch (const capsule::CapsuleError&) {
       ++outcomes.throws;
@@ -607,58 +653,28 @@ ResultFuzz::Outcomes ResultFuzz::fuzz_run_blobs(bool raw) {
   return outcomes;
 }
 
-int ResultFuzz::fuzz_bloom(bool raw) {
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> stored;
-  {
-    ResultStore store(dir_.string());
-    for (std::uint64_t key = 1; key <= 6; ++key) {
-      stored.emplace_back(key * 0x9E3779B97F4A7C15ULL,
-                          payload({static_cast<int>(key), 2, 3}));
-      store.put(stored.back().first, stored.back().second);
-    }
-  }
-  const fs::path bloom = dir_ / "bloom.bin";
-  const std::vector<std::uint8_t> sealed = capsule::read_file(bloom.string());
-  const std::vector<std::uint8_t> bits = capsule::unseal(sealed);
-
-  Rng rng(raw ? 0xB100 : 0xB101);
-  int served = 0;
-  for (int i = 0; i < 150; ++i) {
-    write_bytes(bloom, raw ? mutate(sealed, rng, 0)
-                           : capsule::seal(mutate(bits, rng, 0)));
-    try {
-      ResultStore store(dir_.string());
-      for (const auto& [key, body] : stored) {
-        if (const auto got = store.get(key)) {
-          EXPECT_EQ(*got, body) << "mutant " << i;
-          ++served;
-        }
-      }
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "mutant " << i << " threw " << e.what();
-    }
-  }
-  return served;
-}
-
 TEST_F(ResultFuzz, RawRunBlobsMiss) {
   // The envelope digest catches every damaged file.
-  EXPECT_EQ(fuzz_run_blobs(/*raw=*/true).misses, 150);
+  EXPECT_EQ(fuzz_blobs(small_run(), /*raw=*/true, 0xB10B).misses, 150);
 }
 
 TEST_F(ResultFuzz, ResealedRunBlobsThrowOrDecodeInRange) {
-  const Outcomes outcomes = fuzz_run_blobs(/*raw=*/false);
+  const Outcomes outcomes = fuzz_blobs(small_run(), /*raw=*/false, 0xB10C);
   EXPECT_EQ(outcomes.misses, 0);   // Sealed and framed: the walk is reached.
   EXPECT_GT(outcomes.decoded, 0);  // Flips in plain counters decode...
   EXPECT_GT(outcomes.throws, 0);   // ...truncations and inflations do not.
 }
 
-TEST_F(ResultFuzz, RawBloomSidecarsStillServeEveryKey) {
-  EXPECT_GT(fuzz_bloom(/*raw=*/true), 0);
+TEST_F(ResultFuzz, RawArtifactBlobsMiss) {
+  EXPECT_EQ(fuzz_blobs(small_artifact(), /*raw=*/true, 0xA27B).misses, 150);
 }
 
-TEST_F(ResultFuzz, ResealedBloomSidecarsStillServeEveryKey) {
-  EXPECT_GT(fuzz_bloom(/*raw=*/false), 0);
+TEST_F(ResultFuzz, ResealedArtifactBlobsThrowOrDecodeExact) {
+  const Outcomes outcomes =
+      fuzz_blobs(small_artifact(), /*raw=*/false, 0xA27C);
+  EXPECT_EQ(outcomes.misses, 0);
+  EXPECT_GT(outcomes.decoded, 0);  // Flips in text and values decode...
+  EXPECT_GT(outcomes.throws, 0);   // ...truncations and inflations do not.
 }
 
 }  // namespace

@@ -1,17 +1,13 @@
-// base::fnv1a and base::fasthash: the two hash families behind the
-// capsule envelope digests (fnv1a) and the result cache's content keys
-// (fasthash). Both are pinned to their published reference vectors so a
-// refactor that silently changes either would orphan every sealed
-// capsule / cached result — that must show up here, not in the field.
+// base::fnv1a: the one hash family, behind the capsule envelope
+// digests, core::run_key, and the result cache's content keys. It is
+// pinned to its published reference vectors so a refactor that silently
+// changes it would orphan every sealed capsule / cached result — that
+// must show up here, not in the field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <set>
 #include <string>
-#include <vector>
 
-#include "base/fasthash.hpp"
 #include "base/fnv1a.hpp"
 
 namespace repro::base {
@@ -46,61 +42,6 @@ TEST(Fnv1a, IsConstexpr) {
   constexpr std::uint64_t at_compile_time = fnv1a(bytes, 1);
   static_assert(at_compile_time == 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(at_compile_time, 0xaf63dc4c8601ec8cULL);
-}
-
-TEST(Fasthash, MatchesXxh64ReferenceVectors) {
-  // Official XXH64 vectors: the implementation must BE XXH64, not
-  // merely something hash-shaped, so stored keys survive rewrites.
-  EXPECT_EQ(fasthash("", 0, 0), 0xEF46DB3751D8E999ULL);
-  EXPECT_EQ(fasthash("a", 1, 0), 0xD24EC4F1A98C6E5BULL);
-  EXPECT_EQ(fasthash("abc", 3, 0), 0x44BC2CF5AD770999ULL);
-}
-
-TEST(Fasthash, SeedChangesTheHash) {
-  // The store's code salt rides in the seed, so a bumped salt must move
-  // every key; any two distinct seeds must disagree.
-  const char* data = "the same bytes";
-  const std::size_t n = std::strlen(data);
-  EXPECT_NE(fasthash(data, n, 0), fasthash(data, n, 1));
-  EXPECT_NE(fasthash(data, n, 0x0000010000100001ULL), fasthash(data, n, 0));
-}
-
-TEST(Fasthash, EveryLengthHashesDistinctly) {
-  // Sweep 0..96 bytes of a fixed pattern: crosses the 32-byte stripe
-  // boundary, the 8/4/1-byte tail ladders, and never collides. A broken
-  // tail loop (the classic port bug) fails here immediately.
-  std::vector<std::uint8_t> buf(96);
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<std::uint8_t>(i * 131 + 17);
-  }
-  std::set<std::uint64_t> seen;
-  for (std::size_t n = 0; n <= buf.size(); ++n) {
-    EXPECT_TRUE(seen.insert(fasthash(buf.data(), n, 7)).second)
-        << "collision at length " << n;
-  }
-}
-
-TEST(Fasthash, SingleBitFlipAvalanches) {
-  std::vector<std::uint8_t> buf(40, 0xA5);
-  const std::uint64_t before = fasthash(buf.data(), buf.size(), 0);
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    buf[i] ^= 1;
-    EXPECT_NE(fasthash(buf.data(), buf.size(), 0), before)
-        << "byte " << i << " did not affect the hash";
-    buf[i] ^= 1;
-  }
-  EXPECT_EQ(fasthash(buf.data(), buf.size(), 0), before);
-}
-
-TEST(Fasthash, U64ConvenienceMatchesByteForm) {
-  const std::uint64_t value = 0x0123456789ABCDEFULL;
-  std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  EXPECT_EQ(fasthash64(value, 42), fasthash(bytes, 8, 42));
-  EXPECT_NE(fasthash64(value, 42), fasthash64(value, 43));
-  EXPECT_NE(fasthash64(value, 42), fasthash64(value + 1, 42));
 }
 
 }  // namespace
