@@ -20,9 +20,9 @@
 //
 // --checkpoint FILE writes a sealed state capsule after every completed
 // sample; --resume FILE continues a run from such a capsule. Both
-// restrict the run to one session (the capsule holds one measurement
-// rig) and produce output bit-identical to an uninterrupted run — see
-// docs/checkpointing.md.
+// restrict the run to one session and one replicate (the capsule holds
+// one measurement rig) and produce output bit-identical to an
+// uninterrupted run — see docs/checkpointing.md.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +33,6 @@
 
 #include "base/capsule.hpp"
 #include "base/expect.hpp"
-#include "base/rng.hpp"
 #include "base/text.hpp"
 #include "fx8/topology.hpp"
 #include "core/checkpoint.hpp"
@@ -139,6 +138,11 @@ bool parse(int argc, char** argv, Options& options) {
       const char* v = next();
       if (!v) return false;
       options.report = v;
+      if (options.report != "table2" && options.report != "models" &&
+          options.report != "histogram" && options.report != "all") {
+        std::fprintf(stderr, "unknown report: %s\n", v);
+        return false;
+      }
     } else if (arg == "--mix-file") {
       const char* v = next();
       if (!v) return false;
@@ -168,20 +172,17 @@ bool parse(int argc, char** argv, Options& options) {
 
 /// Single-session run with sample-granular checkpointing: the rig is
 /// capsuled after every completed sample, and a resumed run continues
-/// the stream bit-identically. Mirrors the seeding of core::run_study
-/// with one session so the output matches the uninterrupted engine run.
-int run_checkpointed(const Options& options, const workload::WorkloadMix& mix,
+/// the stream bit-identically. The rig is the study's one run, so the
+/// output matches the uninterrupted engine run.
+int run_checkpointed(const Options& options,
+                     std::span<const workload::WorkloadMix> mixes,
                      const core::StudyConfig& config,
                      core::StudyResult& study) {
-  std::uint64_t seed_state = config.seed;
-  const std::uint64_t session_seed = splitmix64(seed_state);
-
-  os::System system(config.system);
-  workload::WorkloadGenerator generator(mix, mix64(session_seed ^ 0xABCD));
-  instr::SamplingConfig sampling = config.sampling;
-  sampling.fast_forward = sampling.fast_forward && config.fast_forward;
-  instr::SessionController controller(system, generator, sampling,
-                                      mix64(session_seed ^ 0x5A5A));
+  const core::RunSpec spec = core::study_specs(mixes, config).front();
+  os::System system(spec.system);
+  workload::WorkloadGenerator generator(spec.mix, spec.generator_seed);
+  instr::SessionController controller(system, generator, spec.sampling,
+                                      spec.controller_seed);
 
   core::StudyCheckpoint progress;
   progress.samples_total = config.samples_per_session;
@@ -201,7 +202,7 @@ int run_checkpointed(const Options& options, const workload::WorkloadMix& mix,
                 options.resume_file.c_str(), progress.samples_done,
                 progress.samples_total);
   } else {
-    controller.advance(config.warmup_cycles);
+    controller.advance(spec.warmup_cycles);
   }
 
   while (progress.samples_done < progress.samples_total) {
@@ -222,7 +223,7 @@ int run_checkpointed(const Options& options, const workload::WorkloadMix& mix,
   }
 
   core::SessionResult session;
-  session.name = mix.name;
+  session.name = spec.mix.name;
   const std::uint32_t width = system.machine().total_ces();
   session.samples.reserve(progress.records.size());
   for (const instr::SampleRecord& record : progress.records) {
@@ -341,6 +342,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const bool checkpointed =
+      !options.checkpoint_file.empty() || !options.resume_file.empty();
+  if (checkpointed && (mixes.size() != 1 || options.replicates > 1)) {
+    std::fprintf(stderr,
+                 "fx8meter: --checkpoint/--resume hold one measurement "
+                 "rig; run with --sessions 1 --replicates 1\n");
+    return 2;
+  }
+
   std::printf("fx8meter: %zu session(s), %u sample(s) x %llu cycles, "
               "policy %s, seed %#llx, %u thread(s)\n\n",
               mixes.size(), options.samples,
@@ -350,14 +360,8 @@ int main(int argc, char** argv) {
               core::resolve_threads(config));
 
   core::StudyResult study;
-  if (!options.checkpoint_file.empty() || !options.resume_file.empty()) {
-    if (mixes.size() != 1) {
-      std::fprintf(stderr,
-                   "fx8meter: --checkpoint/--resume hold one measurement "
-                   "rig; run with --sessions 1\n");
-      return 2;
-    }
-    const int rc = run_checkpointed(options, mixes[0], config, study);
+  if (checkpointed) {
+    const int rc = run_checkpointed(options, mixes, config, study);
     if (rc != 0) {
       return rc;
     }

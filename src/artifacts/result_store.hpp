@@ -59,7 +59,9 @@ inline constexpr std::uint32_t kStoreFormatVersion = 2;
 /// v5: the key walks lost the perf-only knobs (threads, fast_forward).
 /// v6: the store caches runs (run-result/1) instead of whole studies and
 /// transitions.
-inline constexpr std::uint32_t kCodeVersion = 6;
+/// v7: a capture run's fast-forward accounting counts its capture cycles
+/// as naive.
+inline constexpr std::uint32_t kCodeVersion = 7;
 
 /// The salt walked into every key.
 inline constexpr std::uint64_t kCodeSalt =

@@ -1,11 +1,13 @@
 #include "instr/logic_analyzer.hpp"
 
+#include <utility>
+
 #include "base/expect.hpp"
 
 namespace repro::instr {
 
 LogicAnalyzer::LogicAnalyzer(const AnalyzerConfig& config)
-    : config_(config), buffer_(config.buffer_depth) {
+    : config_(config) {
   REPRO_EXPECT(config.buffer_depth > 0, "buffer depth must be positive");
   REPRO_EXPECT(config.full_width >= 1 && config.full_width <= kMaxTopologyCes,
                "full width must be 1..64");
@@ -13,6 +15,7 @@ LogicAnalyzer::LogicAnalyzer(const AnalyzerConfig& config)
 
 void LogicAnalyzer::arm() {
   buffer_.clear();
+  buffer_.reserve(config_.buffer_depth);
   have_previous_ = false;
   previous_active_ = 0;
   state_ = config_.trigger == TriggerMode::kImmediate
@@ -53,8 +56,8 @@ bool LogicAnalyzer::sample(const ProbeRecord& record) {
       [[fallthrough]];
     }
     case AnalyzerState::kCapturing:
-      buffer_.push(record);
-      if (buffer_.full()) {
+      buffer_.push_back(record);
+      if (buffer_.size() == config_.buffer_depth) {
         state_ = AnalyzerState::kComplete;
         return true;
       }
@@ -63,12 +66,15 @@ bool LogicAnalyzer::sample(const ProbeRecord& record) {
   return false;
 }
 
+std::span<const ProbeRecord> LogicAnalyzer::records() const {
+  REPRO_EXPECT(complete(), "read before the acquisition completed");
+  return buffer_;
+}
+
 std::vector<ProbeRecord> LogicAnalyzer::transfer() {
   REPRO_EXPECT(complete(), "transfer before the acquisition completed");
-  std::vector<ProbeRecord> records = buffer_.snapshot();
-  buffer_.clear();
   state_ = AnalyzerState::kDisarmed;
-  return records;
+  return std::exchange(buffer_, {});
 }
 
 }  // namespace repro::instr

@@ -3,17 +3,10 @@
 #include <algorithm>
 
 #include "base/expect.hpp"
-#include "instr/das_controller.hpp"
 
 namespace repro::instr {
 
 namespace {
-
-/// Issue an instrument command that must be accepted.
-void must_ack(DasController& das, const std::string& line) {
-  const DasController::Response response = das.command(line);
-  REPRO_ENSURE(response.ok, "DAS rejected: " + line + " -> " + response.text);
-}
 
 /// Shortest horizon worth taking as a bulk jump. skip() walks every
 /// component once, which costs a handful of fused ticks; the horizon
@@ -88,6 +81,27 @@ void SessionController::advance(Cycle cycles) {
   }
 }
 
+LogicAnalyzer SessionController::make_analyzer(TriggerMode trigger) const {
+  return LogicAnalyzer({.buffer_depth = config_.buffer_depth,
+                        .trigger = trigger,
+                        .full_width = system_.machine().total_ces()});
+}
+
+Cycle SessionController::acquire(LogicAnalyzer& analyzer, Cycle limit) {
+  Cycle stepped = 0;
+  while (stepped < limit) {
+    // The probe latches this CE-bus cycle: acquisitions always run as
+    // real single ticks.
+    step();
+    ++stepped;
+    if (analyzer.sample(latch(system_.machine()))) {
+      break;
+    }
+  }
+  ff_stats_.naive_cycles += stepped;
+  return stepped;
+}
+
 SampleRecord SessionController::take_sample() {
   const std::uint32_t n_ces = system_.machine().total_ces();
   const std::uint32_t n_buses = system_.machine().mem_bus_count();
@@ -107,41 +121,25 @@ SampleRecord SessionController::take_sample() {
   }
 
   SoftwareSampler sw(system_.counters());
-
-  // Configure the instrument over its command port (§3.3/§3.4).
-  DasController das;
-  must_ack(das, "TRIGGER IMMEDIATE");
-  must_ack(das, "DEPTH " + std::to_string(config_.buffer_depth));
+  LogicAnalyzer analyzer = make_analyzer(TriggerMode::kImmediate);
 
   SampleRecord record;
   record.index = next_index_++;
   record.interval_cycles = config_.interval_cycles;
 
   std::size_t next_snapshot = 0;
-  bool acquiring = false;
   Cycle c = 0;
   while (c < config_.interval_cycles) {
     if (next_snapshot < starts.size() && c == starts[next_snapshot]) {
-      must_ack(das, "ARM");
-      acquiring = true;
-    }
-    if (acquiring) {
-      // The probe latches this CE-bus cycle: acquisitions always run as
-      // real single ticks.
-      step();
-      ++c;
-      ++ff_stats_.naive_cycles;
-      if (das.on_sample_clock(latch(system_.machine()))) {
-        must_ack(das, "XFER");
-        record.hw.merge(reduce(das.take_transfer(), n_ces, n_buses));
-        acquiring = false;
-        ++next_snapshot;
-      }
+      analyzer.arm();
+      c += acquire(analyzer, config_.interval_cycles - c);
+      record.hw.merge(reduce(analyzer.records(), n_ces, n_buses));
+      ++next_snapshot;
       continue;
     }
     // Between acquisitions the probe is not latched, so the stretch
     // advances like any other, clamped to the next snapshot start so
-    // the ARM lands on exactly the naive cycle.
+    // the arm() lands on exactly the naive cycle.
     const Cycle bound = next_snapshot < starts.size()
                             ? starts[next_snapshot]
                             : config_.interval_cycles;
@@ -156,30 +154,13 @@ SampleRecord SessionController::take_sample() {
 
 std::optional<std::vector<ProbeRecord>> SessionController::capture_triggered(
     TriggerMode trigger, Cycle timeout) {
-  DasController das;
-  switch (trigger) {
-    case TriggerMode::kImmediate:
-      must_ack(das, "TRIGGER IMMEDIATE");
-      break;
-    case TriggerMode::kAllActive:
-      must_ack(das, "TRIGGER ALLACTIVE");
-      break;
-    case TriggerMode::kTransitionFromFull:
-      must_ack(das, "TRIGGER TRANSITION");
-      break;
+  LogicAnalyzer analyzer = make_analyzer(trigger);
+  analyzer.arm();
+  acquire(analyzer, timeout);
+  if (!analyzer.complete()) {
+    return std::nullopt;
   }
-  must_ack(das, "DEPTH " + std::to_string(config_.buffer_depth));
-  must_ack(das, "WIDTH " +
-                    std::to_string(system_.machine().total_ces()));
-  must_ack(das, "ARM");
-  for (Cycle c = 0; c < timeout; ++c) {
-    step();
-    if (das.on_sample_clock(latch(system_.machine()))) {
-      must_ack(das, "XFER");
-      return das.take_transfer();
-    }
-  }
-  return std::nullopt;
+  return analyzer.transfer();
 }
 
 }  // namespace repro::instr

@@ -18,7 +18,6 @@
 
 #include "base/rng.hpp"
 #include "base/types.hpp"
-#include "instr/das_controller.hpp"
 #include "instr/logic_analyzer.hpp"
 #include "instr/reduction.hpp"
 #include "instr/software_sampler.hpp"
@@ -149,6 +148,13 @@ class SessionController {
   /// scheduler's reaction cycle is lockstep-ticked exactly as naive
   /// stepping would. Returns the cycles advanced (>= 1).
   Cycle advance_step(Cycle budget);
+  /// An analyzer sized for this controller's acquisitions and machine.
+  [[nodiscard]] LogicAnalyzer make_analyzer(TriggerMode trigger) const;
+  /// The one acquisition loop, shared by take_sample() and
+  /// capture_triggered(): lockstep step(), latch the probe into the armed
+  /// `analyzer`, until it completes or `limit` cycles pass. Every cycle
+  /// counts as naive. Returns the cycles stepped.
+  Cycle acquire(LogicAnalyzer& analyzer, Cycle limit);
 
   os::System& system_;
   workload::WorkloadGenerator& workload_;

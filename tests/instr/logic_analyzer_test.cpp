@@ -112,6 +112,23 @@ TEST(LogicAnalyzer, TransferBeforeCompleteIsContractViolation) {
   EXPECT_THROW((void)analyzer.transfer(), ContractViolation);
 }
 
+TEST(LogicAnalyzer, RecordsReadTheCompletedBufferInPlace) {
+  AnalyzerConfig config;
+  config.buffer_depth = 2;
+  LogicAnalyzer analyzer(config);
+  analyzer.arm();
+  (void)analyzer.sample(record_with_active(1, 7));
+  EXPECT_THROW((void)analyzer.records(), ContractViolation);
+  (void)analyzer.sample(record_with_active(2, 8));
+  ASSERT_TRUE(analyzer.complete());
+  ASSERT_EQ(analyzer.records().size(), 2u);
+  EXPECT_EQ(analyzer.records().front().cycle, 7u);
+  const auto buffer = analyzer.transfer();
+  ASSERT_EQ(buffer.size(), 2u);
+  EXPECT_EQ(buffer.back().cycle, 8u);
+  EXPECT_EQ(analyzer.state(), AnalyzerState::kDisarmed);
+}
+
 TEST(LogicAnalyzer, CompleteAnalyzerIgnoresSamples) {
   AnalyzerConfig config;
   config.buffer_depth = 1;

@@ -87,6 +87,8 @@ TEST_F(SessionControllerTest, TriggeredCaptureTimesOutOnIdleSystem) {
   const auto buffer =
       controller.capture_triggered(TriggerMode::kAllActive, 5000);
   EXPECT_FALSE(buffer.has_value());
+  // The watched cycles still count: they were stepped in lockstep.
+  EXPECT_EQ(controller.ff_stats().naive_cycles, 5000u);
 }
 
 TEST_F(SessionControllerTest, RejectsTooShortInterval) {

@@ -105,6 +105,13 @@ TEST_P(RunOracle, FastForwardMatchesNaive) {
   const core::RunResult naive = core::run(spec);
   EXPECT_EQ(first_difference(naive, fast), "") << GetParam().name;
   EXPECT_EQ(naive.ff.skipped_cycles, 0u);
+  // Every simulated cycle is accounted for, capture cycles included.
+  for (const core::RunResult* result : {&fast, &naive}) {
+    EXPECT_EQ(result->ff.skipped_cycles + result->ff.naive_cycles +
+                  result->ff.block_cycles,
+              result->now)
+        << GetParam().name;
+  }
   // One key for both: fast_forward is a perf-only knob.
   EXPECT_EQ(core::run_key(spec), core::run_key(GetParam().spec));
 }
