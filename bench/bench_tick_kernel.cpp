@@ -6,7 +6,8 @@
 // tick_block(1)). These benchmarks pin its cost on a machine held in the
 // saturated steady state (eight CEs contending mid concurrent loop) so a
 // regression in the lane kernel, the hot-state layout, or the block loop
-// shows up as items/sec, not as a slow CI run.
+// shows up as items/sec, not as a slow CI run. BM_PartialTickBlock holds
+// the study's width-64 shape (one live cluster of eight).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -100,7 +101,45 @@ void BM_WidthTickBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
 }
+// Every cluster is live here, so tick_block's per-block live set is the
+// whole machine: these rows bypass the idle-cluster cut and time the full
+// wide loop.
 BENCHMARK(BM_WidthTickBlock)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+// The shape the studies run at width 64: the scheduler fills clusters
+// lowest-first, so cluster 0 holds a saturated loop while the other seven
+// sit idle. tick_block fixes the live set once per block, so the idle
+// clusters cost one Cluster::skip per block rather than control and peel
+// work every cycle, and the lane pass stops after cluster 0's lanes.
+void BM_PartialTickBlock(benchmark::State& state) {
+  fx8::NoFaultMmu mmu;
+  fx8::Machine machine(fx8::MachineConfig::fx64(), mmu);
+  workload::KernelTuning tuning;
+  isa::ConcurrentLoopPhase loop;
+  loop.body = workload::matmul_row_body(tuning);
+  loop.trip_count = 1u << 20;
+  const isa::Program program = isa::ProgramBuilder("bench-partial")
+                                   .data_base(0x01000000)
+                                   .concurrent_loop(loop)
+                                   .build();
+  machine.cluster(0).load(&program, 1);
+  machine.run(2000);  // past dispatch ramp-up, into the steady state
+  const auto block = static_cast<Cycle>(state.range(0));
+  Cycle cycles = 0;
+  while (state.KeepRunningBatch(static_cast<benchmark::IterationCount>(
+      block))) {
+    Cycle done = 0;
+    while (done < block) {
+      done += machine.tick_block(block - done);
+    }
+    cycles += done;
+  }
+  benchmark::DoNotOptimize(machine.now());
+  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
+}
+// n=1 is the acquisition shape (every probe-latch cycle is its own
+// block), where the per-block live-set setup is paid every cycle.
+BENCHMARK(BM_PartialTickBlock)->Arg(1)->Arg(256);
 
 void BM_IdleTickBlock(benchmark::State& state) {
   fx8::NoFaultMmu mmu;

@@ -107,7 +107,7 @@ class Ce {
   /// service (minus the transition cycle). 0 means the next tick can
   /// change machine-visible state and must run naively.
   [[nodiscard]] Cycle quiet_horizon() const {
-    switch (static_cast<Phase>(hot_->phase[id_])) {
+    switch (hot_->phase[id_]) {
       case Phase::kIdle:
       case Phase::kDone:
         return kHorizonNever;
@@ -157,11 +157,9 @@ class Ce {
  private:
   using Phase = CePhase;
 
-  [[nodiscard]] Phase phase() const {
-    return static_cast<Phase>(hot_->phase[id_]);
-  }
+  [[nodiscard]] Phase phase() const { return hot_->phase[id_]; }
   void set_phase(Phase p) {
-    hot_->phase[id_] = static_cast<std::uint8_t>(p);
+    hot_->phase[id_] = p;
     const LaneMask bit = LaneMask{1} << id_;
     if (p == Phase::kDone) {
       hot_->done_mask |= bit;

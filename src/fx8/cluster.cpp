@@ -14,6 +14,11 @@ double hash_frac(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// Index of the lowest set bit of a nonzero mask.
+std::uint32_t lowest_bit(std::uint32_t mask) {
+  return static_cast<std::uint32_t>(std::countr_zero(mask));
+}
+
 std::vector<CeId> make_order(ServicePolicy policy, std::uint32_t n) {
   std::vector<CeId> order;
   if (policy == ServicePolicy::kOuterFirst && n == kMaxCes) {
@@ -64,8 +69,13 @@ Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
   }
   service_count_ = static_cast<std::uint32_t>(base_order_.size());
   std::copy(base_order_.begin(), base_order_.end(), service_order_.begin());
+  for (std::uint32_t slot = 0; slot < config.detached_ces; ++slot) {
+    service_order_[service_count_ + slot] = detached_ce(slot);
+  }
+  for (std::uint32_t i = 0; i < config.n_ces; ++i) {
+    service_pos_[service_order_[i]] = static_cast<std::uint8_t>(i);
+  }
   rotating_ = config.policy == ServicePolicy::kRotating;
-  has_detached_ = config.detached_ces != 0;
   for (const CeId c : base_order_) {
     service_lane_mask_ |= LaneMask{1} << (ce_base + c);
   }
@@ -82,8 +92,18 @@ void Cluster::refresh_service_order() {
   }
   const auto rot = static_cast<std::uint32_t>(rotation_ % service_count_);
   for (std::uint32_t i = 0; i < service_count_; ++i) {
-    service_order_[i] = base_order_[(i + rot) % service_count_];
+    const CeId c = base_order_[(i + rot) % service_count_];
+    service_order_[i] = c;
+    service_pos_[c] = static_cast<std::uint8_t>(i);
   }
+}
+
+std::uint32_t Cluster::service_positions(std::uint32_t lanes) const {
+  std::uint32_t positions = 0;
+  for (; lanes != 0; lanes &= lanes - 1) {
+    positions |= 1u << service_pos_[lowest_bit(lanes)];
+  }
+  return positions;
 }
 
 CeId Cluster::detached_ce(std::uint32_t slot) const {
@@ -163,6 +183,7 @@ void Cluster::load(const isa::Program* program, JobId job) {
   in_loop_ = false;
   in_serial_phase_ = false;
   worker_.fill(WorkerState::kNone);
+  executing_ = 0;
   deps_waiting_ = 0;
   horizon_valid_ = false;
   if (observer_) {
@@ -221,6 +242,14 @@ void Cluster::serialize(capsule::Io& io) {
   io.boolean(in_serial_phase_);
   for (WorkerState& worker : worker_) {
     io.enum32(worker, WorkerState::kExecuting);
+  }
+  if (io.loading()) {
+    executing_ = 0;
+    for (CeId c = 0; c < kMaxCes; ++c) {
+      if (worker_[c] == WorkerState::kExecuting) {
+        executing_ |= 1u << c;
+      }
+    }
   }
   for (std::uint64_t& iter : worker_iter_) {
     io.u64(iter);
@@ -369,6 +398,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
     ccb_.start_loop(phase.trip_count, config_.dispatch, cluster_width());
     in_loop_ = true;
     worker_.fill(WorkerState::kNone);
+    executing_ = 0;
     deps_waiting_ = 0;
     if (observer_) {
       observer_->on_loop_start(job_, static_cast<std::uint32_t>(phase_idx_),
@@ -378,17 +408,20 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
 
   // Service CEs in priority order: completions first so freed iterations
   // unblock dependants within the same cycle, then dependence releases,
-  // then dispatch (one CCB grant per cycle).
-  for (std::uint32_t i = 0; i < service_count_; ++i) {
-    const CeId c = service_order_[i];
-    // A lane still executing its iteration (done bit clear) can need
-    // nothing from this scan: reap, release, and dispatch all start from
-    // another worker state. Skipping it preserves the service order for
-    // every lane that does get serviced.
-    if (worker_[c] == WorkerState::kExecuting &&
-        ((ce_hot_->done_mask >> (ce_base_ + c)) & 1u) == 0) {
-      continue;
-    }
+  // then dispatch (one CCB grant per cycle). A lane still executing its
+  // iteration (done bit clear) can need nothing from this scan: reap,
+  // release, and dispatch all start from another worker state, and
+  // servicing one lane never changes another lane's state. So the scan
+  // walks only the other lanes, in service order.
+  const auto done =
+      static_cast<std::uint32_t>(ce_hot_->done_mask >> ce_base_);
+  const auto service =
+      static_cast<std::uint32_t>(service_lane_mask_ >> ce_base_);
+  for (std::uint32_t positions =
+           service_positions((~executing_ | done) & service);
+       positions != 0; positions &= positions - 1) {
+    const CeId c = service_order_[lowest_bit(positions)];
+    const std::uint32_t bit = 1u << c;
     Ce& ce = ces_[c];
     if (worker_[c] == WorkerState::kExecuting && ce.done()) {
       ce.take_completed();
@@ -398,6 +431,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
       }
       ++stats_.iterations_completed;
       worker_[c] = WorkerState::kNone;
+      executing_ &= ~bit;
       if (ccb_.all_complete()) {
         serial_ce_ = c;  // Last finisher continues serially (Figure 2).
       }
@@ -407,6 +441,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
       if (ccb_.predecessor_complete(worker_iter_[c])) {
         start_iteration(c, phase, worker_iter_[c]);
         worker_[c] = WorkerState::kExecuting;
+        executing_ |= bit;
         --deps_waiting_;
       }
     }
@@ -420,6 +455,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
         } else {
           start_iteration(c, phase, *iter);
           worker_[c] = WorkerState::kExecuting;
+          executing_ |= bit;
         }
       }
     }
@@ -464,12 +500,13 @@ void Cluster::advance_control() {
 
 void Cluster::tick_control() {
   if (program_ == nullptr && detached_live_ == 0) {
-    // Idle cluster: control has provably nothing to do, every lane is
-    // parked, and the crossbar grant word is already clear (the last
-    // access any lane issued was followed by a live-cluster cycle whose
-    // begin_cycle reset it before the cluster could drain). Only the
-    // cycle counters advance; the cached horizon — necessarily
-    // kHorizonNever — survives.
+    // Idle cluster (reached only through the standalone tick();
+    // Machine::tick_block advances idle clusters with skip()): control
+    // has provably nothing to do, every lane is parked, and the crossbar
+    // grant word is already clear (the last access any lane issued was
+    // followed by a live-cluster cycle whose begin_cycle reset it before
+    // the cluster could drain). Only the cycle counters advance; the
+    // cached horizon — necessarily kHorizonNever — survives.
     ++rotation_;
     ++now_;
     return;
@@ -484,7 +521,7 @@ void Cluster::tick_control() {
     ccb_.begin_cycle();
   }
   advance_control();
-  if (has_detached_ && detached_live_ != 0) {
+  if (detached_live_ != 0) {
     for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
       run_detached(slot);
     }
@@ -502,24 +539,13 @@ void Cluster::tick() {
 }
 
 void Cluster::tick_peel(LaneMask slow) {
-  if ((slow & lanes_mask_) == 0) {
-    return;
-  }
-  // Visit this cluster's slow lanes in service order (service lanes
-  // first, then detached): the order crossbar and CCB ties resolve in.
-  for (std::uint32_t i = 0; i < service_count_; ++i) {
-    const CeId c = service_order_[i];
-    if ((slow >> (ce_base_ + c)) & 1u) {
-      ces_[c].tick();
-    }
-  }
-  if (has_detached_) {
-    for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
-      const CeId c = detached_ce(slot);
-      if ((slow >> (ce_base_ + c)) & 1u) {
-        ces_[c].tick();
-      }
-    }
+  const auto lanes =
+      static_cast<std::uint32_t>((slow & lanes_mask_) >> ce_base_);
+  // Step this cluster's slow lanes in service order (service lanes first,
+  // then detached): the order crossbar and CCB ties resolve in.
+  for (std::uint32_t positions = service_positions(lanes); positions != 0;
+       positions &= positions - 1) {
+    ces_[service_order_[lowest_bit(positions)]].tick();
   }
 }
 
@@ -580,7 +606,7 @@ Cycle Cluster::compute_quiet_horizon() const {
       }
     }
   }
-  if (has_detached_ && detached_live_ != 0) {
+  if (detached_live_ != 0) {
     for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
       if (detached_[slot].program == nullptr) {
         continue;
@@ -596,6 +622,14 @@ Cycle Cluster::compute_quiet_horizon() const {
 }
 
 void Cluster::skip(Cycle cycles) {
+  if (!lanes_live()) {
+    // Idle: every lane is parked and the cached horizon (if valid) is
+    // kHorizonNever, so only the cycle counters move — what each idle
+    // tick_control() would do.
+    rotation_ += cycles;
+    now_ += cycles;
+    return;
+  }
   for (Ce& ce : ces_) {
     ce.skip(cycles);
   }

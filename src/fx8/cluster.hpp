@@ -31,7 +31,7 @@ namespace repro::fx8 {
 
 /// How CEs are prioritized when several contend in the same cycle.
 enum class ServicePolicy : std::uint8_t {
-  /// Fixed order favouring the outermost CEs: 7,0,6,1,5,2,4,3. This is the
+  /// Fixed order favouring the outermost CEs: 0,7,6,3,4,2,5,1. This is the
   /// asymmetric priority the measured machine exhibits (Figure 7).
   kOuterFirst,
   /// Fixed ascending order 0..7 (every tie resolved identically).
@@ -108,7 +108,7 @@ class Cluster {
   /// The control half of tick(): service-order refresh, crossbar/CCB
   /// begin_cycle, program control, detached control, and the cycle
   /// counters — everything except the per-lane CE advancement.
-  /// Machine::tick_block runs this for every cluster, then one
+  /// Machine::tick_block runs this for every live cluster, then one
   /// machine-wide lane pass (fx8/lane_kernel.hpp), then tick_peel for
   /// the pass's slow lanes.
   void tick_control();
@@ -171,9 +171,11 @@ class Cluster {
 
   /// True while the cluster has any work (a cluster job or a live
   /// detached slot). While false, every lane is parked — phases
-  /// kIdle/kDone with bus opcodes already latched kIdle — so the wide
-  /// machine paths can drop the cluster's lanes from the per-cycle pass
-  /// without changing a byte of state.
+  /// kIdle/kDone with bus opcodes already latched kIdle — so
+  /// Machine::tick_block leaves the cluster out of its live set (no
+  /// control, peel or pass work) and advances it with one skip() per
+  /// block, without changing a byte of state. Only load()/load_detached()
+  /// set it, and only a control event clears it.
   [[nodiscard]] bool lanes_live() const {
     return program_ != nullptr || detached_live_ != 0;
   }
@@ -228,6 +230,8 @@ class Cluster {
   /// The uncached horizon walk behind quiet_horizon().
   [[nodiscard]] Cycle compute_quiet_horizon() const;
   void refresh_service_order();
+  /// Position mask (bit = service position) of the local lanes in `lanes`.
+  [[nodiscard]] std::uint32_t service_positions(std::uint32_t lanes) const;
   void run_detached(std::uint32_t slot);
   void run_serial_phase(const isa::SerialPhase& phase);
   void run_concurrent_phase(const isa::ConcurrentLoopPhase& phase);
@@ -245,17 +249,21 @@ class Cluster {
   Crossbar crossbar_;
   ConcurrencyControlBus ccb_;
   std::vector<Ce> ces_;
-  /// Hoisted feature flags so tick() skips whole branches when a feature
-  /// is off (kRotating service order, detached slots) instead of
-  /// re-deriving the answer every cycle.
+  /// Hoisted policy flag: tick_control() refreshes the service order only
+  /// when it rotates.
   bool rotating_ = false;
-  bool has_detached_ = false;
   std::vector<CeId> base_order_;
   std::uint64_t rotation_ = 0;
-  /// This cycle's service order (base_order_ rotated for kRotating;
-  /// refreshed once per tick so the hot loops index a flat array instead
-  /// of recomputing the rotation per CE).
+  /// This cycle's service order: positions 0..service_count_-1 hold the
+  /// service lanes (base_order_, rotated for kRotating and refreshed once
+  /// per live tick), and the positions after them the detached lanes by
+  /// slot (slot 0 = highest CE id first). Position order is the order the
+  /// peel steps lanes and control services workers in.
   std::array<CeId, kMaxCes> service_order_{};
+  /// Inverse of service_order_: lane -> its position this cycle. Lets the
+  /// hot loops turn a lane mask into a position mask and walk only its
+  /// set bits, in service order.
+  std::array<std::uint8_t, kMaxCes> service_pos_{};
   std::uint32_t service_count_ = 0;
 
   const isa::Program* program_ = nullptr;
@@ -267,6 +275,11 @@ class Cluster {
   bool in_serial_phase_ = false;
   std::array<WorkerState, kMaxCes> worker_{};
   std::array<std::uint64_t, kMaxCes> worker_iter_{};
+  /// Lanes whose worker_ is kExecuting (bit = local lane), kept at every
+  /// worker_ transition and rebuilt on capsule load. The concurrent
+  /// control scan visits only the other lanes and the executing ones whose
+  /// CE is done.
+  std::uint32_t executing_ = 0;
 
   std::array<DetachedJob, kMaxCes> detached_{};
   /// Set by a capsule load while program pointers await re-attachment.

@@ -50,7 +50,10 @@ enum class CePhase : std::uint8_t {
 /// (fx8/lane_kernel.hpp) sweeps all clusters' steady-state lanes in one
 /// call; unused lanes beyond the machine width stay zero (kIdle).
 struct CeHot {
-  std::array<std::uint8_t, kMaxTopologyCes> phase{};  ///< CePhase values.
+  /// Typed as CePhase, not a byte: a store through a character type may
+  /// alias any object, which would force Ce::tick to reload its state
+  /// after every phase change.
+  std::array<CePhase, kMaxTopologyCes> phase{};
   std::array<mem::CeBusOp, kMaxTopologyCes> bus_op{};
   std::array<std::uint32_t, kMaxTopologyCes> compute_left{};
   std::array<Cycle, kMaxTopologyCes> fault_left{};

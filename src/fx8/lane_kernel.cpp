@@ -15,7 +15,7 @@ LaneMask lane_pass_scalar(CeHot& hot, LaneMask fill_ready_mask,
                           std::uint32_t n_lanes) {
   LaneMask slow = 0;
   for (CeId c = 0; c < n_lanes; ++c) {
-    const auto p = static_cast<CePhase>(hot.phase[c]);
+    const CePhase p = hot.phase[c];
     const bool compute_ok =
         p == CePhase::kCompute && hot.compute_left[c] > 0;
     const bool miss_ok =

@@ -1,6 +1,7 @@
 #include "fx8/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/expect.hpp"
 #include "base/rng.hpp"
@@ -184,18 +185,35 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   cache::SharedCache& shared_cache = *shared_cache_;
   HotState& hot = hot_state_;
   const std::uint64_t events_at_entry = hot.cluster_events;
-  // The machine's one cycle loop, at every width: run every cluster's
-  // control half, then ONE lane pass over the whole machine-wide hot
-  // block, then step only the slow lanes through Ce::tick() in their
-  // owning cluster, cluster-major. Which lanes the pass advances itself
-  // does not change the result: control is strictly cluster-local (no
-  // cache/fabric/MMU touches), fast lanes touch only their own CeHot
-  // slots plus the read-only fill-ready word (set only by the
-  // end-of-cycle cache tick), and the peel keeps every slow lane's
+  // The machine's one cycle loop, at every width: run every live
+  // cluster's control half, then ONE lane pass over the live prefix of
+  // the machine-wide hot block, then step only the slow lanes through
+  // Ce::tick() in their owning cluster, cluster-major. Which lanes the
+  // pass advances itself does not change the result: control is strictly
+  // cluster-local (no cache/fabric/MMU touches), fast lanes touch only
+  // their own CeHot slots plus the read-only fill-ready word (set only by
+  // the end-of-cycle cache tick), and the peel keeps every slow lane's
   // service order. lane_pass_reference, which advances nothing, is the
   // naive oracle the differential tests hold the other passes to.
+  //
+  // The live cluster set is fixed for the whole block. Only the OS layer
+  // loads a cluster, and a cluster goes idle only on a control event,
+  // which ends the block at the end of that cycle. An idle cluster's
+  // lanes are parked with their bus opcodes already latched kIdle, so
+  // they need neither control nor peel: one Cluster::skip at block end
+  // advances its counters. The pass stops at the highest live lane
+  // (the scheduler fills clusters lowest-first); parked lanes below it
+  // pass as no-ops, and a lane above it can never be slow or hold a
+  // pending fill — either would keep its cluster live.
   Cluster* const* clusters = cluster_ptrs_.data();
-  const std::size_t n_clusters = cluster_ptrs_.size();
+  std::uint64_t live = 0;
+  std::uint32_t live_lanes = 0;
+  for (std::size_t k = 0; k < cluster_ptrs_.size(); ++k) {
+    if (clusters[k]->lanes_live()) {
+      live |= std::uint64_t{1} << k;
+      live_lanes = clusters[k]->lane_end();
+    }
+  }
   ClusterFabric* const fabric = fabric_.get();
   const LanePassFn pass = lane_pass_;
   CeHot& lanes = hot.lanes;
@@ -204,28 +222,15 @@ Cycle Machine::tick_block(Cycle max_cycles) {
     if (fabric != nullptr && !fabric->idle()) {
       fabric->begin_cycle();
     }
-    for (std::size_t k = 0; k < n_clusters; ++k) {
-      clusters[k]->tick_control();
-    }
-    // Pass only up to the highest live cluster: idle clusters' lanes are
-    // parked with bus opcodes already latched kIdle, so dropping them
-    // from the pass (and the scheduler fills clusters lowest-first)
-    // changes no state and saves most of the wide sweep on
-    // partially-loaded machines. A lane above the prefix can never be
-    // slow or hold a pending fill — either would keep its cluster live.
-    std::uint32_t live_lanes = 0;
-    for (std::size_t k = n_clusters; k-- > 0;) {
-      if (clusters[k]->lanes_live()) {
-        live_lanes = clusters[k]->lane_end();
-        break;
-      }
+    for (std::uint64_t m = live; m != 0; m &= m - 1) {
+      clusters[std::countr_zero(m)]->tick_control();
     }
     if (live_lanes != 0) {
       const LaneMask slow =
           pass(lanes, shared_cache.fill_ready_mask(), live_lanes);
       if (slow != 0) {
-        for (std::size_t k = 0; k < n_clusters; ++k) {
-          clusters[k]->tick_peel(slow);
+        for (std::uint64_t m = live; m != 0; m &= m - 1) {
+          clusters[std::countr_zero(m)]->tick_peel(slow);
         }
       }
     }
@@ -240,6 +245,11 @@ Cycle Machine::tick_block(Cycle max_cycles) {
       // A job or detached job completed this cycle: stop so the OS layer
       // ticks naively next cycle, exactly as lockstep ticking would.
       break;
+    }
+  }
+  for (std::size_t k = 0; k < cluster_ptrs_.size(); ++k) {
+    if (((live >> k) & 1u) == 0) {
+      clusters[k]->skip(done);
     }
   }
   return done;

@@ -68,6 +68,8 @@ class Machine {
   /// Advance up to `max_cycles` cycles through the machine's one cycle
   /// loop, stopping early at the end of the cycle that completes a
   /// cluster or detached job (a control event the OS layer reacts to).
+  /// The loop works only on the clusters live at entry; idle ones catch
+  /// up with one Cluster::skip when the block ends.
   /// Returns the number of cycles actually advanced (>= 1 when
   /// max_cycles >= 1). Bit-identical to calling tick() that many times;
   /// the caller must guarantee no OS/workload action is due during the

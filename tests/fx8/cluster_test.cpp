@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
+#include <vector>
 
 #include "base/expect.hpp"
 #include "mem/main_memory.hpp"
@@ -261,6 +263,164 @@ TEST_F(ClusterTest, NarrowClusterWorks) {
   }
   EXPECT_EQ(max_active, 2u);
   EXPECT_EQ(narrow.stats().iterations_completed, 20u);
+}
+
+
+// --- Service order ------------------------------------------------------
+// The service order is the cluster's hardware priority: it decides which
+// idle CE the CCB grants the next iteration to, and which CE a same-bank
+// crossbar tie goes to. These tests pin it per policy, with detached CEs
+// (visited after the service lanes, slot 0 = highest id first), and under
+// kRotating at several rotation offsets.
+
+/// A standalone cluster with its own memory system, so every case starts
+/// from a cold cache and an unrotated order.
+struct OrderRig {
+  explicit OrderRig(const ClusterConfig& config)
+      : memory(mem::MainMemoryConfig{}),
+        bus(mem::MemoryBusConfig{}, memory),
+        cache(cache::SharedCacheConfig{}, bus),
+        cluster(config, cache, mmu) {}
+
+  void step() {
+    cluster.tick();
+    bus.tick(now);
+    cache.tick();
+    ++now;
+  }
+
+  mem::MainMemory memory;
+  mem::MemoryBus bus;
+  cache::SharedCache cache;
+  NoFaultMmu mmu;
+  Cluster cluster;
+  Cycle now = 0;
+};
+
+class DispatchRecorder : public ClusterObserver {
+ public:
+  void on_iteration_start(JobId, std::uint64_t, CeId ce, Cycle) override {
+    order.push_back(ce);
+  }
+  std::vector<CeId> order;
+};
+
+/// CEs in the order the CCB hands out a loop's first iterations, after
+/// `idle_ticks` idle cycles (which advance a kRotating order).
+std::vector<CeId> first_dispatches(const ClusterConfig& config,
+                                   Cycle idle_ticks) {
+  OrderRig rig(config);
+  for (Cycle t = 0; t < idle_ticks; ++t) {
+    rig.step();
+  }
+  DispatchRecorder recorder;
+  rig.cluster.set_observer(&recorder);
+  isa::ConcurrentLoopPhase loop;
+  loop.trip_count = rig.cluster.cluster_width();
+  loop.body = tiny_kernel();
+  loop.body.compute_cycles = 400;  // Nobody finishes before all dispatch.
+  const isa::Program prog =
+      isa::ProgramBuilder("order").concurrent_loop(loop).build();
+  rig.cluster.load(&prog, 1);
+  while (recorder.order.size() < loop.trip_count) {
+    rig.step();
+    EXPECT_LT(rig.now, Cycle{1000});
+    if (rig.now >= 1000) {
+      break;
+    }
+  }
+  rig.cluster.set_observer(nullptr);
+  return recorder.order;
+}
+
+/// Which of CEs `a` and `b` wins a same-bank crossbar tie on the cycle
+/// after `warmup` live cycles. CE 0 runs a long serial compute phase to
+/// keep the cluster live (so a kRotating order keeps rotating); `a` and
+/// `b` are started by hand on one single-load kernel at one address.
+CeId tie_winner(const ClusterConfig& config, Cycle warmup, CeId a, CeId b) {
+  OrderRig rig(config);
+  isa::KernelSpec hold;
+  hold.compute_cycles = 1'000'000;
+  hold.loads_per_step = 0;
+  const isa::Program prog =
+      isa::ProgramBuilder("hold").serial(hold, 1).build();
+  rig.cluster.load(&prog, 1);
+  for (Cycle t = 0; t < warmup; ++t) {
+    rig.step();
+  }
+  isa::KernelSpec probe;
+  probe.compute_cycles = 0;
+  probe.loads_per_step = 1;
+  KernelInstance inst;
+  inst.spec = &probe;
+  inst.job = 2;
+  inst.data_base = 0x01000000;
+  rig.cluster.ce(a).start(inst);
+  rig.cluster.ce(b).start(inst);
+  rig.step();
+  const std::uint64_t lost_a = rig.cluster.ce(a).stats().xbar_conflict_cycles;
+  const std::uint64_t lost_b = rig.cluster.ce(b).stats().xbar_conflict_cycles;
+  EXPECT_EQ(lost_a + lost_b, 1u) << "CEs " << a << " and " << b;
+  return lost_a == 0 ? a : b;
+}
+
+/// Every pair of CEs 1..7 (CE 0 holds the serial phase) must tie-break
+/// by its earlier position in `order`.
+void expect_ties_follow(const ClusterConfig& config, Cycle warmup,
+                        const std::vector<CeId>& order) {
+  const auto pos = [&](CeId c) {
+    return std::find(order.begin(), order.end(), c) - order.begin();
+  };
+  for (CeId a = 1; a < 8; ++a) {
+    for (CeId b = a + 1; b < 8; ++b) {
+      EXPECT_EQ(tie_winner(config, warmup, a, b),
+                pos(a) < pos(b) ? a : b)
+          << "tie " << a << " vs " << b << " after " << warmup << " cycles";
+    }
+  }
+}
+
+TEST(ServiceOrder, OuterFirstDispatchesAndBreaksTiesOuterFirst) {
+  const ClusterConfig config;  // kOuterFirst
+  const std::vector<CeId> order = {0, 7, 6, 3, 4, 2, 5, 1};
+  EXPECT_EQ(first_dispatches(config, 0), order);
+  expect_ties_follow(config, 1, order);
+}
+
+TEST(ServiceOrder, AscendingDispatchesAndBreaksTiesAscending) {
+  ClusterConfig config;
+  config.policy = ServicePolicy::kAscending;
+  const std::vector<CeId> order = {0, 1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(first_dispatches(config, 0), order);
+  expect_ties_follow(config, 1, order);
+}
+
+TEST(ServiceOrder, RotatingOrderAdvancesOneLanePerCycle) {
+  ClusterConfig config;
+  config.policy = ServicePolicy::kRotating;
+  // After three idle cycles the rotation stands at 3, and each later
+  // cycle's order starts one lane further on: the first free lane in
+  // every cycle's order is the next one up.
+  EXPECT_EQ(first_dispatches(config, 3),
+            (std::vector<CeId>{3, 4, 5, 6, 7, 0, 1, 2}));
+  // The tie after `warmup` live cycles is resolved in the order rotated
+  // by `warmup` (the rotation counts every cycle since construction).
+  for (Cycle warmup = 1; warmup <= 9; warmup += 2) {
+    std::vector<CeId> order;
+    for (CeId i = 0; i < 8; ++i) {
+      order.push_back(static_cast<CeId>((i + warmup) % 8));
+    }
+    expect_ties_follow(config, warmup, order);
+  }
+}
+
+TEST(ServiceOrder, DetachedCesFollowTheServiceLanes) {
+  ClusterConfig config;  // kOuterFirst with CEs 6 and 7 detached
+  config.detached_ces = 2;
+  EXPECT_EQ(first_dispatches(config, 0),
+            (std::vector<CeId>{0, 3, 4, 2, 5, 1}));
+  // Peel order: the service lanes, then detached slot 0 (CE 7), slot 1.
+  expect_ties_follow(config, 1, {0, 3, 4, 2, 5, 1, 7, 6});
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ std::uint64_t next_rand(std::uint64_t& s) {
 fx8::CeHot random_hot(std::uint64_t& seed, std::uint32_t n_lanes) {
   fx8::CeHot base{};
   for (CeId c = 0; c < n_lanes; ++c) {
-    base.phase[c] = static_cast<std::uint8_t>(next_rand(seed) % 8);
+    base.phase[c] = static_cast<fx8::CePhase>(next_rand(seed) % 8);
     base.bus_op[c] = static_cast<mem::CeBusOp>(next_rand(seed) % 4);
     const std::array<std::uint32_t, 6> edges = {
         0u, 1u, 2u, 3u, 0xFFFFu, 0xFFFFFFFFu};
