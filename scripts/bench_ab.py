@@ -2,7 +2,8 @@
 """Interleaved A/B of the repository benchmark between two checkouts.
 
     python3 scripts/bench_ab.py PARENT CHANGE [--workloads a,b] \
-        [--pairs 10] [--seconds 5] [--seed 0] [--out ab.json]
+        [--pairs 10] [--seconds 5] [--seed 0] [--out ab.json] \
+        [--history BENCH_history.jsonl]
 
 PARENT and CHANGE are two checkouts of this repository (for example the
 parent commit made with `git clone` or `git archive`, and the working
@@ -20,11 +21,18 @@ pairs, and its median beats the parent's by more than the distance
 between the parent's quartiles. It also prints each metric's regression
 check against the benchmark's bound.
 
+With --history FILE it appends one JSON line per workload to FILE: the
+date, both sides' `git describe`, build type and compiler, the pairs,
+seconds and seed, and for each end-to-end metric both sides' medians and
+quartiles, the pair wins and the gain and bound verdicts. The repository
+keeps its A/B results that way in BENCH_history.jsonl.
+
 Exits 1 as soon as either side reports `correct: false` or `failed > 0`,
 and 2 on a usage or run error.
 """
 
 import argparse
+import datetime
 import json
 import math
 import os
@@ -38,10 +46,11 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout, workload, seconds, seed):
-    """One `perfbench/run.py --trace 0` run; its final JSON line. The
-    run builds into the checkout's own .bench_build/: a CARGO_TARGET_DIR
-    shared by both sides would let one side's build overwrite the
-    other's, so it is dropped from the run's environment."""
+    """One `perfbench/run.py --trace 0` run; its final JSON line, with
+    the run's manifest line under "manifest". The run builds into the
+    checkout's own .bench_build/: a CARGO_TARGET_DIR shared by both
+    sides would let one side's build overwrite the other's, so it is
+    dropped from the run's environment."""
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -50,7 +59,12 @@ def run_once(checkout, workload, seconds, seed):
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise RuntimeError(f"{checkout}: run.py exited {done.returncode}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["manifest"] = next(
+        (json.loads(line[len("manifest: "):]) for line in lines
+         if line.startswith("manifest: ")), {})
+    return result
 
 
 def quartiles(values):
@@ -104,6 +118,37 @@ def print_row(row, unit):
           f"bound: {'ok' if row['within_bound'] else 'EXCEEDED'}")
 
 
+def history_line(workload, args, runs, rows):
+    """One BENCH_history.jsonl record of a workload's A/B."""
+    sides = {}
+    for side in SIDES:
+        manifest = runs[0][side]["manifest"]
+        sides[side] = {key: manifest.get(key) for key in
+                       ("git_describe", "build_type", "compiler",
+                        "hardware_workers")}
+    metrics = {}
+    for row in rows:
+        metrics[row["metric"]] = {
+            "parent_median": row["parent_quartiles"][1],
+            "parent_quartiles": [row["parent_quartiles"][0],
+                                 row["parent_quartiles"][2]],
+            "change_median": row["change_quartiles"][1],
+            "change_quartiles": [row["change_quartiles"][0],
+                                 row["change_quartiles"][2]],
+            "change_wins": row["change_wins"],
+            "parent_wins": row["parent_wins"],
+            "gain_claimable": row["gain_claimable"],
+            "within_bound": row["within_bound"],
+        }
+    return {
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"),
+        "workload": workload, "parent": sides["parent"],
+        "change": sides["change"], "pairs": args.pairs,
+        "seconds": args.seconds, "seed": args.seed, "metrics": metrics,
+    }
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -114,6 +159,8 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path,
                         help="write every run and summary row as JSON")
+    parser.add_argument("--history", type=Path,
+                        help="append one JSON line per workload")
     args = parser.parse_args(argv)
     args.workloads = args.workloads.split(",")
     for workload in args.workloads:
@@ -157,6 +204,10 @@ def main(argv):
               f"seed {args.seed}; median [quartiles]")
         for metric, row in zip(metrics, rows):
             print_row(row, metric["unit"])
+        if args.history:
+            with args.history.open("a", encoding="utf-8") as history:
+                history.write(json.dumps(
+                    history_line(workload, args, runs, rows)) + "\n")
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

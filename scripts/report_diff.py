@@ -11,7 +11,7 @@ than the measured results; so does a run at another worker count
   - `experiment_runs` (a warm run executes zero engines),
   - `cache` (hit/miss counters obviously differ between cold and warm),
   - `study_engine.threads` (the worker count itself),
-  - `perf_simulator`'s wall-clock rates and the timed
+  - `perf_simulator`'s CPU-clock rates and the timed
     `block_vs_naive_speedup` check built on them.
 
 This script strips exactly those fields from both reports and then
@@ -33,7 +33,8 @@ import sys
 VOLATILE_TOP_LEVEL = ("experiment_runs", "cache")
 
 # perf_simulator times itself: these metrics (and the check of the same
-# name) are host cycles per second, not simulated results.
+# name) are CPU-clock rates, host cycles per CPU second, not simulated
+# results.
 TIMED_PERF_METRICS = ("naive_cycles_per_sec", "block_cycles_per_sec",
                       "idle_cycles_per_sec", "block_vs_naive_speedup")
 

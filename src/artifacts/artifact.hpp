@@ -129,9 +129,6 @@ struct ArtifactDef {
   /// Bare-machine micro-runs stay inside the render and count themselves
   /// with Inputs::note_private_run().
   std::function<std::vector<core::RunSpec>(const Inputs&)> runs = {};
-  /// Renders alone, after every other render has finished (an artifact
-  /// that times itself must not share the cores).
-  bool solo = false;
 };
 
 }  // namespace repro::artifacts

@@ -2,13 +2,17 @@
 // live in the standalone bench_perf_simulator binary, registered so CI
 // tracks cycles/sec datapoints like every other artifact.
 //
-// All timing metrics are recorded as informational notes — shared CI
-// runners time-slice, so wall-clock bands would flake. The one enforced
-// check is timing-independent: the machine running the dispatched lane
-// pass must stay bit-identical to the naive oracle, the same machine on
-// fx8::lane_pass_reference (every CE stepped through Ce::tick()).
+// The rates are CPU-clock rates: each measurement reads its own thread's
+// CPU clock (CLOCK_THREAD_CPUTIME_ID), so the render shares the pool with
+// the other renders and runs like any artifact. They are recorded as
+// informational notes — shared CI runners time-slice, so enforced bands
+// would flake. The one enforced check is timing-independent: the machine
+// running the dispatched lane pass must stay bit-identical to the naive
+// oracle, the same machine on fx8::lane_pass_reference (every CE stepped
+// through Ce::tick()).
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 
 #include "artifacts/inputs.hpp"
@@ -22,10 +26,13 @@ namespace repro::artifacts {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+/// CPU seconds this thread has run: what a measurement costs, whatever
+/// else shares the cores.
+double thread_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
 }
 
 isa::Program saturated_program() {
@@ -77,9 +84,9 @@ double measure(fx8::LanePassFn pass, Cycle cycles, Advance&& advance) {
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     SaturatedMachine s(pass);
-    const auto start = std::chrono::steady_clock::now();
+    const double start = thread_cpu_seconds();
     advance(s.machine, cycles);
-    const double seconds = seconds_since(start);
+    const double seconds = thread_cpu_seconds() - start;
     if (seconds > 0.0) {
       best = std::max(best, static_cast<double>(cycles) / seconds);
     }
@@ -108,9 +115,9 @@ void render_perf_simulator(Context& ctx) {
     fx8::MachineConfig config = fx8::MachineConfig::fx8();
     config.ip.duty = 0.0;
     fx8::Machine machine(config, mmu);
-    const auto start = std::chrono::steady_clock::now();
+    const double start = thread_cpu_seconds();
     machine.run(cycles);
-    const double seconds = seconds_since(start);
+    const double seconds = thread_cpu_seconds() - start;
     idle_rate = seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
   }
 
@@ -129,7 +136,7 @@ void render_perf_simulator(Context& ctx) {
   }
 
   // The artifact body stays deterministic (fx8bench stdout is diffed
-  // across runs); the wall-clock rates go only into the JSON metrics.
+  // across runs); the CPU-clock rates go only into the JSON metrics.
   ctx.printf("saturated machine, %llu cycles per measurement, best of 3\n",
              static_cast<unsigned long long>(cycles));
   ctx.printf("rates recorded as metrics: naive tick loop, fused\n");
@@ -140,8 +147,8 @@ void render_perf_simulator(Context& ctx) {
   ctx.metric("naive_cycles_per_sec", naive_rate);
   ctx.metric("block_cycles_per_sec", block_rate);
   ctx.metric("idle_cycles_per_sec", idle_rate);
-  // Informational: wall-clock on shared runners is too noisy to enforce,
-  // but the datapoint rides the report so regressions leave a trail.
+  // Informational: too noisy on shared runners to enforce, but the
+  // datapoint rides the report so regressions leave a trail.
   ctx.note("block_vs_naive_speedup",
            naive_rate > 0.0 ? block_rate / naive_rate : 0.0,
            /*paper=*/1.0, /*lo=*/0.9, /*hi=*/100.0);
@@ -157,7 +164,7 @@ void register_perf(std::vector<ArtifactDef>& catalog) {
        "PERF — simulated-machine throughput (fused tick kernel)",
        "substrate self-check: cycles/sec of the naive and fused per-cycle "
        "paths (no paper claim; timing notes are informational)",
-       render_perf_simulator, {}, /*solo=*/true});
+       render_perf_simulator});
 }
 
 }  // namespace repro::artifacts

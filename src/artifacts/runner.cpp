@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "artifacts/registry.hpp"
+#include "base/expect.hpp"
 #include "base/thread_pool.hpp"
 #include "core/study.hpp"
 
@@ -19,9 +20,56 @@ namespace {
 constexpr const char* kRule =
     "=============================================================";
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double>(elapsed).count();
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+std::uint64_t ns_since(Clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count());
+}
+
+/// When one task (a run or a render) was in flight, in nanoseconds since
+/// its run_artifacts call began.
+struct TaskSpan {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+};
+
+/// The paper's c_j (§4.1) over the call's own wall time: the tasks in
+/// flight are the active processors and the workers are P. Empty when
+/// the workers outnumber the widest histogram ConcurrencyMeasures takes.
+std::optional<core::ConcurrencyMeasures> pool_profile(
+    const std::vector<TaskSpan>& spans, std::size_t workers,
+    std::uint64_t wall_ns) {
+  if (workers > kMaxTopologyCes || wall_ns == 0) {
+    return std::nullopt;
+  }
+  // A span counts +1 from its begin to its end. At equal times the end
+  // sorts first, so a worker's next task never overlaps its last.
+  std::vector<std::pair<std::uint64_t, int>> edges;
+  edges.reserve(2 * spans.size());
+  for (const TaskSpan& span : spans) {
+    edges.emplace_back(span.begin, +1);
+    edges.emplace_back(span.end, -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  std::vector<std::uint64_t> ns(workers + 1, 0);
+  std::uint64_t at = 0;
+  int depth = 0;
+  for (const auto& [time, step] : edges) {
+    ns[static_cast<std::size_t>(depth)] += time - at;
+    at = time;
+    depth += step;
+    REPRO_ENSURE(depth >= 0 && static_cast<std::size_t>(depth) <= workers,
+                 "more tasks in flight than workers");
+  }
+  ns[0] += wall_ns - at;
+  return core::ConcurrencyMeasures::from_counts(ns);
 }
 
 core::Json check_json(const Check& check) {
@@ -97,7 +145,7 @@ std::optional<ArtifactResult> load_cached(const ArtifactDef& def,
   if (store == nullptr) {
     return std::nullopt;
   }
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   if (auto payload = store->get(inputs.artifact_key(def.id))) {
     try {
       ArtifactResult cached =
@@ -115,7 +163,7 @@ std::optional<ArtifactResult> load_cached(const ArtifactDef& def,
 /// Cold path: render, turning exceptions into kError, and write a clean
 /// result back to the store.
 ArtifactResult render(const ArtifactDef& def, Inputs& inputs) {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   Context ctx(inputs, def);
   try {
     def.render(ctx);
@@ -147,17 +195,18 @@ ArtifactResult run_artifact(const ArtifactDef& def, Inputs& inputs) {
 
 RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
                         Inputs& inputs, const ResultCallback& on_result) {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   const std::size_t n = defs.size();
 
   // Cached results first: they need no run, so a fully warm run loads no
-  // run blob. The runs the other renders declare are gathered, one per
-  // distinct key. Key order scatters each sweep's points across the run
-  // phase, so the widest or busiest rigs of one sweep seldom run side by
-  // side (catalog order measured about a tenth more peak RSS on
-  // `reproduce`).
+  // run blob. The other renders split into those that declare no run and
+  // those that wait on runs; the runs are gathered, one per distinct key.
+  // Key order scatters each sweep's points across the run phase, so the
+  // widest or busiest rigs of one sweep seldom run side by side (catalog
+  // order measured about a tenth more peak RSS on `reproduce`).
   std::vector<std::optional<ArtifactResult>> slots(n);
-  std::size_t pooled = 0;
+  std::vector<std::size_t> runless;
+  std::vector<std::size_t> waiting;
   int declared = 0;
   std::map<std::uint64_t, core::RunSpec> specs;
   for (std::size_t i = 0; i < n; ++i) {
@@ -165,12 +214,14 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
     if (slots[i]) {
       continue;
     }
-    pooled += defs[i]->solo ? 0u : 1u;
+    std::vector<core::RunSpec> runs;
     if (defs[i]->runs) {
-      for (core::RunSpec& spec : defs[i]->runs(inputs)) {
-        ++declared;
-        specs.try_emplace(core::run_key(spec), std::move(spec));
-      }
+      runs = defs[i]->runs(inputs);
+    }
+    (runs.empty() ? runless : waiting).push_back(i);
+    for (core::RunSpec& spec : runs) {
+      ++declared;
+      specs.try_emplace(core::run_key(spec), std::move(spec));
     }
   }
 
@@ -197,41 +248,65 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
   };
   emit_ready();
 
-  const std::size_t workers = std::min<std::size_t>(
-      core::resolve_threads(inputs.study_config()), pooled + specs.size());
+  const std::size_t renders = runless.size() + waiting.size();
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min<std::size_t>(core::resolve_threads(inputs.study_config()),
+                               renders + specs.size()));
+  // Every task stamps its own span (tasks write disjoint slots; they are
+  // read after the pool has joined).
+  std::vector<TaskSpan> spans(renders + (workers > 1 ? specs.size() : 0));
+  const auto stamped_render = [&](std::size_t i, std::size_t task) {
+    spans[task].begin = ns_since(start);
+    ArtifactResult result = render(*defs[i], inputs);
+    spans[task].end = ns_since(start);
+    return result;
+  };
   if (workers > 1) {
     // Workers resolve nested pools to 1 (base::ThreadPool), so a study
     // fold or bootstrap inside a render runs inline rather than
     // oversubscribing.
     base::ThreadPool pool(workers);
-    // Runs before renders. The queue is FIFO, so by the time a worker
-    // takes a render, every run has been taken by some worker; a render
-    // that needs a run still in flight waits on that run's call_once,
-    // which a running task holds and will release. A failed run is left
-    // for its render to meet again and report as a kError.
+    // The queue is FIFO: first the renders that wait on nothing, then
+    // the runs, then the renders that read them. By the time a worker
+    // takes a render of the last group, every run has been taken by some
+    // worker; a render that needs a run still in flight waits on that
+    // run's call_once, which a running task holds and will release.
+    std::vector<std::future<ArtifactResult>> futures(n);
+    std::size_t task = 0;
+    const auto submit_renders = [&](const std::vector<std::size_t>& group) {
+      for (const std::size_t i : group) {
+        futures[i] = pool.submit([&stamped_render, i, t = task++] {
+          return stamped_render(i, t);
+        });
+      }
+    };
+    submit_renders(runless);
     for (const auto& [key, spec] : specs) {
-      (void)pool.submit([&inputs, &spec] { (void)inputs.run(spec); });
+      (void)pool.submit([&, t = task++] {
+        spans[t].begin = ns_since(start);
+        try {
+          (void)inputs.run(spec);
+        } catch (...) {
+          // Left for its render to meet again and report as a kError.
+        }
+        spans[t].end = ns_since(start);
+      });
     }
-    std::vector<std::pair<std::size_t, std::future<ArtifactResult>>> renders;
-    renders.reserve(pooled);
+    submit_renders(waiting);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!slots[i] && !defs[i]->solo) {
-        const ArtifactDef* def = defs[i];
-        renders.emplace_back(
-            i, pool.submit([def, &inputs] { return render(*def, inputs); }));
+      if (!slots[i]) {
+        slots[i] = futures[i].get();
+        emit_ready();
       }
     }
-    for (auto& [index, future] : renders) {
-      slots[index] = future.get();
-      emit_ready();
-    }
-  }
-  // Solo renders (and, without a pool, every render) on the calling
-  // thread, with the pool drained and joined.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!slots[i]) {
-      slots[i] = render(*defs[i], inputs);
-      emit_ready();
+  } else {
+    // No pool: every render on the calling thread, in selection order.
+    std::size_t task = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!slots[i]) {
+        slots[i] = stamped_render(i, task++);
+        emit_ready();
+      }
     }
   }
 
@@ -242,7 +317,9 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
   report.run_counts = inputs.run_counts();
   report.run_counts.declared_runs = declared;
   report.run_counts.distinct_runs = static_cast<int>(specs.size());
-  report.total_seconds = seconds_since(start);
+  const std::uint64_t wall_ns = ns_since(start);
+  report.total_seconds = 1e-9 * static_cast<double>(wall_ns);
+  report.pool = pool_profile(spans, workers, wall_ns);
   return report;
 }
 
@@ -286,6 +363,22 @@ core::Json build_report_json(const RunReport& report, const Inputs& inputs,
   runs.set("private_runs", report.run_counts.private_runs);
   runs.set("declared_runs", report.run_counts.declared_runs);
   runs.set("distinct_runs", report.run_counts.distinct_runs);
+  // The run's own concurrency. It lives here because experiment_runs is
+  // already outside every report comparison (scripts/report_diff.py).
+  if (report.pool) {
+    core::Json pool = core::Json::object();
+    pool.set("workers", static_cast<std::uint64_t>(report.pool->width));
+    core::Json c = core::Json::array();
+    for (std::uint32_t j = 0; j <= report.pool->width; ++j) {
+      c.push_back(report.pool->c[j]);
+    }
+    pool.set("c", c);
+    pool.set("cw", report.pool->cw);
+    // Undefined (null) unless two tasks were ever in flight at once.
+    pool.set("pc", report.pool->pc_defined ? core::Json(report.pool->pc)
+                                           : core::Json());
+    runs.set("pool", pool);
+  }
   root.set("experiment_runs", runs);
 
   // Hit/miss accounting for the persistent result cache. Timing-like and

@@ -4,12 +4,14 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "artifacts/artifact.hpp"
 #include "artifacts/inputs.hpp"
 #include "core/json.hpp"
+#include "core/measures.hpp"
 
 namespace repro::artifacts {
 
@@ -17,6 +19,10 @@ struct RunReport {
   std::vector<ArtifactResult> results;
   RunCounts run_counts;
   double total_seconds = 0.0;
+  /// The call's own concurrency: c_j, Cw and Pc (§4.1) with the tasks in
+  /// flight (runs and renders) as the active processors and the workers
+  /// as P. Empty past kMaxTopologyCes workers.
+  std::optional<core::ConcurrencyMeasures> pool;
   int ok = 0;
   int tolerance_failed = 0;
   int errors = 0;
@@ -41,12 +47,13 @@ using ResultCallback = std::function<void(const ArtifactResult&)>;
 
 /// Run the given defs against one shared cache, concurrently on
 /// core::resolve_threads(inputs.study_config()) workers. Cached results
-/// load first; then every distinct run the remaining renders declare
-/// goes to the pool, ahead of the renders; `solo` defs render last,
-/// alone, on the calling thread (as does everything when there is no
-/// pool). Results come back in selection order, identical to a serial
-/// run_artifact loop except for `seconds`, which is contended wall time;
-/// `total_seconds` is the wall time of the whole call.
+/// load first. The pool then takes the renders that declare no run,
+/// every distinct run the other renders declare, and those renders, in
+/// that order. Without a pool every render runs on the calling thread.
+/// Results come back in selection order, identical to a serial
+/// run_artifact loop except for `seconds`, which is contended wall time,
+/// and perf_simulator's CPU-clock rates; `total_seconds` is the wall
+/// time of the whole call.
 [[nodiscard]] RunReport run_artifacts(
     const std::vector<const ArtifactDef*>& defs, Inputs& inputs,
     const ResultCallback& on_result = {});

@@ -13,24 +13,12 @@ double hash_frac(std::uint64_t h) {
 }  // namespace
 
 Ce::Ce(CeId id, cache::SharedCache& cache, Crossbar& crossbar, Mmu& mmu,
-       std::uint64_t icache_bytes)
+       std::uint64_t icache_bytes, CeHot* hot)
     : id_(id), cache_(cache), crossbar_(crossbar), mmu_(mmu),
-      icache_(icache_bytes) {
+      icache_(icache_bytes),
+      own_hot_(hot == nullptr ? std::make_unique<CeHot>() : nullptr),
+      hot_(hot != nullptr ? hot : own_hot_.get()) {
   REPRO_EXPECT(id < kMaxTopologyCes, "CE id out of LaneMask range");
-}
-
-void Ce::bind_hot(CeHot& hot) {
-  hot.phase[id_] = hot_->phase[id_];
-  hot.bus_op[id_] = hot_->bus_op[id_];
-  hot.compute_left[id_] = hot_->compute_left[id_];
-  hot.fault_left[id_] = hot_->fault_left[id_];
-  hot.busy_cycles[id_] = hot_->busy_cycles[id_];
-  hot.compute_cycles[id_] = hot_->compute_cycles[id_];
-  hot.miss_wait_cycles[id_] = hot_->miss_wait_cycles[id_];
-  hot.fault_wait_cycles[id_] = hot_->fault_wait_cycles[id_];
-  const LaneMask bit = LaneMask{1} << id_;
-  hot.done_mask = (hot.done_mask & ~bit) | (hot_->done_mask & bit);
-  hot_ = &hot;
 }
 
 void Ce::start(const KernelInstance& inst) {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "base/capsule.hpp"
@@ -71,9 +72,10 @@ class Ce {
  public:
   /// `id` is the machine-global CE id (indexes the shared cache's waiter
   /// masks, the MMU memos, the probe channels, and this CE's slots in
-  /// the machine-wide CeHot lane block).
+  /// the machine-wide CeHot lane block). `hot` is the lane block its
+  /// owner keeps; a standalone CE (nullptr) keeps its own.
   Ce(CeId id, cache::SharedCache& cache, Crossbar& crossbar, Mmu& mmu,
-     std::uint64_t icache_bytes = 16 * 1024);
+     std::uint64_t icache_bytes = 16 * 1024, CeHot* hot = nullptr);
 
   [[nodiscard]] CeId id() const { return id_; }
 
@@ -144,11 +146,6 @@ class Ce {
     return s;
   }
 
-  /// Re-point this CE's hot lanes at an externally owned block (the
-  /// machine's contiguous hot-state). Copies only this CE's slots, so
-  /// sibling CEs already bound to the block are untouched.
-  void bind_hot(CeHot& hot);
-
   /// Capsule walk over the cold state, the loaded kernel instance (the
   /// spec travels by value; a loaded CE runs from its own copy), and
   /// this CE's hot-lane slots.
@@ -211,8 +208,10 @@ class Ce {
   /// Cold counters only (accesses, conflicts, completions); the four
   /// per-cycle counters live in the CeHot lanes. stats() merges them.
   CeStats stats_;
-  CeHot own_hot_;
-  CeHot* hot_ = &own_hot_;
+  /// A standalone CE's lanes, on the heap so a moved CE keeps them; null
+  /// when an owner keeps the lanes.
+  std::unique_ptr<CeHot> own_hot_;
+  CeHot* hot_;
   /// Backing storage for inst_.spec after a capsule load: the original
   /// spec lives inside scheduler-owned program storage that a freshly
   /// loaded System does not share, so the CE keeps its own copy (the

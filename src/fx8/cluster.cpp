@@ -47,10 +47,12 @@ std::uint64_t stream_bytes_per_instance(const isa::KernelSpec& k) {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
-                 Mmu& mmu, CeId ce_base)
+                 Mmu& mmu, CeId ce_base, CeHot* lanes)
     : config_(config), ce_base_(ce_base),
       crossbar_(cache.config().banks),
-      base_order_(make_order(config.policy, config.n_ces)) {
+      base_order_(make_order(config.policy, config.n_ces)),
+      own_ce_hot_(lanes == nullptr ? std::make_unique<CeHot>() : nullptr),
+      ce_hot_(lanes != nullptr ? lanes : own_ce_hot_.get()) {
   REPRO_EXPECT(config.n_ces >= 1 && config.n_ces <= kMaxCes,
                "cluster width must be 1..8");
   REPRO_EXPECT(config.detached_ces < config.n_ces,
@@ -64,7 +66,7 @@ Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
   ces_.reserve(config.n_ces);
   for (CeId c = 0; c < config.n_ces; ++c) {
     ces_.emplace_back(ce_base + c, cache, crossbar_, mmu,
-                      config.icache_bytes);
+                      config.icache_bytes, ce_hot_);
     lanes_mask_ |= LaneMask{1} << (ce_base + c);
   }
   service_count_ = static_cast<std::uint32_t>(base_order_.size());
@@ -78,9 +80,6 @@ Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
   rotating_ = config.policy == ServicePolicy::kRotating;
   for (const CeId c : base_order_) {
     service_lane_mask_ |= LaneMask{1} << (ce_base + c);
-  }
-  for (Ce& ce : ces_) {
-    ce.bind_hot(own_ce_hot_);
   }
 }
 
@@ -202,13 +201,9 @@ Addr Cluster::code_base_for_phase() const {
          static_cast<Addr>(phase_idx_) * 0x100000ULL;
 }
 
-void Cluster::bind_hot(ClusterHot& hot, CeHot& lanes, std::uint64_t& events) {
+void Cluster::bind_hot(ClusterHot& hot, std::uint64_t& events) {
   crossbar_.bind_hot(hot.crossbar_taken);
   ccb_.bind_hot(hot.ccb_grants_left);
-  for (Ce& ce : ces_) {
-    ce.bind_hot(lanes);
-  }
-  ce_hot_ = &lanes;
   events = *events_;
   events_ = &events;
 }

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "base/types.hpp"
@@ -90,9 +91,10 @@ class Cluster {
   /// CEs get global ids ce_base..ce_base+n_ces-1 (cache MSHRs, MMU memos,
   /// probe channels) while every cluster-internal structure stays
   /// lane-indexed 0..n_ces-1. Single-cluster machines and standalone
-  /// tests keep the default 0, where lane == global id.
+  /// tests keep the default 0, where lane == global id. `lanes` is the
+  /// machine's CeHot block; a standalone cluster (nullptr) keeps its own.
   Cluster(const ClusterConfig& config, cache::SharedCache& cache, Mmu& mmu,
-          CeId ce_base = 0);
+          CeId ce_base = 0, CeHot* lanes = nullptr);
 
   /// Load a job onto the cluster. Requires !busy().
   void load(const isa::Program* program, JobId job);
@@ -158,11 +160,10 @@ class Cluster {
 
   /// Re-point the cluster's hot state at the machine's contiguous
   /// hot-state block: the crossbar grant mask and CCB grant budget at
-  /// the cluster's slice, every CE's lanes at the machine-wide lane
-  /// block (`lanes`, indexed by global CE id), and the control-event
-  /// counter at the machine-wide counter (shared by all clusters).
-  /// Copies current values.
-  void bind_hot(ClusterHot& hot, CeHot& lanes, std::uint64_t& events);
+  /// the cluster's slice, and the control-event counter at the
+  /// machine-wide counter (shared by all clusters). Copies current
+  /// values. The CE lanes are the machine's from construction.
+  void bind_hot(ClusterHot& hot, std::uint64_t& events);
 
   /// Monotone count of control events the OS layer can react to: a
   /// cluster job or a detached job completing. Machine::tick_block stops
@@ -288,11 +289,11 @@ class Cluster {
 
   ClusterStats stats_;
   /// The cluster's CEs always share one CeHot block, indexed by global
-  /// CE id (the constructor binds them to own_ce_hot_; Machine::bind_hot
-  /// re-points them at the machine-wide block), so control can poll the
-  /// shared done_mask instead of every CE.
-  CeHot own_ce_hot_;
-  CeHot* ce_hot_ = &own_ce_hot_;
+  /// CE id, so control can poll the shared done_mask instead of every
+  /// CE: the machine's from construction, or for a standalone cluster
+  /// own_ce_hot_, on the heap.
+  std::unique_ptr<CeHot> own_ce_hot_;
+  CeHot* ce_hot_;
   /// Bitmask (global CE ids) of the lanes participating in cluster
   /// (non-detached) work.
   LaneMask service_lane_mask_ = 0;

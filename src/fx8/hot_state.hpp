@@ -11,9 +11,11 @@
 // objects.
 //
 // Components constructed standalone (unit tests) fall back to a private
-// instance of their hot struct; Machine::bind_hot re-points every member
-// at this block right after construction. Binding copies the current
-// values, so it is transparent at any point in a component's life.
+// instance of their hot struct (the CE lanes on the heap, so a moved CE
+// keeps them). The machine hands its CE lanes to each cluster at
+// construction, and Machine::bind_hot re-points every other member at
+// this block right after. Binding copies the current values, so it is
+// transparent at any point in a component's life.
 #pragma once
 
 #include <array>

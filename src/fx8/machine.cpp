@@ -83,7 +83,7 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   for (std::uint32_t i = 0; i < topology_.n_clusters; ++i) {
     clusters_.push_back(std::make_unique<Cluster>(
         cluster_config, *shared_cache_, mmu,
-        /*ce_base=*/i * topology_.ces_per_cluster));
+        /*ce_base=*/i * topology_.ces_per_cluster, &hot_state_.lanes));
     if (fabric_) {
       clusters_.back()->crossbar().attach_fabric(fabric_.get());
     }
@@ -109,7 +109,7 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   membus_->bind_hot(hot_state_.bus);
   shared_cache_->bind_hot(hot_state_.cache);
   for (std::uint32_t i = 0; i < topology_.n_clusters; ++i) {
-    clusters_[i]->bind_hot(hot_state_.clusters[i], hot_state_.lanes,
+    clusters_[i]->bind_hot(hot_state_.clusters[i],
                            hot_state_.cluster_events);
   }
 }

@@ -112,12 +112,6 @@ TEST(Registry, DeclaredRunsMatchRenders) {
   }
 }
 
-TEST(Registry, OnlyPerfSimulatorRendersSolo) {
-  for (const ArtifactDef& def : catalog()) {
-    EXPECT_EQ(def.solo, def.id == "perf_simulator") << def.id;
-  }
-}
-
 TEST(Registry, FindArtifactResolvesIdsOnly) {
   EXPECT_NE(find_artifact("fig12"), nullptr);
   EXPECT_EQ(find_artifact("fig12")->paper_ref, "Figure 12");

@@ -36,6 +36,10 @@ RunReport synthetic_report() {
   report.tolerance_failed = 1;
   report.run_counts = {1, 0, 2};
   report.total_seconds = 2.0;
+  // Two workers: idle a quarter of the call, one task a quarter, two
+  // tasks half.
+  const std::uint64_t ns[] = {500, 500, 1000};
+  report.pool = core::ConcurrencyMeasures::from_counts(ns);
   return report;
 }
 
@@ -84,6 +88,34 @@ TEST_F(ReportJson, SummaryAndRunCountsAggregate) {
   ASSERT_NE(runs, nullptr);
   EXPECT_EQ(runs->find("study_runs")->as_number(), 1.0);
   EXPECT_EQ(runs->find("private_runs")->as_number(), 2.0);
+}
+
+TEST_F(ReportJson, PoolProfileSitsInExperimentRunsOnly) {
+  const core::Json* pool = doc_.find("experiment_runs")->find("pool");
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->find("workers")->as_number(), 2.0);
+  const core::Json* c = pool->find("c");
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(c->size(), 3u);
+  EXPECT_EQ(c->items()[0].second.as_number(), 0.25);
+  EXPECT_EQ(c->items()[1].second.as_number(), 0.25);
+  EXPECT_EQ(c->items()[2].second.as_number(), 0.5);
+  EXPECT_EQ(pool->find("cw")->as_number(), 0.5);
+  EXPECT_EQ(pool->find("pc")->as_number(), 2.0);
+  // Both report comparisons skip experiment_runs, and nothing else.
+  EXPECT_EQ(doc_.find("pool"), nullptr);
+  EXPECT_EQ(doc_.find("summary")->find("pool"), nullptr);
+}
+
+TEST_F(ReportJson, UndefinedPoolPcIsNull) {
+  RunReport report = synthetic_report();
+  const std::uint64_t ns[] = {100, 900};
+  report.pool = core::ConcurrencyMeasures::from_counts(ns);
+  const core::Json doc = build_report_json(report, inputs_, nullptr);
+  const core::Json* pool = doc.find("experiment_runs")->find("pool");
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->find("cw")->as_number(), 0.0);
+  EXPECT_EQ(pool->find("pc")->kind(), core::Json::Kind::kNull);
 }
 
 TEST_F(ReportJson, ArtifactsJoinCatalogMetadataAndChecks) {

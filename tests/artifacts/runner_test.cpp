@@ -1,6 +1,6 @@
 // Runner semantics with synthetic artifacts: status propagation, NaN
 // handling, exit codes, the structure of the JSON report, and the
-// concurrent runner's ordering and solo rules. Renders are stubs, except
+// concurrent runner's issue order and pool profile. Renders are stubs, except
 // in the tests that hold the concurrent runner and the shared Inputs to
 // the serial loop over the quick catalog, and the run-graph tests that
 // check each distinct declared run happens once.
@@ -42,7 +42,7 @@ std::vector<const ArtifactDef*> whole_catalog() {
   return defs;
 }
 
-/// perf_simulator's wall-clock rates (and the check built on them) are
+/// perf_simulator's CPU-clock rates (and the check built on them) are
 /// the one part of an artifact that differs between two runs.
 bool timed(const std::string& id, const std::string& name) {
   return id == "perf_simulator" && name != "block_bit_identical";
@@ -251,43 +251,111 @@ TEST(Runner, DuplicateSpecsRunOnce) {
   EXPECT_EQ(report.run_counts.private_runs, 11);
 }
 
-TEST(Runner, SoloRunsAlone) {
-  const ScopedThreads threads("4");
-  std::atomic<int> in_flight{0};
-  std::atomic<int> peak{0};
-  std::atomic<int> beside_solo{-1};
-  std::atomic<bool> solo_done{false};
-  std::atomic<int> after_solo{0};
-  const auto busy = [&](Context&) {
-    const int now = ++in_flight;
-    for (int seen = peak.load(); now > seen;) {
-      peak.compare_exchange_weak(seen, now);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (solo_done) {
-      ++after_solo;
-    }
-    --in_flight;
-  };
-  ArtifactDef solo = stub("solo", [&](Context&) {
-    beside_solo = in_flight.load();
-    solo_done = true;
-  });
-  solo.solo = true;
-  const ArtifactDef a = stub("a", busy);
-  const ArtifactDef b = stub("b", busy);
-  const ArtifactDef c = stub("c", busy);
-  const ArtifactDef d = stub("d", busy);
-  Inputs inputs(/*quick=*/true);
-  const RunReport report = run_artifacts({&a, &solo, &b, &c, &d}, inputs);
+/// `count` distinct quick session runs.
+std::vector<core::RunSpec> quick_specs(int count) {
+  std::vector<core::RunSpec> specs(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    core::RunSpec& spec = specs[static_cast<std::size_t>(i)];
+    spec.mix = workload::session_presets()[2];
+    spec.generator_seed = 100 + static_cast<std::uint64_t>(i);
+    spec.controller_seed = 11;
+    spec.sampling.interval_cycles = 15000;
+    spec.samples = 2;
+  }
+  return specs;
+}
 
-  EXPECT_EQ(beside_solo, 0);  // Nothing else ran while the solo render did.
-  EXPECT_EQ(after_solo, 0);   // The pool had drained before it started.
-  EXPECT_GE(peak, 2);         // The other renders did overlap.
-  ASSERT_EQ(report.results.size(), 5u);
-  const char* order[] = {"a", "solo", "b", "c", "d"};
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(report.results[i].id, order[i]);
+TEST(Runner, RunlessRendersStartFirst) {
+  const ScopedThreads threads("4");
+  constexpr int kRuns = 24;
+  Inputs inputs(/*quick=*/true);
+  ArtifactDef reader = stub("reader", [&](Context& ctx) {
+    const std::vector<const core::RunResult*> runs = ctx.runs();
+    ASSERT_EQ(runs.size(), static_cast<std::size_t>(kRuns));
+    for (const core::RunResult* run : runs) {
+      EXPECT_EQ(run->samples.size(), 2u);
+    }
+  });
+  reader.runs = [](const Inputs&) { return quick_specs(kRuns); };
+  std::atomic<int> done_at_start{-1};
+  const ArtifactDef runless = stub("runless", [&](Context&) {
+    done_at_start = inputs.run_counts().private_runs;
+  });
+  // Last in selection order, so only the runner's issue order can start
+  // it early.
+  const RunReport report = run_artifacts({&reader, &runless}, inputs);
+
+  // Had every run been taken before the runless render, at most the
+  // three other workers would still hold one, and at least kRuns - 3
+  // would be done.
+  EXPECT_GE(done_at_start, 0);
+  EXPECT_LT(done_at_start, kRuns - 3);
+  // The reader found every run done, and none ran twice.
+  EXPECT_EQ(report.ok, 2);
+  EXPECT_EQ(report.run_counts.private_runs, kRuns);
+  EXPECT_EQ(report.run_counts.distinct_runs, kRuns);
+  ASSERT_EQ(report.results.size(), 2u);
+  EXPECT_EQ(report.results[0].id, "reader");
+  EXPECT_EQ(report.results[1].id, "runless");
+}
+
+TEST(Runner, FailedRunStillEndsItsTask) {
+  // A run that throws is left for its render to meet again. Its task
+  // must still end, or the pool profile would count it in flight.
+  const ScopedThreads threads("4");
+  std::vector<core::RunSpec> specs = quick_specs(3);
+  specs[1].sampling.snapshots_per_sample = 0;  // The controller rejects it.
+  ArtifactDef reader = stub("reader", [](Context&) {});
+  reader.runs = [specs](const Inputs&) { return specs; };
+  Inputs inputs(/*quick=*/true);
+  const RunReport report = run_artifacts({&reader}, inputs);
+  EXPECT_EQ(report.ok, 1);
+  EXPECT_EQ(report.run_counts.private_runs, 2);
+  ASSERT_TRUE(report.pool.has_value());
+  EXPECT_EQ(report.pool->width, 4u);
+}
+
+TEST(Runner, PoolProfileMeasuresTheCallsOwnConcurrency) {
+  // Two renders that wait for each other and then stay in flight
+  // together: most of the call has both tasks active.
+  {
+    const ScopedThreads threads("2");
+    std::atomic<int> arrived{0};
+    const auto together = [&](Context&) {
+      ++arrived;
+      while (arrived < 2) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    };
+    const ArtifactDef a = stub("a", together);
+    const ArtifactDef b = stub("b", together);
+    Inputs inputs(/*quick=*/true);
+    const RunReport report = run_artifacts({&a, &b}, inputs);
+    ASSERT_TRUE(report.pool.has_value());
+    const core::ConcurrencyMeasures& pool = *report.pool;
+    EXPECT_EQ(pool.width, 2u);
+    EXPECT_NEAR(pool.c[0] + pool.c[1] + pool.c[2], 1.0, 1e-12);
+    EXPECT_GT(pool.c[2], 0.5);
+    EXPECT_EQ(pool.cw, pool.c[2]);
+    ASSERT_TRUE(pool.pc_defined);
+    EXPECT_EQ(pool.pc, 2.0);
+  }
+  // Without a pool the renders run one at a time on the calling thread.
+  {
+    const ScopedThreads threads("1");
+    const auto nap = [](Context&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    };
+    const ArtifactDef a = stub("a", nap);
+    const ArtifactDef b = stub("b", nap);
+    Inputs inputs(/*quick=*/true);
+    const RunReport report = run_artifacts({&a, &b}, inputs);
+    ASSERT_TRUE(report.pool.has_value());
+    EXPECT_EQ(report.pool->width, 1u);
+    EXPECT_GT(report.pool->c[1], 0.5);
+    EXPECT_EQ(report.pool->cw, 0.0);
+    EXPECT_FALSE(report.pool->pc_defined);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "base/expect.hpp"
@@ -127,6 +128,22 @@ TEST_F(CeTest, CompletesAndBecomesReusable) {
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_EQ(ce.stats().instances_completed, 2u);
+}
+
+TEST_F(CeTest, MovedCeOutlivesItsOwner) {
+  // A standalone CE's own lanes move with it: once its first owner is
+  // freed, the moved CE must still tick on live state.
+  isa::KernelSpec k;
+  k.steps = 3;
+  k.compute_cycles = 4;
+  k.loads_per_step = 1;
+  auto owner = std::make_unique<Ce>(0, cache_, xbar_, no_fault_);
+  owner->start(make_instance(&k));
+  Ce ce(std::move(*owner));
+  owner.reset();
+  (void)run_to_done(ce);
+  EXPECT_EQ(ce.stats().compute_cycles, 12u);
+  EXPECT_EQ(ce.stats().instances_completed, 1u);
 }
 
 TEST_F(CeTest, StreamingLoadsMissOncePerLine) {
