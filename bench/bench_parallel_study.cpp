@@ -2,7 +2,7 @@
 // thread-pooled parallel path.
 //
 // The nine measurement sessions are independent simulations, so the
-// study pipeline parallelizes across (session, replicate) tasks
+// study pipeline runs them as nine pool tasks
 // (docs/parallel_execution.md). Independently, the simulator core can
 // fast-forward deterministic quiet stretches in one jump instead of
 // ticking cycle-by-cycle (the event-horizon contract). This bench runs
@@ -10,33 +10,27 @@
 //
 //   1. serial, fast-forward off (the naive reference),
 //   2. serial, fast-forward on,
-//   3. parallel (auto threads), fast-forward on, finer replicate tasks,
+//   3. parallel (auto threads), fast-forward on, one task per session,
 //   4. serial, fast-forward on, on the two-cluster FX/16,
 //   5. serial, fast-forward on, on the eight-cluster FX/64,
 //
 // plus per-session serial fast-forward rates. It verifies runs 1-3 are
 // bit-identical, and reports simulated cycles/sec for each plus the
-// fast-forward and parallel speedups as JSON — both to stdout and to BENCH_parallel_study.json — so perf
-// regressions in the tick loop, the horizon logic, or the pool show up
-// as a datapoint, not an anecdote.
-//
-// With --baseline, only run 1 executes (no comparisons): a self-check
-// mode for measuring the naive path alone, e.g. before/after a horizon
-// change, writing the same JSON shape with the other fields zeroed.
+// fast-forward and parallel speedups as JSON — both to stdout and to
+// BENCH_parallel_study.json — so perf regressions in the tick loop, the
+// horizon logic, or the pool show up as a datapoint, not an anecdote.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "base/thread_pool.hpp"
+#include "base/capsule.hpp"
 #include "core/presets.hpp"
+#include "core/study.hpp"
 #include "fx8/lane_kernel.hpp"
 #include "fx8/machine.hpp"
-#include "core/regression_models.hpp"
-#include "core/study.hpp"
 #include "workload/presets.hpp"
 
 namespace {
@@ -49,38 +43,17 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Bit-exact equality of everything a study reports: aggregate counts,
-/// per-session measures, and the Table 3/4 regression coefficients.
-bool identical(const core::StudyResult& a, const core::StudyResult& b) {
-  if (a.totals.num != b.totals.num || a.totals.proc != b.totals.proc ||
-      a.totals.ceop != b.totals.ceop || a.totals.membop != b.totals.membop ||
-      a.overall.cw != b.overall.cw || a.overall.pc != b.overall.pc ||
-      a.sessions.size() != b.sessions.size()) {
-    return false;
+/// Digest of a whole StudyResult with the fast-forward bookkeeping
+/// zeroed (by design it differs between fast and naive runs): equal
+/// digests mean every sample, count and measure is bit-identical.
+std::uint64_t study_digest(core::StudyResult result) {
+  result.ff = {};
+  for (core::SessionResult& session : result.sessions) {
+    session.ff = {};
   }
-  for (std::size_t s = 0; s < a.sessions.size(); ++s) {
-    const core::SessionResult& sa = a.sessions[s];
-    const core::SessionResult& sb = b.sessions[s];
-    if (sa.name != sb.name || sa.totals.num != sb.totals.num ||
-        sa.overall.cw != sb.overall.cw || sa.overall.pc != sb.overall.pc ||
-        sa.samples.size() != sb.samples.size()) {
-      return false;
-    }
-  }
-  const auto models_a = core::fit_all_models(a.all_samples());
-  const auto models_b = core::fit_all_models(b.all_samples());
-  if (models_a.size() != models_b.size()) {
-    return false;
-  }
-  for (std::size_t m = 0; m < models_a.size(); ++m) {
-    if (models_a[m].fit.has_value() != models_b[m].fit.has_value()) {
-      return false;
-    }
-    if (models_a[m].fit && models_a[m].fit->coeffs != models_b[m].fit->coeffs) {
-      return false;
-    }
-  }
-  return true;
+  capsule::Io io = capsule::Io::digester();
+  result.serialize(io);
+  return io.digest();
 }
 
 struct TimedRun {
@@ -131,10 +104,7 @@ double session_rate(const workload::WorkloadMix& mix,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool baseline_only =
-      argc > 1 && std::strcmp(argv[1], "--baseline") == 0;
-
+int main() {
   std::printf(
       "=============================================================\n"
       "PERF — study engine (event-horizon fast-forward + thread pool)\n"
@@ -159,86 +129,53 @@ int main(int argc, char** argv) {
   config.fast_forward = false;
   const TimedRun naive = timed_study(config);
 
-  TimedRun ff;
-  TimedRun parallel;
-  std::uint32_t threads = 1;
-  std::uint32_t replicates = 1;
-  bool bit_identical = true;
-  if (!baseline_only) {
-    // Run 2: serial, fast-forward on. Same decomposition, same seeds —
-    // any deviation from run 1 is a horizon-contract bug.
-    config.fast_forward = true;
-    ff = timed_study(config);
+  // Run 2: serial, fast-forward on. Same runs, same seeds — any
+  // deviation from run 1 is a horizon-contract bug.
+  config.fast_forward = true;
+  const TimedRun ff = timed_study(config);
 
-    // Run 3: pooled (session, replicate) tasks, fast-forward on.
-    config.threads = 0;  // auto: FX8_THREADS or usable cores
-    threads = core::resolve_threads(config);
-    config.threads = threads;
-    config.replicates_per_session = 3;
-    replicates = config.replicates_per_session;
-    parallel = timed_study(config);
+  // Run 3: the nine session runs on the pool, fast-forward on. Same
+  // runs as run 2, so it must match it bit for bit.
+  config.threads = 0;  // auto: FX8_THREADS or usable cores
+  const std::uint32_t threads = core::resolve_threads(config);
+  config.threads = threads;
+  const TimedRun parallel = timed_study(config);
 
-    // Replicate decomposition changes the sample population (each
-    // replicate warms its own system), so the parallel run is compared
-    // against a serial run of the *same* config, not against run 1.
-    core::StudyConfig serial_replicated = config;
-    serial_replicated.threads = 1;
-    const core::StudyResult reference =
-        core::run_default_study(serial_replicated);
-
-    bit_identical = identical(naive.result, ff.result) &&
-                    identical(reference, parallel.result);
-  }
+  const std::uint64_t reference = study_digest(ff.result);
+  const bool bit_identical = study_digest(naive.result) == reference &&
+                             study_digest(parallel.result) == reference;
 
   // Run 4: the width-16 topology datapoint — the same quick study on a
   // two-cluster fx16 machine (serial, fast-forward on), so scale-out
   // throughput regressions land on the dashboard too.
-  TimedRun width16;
-  if (!baseline_only) {
-    core::StudyConfig wide = core::presets::quick_study();
-    wide.threads = 1;
-    wide.fast_forward = true;
-    wide.system.machine = fx8::MachineConfig::fx16();
-    width16 = timed_study(wide);
-  }
+  core::StudyConfig wide = core::presets::quick_study();
+  wide.threads = 1;
+  wide.system.machine = fx8::MachineConfig::fx16();
+  const TimedRun width16 = timed_study(wide);
 
   // Run 5: the width-64 datapoint — eight clusters through the
   // machine-wide lane pass. The widest preset is where the width-native
   // kernel (one pass per cycle instead of one per cluster) pays most, so
   // its cycles/sec rides the dashboard next to width16.
-  TimedRun width64;
-  if (!baseline_only) {
-    core::StudyConfig widest = core::presets::quick_study();
-    widest.threads = 1;
-    widest.fast_forward = true;
-    widest.system.machine = fx8::MachineConfig::fx64();
-    width64 = timed_study(widest);
-  }
+  wide.system.machine = fx8::MachineConfig::fx64();
+  const TimedRun width64 = timed_study(wide);
 
   // Per-session serial fast-forward rates (the fused-kernel headline:
   // concurrency-saturated sessions 3 and 6 are the slowest per cycle).
-  core::StudyConfig per_session = config;
-  per_session.threads = 1;
-  per_session.fast_forward = true;
-  per_session.replicates_per_session = 1;
   std::string session_json;
-  if (!baseline_only) {
-    const auto mixes = workload::session_presets();
-    for (std::size_t m = 0; m < mixes.size(); ++m) {
-      const double cps =
-          session_rate(mixes[m], per_session, cycles_per_session);
-      char entry[160];
-      std::snprintf(entry, sizeof(entry), "%s\"%s\": %.0f",
-                    m == 0 ? "" : ", ", mixes[m].name.c_str(), cps);
-      session_json += entry;
-    }
+  const auto mixes = workload::session_presets();
+  for (std::size_t m = 0; m < mixes.size(); ++m) {
+    const double cps = session_rate(mixes[m], config, cycles_per_session);
+    char entry[160];
+    std::snprintf(entry, sizeof(entry), "%s\"%s\": %.0f",
+                  m == 0 ? "" : ", ", mixes[m].name.c_str(), cps);
+    session_json += entry;
   }
 
   const double ff_speedup =
-      !baseline_only && ff.seconds > 0.0 ? naive.seconds / ff.seconds : 0.0;
-  const double parallel_speedup = !baseline_only && parallel.seconds > 0.0
-                                      ? ff.seconds / parallel.seconds
-                                      : 0.0;
+      ff.seconds > 0.0 ? naive.seconds / ff.seconds : 0.0;
+  const double parallel_speedup =
+      parallel.seconds > 0.0 ? ff.seconds / parallel.seconds : 0.0;
 
   // A parallel-vs-serial speedup needs at least two workers to mean
   // anything: on a one-core box the "parallel" run is the serial run
@@ -247,7 +184,7 @@ int main(int argc, char** argv) {
   // The field is omitted entirely in that case; consumers must probe
   // for it (the CI perf-smoke gate does).
   std::string speedup_json;
-  if (!baseline_only && threads >= 2) {
+  if (threads >= 2) {
     char entry[48];
     std::snprintf(entry, sizeof(entry), "\"speedup\": %.3f, ",
                   parallel_speedup);
@@ -258,15 +195,13 @@ int main(int argc, char** argv) {
   std::snprintf(
       head, sizeof(head),
       "{\"bench\": \"parallel_study\", \"sessions\": %zu, "
-      "\"threads\": %u, \"replicates\": %u, \"total_cycles\": %.0f, "
-      "\"baseline_only\": %s, "
+      "\"threads\": %u, \"total_cycles\": %.0f, "
       "\"serial_seconds\": %.4f, \"parallel_seconds\": %.4f, "
       "\"serial_cycles_per_sec\": %.0f, \"parallel_cycles_per_sec\": %.0f, "
       "\"ff_off_seconds\": %.4f, \"ff_on_seconds\": %.4f, "
       "\"ff_off_cycles_per_sec\": %.0f, \"ff_on_cycles_per_sec\": %.0f, "
       "\"ff_speedup\": %.3f, ",
-      sessions, threads, replicates, total_cycles,
-      baseline_only ? "true" : "false", ff.seconds, parallel.seconds,
+      sessions, threads, total_cycles, ff.seconds, parallel.seconds,
       rate(total_cycles, ff.seconds), rate(total_cycles, parallel.seconds),
       naive.seconds, ff.seconds, rate(total_cycles, naive.seconds),
       rate(total_cycles, ff.seconds), ff_speedup);

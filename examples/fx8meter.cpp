@@ -7,7 +7,7 @@
 //   fx8meter [--sessions N] [--samples M] [--interval CYCLES]
 //            [--mix 0..8|high|presets] [--mix-file FILE]
 //            [--policy fifo|concurrent|serial] [--seed S]
-//            [--threads N] [--replicates R]
+//            [--threads N]
 //            [--ces N] [--clusters K]
 //            [--report table2|models|histogram|all]
 //            [--csv FILE] [--checkpoint FILE] [--resume FILE]
@@ -15,14 +15,11 @@
 // --threads 0 (the default) picks FX8_THREADS or the hardware
 // concurrency; results are bit-identical for every thread count.
 //
-// --replicates splits each session across R independent rigs, each its
-// own thread-pool task — see docs/parallel_execution.md.
-//
 // --checkpoint FILE writes a sealed state capsule after every completed
 // sample; --resume FILE continues a run from such a capsule. Both
-// restrict the run to one session and one replicate (the capsule holds
-// one measurement rig) and produce output bit-identical to an
-// uninterrupted run — see docs/checkpointing.md.
+// restrict the run to one session (the capsule holds one measurement
+// rig) and produce output bit-identical to an uninterrupted run — see
+// docs/checkpointing.md.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,7 +57,6 @@ struct Options {
   std::string resume_file;
   std::uint64_t seed = 0x19870301;
   std::uint32_t threads = 0;
-  std::uint32_t replicates = 1;
   std::uint32_t ces = 0;       ///< 0 = the stock FX/8 width.
   std::uint32_t clusters = 0;  ///< 0 = derive from --ces.
 };
@@ -118,9 +114,6 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (arg == "--threads") {
       if (!parse_u32_flag("--threads", next(), options.threads))
         return false;
-    } else if (arg == "--replicates") {
-      if (!parse_u32_flag("--replicates", next(), options.replicates))
-        return false;
     } else if (arg == "--ces") {
       if (!parse_u32_flag("--ces", next(), options.ces)) return false;
       if (options.ces == 0) {
@@ -172,8 +165,9 @@ bool parse(int argc, char** argv, Options& options) {
 
 /// Single-session run with sample-granular checkpointing: the rig is
 /// capsuled after every completed sample, and a resumed run continues
-/// the stream bit-identically. The rig is the study's one run, so the
-/// output matches the uninterrupted engine run.
+/// the stream bit-identically. The rig is the study's one run and folds
+/// through core::fold_study, so the output matches the uninterrupted
+/// engine run.
 int run_checkpointed(const Options& options,
                      std::span<const workload::WorkloadMix> mixes,
                      const core::StudyConfig& config,
@@ -222,21 +216,16 @@ int run_checkpointed(const Options& options,
     }
   }
 
-  core::SessionResult session;
-  session.name = spec.mix.name;
-  const std::uint32_t width = system.machine().total_ces();
-  session.samples.reserve(progress.records.size());
+  std::vector<core::RunResult> runs(1);
+  core::RunResult& run = runs.front();
+  run.width = system.machine().total_ces();
+  run.samples.reserve(progress.records.size());
   for (const instr::SampleRecord& record : progress.records) {
-    session.samples.push_back(core::analyze(record, width));
-    session.totals.merge(record.hw);
+    run.samples.push_back(core::analyze(record, run.width));
+    run.totals.merge(record.hw);
   }
-  session.ff = controller.ff_stats();
-  session.overall = core::ConcurrencyMeasures::from_counts(
-      std::span(session.totals.num).first(width + 1));
-  study.totals = session.totals;
-  study.overall = session.overall;
-  study.ff = session.ff;
-  study.sessions.push_back(std::move(session));
+  run.ff = controller.ff_stats();
+  study = core::fold_study(mixes, std::move(runs));
   return 0;
 }
 
@@ -250,7 +239,7 @@ int main(int argc, char** argv) {
         "usage: fx8meter [--sessions N] [--samples M] [--interval CYCLES]\n"
         "                [--mix 0..8|high|presets] [--policy "
         "fifo|concurrent|serial]\n"
-        "                [--seed S] [--threads N] [--replicates R]\n"
+        "                [--seed S] [--threads N]\n"
         "                [--ces N] [--clusters K]\n"
         "                [--report table2|models|histogram|all]\n"
         "                [--checkpoint FILE] [--resume FILE]\n");
@@ -332,7 +321,6 @@ int main(int argc, char** argv) {
   config.sampling.interval_cycles = options.interval;
   config.seed = options.seed;
   config.threads = options.threads;
-  config.replicates_per_session = options.replicates;
   if (options.policy == "concurrent") {
     config.system.scheduling = os::SchedulingPolicy::kConcurrentFirst;
   } else if (options.policy == "serial") {
@@ -344,10 +332,10 @@ int main(int argc, char** argv) {
 
   const bool checkpointed =
       !options.checkpoint_file.empty() || !options.resume_file.empty();
-  if (checkpointed && (mixes.size() != 1 || options.replicates > 1)) {
+  if (checkpointed && mixes.size() != 1) {
     std::fprintf(stderr,
                  "fx8meter: --checkpoint/--resume hold one measurement "
-                 "rig; run with --sessions 1 --replicates 1\n");
+                 "rig; run with --sessions 1\n");
     return 2;
   }
 

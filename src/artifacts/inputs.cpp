@@ -28,32 +28,25 @@ core::RunSpec Inputs::transition_run() const {
 }
 
 const core::StudyResult& Inputs::study() {
-  std::call_once(study_once_, [this] {
-    study_ = core::fold_study(
-        workload::session_presets(), study_config_,
+  return study_.get([this] {
+    return core::fold_study(
+        workload::session_presets(),
         core::run_all(study_specs(), core::resolve_threads(study_config_),
                       [this](const core::RunSpec& spec) { return run(spec); }));
   });
-  return *study_;
 }
 
 const std::vector<core::AnalyzedSample>& Inputs::samples() {
-  std::call_once(samples_once_,
-                 [this] { samples_ = study().all_samples(); });
-  return *samples_;
+  return samples_.get([this] { return study().all_samples(); });
 }
 
 const std::vector<core::AnalyzedSample>& Inputs::samples_with_pc() {
-  std::call_once(samples_with_pc_once_, [this] {
-    samples_with_pc_ = core::with_defined_pc(samples());
-  });
-  return *samples_with_pc_;
+  return samples_with_pc_.get(
+      [this] { return core::with_defined_pc(samples()); });
 }
 
 const std::vector<core::MedianModel>& Inputs::models() {
-  std::call_once(models_once_,
-                 [this] { models_ = core::fit_all_models(samples()); });
-  return *models_;
+  return models_.get([this] { return core::fit_all_models(samples()); });
 }
 
 const core::MedianModel& Inputs::model(core::SystemMeasure measure,
@@ -67,10 +60,8 @@ const core::MedianModel& Inputs::model(core::SystemMeasure measure,
 }
 
 const core::TransitionResult& Inputs::transition() {
-  std::call_once(transition_once_, [this] {
-    transition_ = core::fold_transition(run(transition_run()));
-  });
-  return *transition_;
+  return transition_.get(
+      [this] { return core::fold_transition(run(transition_run())); });
 }
 
 const core::RunResult& Inputs::run(const core::RunSpec& spec) {
@@ -80,13 +71,13 @@ const core::RunResult& Inputs::run(const core::RunSpec& spec) {
 const core::RunResult& Inputs::memo(const core::RunSpec& spec,
                                     bool simulate) {
   const std::uint64_t key = core::run_key(spec);
-  RunSlot* slot = nullptr;
+  Memo<core::RunResult>* slot = nullptr;
   {
     const std::lock_guard<std::mutex> lock(runs_mutex_);
     slot = &runs_[key];  // Node-based: the slot never moves.
   }
-  // A throw leaves the slot's flag unset, so a later run() still runs.
-  std::call_once(slot->once, [this, slot, &spec, key, simulate] {
+  // A throw leaves the slot empty, so a later run() still runs.
+  return slot->get([this, &spec, key, simulate] {
     // Fetch-or-compute through the store, when one is open (only then is
     // the store key derived). A miss of any kind (absent, truncated,
     // tampered, stale salt, or a walk that fails after a clean unseal)
@@ -94,21 +85,20 @@ const core::RunResult& Inputs::memo(const core::RunSpec& spec,
     const std::uint64_t stored = store_ ? run_cache_key(spec) : 0;
     if (auto payload = store_ ? store_->get(stored) : std::nullopt) {
       try {
-        slot->result = decode_result<core::RunResult>(std::move(*payload));
-        return;
+        return decode_result<core::RunResult>(std::move(*payload));
       } catch (const capsule::CapsuleError&) {
       }
     }
     if (!simulate) {
       throw capsule::CapsuleError("run neither memoized nor stored");
     }
-    slot->result = core::run(spec);
+    core::RunResult result = core::run(spec);
     count_simulated(key);
     if (store_) {
-      store_->put(stored, encode_result(*slot->result));
+      store_->put(stored, encode_result(result));
     }
+    return result;
   });
-  return *slot->result;
 }
 
 void Inputs::count_simulated(std::uint64_t key) {

@@ -15,9 +15,9 @@
 // same study.
 //
 // Every accessor is safe to call from concurrent renders: each memo is
-// filled exactly once through its own std::once_flag (a caller that
-// arrives while another fills it waits), and the run counters are
-// atomics.
+// a slot filled under its own mutex (a caller that arrives while another
+// fills it waits, and a fill that throws leaves the slot empty for the
+// next caller), and the run counters are atomics.
 #pragma once
 
 #include <atomic>
@@ -141,26 +141,36 @@ class Inputs {
   /// Count a simulated run under the counter its key belongs to.
   void count_simulated(std::uint64_t key);
 
+  /// A value filled at most once, under its own lock. A fill that throws
+  /// leaves the slot empty, so the next get() fills it again.
+  template <typename T>
+  class Memo {
+   public:
+    template <typename Fill>
+    const T& get(Fill&& fill) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!value_) {
+        value_.emplace(fill());
+      }
+      return *value_;
+    }
+
+   private:
+    std::mutex mutex_;
+    std::optional<T> value_;
+  };
+
   bool quick_;
   core::StudyConfig study_config_;
   core::TransitionConfig transition_config_;
   std::unique_ptr<ResultStore> store_;
-  std::once_flag study_once_;
-  std::once_flag samples_once_;
-  std::once_flag samples_with_pc_once_;
-  std::once_flag models_once_;
-  std::once_flag transition_once_;
-  std::optional<core::StudyResult> study_;
-  std::optional<std::vector<core::AnalyzedSample>> samples_;
-  std::optional<std::vector<core::AnalyzedSample>> samples_with_pc_;
-  std::optional<std::vector<core::MedianModel>> models_;
-  std::optional<core::TransitionResult> transition_;
-  struct RunSlot {
-    std::once_flag once;
-    std::optional<core::RunResult> result;
-  };
+  Memo<core::StudyResult> study_;
+  Memo<std::vector<core::AnalyzedSample>> samples_;
+  Memo<std::vector<core::AnalyzedSample>> samples_with_pc_;
+  Memo<std::vector<core::MedianModel>> models_;
+  Memo<core::TransitionResult> transition_;
   std::mutex runs_mutex_;  ///< Guards the map, not the slots.
-  std::unordered_map<std::uint64_t, RunSlot> runs_;
+  std::unordered_map<std::uint64_t, Memo<core::RunResult>> runs_;
   std::atomic<int> study_runs_{0};
   std::atomic<int> transition_runs_{0};
   std::atomic<int> private_runs_{0};

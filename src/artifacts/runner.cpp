@@ -270,7 +270,7 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
     // the runs, then the renders that read them. By the time a worker
     // takes a render of the last group, every run has been taken by some
     // worker; a render that needs a run still in flight waits on that
-    // run's call_once, which a running task holds and will release.
+    // run's memo lock, which a running task holds and will release.
     std::vector<std::future<ArtifactResult>> futures(n);
     std::size_t task = 0;
     const auto submit_renders = [&](const std::vector<std::size_t>& group) {

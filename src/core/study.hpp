@@ -41,14 +41,6 @@ struct StudyConfig {
   /// are bit-identical either way; false forces the naive path
   /// (differential testing). See docs/parallel_execution.md.
   bool fast_forward = true;
-  /// Independent simulator replicates per session; each replicate warms
-  /// up its own os::System and takes an even share of the session's
-  /// samples. 1 = the classic single-system session. Higher values give
-  /// the thread pool finer tasks (9 sessions become 9*R units) at the
-  /// cost of extra warmups. The decomposition — and therefore the sample
-  /// population — is a pure function of this config value, never of the
-  /// thread count, so bit-identity across thread counts is preserved.
-  std::uint32_t replicates_per_session = 1;
 };
 
 /// The worker count a config resolves to: `threads` if nonzero, else
@@ -56,7 +48,7 @@ struct StudyConfig {
 [[nodiscard]] std::uint32_t resolve_threads(const StudyConfig& config);
 
 /// Canonical walk over every StudyConfig field that decides results
-/// (system, sampling, populations, seed, replicates). The result cache
+/// (system, sampling, populations, seed). The result cache
 /// hashes this walk into its keys. The perf-only knobs — `threads`,
 /// `fast_forward` and `sampling.fast_forward` — are left out, because
 /// the differential oracle (StudyOracle) proves they change nothing but
@@ -70,8 +62,8 @@ struct SessionResult {
   instr::EventCounts totals;
   /// Measures over the session totals.
   ConcurrencyMeasures overall;
-  /// Fast-forward accounting summed over the session's replicates
-  /// (bookkeeping only — identical simulation state either way).
+  /// The session run's fast-forward accounting (bookkeeping only —
+  /// identical simulation state either way).
   instr::FastForwardStats ff;
 
   void serialize(capsule::Io& io);
@@ -91,9 +83,8 @@ struct StudyResult {
   void serialize(capsule::Io& io);
 };
 
-/// The runs a study over `mixes` is made of: one per (mix, replicate),
-/// in that order, each seeded from the study seed exactly as run_study
-/// seeds it.
+/// The runs a study over `mixes` is made of: one per mix, in mix order,
+/// each seeded from the study seed exactly as run_study seeds it.
 [[nodiscard]] std::vector<RunSpec> study_specs(
     std::span<const workload::WorkloadMix> mixes, const StudyConfig& config);
 
@@ -104,11 +95,11 @@ struct StudyResult {
     const std::vector<RunSpec>& specs, std::size_t threads,
     const std::function<RunResult(const RunSpec&)>& execute = run);
 
-/// Fold a study's runs, in study_specs(mixes, config) order, into the
+/// Fold a study's runs, one per mix in study_specs order, into the
 /// study, however the runs were obtained. Moves the samples out of
 /// `runs`.
 [[nodiscard]] StudyResult fold_study(
-    std::span<const workload::WorkloadMix> mixes, const StudyConfig& config,
+    std::span<const workload::WorkloadMix> mixes,
     std::vector<RunResult> runs);
 
 /// Run one session with the given mix.

@@ -326,12 +326,6 @@ TEST(CacheKeys, EveryStudyConfigFieldChangesTheKey) {
   }));
   // And the identity mutation does NOT change the keys (determinism).
   EXPECT_FALSE(changes([](auto&) {}));
-  // Replicates split each session into more runs of fewer samples.
-  core::StudyConfig split = base;
-  split.replicates_per_session = 2;
-  EXPECT_EQ(study_keys(split).size(), 2 * keys.size());
-  EXPECT_NE(study_keys(split).front(), keys.front());
-  EXPECT_NE(artifact_cache_key("table2", split, transition, false), artifact);
 }
 
 TEST(CacheKeys, EveryContentionMixFieldChangesTheStudyKey) {

@@ -439,6 +439,19 @@ TEST(Inputs, ConcurrentRunsOfOneSpecRunOnce) {
   EXPECT_EQ(results.front()->samples.size(), 2u);
 }
 
+// study_for_report() never simulates: with no study run memoized or
+// stored it answers nullptr, and so does a second call, which meets the
+// run slot the first call's throw left empty.
+TEST(Inputs, StudyForReportTwiceWithoutRuns) {
+  Inputs inputs(/*quick=*/true);
+  EXPECT_EQ(inputs.study_for_report(), nullptr);
+  EXPECT_EQ(inputs.study_for_report(), nullptr);
+  const RunCounts counts = inputs.run_counts();
+  EXPECT_EQ(counts.study_runs, 0);
+  EXPECT_EQ(counts.transition_runs, 0);
+  EXPECT_EQ(counts.private_runs, 0);
+}
+
 TEST(Runner, HeaderMatchesTheOldBenchFormat) {
   ArtifactDef def = stub("x", [](Context&) {});
   def.title = "TABLE 2 — Overall Concurrency Measures";

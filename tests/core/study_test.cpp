@@ -38,6 +38,22 @@ TEST(Study, StudyAggregatesSessions) {
   EXPECT_EQ(study.all_samples().size(), 4u);
 }
 
+// A study is one run per session with all the session's samples. The
+// literal keys pin each run's seeding, so a result store filled by an
+// earlier build still serves every study run.
+TEST(Study, SpecsAreOnePerSession) {
+  const StudyConfig config;
+  const auto mixes = workload::session_presets();
+  const std::vector<RunSpec> specs = study_specs(mixes, config);
+  ASSERT_EQ(specs.size(), 9u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(specs[i].mix.name, mixes[i].name);
+    EXPECT_EQ(specs[i].samples, config.samples_per_session);
+  }
+  EXPECT_EQ(run_key(specs.front()), 0xe44cfd7bed0d3c89ULL);
+  EXPECT_EQ(run_key(specs.back()), 0xbc85fe30999fb5eeULL);
+}
+
 TEST(Study, DeterministicForConfigSeed) {
   const auto mixes = workload::session_presets();
   std::vector<workload::WorkloadMix> one(mixes.begin(), mixes.begin() + 1);

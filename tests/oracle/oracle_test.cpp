@@ -20,7 +20,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "base/capsule.hpp"
@@ -306,18 +305,15 @@ std::uint64_t study_digest(core::StudyResult result, bool with_ff) {
   return io.digest();
 }
 
-/// (replicates per session, machine shape).
-class StudyOracle
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::string>> {
-};
+/// Machine shape.
+class StudyOracle : public ::testing::TestWithParam<std::string> {};
 
 // threads = 4 must reproduce threads = 1 bit for bit, ff bookkeeping
 // included; fast-forward off must reproduce it up to that bookkeeping.
 TEST_P(StudyOracle, PooledAndNaiveMatchSerial) {
   core::StudyConfig config;
-  config.system = system_config(std::get<1>(GetParam()));
+  config.system = system_config(GetParam());
   config.samples_per_session = 8;
-  config.replicates_per_session = std::get<0>(GetParam());
   config.sampling.interval_cycles = 3000;
   config.sampling.buffer_depth = 256;
   config.warmup_cycles = 1000;
@@ -335,15 +331,10 @@ TEST_P(StudyOracle, PooledAndNaiveMatchSerial) {
   EXPECT_EQ(naive.ff.skipped_cycles, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Replicates, StudyOracle,
-    ::testing::Combine(::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(std::string("fx8"),
-                                         std::string("fx4d1"))),
-    [](const auto& param) {
-      return "r" + std::to_string(std::get<0>(param.param)) + "_" +
-             std::get<1>(param.param);
-    });
+INSTANTIATE_TEST_SUITE_P(Shapes, StudyOracle,
+                         ::testing::Values(std::string("fx8"),
+                                           std::string("fx4d1")),
+                         [](const auto& param) { return param.param; });
 
 /// Flip one bit of a component through its own walk: save, flip the low
 /// bit of the byte `from_end` bytes before the end, load.
