@@ -154,9 +154,10 @@ int main() {
   const TimedRun width16 = timed_study(wide);
 
   // Run 5: the width-64 datapoint — eight clusters through the
-  // machine-wide lane pass. The widest preset is where the width-native
-  // kernel (one pass per cycle instead of one per cluster) pays most, so
-  // its cycles/sec rides the dashboard next to width16.
+  // machine-wide lane selection. The widest preset is where the
+  // width-native kernel (one selection per cycle instead of one per
+  // cluster) pays most, so its cycles/sec rides the dashboard next to
+  // width16.
   wide.system.machine = fx8::MachineConfig::fx64();
   const TimedRun width64 = timed_study(wide);
 

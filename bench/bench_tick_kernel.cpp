@@ -63,8 +63,8 @@ BENCHMARK(BM_SaturatedTickBlock)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 // Machine-width sweep: a saturated machine at each width preset (every
 // cluster mid concurrent loop), advanced through tick_block. Items =
 // machine cycles, so items/sec across the rows shows how the per-cycle
-// cost scales with width — the width-native kernel's target is one wide
-// lane pass per cycle regardless of cluster count.
+// cost scales with width — the width-native kernel's target is one
+// machine-wide lane selection per cycle regardless of cluster count.
 void BM_WidthTickBlock(benchmark::State& state) {
   const auto width = state.range(0);
   fx8::MachineConfig config =
@@ -110,7 +110,7 @@ BENCHMARK(BM_WidthTickBlock)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 // lowest-first, so cluster 0 holds a saturated loop while the other seven
 // sit idle. tick_block fixes the live set once per block, so the idle
 // clusters cost one Cluster::skip per block rather than control and peel
-// work every cycle, and the lane pass stops after cluster 0's lanes.
+// work every cycle, and the lane selection stops after cluster 0's lanes.
 void BM_PartialTickBlock(benchmark::State& state) {
   fx8::NoFaultMmu mmu;
   fx8::Machine machine(fx8::MachineConfig::fx64(), mmu);

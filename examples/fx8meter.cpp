@@ -369,14 +369,21 @@ int main(int argc, char** argv) {
                     .c_str());
   }
   if (all || options.report == "models") {
-    const auto samples = study.all_samples();
-    const auto models = core::fit_all_models(samples);
-    std::printf("%s\n",
-                core::render_regression_table(models, core::Regressor::kCw)
-                    .c_str());
-    std::printf("%s\n",
-                core::render_regression_table(models, core::Regressor::kPc)
-                    .c_str());
+    // A short run can leave a model too little to fit (no sample with a
+    // defined Pc, or fewer than three occupied bins). The run itself is
+    // sound, so the models report alone is skipped, with the reason.
+    try {
+      const auto models = core::fit_all_models(study.all_samples());
+      std::printf("%s\n",
+                  core::render_regression_table(models, core::Regressor::kCw)
+                      .c_str());
+      std::printf("%s\n",
+                  core::render_regression_table(models, core::Regressor::kPc)
+                      .c_str());
+    } catch (const ContractViolation& error) {
+      std::printf("models report skipped: too few samples to fit (%s)\n",
+                  error.what());
+    }
   }
   if (!options.csv_file.empty()) {
     std::ofstream out(options.csv_file);

@@ -7,7 +7,7 @@
 // the other renders and runs like any artifact. They are recorded as
 // informational notes — shared CI runners time-slice, so enforced bands
 // would flake. The one enforced check is timing-independent: the machine
-// running the dispatched lane pass must stay bit-identical to the naive
+// running the lane horizons must stay bit-identical to the naive
 // oracle, the same machine on fx8::lane_pass_reference (every CE stepped
 // through Ce::tick()).
 #include <time.h>
@@ -121,7 +121,7 @@ void render_perf_simulator(Context& ctx) {
     idle_rate = seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
   }
 
-  // The timing-independent gate: the dispatched pass and the naive
+  // The timing-independent gate: the lane horizons and the naive
   // oracle advance 200 blocks of 256 cycles (the controller's block cap)
   // and must agree at every block boundary.
   bool identical = true;

@@ -26,6 +26,7 @@ void Ce::start(const KernelInstance& inst) {
   REPRO_EXPECT(inst.spec != nullptr, "instance needs a kernel spec");
   inst_ = inst;
   set_phase(Phase::kStepSetup);
+  hot_->due[id_] = 0;  // Due at once: the machine steps it this cycle.
   resume_phase_ = Phase::kStepSetup;
   step_ = 0;
   total_steps_ = inst.spec->steps + inst.extra_steps;
@@ -51,22 +52,33 @@ void Ce::start(const KernelInstance& inst) {
 }
 
 void Ce::skip(Cycle cycles) {
-  const Phase p = phase();
-  if (p == Phase::kIdle || p == Phase::kDone) {
-    return;
-  }
   REPRO_EXPECT(cycles <= quiet_horizon(), "CE skip beyond its horizon");
-  set_bus_op(mem::CeBusOp::kIdle);
-  hot_->busy_cycles[id_] += cycles;
-  if (p == Phase::kCompute) {
-    compute_left() -= static_cast<std::uint32_t>(cycles);
-    hot_->compute_cycles[id_] += cycles;
-  } else if (p == Phase::kMissWait) {
-    set_bus_op(mem::CeBusOp::kWait);  // What each skipped tick would latch.
-    hot_->miss_wait_cycles[id_] += cycles;
-  } else {  // kFaultWait
-    fault_left() -= cycles;
-    hot_->fault_wait_cycles[id_] += cycles;
+  advance(cycles);
+}
+
+void Ce::advance(Cycle cycles) {
+  CeHot& hot = *hot_;
+  hot.clock[id_] += cycles;
+  switch (phase()) {
+    case Phase::kCompute:
+      set_bus_op(mem::CeBusOp::kIdle);
+      compute_left() -= static_cast<std::uint32_t>(cycles);
+      hot.busy_cycles[id_] += cycles;
+      hot.compute_cycles[id_] += cycles;
+      return;
+    case Phase::kMissWait:
+      set_bus_op(mem::CeBusOp::kWait);
+      hot.busy_cycles[id_] += cycles;
+      hot.miss_wait_cycles[id_] += cycles;
+      return;
+    case Phase::kFaultWait:
+      set_bus_op(mem::CeBusOp::kIdle);
+      fault_left() -= cycles;
+      hot.busy_cycles[id_] += cycles;
+      hot.fault_wait_cycles[id_] += cycles;
+      return;
+    default:
+      return;
   }
 }
 

@@ -10,11 +10,12 @@
 //
 // The per-tick hot state (phase, bus opcode, stall countdowns) lives in a
 // machine-wide CeHot lane block (fx8/hot_state.hpp), indexed by the CE's
-// global id, so the machine's lane pass (fx8/lane_kernel.hpp) can
-// advance the three steady-state behaviours (compute burn, miss wait,
-// fault wait) of every cluster's CEs in one sweep. tick() is the one
-// complete per-cycle step; the machine calls it for the lanes the pass
-// leaves slow.
+// global id. tick() is the one complete per-cycle step. The three
+// steady-state behaviours (compute burn, miss wait, fault wait) repeat
+// one cycle for as long as quiet_horizon() says, so the machine steps a
+// CE only when that horizon runs out (step()) and books the repeats in
+// between through the one bulk-advance body (advance()), the same body
+// fast-forward's skip() uses.
 #pragma once
 
 #include <cstdint>
@@ -135,6 +136,35 @@ class Ce {
   /// Requires cycles <= quiet_horizon(); bit-identical to ticking.
   void skip(Cycle cycles);
 
+  // --- Lane horizons (Machine::tick_block) ----------------------------
+  /// Step at machine cycle `now`: book the cycles since the lane last
+  /// stepped (catch_up), tick(), and record when the lane is next due:
+  /// now + 1 + quiet_horizon(), saturating at kHorizonNever.
+  void step(Cycle now) {
+    catch_up(now);
+    tick();
+    CeHot& hot = *hot_;
+    hot.clock[id_] = now + 1;
+    const Cycle quiet = quiet_horizon();
+    hot.due[id_] =
+        quiet >= kHorizonNever - (now + 1) ? kHorizonNever : now + 1 + quiet;
+  }
+  /// Book every cycle before `now` the lane has not booked yet. Between
+  /// its steps a lane only repeats its steady behaviour, so the lag goes
+  /// through advance() whole.
+  void catch_up(Cycle now) {
+    const Cycle clock = hot_->clock[id_];
+    if (clock < now) {
+      advance(now - clock);
+    }
+  }
+  /// After a capsule load at machine cycle `now`: the lane's state is
+  /// exact at `now` and the lane is due at once.
+  void resync(Cycle now) {
+    hot_->clock[id_] = now;
+    hot_->due[id_] = 0;
+  }
+
   /// Assembled from the cold counters kept here and the four per-cycle
   /// counters that live in the hot lanes.
   [[nodiscard]] CeStats stats() const {
@@ -169,6 +199,14 @@ class Ce {
   }
   [[nodiscard]] Cycle& fault_left() { return hot_->fault_left[id_]; }
   void set_bus_op(mem::CeBusOp op) { hot_->bus_op[id_] = op; }
+
+  /// The one bulk-advance body: `cycles` repeats of the current steady
+  /// behaviour (compute burn, miss wait, fault wait), with the bus opcode
+  /// each would latch, and the lane clock moved by `cycles`. A parked
+  /// lane repeats nothing; neither does one that start() loaded after
+  /// it sat parked through the lag. Checks no horizon: the machine's
+  /// catch-up also books a miss wait whose fill is already up.
+  void advance(Cycle cycles);
 
   void setup_step();
   void issue_access(cache::AccessType type, Addr addr);

@@ -274,6 +274,13 @@ void Cluster::serialize(capsule::Io& io) {
   io.u32(deps_waiting_);
   io.u64(*events_);
   io.u64(now_);
+  if (io.loading()) {
+    // Lane horizons do not travel: every loaded lane is exact at now_
+    // and due at once.
+    for (Ce& ce : ces_) {
+      ce.resync(now_);
+    }
+  }
 }
 
 void Cluster::rebind_program(const isa::Program* program) {
@@ -529,18 +536,25 @@ void Cluster::tick_control() {
 }
 
 void Cluster::tick() {
+  const Cycle now = now_;
   tick_control();
-  tick_peel(lanes_mask_);
+  tick_peel(lanes_mask_, now);
 }
 
-void Cluster::tick_peel(LaneMask slow) {
-  const auto lanes =
-      static_cast<std::uint32_t>((slow & lanes_mask_) >> ce_base_);
-  // Step this cluster's slow lanes in service order (service lanes first,
-  // then detached): the order crossbar and CCB ties resolve in.
-  for (std::uint32_t positions = service_positions(lanes); positions != 0;
+void Cluster::tick_peel(LaneMask lanes, Cycle now) {
+  const auto local =
+      static_cast<std::uint32_t>((lanes & lanes_mask_) >> ce_base_);
+  // Step this cluster's selected lanes in service order (service lanes
+  // first, then detached): the order crossbar and CCB ties resolve in.
+  for (std::uint32_t positions = service_positions(local); positions != 0;
        positions &= positions - 1) {
-    ces_[service_order_[lowest_bit(positions)]].tick();
+    ces_[service_order_[lowest_bit(positions)]].step(now);
+  }
+}
+
+void Cluster::catch_up(Cycle now) {
+  for (Ce& ce : ces_) {
+    ce.catch_up(now);
   }
 }
 

@@ -110,17 +110,21 @@ class Cluster {
   /// The control half of tick(): service-order refresh, crossbar/CCB
   /// begin_cycle, program control, detached control, and the cycle
   /// counters — everything except the per-lane CE advancement.
-  /// Machine::tick_block runs this for every live cluster, then one
-  /// machine-wide lane pass (fx8/lane_kernel.hpp), then tick_peel for
-  /// the pass's slow lanes.
+  /// Machine::tick_block runs this for every live cluster, then selects
+  /// the machine's due lanes (fx8/lane_kernel.hpp), then runs tick_peel
+  /// on them.
   void tick_control();
 
-  /// Step this cluster's lanes flagged in the machine-wide `slow` mask
-  /// (bit = global CE id) through Ce::tick(), in service order (service
-  /// lanes first, then detached). No-op when none of this cluster's bits
-  /// are set. Only valid right after tick_control() in the same cycle,
-  /// with every other lane already advanced by the wide pass.
-  void tick_peel(LaneMask slow);
+  /// Step this cluster's lanes flagged in the machine-wide `lanes` mask
+  /// (bit = global CE id) through Ce::step(now), in service order
+  /// (service lanes first, then detached). No-op when none of this
+  /// cluster's bits are set. Only valid right after tick_control() in the
+  /// same cycle `now`.
+  void tick_peel(LaneMask lanes, Cycle now);
+
+  /// Book every lane's lag up to machine cycle `now` (Ce::catch_up), so
+  /// countdowns, counters and bus opcodes are exact again.
+  void catch_up(Cycle now);
 
   // --- Event-horizon fast-forward -------------------------------------
   /// Cycles for which the whole cluster (program control, CCB, detached
@@ -174,14 +178,14 @@ class Cluster {
   /// detached slot). While false, every lane is parked — phases
   /// kIdle/kDone with bus opcodes already latched kIdle — so
   /// Machine::tick_block leaves the cluster out of its live set (no
-  /// control, peel or pass work) and advances it with one skip() per
-  /// block, without changing a byte of state. Only load()/load_detached()
-  /// set it, and only a control event clears it.
+  /// control, lane selection or peel work) and advances it with one
+  /// skip() per block, without changing a byte of state. Only
+  /// load()/load_detached() set it, and only a control event clears it.
   [[nodiscard]] bool lanes_live() const {
     return program_ != nullptr || detached_live_ != 0;
   }
-  /// One past this cluster's highest global CE id (the pass-prefix bound
-  /// the wide paths take the max of over live clusters).
+  /// One past this cluster's highest global CE id (the lane-selection
+  /// prefix bound tick_block takes the max of over live clusters).
   [[nodiscard]] CeId lane_end() const { return ce_base_ + config_.n_ces; }
 
   // --- Detached CEs ---------------------------------------------------

@@ -29,8 +29,8 @@
 
 namespace repro::fx8 {
 
-/// The CE execution phases. Lives here (not in Ce) so the cluster's
-/// fused lane kernel can interpret the phase lanes directly.
+/// The CE execution phases. Lives here (not in Ce) because the phase
+/// lanes of CeHot hold it.
 enum class CePhase : std::uint8_t {
   kIdle,
   kStepSetup,   ///< Derive compute/access budget for the next step.
@@ -45,12 +45,18 @@ enum class CePhase : std::uint8_t {
 /// Machine-wide per-CE state lanes, one slot per *global CE id* —
 /// cluster-major, 0..kMaxTopologyCes-1, matching base::LaneMask bit
 /// positions (SoA). The values are the hot subset of Ce: the phase
-/// discriminant the cluster polls, the bus opcode the probe latches, and
-/// the countdowns the three stall fast paths decrement. Stats and the
-/// streaming/pending cold state stay in Ce. Every cluster's lanes live
-/// contiguously in one block (HotState::lanes) so a single wide pass
-/// (fx8/lane_kernel.hpp) sweeps all clusters' steady-state lanes in one
-/// call; unused lanes beyond the machine width stay zero (kIdle).
+/// discriminant the cluster polls, the bus opcode the probe latches, the
+/// compute/fault countdowns, and each lane's quiet-horizon bookkeeping
+/// (due, clock). Stats and the streaming/pending cold state stay in Ce.
+/// Every cluster's lanes live contiguously in one block (HotState::lanes)
+/// so one scan (fx8/lane_kernel.hpp) finds every cluster's due lanes;
+/// unused lanes beyond the machine width stay zero (kIdle).
+///
+/// Inside Machine::tick_block a lane steps only when it is due, so
+/// between its steps the countdowns, the four counters and the bus
+/// opcode lag the machine clock; the lane's clock says how far. Phases
+/// and done_mask are exact on every cycle; everything else is exact
+/// whenever tick_block returns (it catches every live lane up).
 struct CeHot {
   /// Typed as CePhase, not a byte: a store through a character type may
   /// alias any object, which would force Ce::tick to reload its state
@@ -60,12 +66,21 @@ struct CeHot {
   std::array<std::uint32_t, kMaxTopologyCes> compute_left{};
   std::array<Cycle, kMaxTopologyCes> fault_left{};
   /// The four per-cycle CeStats counters. They live in lanes so a
-  /// steady-state tick touches only this block — the Ce object itself
-  /// stays untouched on the fast path.
+  /// steady-state tick, and a lane's catch-up, touch only this block.
   std::array<std::uint64_t, kMaxTopologyCes> busy_cycles{};
   std::array<std::uint64_t, kMaxTopologyCes> compute_cycles{};
   std::array<std::uint64_t, kMaxTopologyCes> miss_wait_cycles{};
   std::array<std::uint64_t, kMaxTopologyCes> fault_wait_cycles{};
+  /// Machine cycle at which the lane must next step through Ce::tick():
+  /// one past its last step plus its quiet horizon, kHorizonNever for
+  /// miss waits (the fill-ready word wakes those) and parked lanes. 0
+  /// makes a lane due at once (Ce::start, a capsule load).
+  std::array<Cycle, kMaxTopologyCes> due{};
+  /// Machine cycle up to which the lane's countdowns, counters and bus
+  /// opcode are booked: the cycles before it are applied, the ones from
+  /// it on are not. Ce::advance and Ce::step move it; a capsule load
+  /// sets it to the loaded clock.
+  std::array<Cycle, kMaxTopologyCes> clock{};
   /// One bit per global CE id, set while that CE's phase is kDone.
   /// Maintained by Ce::set_phase so a cluster's control scan can test
   /// "any completion to reap?" in O(1) instead of polling every CE.
@@ -83,8 +98,8 @@ struct ClusterHot {
 
 struct HotState {
   /// Every cluster's CE lanes in one cluster-major block (lane index =
-  /// global CE id = ce_base + local lane), so the wide lane pass covers
-  /// the whole machine in one call.
+  /// global CE id = ce_base + local lane), so one due-lane scan covers
+  /// the whole machine.
   CeHot lanes;
   /// One slice per cluster, sized at Machine construction from the
   /// resolved topology (default: the FX/8's single cluster).

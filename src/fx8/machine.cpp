@@ -186,25 +186,30 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   HotState& hot = hot_state_;
   const std::uint64_t events_at_entry = hot.cluster_events;
   // The machine's one cycle loop, at every width: run every live
-  // cluster's control half, then ONE lane pass over the live prefix of
-  // the machine-wide hot block, then step only the slow lanes through
-  // Ce::tick() in their owning cluster, cluster-major. Which lanes the
-  // pass advances itself does not change the result: control is strictly
-  // cluster-local (no cache/fabric/MMU touches), fast lanes touch only
-  // their own CeHot slots plus the read-only fill-ready word (set only by
-  // the end-of-cycle cache tick), and the peel keeps every slow lane's
-  // service order. lane_pass_reference, which advances nothing, is the
-  // naive oracle the differential tests hold the other passes to.
+  // cluster's control half, then select the lanes due this cycle over
+  // the live prefix of the machine-wide hot block, then step just those
+  // through Ce::step() in their owning cluster, cluster-major and in
+  // service order. A lane in a steady state (compute burn, miss wait,
+  // fault wait) touches only its own CeHot slots until its quiet horizon
+  // runs out or its fill comes up, so it sits out those cycles and books
+  // them through Ce's bulk-advance body just before it next steps. Which
+  // lanes step early does not change the result: lane_pass_reference,
+  // which steps every live lane every cycle, is the naive oracle the
+  // differential tests hold the horizon selection to. Phases and
+  // done_mask, which are all that control reads of a lane, are exact on
+  // every cycle; countdowns, counters and bus opcodes are exact once the
+  // block-end catch-up below has run, which is the only time the probe
+  // latch, quiet_horizon(), stats() and the capsule walk read them.
   //
   // The live cluster set is fixed for the whole block. Only the OS layer
   // loads a cluster, and a cluster goes idle only on a control event,
   // which ends the block at the end of that cycle. An idle cluster's
   // lanes are parked with their bus opcodes already latched kIdle, so
   // they need neither control nor peel: one Cluster::skip at block end
-  // advances its counters. The pass stops at the highest live lane
-  // (the scheduler fills clusters lowest-first); parked lanes below it
-  // pass as no-ops, and a lane above it can never be slow or hold a
-  // pending fill — either would keep its cluster live.
+  // advances its counters. The selection stops at the highest live lane
+  // (the scheduler fills clusters lowest-first); a lane above it can
+  // never be due or hold a pending fill — either would keep its cluster
+  // live.
   Cluster* const* clusters = cluster_ptrs_.data();
   std::uint64_t live = 0;
   std::uint32_t live_lanes = 0;
@@ -216,7 +221,7 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   }
   ClusterFabric* const fabric = fabric_.get();
   const LanePassFn pass = lane_pass_;
-  CeHot& lanes = hot.lanes;
+  const CeHot& lanes = hot.lanes;
   Cycle done = 0;
   while (done < max_cycles) {
     if (fabric != nullptr && !fabric->idle()) {
@@ -226,11 +231,11 @@ Cycle Machine::tick_block(Cycle max_cycles) {
       clusters[std::countr_zero(m)]->tick_control();
     }
     if (live_lanes != 0) {
-      const LaneMask slow =
-          pass(lanes, shared_cache.fill_ready_mask(), live_lanes);
-      if (slow != 0) {
+      const LaneMask due =
+          pass(lanes, shared_cache.fill_ready_mask(), live_lanes, hot.now);
+      if (due != 0) {
         for (std::uint64_t m = live; m != 0; m &= m - 1) {
-          clusters[std::countr_zero(m)]->tick_peel(slow);
+          clusters[std::countr_zero(m)]->tick_peel(due, hot.now);
         }
       }
     }
@@ -248,7 +253,9 @@ Cycle Machine::tick_block(Cycle max_cycles) {
     }
   }
   for (std::size_t k = 0; k < cluster_ptrs_.size(); ++k) {
-    if (((live >> k) & 1u) == 0) {
+    if (((live >> k) & 1u) != 0) {
+      clusters[k]->catch_up(hot.now);
+    } else {
       clusters[k]->skip(done);
     }
   }

@@ -69,7 +69,9 @@ class Machine {
   /// loop, stopping early at the end of the cycle that completes a
   /// cluster or detached job (a control event the OS layer reacts to).
   /// The loop works only on the clusters live at entry; idle ones catch
-  /// up with one Cluster::skip when the block ends.
+  /// up with one Cluster::skip when the block ends. Inside the loop a CE
+  /// steps only when its quiet horizon runs out (fx8/lane_kernel.hpp);
+  /// every live lane catches up before the call returns.
   /// Returns the number of cycles actually advanced (>= 1 when
   /// max_cycles >= 1). Bit-identical to calling tick() that many times;
   /// the caller must guarantee no OS/workload action is due during the
@@ -154,11 +156,9 @@ class Machine {
   /// travel as rebind-pending flags (see Cluster::serialize).
   void serialize(capsule::Io& io);
 
-  /// Lane pass tick_block runs over the machine-wide hot block
-  /// (select_lane_pass() by default). Exposed so differential tests can
-  /// pin lane_pass_reference (the naive oracle) or the scalar pass
-  /// against the dispatched one.
-  [[nodiscard]] LanePassFn lane_pass() const { return lane_pass_; }
+  /// How tick_block selects the lanes to step each cycle
+  /// (select_lane_pass(), the lane horizons, by default). Exposed so
+  /// differential tests can pin lane_pass_reference, the naive oracle.
   void set_lane_pass(LanePassFn pass) { lane_pass_ = pass; }
 
  private:
@@ -174,7 +174,7 @@ class Machine {
   /// Raw mirror of clusters_ so the per-cycle loops index a flat pointer
   /// array instead of hopping through unique_ptr storage.
   std::vector<Cluster*> cluster_ptrs_;
-  /// Machine-wide lane pass used by tick_block.
+  /// Lane selection used by tick_block.
   LanePassFn lane_pass_;
   std::vector<std::unique_ptr<cache::IpCache>> ip_caches_;
   std::vector<Ip> ips_;

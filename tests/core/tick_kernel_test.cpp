@@ -1,22 +1,28 @@
 // Fused hot-tick kernel contract tests.
 //
 // Every "naive" machine here is the naive oracle: the same machine with
-// fx8::lane_pass_reference pinned, so the lane pass advances nothing and
-// every CE steps through Ce::tick() each cycle. Machine::tick_block(n)
-// on the dispatched lane pass must be bit-identical to ticking the
-// oracle n times for every block boundary the session controller can
-// produce: blocks of one, blocks cut short by a cluster control event,
-// blocks requested past the end of the running job, and arbitrary
-// interleavings of block and single-cycle advancement. Machines are
-// compared through the differential oracle's machine digest, which
-// names the first divergent component (tests/oracle/oracle.hpp); the
-// oracle's own tables cover the session-level configurations.
+// fx8::lane_pass_reference pinned, so every live CE steps through
+// Ce::tick() each cycle. Machine::tick_block(n) on the lane horizons,
+// where a CE steps only when its quiet horizon runs out and books the
+// cycles it sat out when it next steps or the block ends, must be
+// bit-identical to ticking the oracle n times for every block boundary
+// the session controller can produce: blocks of one, blocks cut short by
+// a cluster control event, blocks requested past the end of the running
+// job, arbitrary interleavings of block and single-cycle advancement,
+// random block lengths, and a capsule loaded into a fresh machine
+// mid-run. Machines are compared through the differential oracle's
+// machine digest, which names the first divergent component
+// (tests/oracle/oracle.hpp); the oracle's own tables cover the
+// session-level configurations.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "base/capsule.hpp"
 #include "fx8/machine.hpp"
 #include "oracle/oracle.hpp"
 
@@ -128,47 +134,12 @@ TEST(TickKernel, BlockPastJobEndReturnsEarly) {
   EXPECT_TRUE(oracle::same_machine(naive, block));
 }
 
-// Arbitrary interleavings of single ticks and block runs must leave the
-// hot lanes (phase, countdowns, per-cycle stat counters) and the cold
-// per-component state agreeing with the pure naive run.
-TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
-  fx8::NoFaultMmu mmu_a;
-  fx8::NoFaultMmu mmu_b;
-  fx8::Machine naive(fx8::MachineConfig::fx8(), mmu_a);
-  make_naive(naive);
-  fx8::Machine mixed(fx8::MachineConfig::fx8(), mmu_b);
-  const isa::Program prog = tk_program(40);
-  naive.cluster().load(&prog, 1);
-  mixed.cluster().load(&prog, 1);
-  // Deterministic irregular schedule: single ticks, odd-sized blocks,
-  // and blocks of one, repeated until the job drains.
-  const std::array<Cycle, 6> blocks = {1, 7, 13, 1, 29, 3};
-  std::size_t next = 0;
-  while (mixed.cluster().busy()) {
-    const Cycle want = blocks[next];
-    next = (next + 1) % blocks.size();
-    if (want == 1) {
-      mixed.tick();
-      continue;
-    }
-    Cycle done = 0;
-    while (done < want && mixed.cluster().busy()) {
-      done += mixed.tick_block(want - done);
-    }
-  }
-  while (naive.cluster().busy()) {
-    naive.tick();
-  }
-  EXPECT_TRUE(oracle::same_machine(naive, mixed));
-}
-
 // --- Width-native machine kernel ----------------------------------------
 //
-// tick_block runs one machine-wide lane pass per cycle at every width
-// and peels only slow lanes into their owning cluster; these suites pin
-// that loop bit-identical to the naive oracle across widths 8/16/32/64
-// and with detached splits. The whole suite reruns under
-// FX8_FORCE_SCALAR in CI, giving the scalar wide pass the same coverage.
+// tick_block selects the due lanes of the whole machine in one scan per
+// cycle at every width and steps them in their owning cluster; these
+// suites pin that loop bit-identical to the naive oracle across widths
+// 8/16/32/64 and with detached splits.
 
 std::vector<fx8::MachineConfig> wide_configs() {
   return {fx8::MachineConfig::fx8(), fx8::MachineConfig::fx16(),
@@ -300,6 +271,122 @@ TEST(WideKernel, DetachedSplitMatchesNaiveAcrossWidths) {
       ASSERT_GE(block.tick_block(1'000'000), 1u);
     }
     EXPECT_TRUE(oracle::same_machine(naive, block));
+  }
+}
+
+// --- Random block lengths ------------------------------------------------
+//
+// The lane horizons leave countdowns, counters and bus opcodes lagging
+// inside a block and catch every live lane up when it ends, so every
+// block boundary is a place they could go wrong.
+
+/// Faults on the first touch of every page, with service times of 1 to
+/// 40 cycles, so fault waits and their countdown edges run through the
+/// block loop too. Copyable: a fresh machine resumes with the MMU state
+/// the saved one had.
+class FirstTouchMmu final : public fx8::Mmu {
+ public:
+  Cycle touch(JobId job, CeId /*ce*/, Addr addr) override {
+    const Addr page = addr / kPageBytes;
+    return mapped_.insert({job, page}).second ? 1 + page % 40 : 0;
+  }
+
+ private:
+  std::set<std::pair<JobId, Addr>> mapped_;
+};
+
+/// A machine shape and, per cluster, its job and the serial job each of
+/// its detached slots runs (nullptr: none).
+struct BlockInput {
+  const char* name;
+  fx8::MachineConfig config;
+  std::vector<const isa::Program*> jobs;
+  std::vector<const isa::Program*> detached;
+
+  /// Load the jobs, or with `rebind` re-attach the program storage a
+  /// capsule load left pending.
+  void attach(fx8::Machine& m, bool rebind) const {
+    for (std::uint32_t i = 0; i < m.n_clusters(); ++i) {
+      fx8::Cluster& cluster = m.cluster(i);
+      if (i < jobs.size() && jobs[i] != nullptr) {
+        if (!rebind) {
+          cluster.load(jobs[i], i + 1);
+        } else if (cluster.needs_program_rebind()) {
+          cluster.rebind_program(jobs[i]);
+        }
+      }
+      if (i >= detached.size() || detached[i] == nullptr) {
+        continue;
+      }
+      for (std::uint32_t slot = 0; slot < cluster.detached_count(); ++slot) {
+        if (!rebind) {
+          cluster.load_detached(slot, detached[i], 100 + i + slot);
+        } else if (cluster.detached_needs_rebind(slot)) {
+          cluster.rebind_detached_program(slot, detached[i]);
+        }
+      }
+    }
+  }
+};
+
+// Arbitrary interleavings of single ticks and block runs must leave the
+// machine agreeing with the pure naive run at every block boundary: a
+// job cut into blocks of random length (1 to 300 cycles) on FX/8
+// (saturated, and split with two detached CEs) and on FX/64 (one live
+// cluster, and two around an idle one), carrying on part-way through
+// from a capsule of the block machine loaded into a fresh one.
+TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
+  const isa::Program loop = tk_program(96);
+  const isa::Program short_loop = tk_program(40);
+  const isa::Program serial = wk_serial_program(7);
+  fx8::MachineConfig split = fx8::MachineConfig::fx8();
+  split.cluster.detached_ces = 2;
+  const std::vector<BlockInput> inputs = {
+      {"fx8 saturated", fx8::MachineConfig::fx8(), {&loop}, {}},
+      {"fx8 detached split", split, {&short_loop}, {&serial}},
+      {"fx64 one live", fx8::MachineConfig::fx64(), {&loop}, {}},
+      {"fx64 two live", fx8::MachineConfig::fx64(),
+       {&loop, nullptr, &short_loop}, {}},
+  };
+  constexpr std::uint32_t kReloadBlock = 4;
+  std::uint64_t seed = 0xB10C5EEDULL;  // xorshift64* block lengths
+  for (const BlockInput& input : inputs) {
+    SCOPED_TRACE(input.name);
+    FirstTouchMmu naive_mmu;
+    fx8::Machine naive(input.config, naive_mmu);
+    make_naive(naive);
+    auto block_mmu = std::make_unique<FirstTouchMmu>();
+    auto block = std::make_unique<fx8::Machine>(input.config, *block_mmu);
+    input.attach(naive, false);
+    input.attach(*block, false);
+    std::uint32_t blocks = 0;
+    while (wk_any_busy(naive)) {
+      seed ^= seed >> 12;
+      seed ^= seed << 25;
+      seed ^= seed >> 27;
+      const Cycle want = 1 + seed * 0x2545F4914F6CDD1DULL % 300;
+      const Cycle advanced = block->tick_block(want);
+      ASSERT_TRUE(advanced >= 1 && advanced <= want);
+      for (Cycle i = 0; i < advanced; ++i) {
+        naive.tick();
+      }
+      ASSERT_TRUE(oracle::same_machine(naive, *block))
+          << "after block " << blocks << " of " << advanced << " cycles";
+      if (++blocks == kReloadBlock) {
+        capsule::Io saver = capsule::Io::saver();
+        block->serialize(saver);
+        auto fresh_mmu = std::make_unique<FirstTouchMmu>(*block_mmu);
+        auto fresh = std::make_unique<fx8::Machine>(input.config, *fresh_mmu);
+        capsule::Io loader = capsule::Io::loader(saver.bytes());
+        fresh->serialize(loader);
+        input.attach(*fresh, true);
+        block = std::move(fresh);
+        block_mmu = std::move(fresh_mmu);
+      }
+      ASSERT_LT(naive.now(), 10'000'000u);
+    }
+    EXPECT_GT(blocks, kReloadBlock);
+    EXPECT_FALSE(wk_any_busy(*block));
   }
 }
 

@@ -1,10 +1,10 @@
 // The differential oracle: every fast configuration is held to the naive
 // reference (fx8::lane_pass_reference pinned, so every CE steps through
 // Ce::tick(), and fast-forward off), run in lockstep over the same input.
-// Rows: ff (dispatched pass, fast-forward on), scalar (lane_pass_scalar,
-// fast-forward on), lane_only (dispatched pass, fast-forward off) and
-// checkpoint (ff plus save_session -> fresh rig -> load_session at every
-// boundary, the re-sealed bytes equal to the saved). At the warmup end
+// Rows: ff (lane horizons, fast-forward on), lane_only (lane horizons,
+// fast-forward off) and checkpoint (ff plus save_session -> fresh rig ->
+// load_session at every boundary, the re-sealed bytes equal to the
+// saved). At the warmup end
 // and after every sample or capture a row must match the reference on
 // System::state_digest(), the generator and controller walks and the
 // boundary's record; a mismatch names the first divergent component
@@ -106,13 +106,15 @@ struct Rig {
   workload::WorkloadGenerator generator;
   instr::SessionController controller;
 
-  Rig(const Input& input, fx8::LanePassFn lane_pass, bool fast_forward)
+  /// `reference` pins fx8::lane_pass_reference (every CE steps every
+  /// cycle); otherwise the machine keeps its lane horizons.
+  Rig(const Input& input, bool fast_forward, bool reference = false)
       : system(system_config(input.shape)),
         generator(input.mix, kGeneratorSeed),
         controller(system, generator, with_ff(input.sampling, fast_forward),
                    kControllerSeed) {
-    if (lane_pass != nullptr) {
-      system.machine().set_lane_pass(lane_pass);
+    if (reference) {
+      system.machine().set_lane_pass(&fx8::lane_pass_reference);
     }
   }
 
@@ -175,16 +177,14 @@ struct Rig {
 
 struct Row {
   const char* name;
-  fx8::LanePassFn lane_pass;  ///< nullptr keeps the dispatched pass.
   bool fast_forward;
   bool checkpoint;
 };
 
 constexpr Row kRows[] = {
-    {"ff", nullptr, true, false},
-    {"scalar", &fx8::lane_pass_scalar, true, false},
-    {"lane_only", nullptr, false, false},
-    {"checkpoint", nullptr, true, true},
+    {"ff", true, false},
+    {"lane_only", false, false},
+    {"checkpoint", true, true},
 };
 
 /// A planted divergence (self-test): runs on the ff row's rig and its
@@ -198,11 +198,11 @@ constexpr std::uint32_t kFaultBoundary = 1;
 /// boundary 2 in machine.cluster[3].ce[5]".
 std::optional<std::string> run(const Input& input,
                                const Fault& fault = nullptr) {
-  Rig reference(input, &fx8::lane_pass_reference, /*fast_forward=*/false);
+  Rig reference(input, /*fast_forward=*/false, /*reference=*/true);
   std::vector<std::unique_ptr<Rig>> rigs;
   for (const Row& row : kRows) {
     rigs.push_back(
-        std::make_unique<Rig>(input, row.lane_pass, row.fast_forward));
+        std::make_unique<Rig>(input, row.fast_forward));
   }
   for (std::uint32_t b = 0; b <= input.samples; ++b) {
     const auto expected = reference.key(reference.advance(input, b));
@@ -217,7 +217,7 @@ std::optional<std::string> run(const Input& input,
       if (row.checkpoint) {
         const std::vector<std::uint8_t> sealed = rig->save();
         auto fresh =
-            std::make_unique<Rig>(input, row.lane_pass, row.fast_forward);
+            std::make_unique<Rig>(input, row.fast_forward);
         core::load_session(sealed, fresh->system, fresh->generator,
                            fresh->controller);
         if (fresh->save() != sealed) {
