@@ -365,7 +365,8 @@ int main(int argc, char** argv) {
   if (all || options.report == "histogram") {
     std::printf("%s\n",
                 core::render_active_histogram(
-                    study.totals.num, "Records with N processors active")
+                    study.totals.num, study.overall.width,
+                    "Records with N processors active")
                     .c_str());
   }
   if (all || options.report == "models") {

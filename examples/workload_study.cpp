@@ -21,7 +21,7 @@ int main() {
   std::printf("%s\n", core::render_table2(study.overall).c_str());
   std::printf("%s\n",
               core::render_active_histogram(
-                  study.totals.num,
+                  study.totals.num, study.overall.width,
                   "Figure 3. Number of Records with N Processors Active / "
                   "All Sessions")
                   .c_str());

@@ -35,13 +35,13 @@ void render_appendix_a(Context& ctx) {
   }
   ctx.printf("%s\n",
              core::render_active_histogram(
-                 lightest->totals.num,
+                 lightest->totals.num, lightest->overall.width,
                  "Figure A.1-style: lightest session (" + lightest->name +
                      ")")
                  .c_str());
   ctx.printf("%s\n",
              core::render_active_histogram(
-                 heaviest->totals.num,
+                 heaviest->totals.num, heaviest->overall.width,
                  "Figure A.2-style: heaviest session (" + heaviest->name +
                      ")")
                  .c_str());

@@ -61,7 +61,9 @@ inline constexpr std::uint32_t kStoreFormatVersion = 2;
 /// transitions.
 /// v7: a capture run's fast-forward accounting counts its capture cycles
 /// as naive.
-inline constexpr std::uint32_t kCodeVersion = 7;
+/// v8: the activity histograms list rows width..0 only, not one row per
+/// bin of the widest topology.
+inline constexpr std::uint32_t kCodeVersion = 8;
 
 /// The salt walked into every key.
 inline constexpr std::uint64_t kCodeSalt =

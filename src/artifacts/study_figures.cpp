@@ -20,6 +20,7 @@ void render_fig3(Context& ctx) {
   const core::StudyResult& study = ctx.in().study();
   ctx.printf("%s\n",
              core::render_active_histogram(study.totals.num,
+                                           study.overall.width,
                                            "All sessions combined")
                  .c_str());
 

@@ -90,13 +90,6 @@ class SharedCache {
     return (hot_->miss_outstanding_mask >> ce) & 1u;
   }
 
-  /// Event-horizon fast-forward: always kHorizonNever. tick() only
-  /// polls in-flight fills against the memory bus, and a fill can only
-  /// complete on a bus-completion tick — which the bus's own horizon
-  /// already forces to run naively. The cache keeps no per-cycle
-  /// counters, so there is nothing to skip.
-  [[nodiscard]] Cycle quiet_horizon() const { return kHorizonNever; }
-
   /// True while CE `ce` has a completed fill waiting to be consumed by
   /// take_fill_ready (const peek for the CE's quiet horizon).
   [[nodiscard]] bool fill_ready(CeId ce) const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "base/expect.hpp"
 #include "base/text.hpp"
 #include "stats/freq_table.hpp"
 
@@ -61,7 +62,10 @@ std::string render_regression_table(std::span<const MedianModel> models,
 }
 
 std::string render_active_histogram(std::span<const std::uint64_t> counts,
+                                    std::uint32_t width,
                                     const std::string& title) {
+  REPRO_EXPECT(width < counts.size(), "histogram narrower than its width");
+  counts = counts.first(width + 1);
   // The paper lists rows top-down from the highest processor count.
   std::vector<std::uint64_t> reversed(counts.rbegin(), counts.rend());
   std::vector<std::string> labels;

@@ -21,10 +21,13 @@ namespace repro::core {
 [[nodiscard]] std::string render_regression_table(
     std::span<const MedianModel> models, Regressor regressor);
 
-/// Figure 3 style: records with N processors active, bar chart (rows 8..0
-/// like the paper).
+/// Figure 3 style: records with N processors active, bar chart (rows
+/// width..0 like the paper). `counts` holds c_0 upward and may run past
+/// the machine width (TotalCounts::num spans the widest topology); only
+/// its first width + 1 bins are listed.
 [[nodiscard]] std::string render_active_histogram(
-    std::span<const std::uint64_t> counts, const std::string& title);
+    std::span<const std::uint64_t> counts, std::uint32_t width,
+    const std::string& title);
 
 /// Figure 7 style: records active by processor number.
 [[nodiscard]] std::string render_processor_histogram(

@@ -138,16 +138,13 @@ class Ce {
 
   // --- Lane horizons (Machine::tick_block) ----------------------------
   /// Step at machine cycle `now`: book the cycles since the lane last
-  /// stepped (catch_up), tick(), and record when the lane is next due:
-  /// now + 1 + quiet_horizon(), saturating at kHorizonNever.
+  /// stepped (catch_up), tick(), and record when the lane is next due
+  /// (set_due(now + 1)).
   void step(Cycle now) {
     catch_up(now);
     tick();
-    CeHot& hot = *hot_;
-    hot.clock[id_] = now + 1;
-    const Cycle quiet = quiet_horizon();
-    hot.due[id_] =
-        quiet >= kHorizonNever - (now + 1) ? kHorizonNever : now + 1 + quiet;
+    hot_->clock[id_] = now + 1;
+    set_due(now + 1);
   }
   /// Book every cycle before `now` the lane has not booked yet. Between
   /// its steps a lane only repeats its steady behaviour, so the lag goes
@@ -159,10 +156,11 @@ class Ce {
     }
   }
   /// After a capsule load at machine cycle `now`: the lane's state is
-  /// exact at `now` and the lane is due at once.
+  /// exact at `now`, and it is next due when its quiet horizon runs out,
+  /// as if it had just stepped.
   void resync(Cycle now) {
     hot_->clock[id_] = now;
-    hot_->due[id_] = 0;
+    set_due(now);
   }
 
   /// Assembled from the cold counters kept here and the four per-cycle
@@ -199,6 +197,13 @@ class Ce {
   }
   [[nodiscard]] Cycle& fault_left() { return hot_->fault_left[id_]; }
   void set_bus_op(mem::CeBusOp op) { hot_->bus_op[id_] = op; }
+  /// Record the lane as due at `now` + quiet_horizon(), saturating at
+  /// kHorizonNever, for a lane whose state is exact at `now`.
+  void set_due(Cycle now) {
+    const Cycle quiet = quiet_horizon();
+    hot_->due[id_] =
+        quiet >= kHorizonNever - now ? kHorizonNever : now + quiet;
+  }
 
   /// The one bulk-advance body: `cycles` repeats of the current steady
   /// behaviour (compute burn, miss wait, fault wait), with the bus opcode

@@ -124,7 +124,6 @@ void Cluster::load_detached(std::uint32_t slot, const isa::Program* program,
                "detached processes are exclusively serial");
   detached_[slot] = DetachedJob{program, job, 0, 0};
   detached_live_ |= 1u << slot;
-  horizon_valid_ = false;
 }
 
 void Cluster::run_detached(std::uint32_t slot) {
@@ -184,7 +183,6 @@ void Cluster::load(const isa::Program* program, JobId job) {
   worker_.fill(WorkerState::kNone);
   executing_ = 0;
   deps_waiting_ = 0;
-  horizon_valid_ = false;
   if (observer_) {
     observer_->on_job_start(job_, now_);
   }
@@ -213,7 +211,6 @@ void Cluster::serialize(capsule::Io& io) {
     needs_program_rebind_ = false;
     detached_rebind_mask_ = 0;
     detached_live_ = 0;
-    horizon_valid_ = false;
   }
   crossbar_.serialize(io);
   ccb_.serialize(io);
@@ -276,7 +273,7 @@ void Cluster::serialize(capsule::Io& io) {
   io.u64(now_);
   if (io.loading()) {
     // Lane horizons do not travel: every loaded lane is exact at now_
-    // and due at once.
+    // and records its own from its loaded state.
     for (Ce& ce : ces_) {
       ce.resync(now_);
     }
@@ -507,14 +504,11 @@ void Cluster::tick_control() {
     // has provably nothing to do, every lane is parked, and the crossbar
     // grant word is already clear (the last access any lane issued was
     // followed by a live-cluster cycle whose begin_cycle reset it before
-    // the cluster could drain). Only the cycle counters advance; the
-    // cached horizon — necessarily kHorizonNever — survives.
+    // the cluster could drain). Only the cycle counters advance.
     ++rotation_;
     ++now_;
     return;
   }
-  // Anything control can do this cycle makes the cached horizon stale.
-  horizon_valid_ = false;
   if (rotating_) {
     refresh_service_order();
   }
@@ -558,57 +552,38 @@ void Cluster::catch_up(Cycle now) {
   }
 }
 
-Cycle Cluster::quiet_horizon() const {
-  // Every machine advancement either invalidates this cache (a control
-  // step on a busy cluster) or updates it exactly (skip), so a valid
-  // entry is always the answer the walk below would recompute. Wide
-  // machines mostly hold a few busy clusters and many idle ones; the
-  // idle ones answer from here in O(1).
-  if (horizon_valid_) {
-    return horizon_cache_;
-  }
-  horizon_cache_ = compute_quiet_horizon();
-  horizon_valid_ = true;
-  return horizon_cache_;
-}
-
-Cycle Cluster::compute_quiet_horizon() const {
-  Cycle horizon = kHorizonNever;
+bool Cluster::control_due() const {
   if (busy()) {
     const isa::Phase& phase = program_->phases[phase_idx_];
     if (std::holds_alternative<isa::SerialPhase>(phase)) {
       // Serial control acts at phase entry and whenever the continuation
       // CE drains; in between it only watches the CE execute.
       if (!in_serial_phase_) {
-        return 0;
+        return true;
       }
       const Ce& ce = ces_[serial_ce_];
       if (ce.done() || ce.idle()) {
-        return 0;
+        return true;
       }
-      horizon = std::min(horizon, ce.quiet_horizon());
     } else {
       if (!in_loop_) {
-        return 0;  // Loop entry (CCB start_loop) happens next tick.
+        return true;  // Loop entry (CCB start_loop) happens next tick.
       }
       for (CeId c = 0; c < cluster_width(); ++c) {
         switch (worker_[c]) {
-          case WorkerState::kExecuting: {
-            const Ce& ce = ces_[c];
-            if (ce.done()) {
-              return 0;  // Completion to reap (and maybe a loop to end).
+          case WorkerState::kExecuting:
+            if (ces_[c].done()) {
+              return true;  // Completion to reap (and maybe a loop to end).
             }
-            horizon = std::min(horizon, ce.quiet_horizon());
             break;
-          }
           case WorkerState::kAwaitingDep:
             if (ccb_.predecessor_complete(worker_iter_[c])) {
-              return 0;  // Dependence released; the CE starts next tick.
+              return true;  // Dependence released; the CE starts next tick.
             }
             break;
           case WorkerState::kNone:
             if (!ccb_.all_dispatched()) {
-              return 0;  // A CCB grant is due next tick.
+              return true;  // A CCB grant is due next tick.
             }
             break;
         }
@@ -622,32 +597,23 @@ Cycle Cluster::compute_quiet_horizon() const {
       }
       const Ce& ce = ces_[detached_ce(slot)];
       if (ce.done() || ce.idle()) {
-        return 0;  // Detached control reaps/starts a repetition.
+        return true;  // Detached control reaps/starts a repetition.
       }
-      horizon = std::min(horizon, ce.quiet_horizon());
     }
   }
-  return horizon;
+  return false;
 }
 
 void Cluster::skip(Cycle cycles) {
   if (!lanes_live()) {
-    // Idle: every lane is parked and the cached horizon (if valid) is
-    // kHorizonNever, so only the cycle counters move — what each idle
-    // tick_control() would do.
+    // Idle: every lane is parked, so only the cycle counters move — what
+    // each idle tick_control() would do.
     rotation_ += cycles;
     now_ += cycles;
     return;
   }
   for (Ce& ce : ces_) {
     ce.skip(cycles);
-  }
-  // Each skipped cycle shrinks every finite member horizon by exactly
-  // one (compute/fault countdowns decrement; miss waits and parked lanes
-  // are kHorizonNever and cannot flip mid-skip — the bus horizon forces
-  // completion ticks to run naively), so the cached minimum just slides.
-  if (horizon_valid_ && horizon_cache_ != kHorizonNever) {
-    horizon_cache_ -= cycles;
   }
   if (busy() && in_loop_) {
     // Naive ticks bump the dependence-wait counter once per waiting CE

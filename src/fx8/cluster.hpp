@@ -127,15 +127,16 @@ class Cluster {
   void catch_up(Cycle now);
 
   // --- Event-horizon fast-forward -------------------------------------
-  /// Cycles for which the whole cluster (program control, CCB, detached
-  /// slots, every CE) is guaranteed to repeat its current behaviour:
-  /// the minimum of the member CE horizons, 0 whenever control would act
-  /// (a completion to reap, an iteration to dispatch, a dependence to
-  /// release, a phase to start). See docs/parallel_execution.md.
-  [[nodiscard]] Cycle quiet_horizon() const;
+  /// True when program control or a detached slot would act on the next
+  /// tick: a phase to start, a completion to reap, a dependence to
+  /// release, an iteration to dispatch. While false, control repeats
+  /// itself and only the CEs can change, on the cycles their lanes
+  /// record (CeHot::due). See docs/parallel_execution.md.
+  [[nodiscard]] bool control_due() const;
   /// Bulk-apply `cycles` ticks of quiet behaviour: advances every CE,
   /// accumulates dependence-wait cycles, the rotation counter, and the
-  /// cluster clock. Requires cycles <= quiet_horizon().
+  /// cluster clock. Requires !control_due() and cycles within every
+  /// member CE's quiet horizon.
   void skip(Cycle cycles);
 
   /// Bitmask of CEs "active" in the paper's CCB-probe sense: executing
@@ -232,8 +233,6 @@ class Cluster {
   };
 
   void advance_control();
-  /// The uncached horizon walk behind quiet_horizon().
-  [[nodiscard]] Cycle compute_quiet_horizon() const;
   void refresh_service_order();
   /// Position mask (bit = service position) of the local lanes in `lanes`.
   [[nodiscard]] std::uint32_t service_positions(std::uint32_t lanes) const;
@@ -305,15 +304,9 @@ class Cluster {
   /// cluster's window into a machine-wide slow mask.
   LaneMask lanes_mask_ = 0;
   /// Detached slots currently running a job (bit = slot index). Lets
-  /// tick_control() and quiet_horizon() skip the slot walk (and keep the
-  /// horizon cache valid) on clusters with nothing detached running.
+  /// tick_control() and control_due() skip the slot walk on clusters
+  /// with nothing detached running.
   std::uint32_t detached_live_ = 0;
-  /// Cached quiet_horizon() value. Valid until the next control step
-  /// that can act (tick_control invalidates whenever the cluster has a
-  /// program or a live detached job); skip() updates it exactly, since
-  /// every skipped cycle shrinks each member horizon by exactly one.
-  mutable Cycle horizon_cache_ = 0;
-  mutable bool horizon_valid_ = false;
   /// Workers currently in WorkerState::kAwaitingDep. Together with the
   /// done mask and the CCB dispatch cursor this tells the concurrent
   /// control scan when it has provably nothing to do this cycle.

@@ -73,8 +73,13 @@ struct CeHot {
   std::array<std::uint64_t, kMaxTopologyCes> fault_wait_cycles{};
   /// Machine cycle at which the lane must next step through Ce::tick():
   /// one past its last step plus its quiet horizon, kHorizonNever for
-  /// miss waits (the fill-ready word wakes those) and parked lanes. 0
-  /// makes a lane due at once (Ce::start, a capsule load).
+  /// miss waits (the fill-ready word wakes those) and parked lanes.
+  /// Ce::start sets 0 (due at once); a capsule load records the loaded
+  /// lane's horizon (Ce::resync). So whenever tick_block returns, every
+  /// lane of a live cluster is due at now + Ce::quiet_horizon()
+  /// (kHorizonNever if that saturates), except a miss wait whose fill is
+  /// up, which the fill-ready word flags: Machine::quiet_horizon() reads
+  /// the CE horizons from here.
   std::array<Cycle, kMaxTopologyCes> due{};
   /// Machine cycle up to which the lane's countdowns, counters and bus
   /// opcode are booked: the cycles before it are applied, the ones from

@@ -115,18 +115,35 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
 }
 
 Cycle Machine::quiet_horizon() const {
-  Cycle horizon = kHorizonNever;
-  for (const auto& cluster : clusters_) {
-    horizon = std::min(horizon, cluster->quiet_horizon());
-    if (horizon == 0) {
-      return 0;
-    }
-  }
-  horizon = std::min(horizon, membus_->quiet_horizon(hot_state_.now));
-  if (horizon == 0) {
+  // The CE part comes from the lane records: at a block boundary every
+  // lane of a live cluster is due at now + its quiet horizon, or flagged
+  // in the fill-ready word (CeHot::due); a fill-ready bit always belongs
+  // to a miss-waiting lane, so to a live cluster. Idle clusters' lanes
+  // are parked and drop out with their clusters. The shared cache has no
+  // horizon of its own: a fill completes only on a bus-completion tick,
+  // which the bus horizon already makes run naively.
+  if (shared_cache_->fill_ready_mask() != 0) {
     return 0;
   }
-  horizon = std::min(horizon, shared_cache_->quiet_horizon());
+  const CeHot& lanes = hot_state_.lanes;
+  Cycle due = kHorizonNever;
+  for (const Cluster* cluster : cluster_ptrs_) {
+    if (!cluster->lanes_live()) {
+      continue;
+    }
+    if (cluster->control_due()) {
+      return 0;
+    }
+    for (CeId c = cluster->ce_base(); c < cluster->lane_end(); ++c) {
+      due = std::min(due, lanes.due[c]);
+    }
+  }
+  const Cycle now = hot_state_.now;
+  if (due <= now) {
+    return 0;
+  }
+  Cycle horizon = due == kHorizonNever ? kHorizonNever : due - now;
+  horizon = std::min(horizon, membus_->quiet_horizon(now));
   for (const Ip& ip : ips_) {
     horizon = std::min(horizon, ip.quiet_horizon());
     if (horizon == 0) {

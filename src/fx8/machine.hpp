@@ -80,9 +80,11 @@ class Machine {
   Cycle tick_block(Cycle max_cycles);
 
   // --- Event-horizon fast-forward -------------------------------------
-  /// Minimum quiet horizon across the cluster, the IPs, the memory buses,
-  /// and the shared cache: the machine's externally visible behaviour is
-  /// a pure repeat for this many cycles (docs/parallel_execution.md).
+  /// Minimum quiet horizon across the CE lanes (CeHot::due), the IPs and
+  /// the memory buses, 0 while any live cluster's control would act: the
+  /// machine's externally visible behaviour is a pure repeat for this
+  /// many cycles (docs/parallel_execution.md). Valid between blocks,
+  /// when every lane's due cycle is current.
   [[nodiscard]] Cycle quiet_horizon() const;
   /// Bulk-advance `cycles` quiet cycles; bit-identical to run(cycles).
   /// Requires cycles <= quiet_horizon().

@@ -83,6 +83,8 @@ struct FastForwardStats {
     jumps += other.jumps;
   }
 
+  bool operator==(const FastForwardStats&) const = default;
+
   /// Capsule walk: the accounting travels inside cached StudyResults so
   /// a warm fx8bench report matches the cold one byte for byte.
   void serialize(capsule::Io& io) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/regression_models.hpp"
 
 namespace repro::core {
@@ -51,7 +54,7 @@ TEST(Report, RegressionTableFiltersByRegressor) {
 TEST(Report, ActiveHistogramListsTopDown) {
   const std::vector<std::uint64_t> counts = {10, 20, 0, 0, 0, 0, 0, 0, 90};
   const std::string chart =
-      render_active_histogram(counts, "test title");
+      render_active_histogram(counts, 8, "test title");
   EXPECT_NE(chart.find("test title"), std::string::npos);
   // Row "8" appears before row "0".
   const auto eight = chart.find("\n8 ");
@@ -60,6 +63,15 @@ TEST(Report, ActiveHistogramListsTopDown) {
   ASSERT_NE(zero, std::string::npos);
   EXPECT_LT(eight, zero);
   EXPECT_NE(chart.find("TOTAL: 120"), std::string::npos);
+
+  // A study's counts span the widest topology (65 bins); an FX/8 lists
+  // rows 8..0 only.
+  std::vector<std::uint64_t> wide(kMaxTopologyCes + 1, 0);
+  std::copy(counts.begin(), counts.end(), wide.begin());
+  const std::string fx8_chart = render_active_histogram(wide, 8, "wide");
+  EXPECT_EQ(fx8_chart, "wide" + chart.substr(chart.find('\n')));
+  EXPECT_EQ(fx8_chart.find("\n9 "), std::string::npos);
+  EXPECT_EQ(fx8_chart.find("\n64 "), std::string::npos);
 }
 
 TEST(Report, ProcessorHistogramLabelsCes) {

@@ -295,6 +295,19 @@ class FirstTouchMmu final : public fx8::Mmu {
   std::set<std::pair<JobId, Addr>> mapped_;
 };
 
+/// A serial job whose steps compute for hundreds of cycles with the bus
+/// idle, so its machine is quiet at most block boundaries.
+isa::Program compute_bound_program() {
+  isa::KernelSpec k = tk_kernel();
+  k.compute_cycles = 300;
+  k.compute_jitter = 100;
+  k.stores_per_step = 0;
+  return isa::ProgramBuilder("compute-bound")
+      .data_base(0x600000)
+      .serial(k, 3)
+      .build();
+}
+
 /// A machine shape and, per cluster, its job and the serial job each of
 /// its detached slots runs (nullptr: none).
 struct BlockInput {
@@ -332,13 +345,19 @@ struct BlockInput {
 // Arbitrary interleavings of single ticks and block runs must leave the
 // machine agreeing with the pure naive run at every block boundary: a
 // job cut into blocks of random length (1 to 300 cycles) on FX/8
-// (saturated, and split with two detached CEs) and on FX/64 (one live
-// cluster, and two around an idle one), carrying on part-way through
-// from a capsule of the block machine loaded into a fresh one.
+// (saturated, and split with two detached CEs), on FX/64 (one live
+// cluster, and two around an idle one) and on FX/16 (a compute-bound
+// serial job on cluster 1, cluster 0 idle), carrying on part-way through
+// from a capsule of the block machine loaded into a fresh one. Both
+// machines must also report the same quiet horizon, which the block
+// machine reads off its lanes' due cycles; so the block machine is also
+// reloaded at every later boundary where that horizon is positive, where
+// a loaded lane must record its horizon rather than be due at once.
 TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
   const isa::Program loop = tk_program(96);
   const isa::Program short_loop = tk_program(40);
   const isa::Program serial = wk_serial_program(7);
+  const isa::Program compute = compute_bound_program();
   fx8::MachineConfig split = fx8::MachineConfig::fx8();
   split.cluster.detached_ces = 2;
   const std::vector<BlockInput> inputs = {
@@ -347,6 +366,8 @@ TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
       {"fx64 one live", fx8::MachineConfig::fx64(), {&loop}, {}},
       {"fx64 two live", fx8::MachineConfig::fx64(),
        {&loop, nullptr, &short_loop}, {}},
+      {"fx16 compute-bound", fx8::MachineConfig::fx16(), {nullptr, &compute},
+       {}},
   };
   constexpr std::uint32_t kReloadBlock = 4;
   std::uint64_t seed = 0xB10C5EEDULL;  // xorshift64* block lengths
@@ -372,7 +393,12 @@ TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
       }
       ASSERT_TRUE(oracle::same_machine(naive, *block))
           << "after block " << blocks << " of " << advanced << " cycles";
-      if (++blocks == kReloadBlock) {
+      // The reference steps every live lane every cycle, so its due
+      // cycles are always fresh.
+      const Cycle horizon = naive.quiet_horizon();
+      ASSERT_EQ(block->quiet_horizon(), horizon) << "after block " << blocks;
+      ++blocks;
+      if (blocks == kReloadBlock || (blocks > kReloadBlock && horizon > 0)) {
         capsule::Io saver = capsule::Io::saver();
         block->serialize(saver);
         auto fresh_mmu = std::make_unique<FirstTouchMmu>(*block_mmu);
@@ -382,6 +408,8 @@ TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
         input.attach(*fresh, true);
         block = std::move(fresh);
         block_mmu = std::move(fresh_mmu);
+        ASSERT_EQ(block->quiet_horizon(), horizon)
+            << "after the capsule load at block " << blocks;
       }
       ASSERT_LT(naive.now(), 10'000'000u);
     }

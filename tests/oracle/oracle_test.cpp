@@ -4,7 +4,9 @@
 // Rows: ff (lane horizons, fast-forward on), lane_only (lane horizons,
 // fast-forward off) and checkpoint (ff plus save_session -> fresh rig ->
 // load_session at every boundary, the re-sealed bytes equal to the
-// saved). At the warmup end
+// saved; the loaded machine's quiet horizon equal to the saved one's and
+// the row's fast-forward accounting equal to the ff row's, so a loaded
+// run takes the same skip decisions). At the warmup end
 // and after every sample or capture a row must match the reference on
 // System::state_digest(), the generator and controller walks and the
 // boundary's record; a mismatch names the first divergent component
@@ -181,6 +183,8 @@ struct Row {
   bool checkpoint;
 };
 
+/// The ff row comes first: the checkpoint row's accounting is held to
+/// what it recorded at the same boundary.
 constexpr Row kRows[] = {
     {"ff", true, false},
     {"lane_only", false, false},
@@ -222,6 +226,12 @@ std::optional<std::string> run(const Input& input,
                            fresh->controller);
         if (fresh->save() != sealed) {
           component = first_divergence(rig->components(), fresh->components());
+        } else if (fresh->system.machine().quiet_horizon() !=
+                   rig->system.machine().quiet_horizon()) {
+          component = "machine.quiet_horizon (after load)";
+        } else if (rig->controller.ff_stats() !=
+                   rigs[0]->controller.ff_stats()) {
+          component = "controller.ff_stats (vs row ff)";
         }
         rig = std::move(fresh);
       }
