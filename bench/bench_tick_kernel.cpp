@@ -5,7 +5,7 @@
 // cycle runs through Machine::tick_block(n) (Machine::tick() is
 // tick_block(1)). These benchmarks pin its cost on a machine held in the
 // saturated steady state (eight CEs contending mid concurrent loop) so a
-// regression in the lane kernel, the hot-state layout, or the block loop
+// regression in the lane kernel, the CE lane layout, or the block loop
 // shows up as items/sec, not as a slow CI run. BM_PartialTickBlock holds
 // the study's width-64 shape (one live cluster of eight).
 #include <benchmark/benchmark.h>

@@ -15,6 +15,10 @@
 // --threads 0 (the default) picks FX8_THREADS or the hardware
 // concurrency; results are bit-identical for every thread count.
 //
+// A run keeps every sample it takes (about 2.3 KB each), so --sessions
+// times --samples may be at most kMaxSamples (10000, some 150 times the
+// paper's 65); a larger product exits 2 before anything is allocated.
+//
 // --checkpoint FILE writes a sealed state capsule after every completed
 // sample; --resume FILE continues a run from such a capsule. Both
 // restrict the run to one session (the capsule holds one measurement
@@ -43,6 +47,9 @@
 namespace {
 
 using namespace repro;
+
+/// Bound on sessions x samples (see the header comment).
+constexpr std::uint64_t kMaxSamples = 10000;
 
 struct Options {
   std::uint32_t sessions = 9;
@@ -242,7 +249,19 @@ int main(int argc, char** argv) {
         "                [--seed S] [--threads N]\n"
         "                [--ces N] [--clusters K]\n"
         "                [--report table2|models|histogram|all]\n"
-        "                [--checkpoint FILE] [--resume FILE]\n");
+        "                [--checkpoint FILE] [--resume FILE]\n"
+        "N x M may be at most 10000.\n");
+    return 2;
+  }
+  const std::uint64_t total_samples =
+      std::uint64_t{options.sessions} * options.samples;
+  if (total_samples > kMaxSamples) {
+    std::fprintf(stderr,
+                 "fx8meter: --sessions %u x --samples %u = %llu samples, "
+                 "more than the %llu a run may take\n",
+                 options.sessions, options.samples,
+                 static_cast<unsigned long long>(total_samples),
+                 static_cast<unsigned long long>(kMaxSamples));
     return 2;
   }
 

@@ -27,11 +27,6 @@ SharedCache::SharedCache(const SharedCacheConfig& config, mem::MemoryBus& bus)
   }
 }
 
-void SharedCache::bind_hot(SharedCacheHot& hot) {
-  hot = *hot_;
-  hot_ = &hot;
-}
-
 Addr SharedCache::line_addr(Addr addr) const {
   return addr >> kLineShift << kLineShift;
 }
@@ -92,13 +87,13 @@ AccessOutcome SharedCache::access(CeId ce, Addr addr, AccessType type) {
   REPRO_EXPECT(!miss_outstanding(ce),
                "CE presented an access with a miss already outstanding");
   ++stats_.accesses;
-  ++hot_->use_clock;
+  ++use_clock_;
   const Addr tag = line_addr(addr);
 
   if (Line* line = find_line(addr)) {
     // Present. Writes need a unique copy; upgrading costs an invalidate
     // broadcast but the data is already here, so the CE is not stalled.
-    line->last_use = hot_->use_clock;
+    line->last_use = use_clock_;
     if (type == AccessType::kWrite) {
       if (line->state == LineState::kShared) {
         ++stats_.write_upgrades;
@@ -113,7 +108,7 @@ AccessOutcome SharedCache::access(CeId ce, Addr addr, AccessType type) {
 
   ++stats_.misses;
   const LaneMask ce_bit = LaneMask{1} << ce;
-  hot_->miss_outstanding_mask |= ce_bit;
+  miss_outstanding_mask_ |= ce_bit;
 
   // Merge with an in-flight fill of the same line if one exists: the
   // cross-CE sharing path.
@@ -152,8 +147,8 @@ void SharedCache::drain_fills() {
     line.state =
         it->second.want_unique ? LineState::kUnique : LineState::kShared;
     line.dirty = it->second.want_unique;
-    line.last_use = ++hot_->use_clock;
-    hot_->fill_ready_mask |= it->second.waiters;
+    line.last_use = ++use_clock_;
+    fill_ready_mask_ |= it->second.waiters;
     it = fills_.erase(it);
   }
   seen_epoch_ = bus_.completion_epoch();
@@ -162,9 +157,9 @@ void SharedCache::drain_fills() {
 bool SharedCache::take_fill_ready(CeId ce) {
   REPRO_EXPECT(ce < config_.max_ces, "CE index out of range");
   const LaneMask ce_bit = LaneMask{1} << ce;
-  if (hot_->fill_ready_mask & ce_bit) {
-    hot_->fill_ready_mask &= ~ce_bit;
-    hot_->miss_outstanding_mask &= ~ce_bit;
+  if (fill_ready_mask_ & ce_bit) {
+    fill_ready_mask_ &= ~ce_bit;
+    miss_outstanding_mask_ &= ~ce_bit;
     return true;
   }
   return false;
@@ -217,9 +212,9 @@ void SharedCache::serialize(capsule::Io& io) {
   io.u64(stats_.write_backs);
   io.u64(stats_.merged_misses);
   io.u64(stats_.snoop_invalidations);
-  io.u64(hot_->fill_ready_mask);
-  io.u64(hot_->miss_outstanding_mask);
-  io.u64(hot_->use_clock);
+  io.u64(fill_ready_mask_);
+  io.u64(miss_outstanding_mask_);
+  io.u64(use_clock_);
 }
 
 }  // namespace repro::cache

@@ -22,7 +22,6 @@
 #include "base/capsule.hpp"
 #include "base/expect.hpp"
 #include "base/types.hpp"
-#include "cache/hot.hpp"
 #include "mem/bus_ops.hpp"
 #include "mem/memory_bus.hpp"
 
@@ -87,21 +86,19 @@ class SharedCache {
   /// True while the CE has a miss outstanding.
   [[nodiscard]] bool miss_outstanding(CeId ce) const {
     REPRO_EXPECT(ce < config_.max_ces, "CE index out of range");
-    return (hot_->miss_outstanding_mask >> ce) & 1u;
+    return (miss_outstanding_mask_ >> ce) & 1u;
   }
 
   /// True while CE `ce` has a completed fill waiting to be consumed by
   /// take_fill_ready (const peek for the CE's quiet horizon).
   [[nodiscard]] bool fill_ready(CeId ce) const {
-    return (hot_->fill_ready_mask >> ce) & 1u;
+    return (fill_ready_mask_ >> ce) & 1u;
   }
 
-  /// The whole fill-ready word (one bit per global CE id) — input to the
-  /// batched lane pass (fx8/lane_kernel.hpp); each cluster shifts its
-  /// own 8-lane window out of it.
-  [[nodiscard]] LaneMask fill_ready_mask() const {
-    return hot_->fill_ready_mask;
-  }
+  /// The whole fill-ready word (one bit per global CE id). The machine's
+  /// lane selection (fx8/lane_kernel.hpp) steps every flagged lane, and
+  /// Machine::quiet_horizon() is 0 while any bit is set.
+  [[nodiscard]] LaneMask fill_ready_mask() const { return fill_ready_mask_; }
 
   /// Coherence request from the IP side: drop any copy of this line.
   void snoop_invalidate(Addr addr);
@@ -123,12 +120,8 @@ class SharedCache {
   /// True if the line holding `addr` is present (tests).
   [[nodiscard]] bool contains(Addr addr) const;
 
-  /// Re-point the hot fields at an externally owned block (the machine's
-  /// contiguous hot-state). Copies the current values across.
-  void bind_hot(SharedCacheHot& hot);
-
   /// Capsule walk: every line, the in-flight fills (in issue order),
-  /// stats, and the hot masks/LRU clock.
+  /// stats, the miss/fill masks and the LRU clock.
   void serialize(capsule::Io& io);
 
  private:
@@ -176,8 +169,14 @@ class SharedCache {
   /// can have completed.
   std::uint64_t seen_epoch_ = 0;
   SharedCacheStats stats_;
-  SharedCacheHot own_hot_;
-  SharedCacheHot* hot_ = &own_hot_;
+  /// CEs (bit = global CE id) whose outstanding miss has filled but not
+  /// yet been consumed by take_fill_ready().
+  LaneMask fill_ready_mask_ = 0;
+  /// CEs with a miss outstanding: set at the missing access, cleared when
+  /// take_fill_ready() consumes the fill.
+  LaneMask miss_outstanding_mask_ = 0;
+  /// LRU clock: bumped once per access and per line install.
+  std::uint64_t use_clock_ = 0;
 };
 
 }  // namespace repro::cache

@@ -35,14 +35,14 @@ void ConcurrencyControlBus::start_loop(std::uint64_t trip_count,
   }
   // The starting cycle gets a full grant budget so dispatch can begin in
   // the same cycle the cstart instruction executes.
-  *grants_left_ = kGrantsPerCycle;
+  grants_left_ = kGrantsPerCycle;
 }
 
-void ConcurrencyControlBus::begin_cycle() { *grants_left_ = kGrantsPerCycle; }
+void ConcurrencyControlBus::begin_cycle() { grants_left_ = kGrantsPerCycle; }
 
 std::optional<std::uint64_t> ConcurrencyControlBus::try_dispatch(CeId ce) {
   REPRO_EXPECT(active_, "no loop being dispatched");
-  if (*grants_left_ == 0) {
+  if (grants_left_ == 0) {
     return std::nullopt;
   }
   if (policy_ == DispatchPolicy::kStaticChunked) {
@@ -50,14 +50,14 @@ std::optional<std::uint64_t> ConcurrencyControlBus::try_dispatch(CeId ce) {
     if (chunk_next_[ce] >= chunk_end_[ce]) {
       return std::nullopt;
     }
-    --*grants_left_;
+    --grants_left_;
     ++dispatched_count_;
     return chunk_next_[ce]++;
   }
   if (next_iter_ >= trip_) {
     return std::nullopt;
   }
-  --*grants_left_;
+  --grants_left_;
   ++dispatched_count_;
   return next_iter_++;
 }

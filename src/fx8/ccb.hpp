@@ -79,15 +79,8 @@ class ConcurrencyControlBus {
   /// Close out a drained loop; requires all_complete().
   void end_loop();
 
-  /// Re-point the per-cycle grant budget at an externally owned slot
-  /// (the machine's contiguous hot-state). Copies the current value.
-  void bind_hot(std::uint32_t& grants_left) {
-    grants_left = *grants_left_;
-    grants_left_ = &grants_left;
-  }
-
   /// Capsule walk over the dispatch state of the (possibly inactive)
-  /// current loop, including the per-cycle grant budget hot slot.
+  /// current loop, including this cycle's grant budget.
   void serialize(capsule::Io& io) {
     io.boolean(active_);
     io.enum32(policy_, DispatchPolicy::kStaticChunked);
@@ -116,7 +109,7 @@ class ConcurrencyControlBus {
     for (std::uint64_t& end : chunk_end_) {
       io.u64(end);
     }
-    io.u32(*grants_left_);
+    io.u32(grants_left_);
   }
 
  private:
@@ -139,8 +132,8 @@ class ConcurrencyControlBus {
   /// Chunked mode: per-CE [next, end) block cursors.
   std::array<std::uint64_t, kMaxCes> chunk_next_{};
   std::array<std::uint64_t, kMaxCes> chunk_end_{};
-  std::uint32_t own_grants_left_ = 0;
-  std::uint32_t* grants_left_ = &own_grants_left_;
+  /// Iteration-dispatch grants left this cycle.
+  std::uint32_t grants_left_ = 0;
   static constexpr std::uint32_t kGrantsPerCycle = 1;
 };
 

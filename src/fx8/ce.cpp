@@ -13,11 +13,11 @@ double hash_frac(std::uint64_t h) {
 }  // namespace
 
 Ce::Ce(CeId id, cache::SharedCache& cache, Crossbar& crossbar, Mmu& mmu,
-       std::uint64_t icache_bytes, CeHot* hot)
+       std::uint64_t icache_bytes, CeHot* lanes)
     : id_(id), cache_(cache), crossbar_(crossbar), mmu_(mmu),
       icache_(icache_bytes),
-      own_hot_(hot == nullptr ? std::make_unique<CeHot>() : nullptr),
-      hot_(hot != nullptr ? hot : own_hot_.get()) {
+      own_lanes_(lanes == nullptr ? std::make_unique<CeHot>() : nullptr),
+      lanes_(lanes != nullptr ? lanes : own_lanes_.get()) {
   REPRO_EXPECT(id < kMaxTopologyCes, "CE id out of LaneMask range");
 }
 
@@ -26,7 +26,7 @@ void Ce::start(const KernelInstance& inst) {
   REPRO_EXPECT(inst.spec != nullptr, "instance needs a kernel spec");
   inst_ = inst;
   set_phase(Phase::kStepSetup);
-  hot_->due[id_] = 0;  // Due at once: the machine steps it this cycle.
+  lanes_->due[id_] = 0;  // Due at once: the machine steps it this cycle.
   resume_phase_ = Phase::kStepSetup;
   step_ = 0;
   total_steps_ = inst.spec->steps + inst.extra_steps;
@@ -57,7 +57,7 @@ void Ce::skip(Cycle cycles) {
 }
 
 void Ce::advance(Cycle cycles) {
-  CeHot& hot = *hot_;
+  CeHot& hot = *lanes_;
   hot.clock[id_] += cycles;
   switch (phase()) {
     case Phase::kCompute:
@@ -136,7 +136,7 @@ void Ce::serialize(capsule::Io& io) {
 
   // This CE's hot-lane slots. Phase goes through set_phase so the
   // cluster's done_mask bit is rebuilt on load.
-  CeHot& hot = *hot_;
+  CeHot& hot = *lanes_;
   Phase p = phase();
   io.enum32(p, CePhase::kDone);
   if (io.loading()) {
@@ -241,10 +241,10 @@ void Ce::tick() {
   if (phase() == Phase::kIdle || phase() == Phase::kDone) {
     return;
   }
-  ++hot_->busy_cycles[id_];
+  ++lanes_->busy_cycles[id_];
 
   if (phase() == Phase::kFaultWait) {
-    ++hot_->fault_wait_cycles[id_];
+    ++lanes_->fault_wait_cycles[id_];
     if (--fault_left() == 0) {
       set_phase(resume_phase_);
     }
@@ -252,7 +252,7 @@ void Ce::tick() {
   }
 
   if (phase() == Phase::kMissWait) {
-    ++hot_->miss_wait_cycles[id_];
+    ++lanes_->miss_wait_cycles[id_];
     set_bus_op(mem::CeBusOp::kWait);
     if (cache_.take_fill_ready(id_)) {
       // The stalled access completes with this fill.
@@ -279,7 +279,7 @@ void Ce::tick() {
         if (step_ >= total_steps_) {
           set_phase(Phase::kDone);
           ++stats_.instances_completed;
-          --hot_->busy_cycles[id_];  // This cycle did no work.
+          --lanes_->busy_cycles[id_];  // This cycle did no work.
           return;
         }
         setup_step();
@@ -299,7 +299,7 @@ void Ce::tick() {
       case Phase::kCompute: {
         if (compute_left() > 0) {
           --compute_left();
-          ++hot_->compute_cycles[id_];
+          ++lanes_->compute_cycles[id_];
           return;  // Bus idle this cycle.
         }
         set_phase(Phase::kAccess);
@@ -313,7 +313,7 @@ void Ce::tick() {
           if (fault > 0) {
             fault_left() = fault;
             resume_phase_ = Phase::kIFetch;
-            ++hot_->fault_wait_cycles[id_];
+            ++lanes_->fault_wait_cycles[id_];
             set_phase(Phase::kFaultWait);
             return;
           }
@@ -346,7 +346,7 @@ void Ce::tick() {
           if (fault > 0) {
             fault_left() = fault;
             resume_phase_ = Phase::kAccess;
-            ++hot_->fault_wait_cycles[id_];
+            ++lanes_->fault_wait_cycles[id_];
             set_phase(Phase::kFaultWait);
             return;
           }

@@ -73,10 +73,10 @@ class Ce {
  public:
   /// `id` is the machine-global CE id (indexes the shared cache's waiter
   /// masks, the MMU memos, the probe channels, and this CE's slots in
-  /// the machine-wide CeHot lane block). `hot` is the lane block its
+  /// the machine-wide CeHot lane block). `lanes` is the lane block its
   /// owner keeps; a standalone CE (nullptr) keeps its own.
   Ce(CeId id, cache::SharedCache& cache, Crossbar& crossbar, Mmu& mmu,
-     std::uint64_t icache_bytes = 16 * 1024, CeHot* hot = nullptr);
+     std::uint64_t icache_bytes = 16 * 1024, CeHot* lanes = nullptr);
 
   [[nodiscard]] CeId id() const { return id_; }
 
@@ -101,7 +101,7 @@ class Ce {
 
   /// Bus opcode latched by a probe for the cycle just ticked. Idle CEs
   /// latch kIdle.
-  [[nodiscard]] mem::CeBusOp bus_op() const { return hot_->bus_op[id_]; }
+  [[nodiscard]] mem::CeBusOp bus_op() const { return lanes_->bus_op[id_]; }
 
   // --- Event-horizon fast-forward -------------------------------------
   /// Cycles for which this CE's behaviour is a pure repeat that skip()
@@ -110,18 +110,18 @@ class Ce {
   /// service (minus the transition cycle). 0 means the next tick can
   /// change machine-visible state and must run naively.
   [[nodiscard]] Cycle quiet_horizon() const {
-    switch (hot_->phase[id_]) {
+    switch (lanes_->phase[id_]) {
       case Phase::kIdle:
       case Phase::kDone:
         return kHorizonNever;
       case Phase::kCompute:
         // Each of the next compute_left ticks burns one bus-idle compute
         // cycle; the tick after that enters kAccess.
-        return hot_->compute_left[id_];
+        return lanes_->compute_left[id_];
       case Phase::kFaultWait:
         // The tick that drops fault_left to zero also transitions phases,
         // so it must run naively: skip at most fault_left - 1.
-        return hot_->fault_left[id_] - 1;
+        return lanes_->fault_left[id_] - 1;
       case Phase::kMissWait:
         // Waiting on a line fill: the shared cache flags readiness on a
         // bus-completion tick, which the bus horizon already forces to be
@@ -143,14 +143,14 @@ class Ce {
   void step(Cycle now) {
     catch_up(now);
     tick();
-    hot_->clock[id_] = now + 1;
+    lanes_->clock[id_] = now + 1;
     set_due(now + 1);
   }
   /// Book every cycle before `now` the lane has not booked yet. Between
   /// its steps a lane only repeats its steady behaviour, so the lag goes
   /// through advance() whole.
   void catch_up(Cycle now) {
-    const Cycle clock = hot_->clock[id_];
+    const Cycle clock = lanes_->clock[id_];
     if (clock < now) {
       advance(now - clock);
     }
@@ -159,7 +159,7 @@ class Ce {
   /// exact at `now`, and it is next due when its quiet horizon runs out,
   /// as if it had just stepped.
   void resync(Cycle now) {
-    hot_->clock[id_] = now;
+    lanes_->clock[id_] = now;
     set_due(now);
   }
 
@@ -167,10 +167,10 @@ class Ce {
   /// counters that live in the hot lanes.
   [[nodiscard]] CeStats stats() const {
     CeStats s = stats_;
-    s.busy_cycles = hot_->busy_cycles[id_];
-    s.compute_cycles = hot_->compute_cycles[id_];
-    s.miss_wait_cycles = hot_->miss_wait_cycles[id_];
-    s.fault_wait_cycles = hot_->fault_wait_cycles[id_];
+    s.busy_cycles = lanes_->busy_cycles[id_];
+    s.compute_cycles = lanes_->compute_cycles[id_];
+    s.miss_wait_cycles = lanes_->miss_wait_cycles[id_];
+    s.fault_wait_cycles = lanes_->fault_wait_cycles[id_];
     return s;
   }
 
@@ -182,26 +182,26 @@ class Ce {
  private:
   using Phase = CePhase;
 
-  [[nodiscard]] Phase phase() const { return hot_->phase[id_]; }
+  [[nodiscard]] Phase phase() const { return lanes_->phase[id_]; }
   void set_phase(Phase p) {
-    hot_->phase[id_] = p;
+    lanes_->phase[id_] = p;
     const LaneMask bit = LaneMask{1} << id_;
     if (p == Phase::kDone) {
-      hot_->done_mask |= bit;
+      lanes_->done_mask |= bit;
     } else {
-      hot_->done_mask &= ~bit;
+      lanes_->done_mask &= ~bit;
     }
   }
   [[nodiscard]] std::uint32_t& compute_left() {
-    return hot_->compute_left[id_];
+    return lanes_->compute_left[id_];
   }
-  [[nodiscard]] Cycle& fault_left() { return hot_->fault_left[id_]; }
-  void set_bus_op(mem::CeBusOp op) { hot_->bus_op[id_] = op; }
+  [[nodiscard]] Cycle& fault_left() { return lanes_->fault_left[id_]; }
+  void set_bus_op(mem::CeBusOp op) { lanes_->bus_op[id_] = op; }
   /// Record the lane as due at `now` + quiet_horizon(), saturating at
   /// kHorizonNever, for a lane whose state is exact at `now`.
   void set_due(Cycle now) {
     const Cycle quiet = quiet_horizon();
-    hot_->due[id_] =
+    lanes_->due[id_] =
         quiet >= kHorizonNever - now ? kHorizonNever : now + quiet;
   }
 
@@ -253,8 +253,8 @@ class Ce {
   CeStats stats_;
   /// A standalone CE's lanes, on the heap so a moved CE keeps them; null
   /// when an owner keeps the lanes.
-  std::unique_ptr<CeHot> own_hot_;
-  CeHot* hot_;
+  std::unique_ptr<CeHot> own_lanes_;
+  CeHot* lanes_;
   /// Backing storage for inst_.spec after a capsule load: the original
   /// spec lives inside scheduler-owned program storage that a freshly
   /// loaded System does not share, so the CE keeps its own copy (the

@@ -47,12 +47,14 @@ std::uint64_t stream_bytes_per_instance(const isa::KernelSpec& k) {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
-                 Mmu& mmu, CeId ce_base, CeHot* lanes)
+                 Mmu& mmu, CeId ce_base, CeHot* lanes,
+                 std::uint64_t* events)
     : config_(config), ce_base_(ce_base),
       crossbar_(cache.config().banks),
       base_order_(make_order(config.policy, config.n_ces)),
       own_ce_hot_(lanes == nullptr ? std::make_unique<CeHot>() : nullptr),
-      ce_hot_(lanes != nullptr ? lanes : own_ce_hot_.get()) {
+      ce_hot_(lanes != nullptr ? lanes : own_ce_hot_.get()),
+      events_(events != nullptr ? events : &own_events_) {
   REPRO_EXPECT(config.n_ces >= 1 && config.n_ces <= kMaxCes,
                "cluster width must be 1..8");
   REPRO_EXPECT(config.detached_ces < config.n_ces,
@@ -89,7 +91,7 @@ void Cluster::refresh_service_order() {
   if (config_.policy != ServicePolicy::kRotating || service_count_ == 0) {
     return;
   }
-  const auto rot = static_cast<std::uint32_t>(rotation_ % service_count_);
+  const auto rot = static_cast<std::uint32_t>(now_ % service_count_);
   for (std::uint32_t i = 0; i < service_count_; ++i) {
     const CeId c = base_order_[(i + rot) % service_count_];
     service_order_[i] = c;
@@ -199,13 +201,6 @@ Addr Cluster::code_base_for_phase() const {
          static_cast<Addr>(phase_idx_) * 0x100000ULL;
 }
 
-void Cluster::bind_hot(ClusterHot& hot, std::uint64_t& events) {
-  crossbar_.bind_hot(hot.crossbar_taken);
-  ccb_.bind_hot(hot.ccb_grants_left);
-  events = *events_;
-  events_ = &events;
-}
-
 void Cluster::serialize(capsule::Io& io) {
   if (io.loading()) {
     needs_program_rebind_ = false;
@@ -217,7 +212,10 @@ void Cluster::serialize(capsule::Io& io) {
   for (Ce& ce : ces_) {
     ce.serialize(io);
   }
-  io.u64(rotation_);
+  // The service-order rotation is the clock, but keeps its own capsule
+  // slot; a load holds the slot to the loaded clock.
+  Cycle rotation = now_;
+  io.u64(rotation);
   bool busy_flag = program_ != nullptr;
   io.boolean(busy_flag);
   if (io.loading()) {
@@ -272,6 +270,10 @@ void Cluster::serialize(capsule::Io& io) {
   io.u64(*events_);
   io.u64(now_);
   if (io.loading()) {
+    if (rotation != now_) {
+      throw capsule::CapsuleError(
+          "capsule: cluster rotation slot disagrees with its clock");
+    }
     // Lane horizons do not travel: every loaded lane is exact at now_
     // and records its own from its loaded state.
     for (Ce& ce : ces_) {
@@ -504,8 +506,7 @@ void Cluster::tick_control() {
     // has provably nothing to do, every lane is parked, and the crossbar
     // grant word is already clear (the last access any lane issued was
     // followed by a live-cluster cycle whose begin_cycle reset it before
-    // the cluster could drain). Only the cycle counters advance.
-    ++rotation_;
+    // the cluster could drain). Only the clock advances.
     ++now_;
     return;
   }
@@ -522,10 +523,9 @@ void Cluster::tick_control() {
       run_detached(slot);
     }
   }
-  // Nothing between here and the lane ticks reads these: the rotation
-  // was consumed by refresh_service_order above and observers stamp now_
-  // during control, so the counters pre-increment for the next cycle.
-  ++rotation_;
+  // Nothing between here and the lane ticks reads the clock:
+  // refresh_service_order above and the observers during control have
+  // used it, so it pre-increments for the next cycle.
   ++now_;
 }
 
@@ -606,9 +606,8 @@ bool Cluster::control_due() const {
 
 void Cluster::skip(Cycle cycles) {
   if (!lanes_live()) {
-    // Idle: every lane is parked, so only the cycle counters move — what
-    // each idle tick_control() would do.
-    rotation_ += cycles;
+    // Idle: every lane is parked, so only the clock moves — what each
+    // idle tick_control() would do.
     now_ += cycles;
     return;
   }
@@ -627,7 +626,6 @@ void Cluster::skip(Cycle cycles) {
     }
     stats_.dependence_wait_cycles += waiting * cycles;
   }
-  rotation_ += cycles;
   now_ += cycles;
 }
 

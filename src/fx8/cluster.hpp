@@ -92,9 +92,11 @@ class Cluster {
   /// probe channels) while every cluster-internal structure stays
   /// lane-indexed 0..n_ces-1. Single-cluster machines and standalone
   /// tests keep the default 0, where lane == global id. `lanes` is the
-  /// machine's CeHot block; a standalone cluster (nullptr) keeps its own.
+  /// machine's CeHot block and `events` its control-event counter, which
+  /// every cluster bumps; a standalone cluster (nullptr) keeps its own.
   Cluster(const ClusterConfig& config, cache::SharedCache& cache, Mmu& mmu,
-          CeId ce_base = 0, CeHot* lanes = nullptr);
+          CeId ce_base = 0, CeHot* lanes = nullptr,
+          std::uint64_t* events = nullptr);
 
   /// Load a job onto the cluster. Requires !busy().
   void load(const isa::Program* program, JobId job);
@@ -134,9 +136,9 @@ class Cluster {
   /// record (CeHot::due). See docs/parallel_execution.md.
   [[nodiscard]] bool control_due() const;
   /// Bulk-apply `cycles` ticks of quiet behaviour: advances every CE,
-  /// accumulates dependence-wait cycles, the rotation counter, and the
-  /// cluster clock. Requires !control_due() and cycles within every
-  /// member CE's quiet horizon.
+  /// accumulates dependence-wait cycles, and moves the cluster clock.
+  /// Requires !control_due() and cycles within every member CE's quiet
+  /// horizon.
   void skip(Cycle cycles);
 
   /// Bitmask of CEs "active" in the paper's CCB-probe sense: executing
@@ -163,16 +165,10 @@ class Cluster {
   /// observer must outlive the cluster or be detached first.
   void set_observer(ClusterObserver* observer) { observer_ = observer; }
 
-  /// Re-point the cluster's hot state at the machine's contiguous
-  /// hot-state block: the crossbar grant mask and CCB grant budget at
-  /// the cluster's slice, and the control-event counter at the
-  /// machine-wide counter (shared by all clusters). Copies current
-  /// values. The CE lanes are the machine's from construction.
-  void bind_hot(ClusterHot& hot, std::uint64_t& events);
-
   /// Monotone count of control events the OS layer can react to: a
-  /// cluster job or a detached job completing. Machine::tick_block stops
-  /// at the end of the cycle that bumps this (see fx8/hot_state.hpp).
+  /// cluster job or a detached job completing, on any cluster sharing
+  /// the counter. Machine::tick_block stops at the end of the cycle that
+  /// bumps it.
   [[nodiscard]] std::uint64_t control_events() const { return *events_; }
 
   /// True while the cluster has any work (a cluster job or a live
@@ -257,11 +253,10 @@ class Cluster {
   /// when it rotates.
   bool rotating_ = false;
   std::vector<CeId> base_order_;
-  std::uint64_t rotation_ = 0;
   /// This cycle's service order: positions 0..service_count_-1 hold the
-  /// service lanes (base_order_, rotated for kRotating and refreshed once
-  /// per live tick), and the positions after them the detached lanes by
-  /// slot (slot 0 = highest CE id first). Position order is the order the
+  /// service lanes (base_order_, rotated by now_ for kRotating and
+  /// refreshed once per live tick), and the positions after them the
+  /// detached lanes by slot (slot 0 = highest CE id first). Position order is the order the
   /// peel steps lanes and control services workers in.
   std::array<CeId, kMaxCes> service_order_{};
   /// Inverse of service_order_: lane -> its position this cycle. Lets the
@@ -311,12 +306,13 @@ class Cluster {
   /// done mask and the CCB dispatch cursor this tells the concurrent
   /// control scan when it has provably nothing to do this cycle.
   std::uint32_t deps_waiting_ = 0;
-  /// Control-event counter; points into HotState once bound.
+  /// Control-event counter: the machine's, or own_events_ standalone.
   std::uint64_t own_events_ = 0;
-  std::uint64_t* events_ = &own_events_;
+  std::uint64_t* events_;
   ClusterObserver* observer_ = nullptr;
-  /// Cluster-local clock; advances with tick() and timestamps marker
-  /// events (equals Machine::now() when ticked by the machine).
+  /// Cluster-local clock; advances with tick(), timestamps marker events
+  /// and turns the kRotating service order (equals Machine::now() when
+  /// ticked by the machine).
   Cycle now_ = 0;
 };
 

@@ -24,7 +24,7 @@ class Crossbar {
   /// Reset per-cycle grants. Call once per machine cycle before CEs act.
   /// Grants live in one bitmask so the per-cycle reset is a single store
   /// (this runs every machine cycle of every session).
-  void begin_cycle() { *taken_ = 0; }
+  void begin_cycle() { taken_ = 0; }
 
   /// Try to route an access to `bank` this cycle; true on success. An
   /// intra-cluster conflict (the bank already granted to a sibling CE)
@@ -34,7 +34,7 @@ class Crossbar {
   [[nodiscard]] bool try_acquire(std::uint32_t bank) {
     REPRO_EXPECT(bank < banks_, "bank index out of range");
     const std::uint64_t bit = std::uint64_t{1} << bank;
-    if (*taken_ & bit) {
+    if (taken_ & bit) {
       ++conflicts_;
       return false;
     }
@@ -42,7 +42,7 @@ class Crossbar {
       ++conflicts_;
       return false;
     }
-    *taken_ |= bit;
+    taken_ |= bit;
     return true;
   }
 
@@ -51,26 +51,19 @@ class Crossbar {
 
   /// Attach the machine's second-level arbiter (multi-cluster machines
   /// only; nullptr detaches). Structural wiring, not evolving state: it
-  /// stays out of the capsule walk, like the hot-state binding.
+  /// stays out of the capsule walk.
   void attach_fabric(ClusterFabric* fabric) { fabric_ = fabric; }
 
-  /// Re-point the grant mask at an externally owned slot (the machine's
-  /// contiguous hot-state). Copies the current value across.
-  void bind_hot(std::uint64_t& taken) {
-    taken = *taken_;
-    taken_ = &taken;
-  }
-
-  /// Capsule walk: the grant mask (hot slot) and lifetime conflicts.
+  /// Capsule walk: this cycle's grant mask and lifetime conflicts.
   void serialize(capsule::Io& io) {
-    io.u64(*taken_);
+    io.u64(taken_);
     io.u64(conflicts_);
   }
 
  private:
   std::uint32_t banks_;
-  std::uint64_t own_taken_ = 0;
-  std::uint64_t* taken_ = &own_taken_;
+  /// Banks granted this cycle (one bit per bank).
+  std::uint64_t taken_ = 0;
   std::uint64_t conflicts_ = 0;
   ClusterFabric* fabric_ = nullptr;
 };

@@ -1,31 +1,20 @@
-// The machine's contiguous per-tick hot-state block.
+// The CE state lanes: the per-cycle state of every CE in one
+// structure-of-arrays block.
 //
-// Everything the per-cycle simulation path mutates every machine cycle —
-// the CE state lanes, the crossbar grant mask, the CCB grant budget, the
-// shared-cache miss/fill masks, and the memory-bus countdowns — lives in
-// this one structure-of-arrays block instead of being scattered across
-// the component objects. The components keep their cold state (queues,
-// line arrays, configs, lifetime counters) and hold a pointer into their
-// slice of this block, so the fused tick kernel (Machine::tick_block)
-// walks a few adjacent cache lines per cycle instead of eight-plus
-// objects.
-//
-// Components constructed standalone (unit tests) fall back to a private
-// instance of their hot struct (the CE lanes on the heap, so a moved CE
-// keeps them). The machine hands its CE lanes to each cluster at
-// construction, and Machine::bind_hot re-points every other member at
-// this block right after. Binding copies the current values, so it is
-// transparent at any point in a component's life.
+// A Machine keeps one CeHot for all its clusters, indexed by global CE
+// id, and hands it to each cluster (and the cluster to each CE) at
+// construction, so one scan (fx8/lane_kernel.hpp) finds every cluster's
+// due lanes and the probe latches every CE's bus opcode from one array.
+// A cluster or CE constructed standalone (unit tests) keeps its own
+// block on the heap, so a moved CE keeps its lanes. Every other
+// component keeps its per-cycle fields as its own members.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "base/types.hpp"
-#include "cache/hot.hpp"
 #include "mem/bus_ops.hpp"
-#include "mem/hot.hpp"
 
 namespace repro::fx8 {
 
@@ -48,8 +37,8 @@ enum class CePhase : std::uint8_t {
 /// discriminant the cluster polls, the bus opcode the probe latches, the
 /// compute/fault countdowns, and each lane's quiet-horizon bookkeeping
 /// (due, clock). Stats and the streaming/pending cold state stay in Ce.
-/// Every cluster's lanes live contiguously in one block (HotState::lanes)
-/// so one scan (fx8/lane_kernel.hpp) finds every cluster's due lanes;
+/// Every cluster's lanes live contiguously in the machine's one block so
+/// one scan (fx8/lane_kernel.hpp) finds every cluster's due lanes;
 /// unused lanes beyond the machine width stay zero (kIdle).
 ///
 /// Inside Machine::tick_block a lane steps only when it is due, so
@@ -90,34 +79,6 @@ struct CeHot {
   /// Maintained by Ce::set_phase so a cluster's control scan can test
   /// "any completion to reap?" in O(1) instead of polling every CE.
   LaneMask done_mask = 0;
-};
-
-/// One cluster's slice of the hot block: its crossbar grant word and its
-/// CCB grant budget. The CE lanes live machine-wide in HotState::lanes.
-struct ClusterHot {
-  /// Crossbar: banks granted this cycle (one bit per bank).
-  std::uint64_t crossbar_taken = 0;
-  /// CCB: iteration-dispatch grants left this cycle.
-  std::uint32_t ccb_grants_left = 0;
-};
-
-struct HotState {
-  /// Every cluster's CE lanes in one cluster-major block (lane index =
-  /// global CE id = ce_base + local lane), so one due-lane scan covers
-  /// the whole machine.
-  CeHot lanes;
-  /// One slice per cluster, sized at Machine construction from the
-  /// resolved topology (default: the FX/8's single cluster).
-  std::vector<ClusterHot> clusters = std::vector<ClusterHot>(1);
-  cache::SharedCacheHot cache;
-  mem::BusHot bus;
-  /// Monotone count of cluster control events (job / detached-job
-  /// completions) — everything the OS layer can react to. tick_block
-  /// stops at the end of the cycle that bumps this so the scheduler's
-  /// next tick runs naively, exactly as lockstep ticking would.
-  std::uint64_t cluster_events = 0;
-  /// The machine clock (Machine::now()).
-  Cycle now = 0;
 };
 
 }  // namespace repro::fx8

@@ -20,7 +20,8 @@ namespace repro::fx8 {
 
 /// One selection over the first `n_lanes` lanes of a machine's CE block
 /// at machine cycle `now`. `fill_ready_mask` is the shared cache's
-/// current fill-ready word over global CE ids (cache::SharedCacheHot).
+/// current fill-ready word over global CE ids
+/// (cache::SharedCache::fill_ready_mask()).
 /// Returns the bitmask (bit = global CE id) of the lanes to step this
 /// cycle, which each owning cluster steps in service order. Lanes at
 /// n_lanes and beyond are never selected.

@@ -83,7 +83,8 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   for (std::uint32_t i = 0; i < topology_.n_clusters; ++i) {
     clusters_.push_back(std::make_unique<Cluster>(
         cluster_config, *shared_cache_, mmu,
-        /*ce_base=*/i * topology_.ces_per_cluster, &hot_state_.lanes));
+        /*ce_base=*/i * topology_.ces_per_cluster, &lanes_,
+        &control_events_));
     if (fabric_) {
       clusters_.back()->crossbar().attach_fabric(fabric_.get());
     }
@@ -102,16 +103,6 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
     ips_.emplace_back(ip, config.ip, region, *ip_cache, splitmix64(seed));
     ip_caches_.push_back(std::move(ip_cache));
   }
-
-  // Pack every component's per-tick hot state into the machine's
-  // contiguous block (fx8/hot_state.hpp).
-  hot_state_.clusters.resize(topology_.n_clusters);
-  membus_->bind_hot(hot_state_.bus);
-  shared_cache_->bind_hot(hot_state_.cache);
-  for (std::uint32_t i = 0; i < topology_.n_clusters; ++i) {
-    clusters_[i]->bind_hot(hot_state_.clusters[i],
-                           hot_state_.cluster_events);
-  }
 }
 
 Cycle Machine::quiet_horizon() const {
@@ -125,7 +116,6 @@ Cycle Machine::quiet_horizon() const {
   if (shared_cache_->fill_ready_mask() != 0) {
     return 0;
   }
-  const CeHot& lanes = hot_state_.lanes;
   Cycle due = kHorizonNever;
   for (const Cluster* cluster : cluster_ptrs_) {
     if (!cluster->lanes_live()) {
@@ -135,15 +125,14 @@ Cycle Machine::quiet_horizon() const {
       return 0;
     }
     for (CeId c = cluster->ce_base(); c < cluster->lane_end(); ++c) {
-      due = std::min(due, lanes.due[c]);
+      due = std::min(due, lanes_.due[c]);
     }
   }
-  const Cycle now = hot_state_.now;
-  if (due <= now) {
+  if (due <= now_) {
     return 0;
   }
-  Cycle horizon = due == kHorizonNever ? kHorizonNever : due - now;
-  horizon = std::min(horizon, membus_->quiet_horizon(now));
+  Cycle horizon = due == kHorizonNever ? kHorizonNever : due - now_;
+  horizon = std::min(horizon, membus_->quiet_horizon(now_));
   for (const Ip& ip : ips_) {
     horizon = std::min(horizon, ip.quiet_horizon());
     if (horizon == 0) {
@@ -161,7 +150,7 @@ void Machine::skip(Cycle cycles) {
     ip.skip(cycles);
   }
   membus_->skip(cycles);
-  hot_state_.now += cycles;
+  now_ += cycles;
 }
 
 void Machine::run(Cycle cycles) {
@@ -191,20 +180,18 @@ void Machine::serialize(capsule::Io& io) {
   for (Ip& ip : ips_) {
     ip.serialize(io);
   }
-  // hot_state_.cluster_events travels inside Cluster::serialize (the
-  // clusters share that counter); the machine clock is the one hot field
-  // left.
-  io.u64(hot_state_.now);
+  // control_events_ travels inside Cluster::serialize (the clusters share
+  // that counter); the machine clock is the one field left.
+  io.u64(now_);
 }
 
 Cycle Machine::tick_block(Cycle max_cycles) {
   mem::MemoryBus& membus = *membus_;
   cache::SharedCache& shared_cache = *shared_cache_;
-  HotState& hot = hot_state_;
-  const std::uint64_t events_at_entry = hot.cluster_events;
+  const std::uint64_t events_at_entry = control_events_;
   // The machine's one cycle loop, at every width: run every live
   // cluster's control half, then select the lanes due this cycle over
-  // the live prefix of the machine-wide hot block, then step just those
+  // the live prefix of the machine's CE lanes, then step just those
   // through Ce::step() in their owning cluster, cluster-major and in
   // service order. A lane in a steady state (compute burn, miss wait,
   // fault wait) touches only its own CeHot slots until its quiet horizon
@@ -238,7 +225,6 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   }
   ClusterFabric* const fabric = fabric_.get();
   const LanePassFn pass = lane_pass_;
-  const CeHot& lanes = hot.lanes;
   Cycle done = 0;
   while (done < max_cycles) {
     if (fabric != nullptr && !fabric->idle()) {
@@ -249,21 +235,21 @@ Cycle Machine::tick_block(Cycle max_cycles) {
     }
     if (live_lanes != 0) {
       const LaneMask due =
-          pass(lanes, shared_cache.fill_ready_mask(), live_lanes, hot.now);
+          pass(lanes_, shared_cache.fill_ready_mask(), live_lanes, now_);
       if (due != 0) {
         for (std::uint64_t m = live; m != 0; m &= m - 1) {
-          clusters[std::countr_zero(m)]->tick_peel(due, hot.now);
+          clusters[std::countr_zero(m)]->tick_peel(due, now_);
         }
       }
     }
     for (Ip& ip : ips_) {
       ip.tick();
     }
-    membus.tick(hot.now);
+    membus.tick(now_);
     shared_cache.tick();
-    ++hot.now;
+    ++now_;
     ++done;
-    if (hot.cluster_events != events_at_entry) {
+    if (control_events_ != events_at_entry) {
       // A job or detached job completed this cycle: stop so the OS layer
       // ticks naively next cycle, exactly as lockstep ticking would.
       break;
@@ -271,7 +257,7 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   }
   for (std::size_t k = 0; k < cluster_ptrs_.size(); ++k) {
     if (((live >> k) & 1u) != 0) {
-      clusters[k]->catch_up(hot.now);
+      clusters[k]->catch_up(now_);
     } else {
       clusters[k]->skip(done);
     }

@@ -90,7 +90,7 @@ class Machine {
   /// Requires cycles <= quiet_horizon().
   void skip(Cycle cycles);
 
-  [[nodiscard]] Cycle now() const { return hot_state_.now; }
+  [[nodiscard]] Cycle now() const { return now_; }
 
   /// Cluster 0 — the whole machine on every width-<=8 configuration.
   /// Single-cluster call sites keep using this accessor unchanged.
@@ -123,13 +123,12 @@ class Machine {
   [[nodiscard]] const MachineConfig& config() const { return config_; }
 
   // --- Probe surface -------------------------------------------------
-  /// `ce` is the machine-global id — also its lane index in the
-  /// machine-wide hot block, so the probe reads the latched opcode
-  /// straight out of the lane array (the DAS latches every CE channel
-  /// each sample clock; a per-call cluster hop would dominate wide
-  /// acquisitions).
+  /// `ce` is the machine-global id — also its index in the machine's
+  /// CE lanes, so the probe reads the latched opcode straight out of the
+  /// lane array (the DAS latches every CE channel each sample clock; a
+  /// per-call cluster hop would dominate wide acquisitions).
   [[nodiscard]] mem::CeBusOp ce_bus_op(CeId ce) const {
-    return hot_state_.lanes.bus_op[ce];
+    return lanes_.bus_op[ce];
   }
   [[nodiscard]] mem::MemBusOp mem_bus_op(std::uint32_t bus) const {
     return membus_->op_on(bus);
@@ -180,9 +179,17 @@ class Machine {
   LanePassFn lane_pass_;
   std::vector<std::unique_ptr<cache::IpCache>> ip_caches_;
   std::vector<Ip> ips_;
-  /// Contiguous per-tick hot state; every component's hot slice points in
-  /// here after the constructor binds them (fx8/hot_state.hpp).
-  HotState hot_state_;
+  /// Every cluster's CE lanes in one cluster-major block (lane index =
+  /// global CE id = ce_base + local lane), so one due-lane scan covers
+  /// the whole machine.
+  CeHot lanes_;
+  /// Monotone count of cluster control events (job / detached-job
+  /// completions), which every cluster bumps: everything the OS layer
+  /// can react to. tick_block stops at the end of the cycle that bumps
+  /// it, so the scheduler's next tick runs naively, exactly as lockstep
+  /// ticking would.
+  std::uint64_t control_events_ = 0;
+  Cycle now_ = 0;
 };
 
 }  // namespace repro::fx8

@@ -16,7 +16,7 @@
 
 #include "base/expect.hpp"
 #include "base/types.hpp"
-#include "mem/hot.hpp"
+#include "mem/bus_ops.hpp"
 
 namespace repro::fx8 {
 

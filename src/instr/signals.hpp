@@ -13,7 +13,6 @@
 #include "base/types.hpp"
 #include "fx8/machine.hpp"
 #include "mem/bus_ops.hpp"
-#include "mem/hot.hpp"
 
 namespace repro::instr {
 

@@ -35,6 +35,11 @@ enum class MemBusOp : std::uint8_t {
 };
 inline constexpr std::size_t kNumMemBusOps = 5;
 
+/// Hard cap on modelled memory buses (the FX/8 has two, the FX/1 one,
+/// the wide presets four). The probe's memory-bus channels are a fixed
+/// array of this size (instr/signals.hpp).
+inline constexpr std::uint32_t kMaxMemBuses = 4;
+
 [[nodiscard]] std::string_view name(CeBusOp op);
 [[nodiscard]] std::string_view name(MemBusOp op);
 

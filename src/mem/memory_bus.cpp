@@ -10,15 +10,10 @@ MemoryBus::MemoryBus(const MemoryBusConfig& config, MainMemory& memory)
     : config_(config), memory_(memory), buses_(config.bus_count) {
   REPRO_EXPECT(config.bus_count > 0, "need at least one memory bus");
   REPRO_EXPECT(config.bus_count <= kMaxMemBuses,
-               "bus count exceeds the hot-state bus cap");
+               "bus count exceeds the probe's memory-bus channels");
   REPRO_EXPECT(config.transfer_cycles > 0, "transfer time must be positive");
   REPRO_EXPECT(config.invalidate_cycles > 0,
                "invalidate time must be positive");
-}
-
-void MemoryBus::bind_hot(BusHot& hot) {
-  hot = *hot_;
-  hot_ = &hot;
 }
 
 TxnId MemoryBus::submit(std::uint32_t bus, MemBusOp op, Addr addr) {
@@ -37,14 +32,14 @@ void MemoryBus::submit_untracked(std::uint32_t bus, MemBusOp op, Addr addr) {
   quiescent_ = false;
 }
 
-void MemoryBus::start_next(BusState& bus, std::uint32_t index, Cycle now) {
+void MemoryBus::start_next(BusState& bus, Cycle now) {
   if (bus.queue.empty()) {
     return;
   }
   const PendingTxn& head = bus.queue.front();
   if (head.op == MemBusOp::kInvalidate) {
     bus.active = head;
-    hot_->remaining[index] = config_.invalidate_cycles;
+    bus.remaining = config_.invalidate_cycles;
     bus.queue.pop_front();
     return;
   }
@@ -54,7 +49,7 @@ void MemoryBus::start_next(BusState& bus, std::uint32_t index, Cycle now) {
   }
   memory_.begin_access(head.addr, now);
   bus.active = head;
-  hot_->remaining[index] = config_.transfer_cycles;
+  bus.remaining = config_.transfer_cycles;
   bus.queue.pop_front();
 }
 
@@ -66,42 +61,38 @@ void MemoryBus::tick(Cycle now) {
     ++quiescent_ticks_;
     return;
   }
-  BusHot& hot = *hot_;
   bool all_idle = true;
-  for (std::uint32_t b = 0; b < buses_.size(); ++b) {
-    BusState& bus = buses_[b];
-    if (hot.remaining[b] == 0 && !bus.queue.empty()) {
-      start_next(bus, b, now);
+  for (BusState& bus : buses_) {
+    if (bus.remaining == 0 && !bus.queue.empty()) {
+      start_next(bus, now);
     }
-    if (hot.remaining[b] > 0) {
-      hot.current_op[b] = bus.active.op;
-      --hot.remaining[b];
-      if (hot.remaining[b] == 0 && bus.active.id != 0) {
+    if (bus.remaining > 0) {
+      bus.current_op = bus.active.op;
+      --bus.remaining;
+      if (bus.remaining == 0 && bus.active.id != 0) {
         finished_.push_back(bus.active.id);
-        ++hot.completion_epoch;
+        ++completion_epoch_;
       }
       all_idle = false;
     } else {
-      hot.current_op[b] = MemBusOp::kIdle;
+      bus.current_op = MemBusOp::kIdle;
       if (!bus.queue.empty()) {
         all_idle = false;  // Bank-blocked head can start without a submit.
       }
     }
-    ++bus.op_cycle_counts[static_cast<std::size_t>(hot.current_op[b])];
+    ++bus.op_cycle_counts[static_cast<std::size_t>(bus.current_op)];
   }
   quiescent_ = all_idle;
 }
 
 Cycle MemoryBus::quiet_horizon(Cycle now) const {
   Cycle horizon = kHorizonNever;
-  for (std::uint32_t b = 0; b < buses_.size(); ++b) {
-    const BusState& bus = buses_[b];
-    const std::uint32_t remaining = hot_->remaining[b];
-    if (remaining > 0) {
+  for (const BusState& bus : buses_) {
+    if (bus.remaining > 0) {
       // Counting down an active transaction is a pure repeat of the same
       // opcode; the tick that completes it (recording the completion and
       // starting the next queued txn) must run naively.
-      horizon = std::min<Cycle>(horizon, remaining - 1);
+      horizon = std::min<Cycle>(horizon, bus.remaining - 1);
     } else if (!bus.queue.empty()) {
       const PendingTxn& head = bus.queue.front();
       if (head.op == MemBusOp::kInvalidate) {
@@ -123,17 +114,15 @@ Cycle MemoryBus::quiet_horizon(Cycle now) const {
 }
 
 void MemoryBus::skip(Cycle cycles) {
-  BusHot& hot = *hot_;
-  for (std::uint32_t b = 0; b < buses_.size(); ++b) {
-    BusState& bus = buses_[b];
-    if (hot.remaining[b] > 0) {
-      REPRO_EXPECT(cycles < hot.remaining[b],
+  for (BusState& bus : buses_) {
+    if (bus.remaining > 0) {
+      REPRO_EXPECT(cycles < bus.remaining,
                    "memory bus skip past a transaction completion");
-      hot.current_op[b] = bus.active.op;
-      hot.remaining[b] -= static_cast<std::uint32_t>(cycles);
+      bus.current_op = bus.active.op;
+      bus.remaining -= static_cast<std::uint32_t>(cycles);
       bus.op_cycle_counts[static_cast<std::size_t>(bus.active.op)] += cycles;
     } else {
-      hot.current_op[b] = MemBusOp::kIdle;
+      bus.current_op = MemBusOp::kIdle;
       bus.op_cycle_counts[static_cast<std::size_t>(MemBusOp::kIdle)] +=
           cycles;
     }
@@ -152,7 +141,7 @@ bool MemoryBus::take_finished(TxnId id) {
 
 MemBusOp MemoryBus::op_on(std::uint32_t bus) const {
   REPRO_EXPECT(bus < buses_.size(), "bus index out of range");
-  return hot_->current_op[bus];
+  return buses_[bus].current_op;
 }
 
 std::size_t MemoryBus::queue_depth(std::uint32_t bus) const {
@@ -192,8 +181,8 @@ void MemoryBus::serialize(capsule::Io& io) {
         bus.op_cycle_counts[op] = count;
       }
     }
-    io.u32(hot_->remaining[b]);
-    io.enum32(hot_->current_op[b], MemBusOp::kInvalidate);
+    io.u32(bus.remaining);
+    io.enum32(bus.current_op, MemBusOp::kInvalidate);
   }
   const std::uint64_t finished = io.extent(finished_.size());
   if (io.loading()) {
@@ -203,7 +192,7 @@ void MemoryBus::serialize(capsule::Io& io) {
     io.u64(id);
   }
   io.u64(next_id_);
-  io.u64(hot_->completion_epoch);
+  io.u64(completion_epoch_);
   if (io.loading()) {
     // The quiescent fold is a memo, not state: the loaded counters
     // already hold its cycles, and the next tick re-derives the flag.

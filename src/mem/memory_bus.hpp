@@ -21,7 +21,6 @@
 #include "base/capsule.hpp"
 #include "base/types.hpp"
 #include "mem/bus_ops.hpp"
-#include "mem/hot.hpp"
 #include "mem/main_memory.hpp"
 
 namespace repro::mem {
@@ -58,10 +57,11 @@ class MemoryBus {
   /// True (and consumes the completion) if the transaction has finished.
   [[nodiscard]] bool take_finished(TxnId id);
 
-  /// Monotone count of tracked completions (see mem/hot.hpp). While this
-  /// is unchanged, every take_finished() call would return false.
+  /// Monotone count of tracked completions. Consumers that poll
+  /// take_finished() (the shared cache) skip their poll loop while this
+  /// is unchanged: every take_finished() call would return false.
   [[nodiscard]] std::uint64_t completion_epoch() const {
-    return hot_->completion_epoch;
+    return completion_epoch_;
   }
 
   /// Event-horizon fast-forward: cycles of guaranteed pure repetition.
@@ -86,11 +86,6 @@ class MemoryBus {
 
   /// Lifetime opcode-cycle counts per bus (op indexed by MemBusOp value).
   [[nodiscard]] std::uint64_t op_cycles(std::uint32_t bus, MemBusOp op) const;
-
-  /// Re-point the hot fields at an externally owned block (the machine's
-  /// contiguous hot-state). Copies the current values across, so binding
-  /// is transparent at any point in the bus's life.
-  void bind_hot(BusHot& hot);
 
   /// Capsule walk: per-bus queues/latches/opcode counters and the
   /// tracked completion set. Idle cycles walk with the quiescent fold
@@ -131,11 +126,15 @@ class MemoryBus {
   struct BusState {
     TxnQueue queue;
     PendingTxn active;
+    /// Bus cycles left on the active transaction (0 = idle).
+    std::uint32_t remaining = 0;
+    /// Opcode a probe would latch for the cycle just ticked.
+    MemBusOp current_op = MemBusOp::kIdle;
     std::vector<std::uint64_t> op_cycle_counts =
         std::vector<std::uint64_t>(kNumMemBusOps, 0);
   };
 
-  void start_next(BusState& bus, std::uint32_t index, Cycle now);
+  void start_next(BusState& bus, Cycle now);
 
   MemoryBusConfig config_;
   MainMemory& memory_;
@@ -152,8 +151,7 @@ class MemoryBus {
   /// read, turning the (dominant) fully-idle tick into a single branch.
   bool quiescent_ = false;
   Cycle quiescent_ticks_ = 0;
-  BusHot own_hot_;
-  BusHot* hot_ = &own_hot_;
+  std::uint64_t completion_epoch_ = 0;
 };
 
 }  // namespace repro::mem

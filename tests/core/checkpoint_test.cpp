@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
+#include <ios>
 #include <memory>
 #include <vector>
 
@@ -135,6 +136,66 @@ TEST(DigestRoundTrip, DigestsDiscriminateStates) {
                                            a->controller);
   a->controller.advance(1000);
   EXPECT_NE(session_digest(a->system, a->generator, a->controller), now);
+}
+
+// --- The state walk, pinned -----------------------------------------------
+//
+// System::state_digest() after fixed session runs, recorded once. Every
+// serialize() walk feeds it, so a refactor that claims to leave capsule
+// bytes alone (where a component keeps a field, how it is stored) must
+// leave these numbers alone too. A change that means to move the walk or
+// the trajectory re-records them: run
+//   test_core --gtest_filter='CapsuleStateWalk.*'
+// and copy each "state digest now 0x..." value into its case.
+struct PinCase {
+  const char* name;
+  os::SystemConfig config;
+  workload::WorkloadMix mix;
+  std::uint64_t digest;
+};
+
+std::vector<PinCase> pin_cases() {
+  const workload::WorkloadMix session3 = workload::session_presets()[2];
+  os::SystemConfig fx8;
+  // FX/16 with one detached CE per cluster, fed session 3's kernels half
+  // serial, in short gaps and larger bursts, so that at the pin point both clusters hold a
+  // job, both detached slots run one and the fabric has turned requests
+  // away: the fabric, the CCBs, the detached slots and both memory buses
+  // carry live state into the walk.
+  os::SystemConfig fx16_detached;
+  fx16_detached.machine = fx8::MachineConfig::fx16();
+  fx16_detached.machine.cluster.detached_ces = 1;
+  workload::WorkloadMix busy = session3;
+  busy.concurrent_job_fraction = 0.5;
+  busy.mean_idle_cycles = 1000;
+  busy.mean_burst_jobs = 4;
+  // The rotating service order reads the cluster clock every cycle.
+  os::SystemConfig fx8_rotating;
+  fx8_rotating.machine.cluster.policy = fx8::ServicePolicy::kRotating;
+  return {
+      {"fx8", fx8, session3, 0xf948bf422a0aa1b9},
+      {"fx16_detached", fx16_detached, busy, 0x9a25b2f243f39387},
+      {"fx8_rotating", fx8_rotating, session3, 0xa61968cab5e0e649},
+  };
+}
+
+TEST(CapsuleStateWalk, DigestsArePinned) {
+  for (const PinCase& pin : pin_cases()) {
+    Rig rig(pin.mix, pin.config, tiny_sampling(), 0x1987);
+    rig.controller.advance(3000);
+    (void)rig.controller.take_sample();
+    (void)rig.controller.take_sample();
+    const std::uint64_t digest = rig.system.state_digest();
+    EXPECT_EQ(digest, pin.digest)
+        << pin.name << ": state digest now 0x" << std::hex << digest;
+    const fx8::Machine& machine = rig.system.machine();
+    EXPECT_GT(machine.cluster().stats().loops_completed, 0u) << pin.name;
+    if (machine.fabric() != nullptr) {
+      EXPECT_GT(machine.fabric()->conflicts(), 0u);
+      EXPECT_TRUE(machine.cluster(0).detached_busy(0));
+      EXPECT_TRUE(machine.cluster(1).detached_busy(0));
+    }
+  }
 }
 
 // --- Crafted capsules -----------------------------------------------------

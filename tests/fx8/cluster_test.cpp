@@ -7,6 +7,7 @@
 #include <map>
 #include <vector>
 
+#include "base/capsule.hpp"
 #include "base/expect.hpp"
 #include "mem/main_memory.hpp"
 #include "mem/memory_bus.hpp"
@@ -378,6 +379,33 @@ void expect_ties_follow(const ClusterConfig& config, Cycle warmup,
           << "tie " << a << " vs " << b << " after " << warmup << " cycles";
     }
   }
+}
+
+// The rotating order reads the cluster clock, and the capsule's rotation
+// slot must equal the loaded clock: a capsule whose clock (the walk's
+// last u64) disagrees with it is rejected.
+TEST_F(ClusterTest, CapsuleRejectsARotationSlotOffTheClock) {
+  const isa::Program prog =
+      isa::ProgramBuilder("serial").serial(tiny_kernel(), 5).build();
+  cluster_.load(&prog, 1);
+  for (int i = 0; i < 37; ++i) {
+    step();
+  }
+  capsule::Io saver = capsule::Io::saver();
+  cluster_.serialize(saver);
+  std::vector<std::uint8_t> bytes = saver.bytes();
+
+  Cluster fresh(ClusterConfig{}, cache_, mmu_);
+  capsule::Io loader = capsule::Io::loader(bytes);
+  fresh.serialize(loader);
+  fresh.rebind_program(&prog);
+  capsule::Io resaver = capsule::Io::saver();
+  fresh.serialize(resaver);
+  EXPECT_EQ(resaver.bytes(), bytes);
+
+  bytes[bytes.size() - 8] ^= 1;
+  capsule::Io skewed = capsule::Io::loader(std::move(bytes));
+  EXPECT_THROW(fresh.serialize(skewed), capsule::CapsuleError);
 }
 
 TEST(ServiceOrder, OuterFirstDispatchesAndBreaksTiesOuterFirst) {
