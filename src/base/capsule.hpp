@@ -42,7 +42,9 @@ class CapsuleError : public std::runtime_error {
 /// one per (batch rig, CE lane).
 /// v3: the memory bus walks its idle cycles with the quiescent fold
 /// added in and no longer carries the fold itself.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: no translation memo is walked (a load drops them), and the VM no
+/// longer walks a translation count.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 enum class Mode : std::uint8_t { kSave, kLoad, kDigest };
 

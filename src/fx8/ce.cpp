@@ -12,12 +12,10 @@ double hash_frac(std::uint64_t h) {
 }
 }  // namespace
 
-Ce::Ce(CeId id, cache::SharedCache& cache, Crossbar& crossbar, Mmu& mmu,
-       std::uint64_t icache_bytes, CeHot* lanes)
-    : id_(id), cache_(cache), crossbar_(crossbar), mmu_(mmu),
-      icache_(icache_bytes),
-      own_lanes_(lanes == nullptr ? std::make_unique<CeHot>() : nullptr),
-      lanes_(lanes != nullptr ? lanes : own_lanes_.get()) {
+Ce::Ce(CeId id, CeHot& lanes, cache::SharedCache& cache, Crossbar& crossbar,
+       Mmu& mmu, std::uint64_t icache_bytes)
+    : id_(id), lanes_(lanes), cache_(cache), crossbar_(crossbar), mmu_(mmu),
+      icache_(icache_bytes) {
   REPRO_EXPECT(id < kMaxTopologyCes, "CE id out of LaneMask range");
 }
 
@@ -26,11 +24,11 @@ void Ce::start(const KernelInstance& inst) {
   REPRO_EXPECT(inst.spec != nullptr, "instance needs a kernel spec");
   inst_ = inst;
   set_phase(Phase::kStepSetup);
-  lanes_->due[id_] = 0;  // Due at once: the machine steps it this cycle.
+  lanes_.due[id_] = 0;  // Due at once: the machine steps it this cycle.
   resume_phase_ = Phase::kStepSetup;
   step_ = 0;
   total_steps_ = inst.spec->steps + inst.extra_steps;
-  compute_left() = 0;
+  compute_left_ = 0;
   loads_left_ = 0;
   stores_left_ = 0;
   accesses_done_ = 0;
@@ -45,7 +43,7 @@ void Ce::start(const KernelInstance& inst) {
     stream_step_mod_ = 0;
   }
   last_load_addr_ = 0;
-  fault_left() = 0;
+  fault_left_ = 0;
   spill_frac_ = icache_.spill_fraction(inst.spec->code_bytes);
   pending_translated_ = false;
   pending_addr_ = 0;
@@ -57,25 +55,24 @@ void Ce::skip(Cycle cycles) {
 }
 
 void Ce::advance(Cycle cycles) {
-  CeHot& hot = *lanes_;
-  hot.clock[id_] += cycles;
+  clock_ += cycles;
   switch (phase()) {
     case Phase::kCompute:
       set_bus_op(mem::CeBusOp::kIdle);
-      compute_left() -= static_cast<std::uint32_t>(cycles);
-      hot.busy_cycles[id_] += cycles;
-      hot.compute_cycles[id_] += cycles;
+      compute_left_ -= static_cast<std::uint32_t>(cycles);
+      stats_.busy_cycles += cycles;
+      stats_.compute_cycles += cycles;
       return;
     case Phase::kMissWait:
       set_bus_op(mem::CeBusOp::kWait);
-      hot.busy_cycles[id_] += cycles;
-      hot.miss_wait_cycles[id_] += cycles;
+      stats_.busy_cycles += cycles;
+      stats_.miss_wait_cycles += cycles;
       return;
     case Phase::kFaultWait:
       set_bus_op(mem::CeBusOp::kIdle);
-      fault_left() -= cycles;
-      hot.busy_cycles[id_] += cycles;
-      hot.fault_wait_cycles[id_] += cycles;
+      fault_left_ -= cycles;
+      stats_.busy_cycles += cycles;
+      stats_.fault_wait_cycles += cycles;
       return;
     default:
       return;
@@ -129,26 +126,24 @@ void Ce::serialize(capsule::Io& io) {
   io.u64(pending_addr_);
   io.boolean(pending_translated_);
 
-  // Cold counters; the four per-cycle counters travel with the lanes.
   io.u64(stats_.mem_accesses);
   io.u64(stats_.xbar_conflict_cycles);
   io.u64(stats_.instances_completed);
 
-  // This CE's hot-lane slots. Phase goes through set_phase so the
-  // cluster's done_mask bit is rebuilt on load.
-  CeHot& hot = *lanes_;
+  // Phase goes through set_phase so the cluster's done_mask bit is
+  // rebuilt on load.
   Phase p = phase();
   io.enum32(p, CePhase::kDone);
   if (io.loading()) {
     set_phase(p);
   }
-  io.enum32(hot.bus_op[id_], mem::CeBusOp::kWait);
-  io.u32(hot.compute_left[id_]);
-  io.u64(hot.fault_left[id_]);
-  io.u64(hot.busy_cycles[id_]);
-  io.u64(hot.compute_cycles[id_]);
-  io.u64(hot.miss_wait_cycles[id_]);
-  io.u64(hot.fault_wait_cycles[id_]);
+  io.enum32(lanes_.bus_op[id_], mem::CeBusOp::kWait);
+  io.u32(compute_left_);
+  io.u64(fault_left_);
+  io.u64(stats_.busy_cycles);
+  io.u64(stats_.compute_cycles);
+  io.u64(stats_.miss_wait_cycles);
+  io.u64(stats_.fault_wait_cycles);
 }
 
 void Ce::setup_step() {
@@ -169,7 +164,7 @@ void Ce::setup_step() {
           k.vector_fraction) {
     compute += k.vector_cycles;
   }
-  compute_left() = compute;
+  compute_left_ = compute;
   loads_left_ = k.loads_per_step;
   stores_left_ = k.stores_per_step;
 }
@@ -241,18 +236,18 @@ void Ce::tick() {
   if (phase() == Phase::kIdle || phase() == Phase::kDone) {
     return;
   }
-  ++lanes_->busy_cycles[id_];
+  ++stats_.busy_cycles;
 
   if (phase() == Phase::kFaultWait) {
-    ++lanes_->fault_wait_cycles[id_];
-    if (--fault_left() == 0) {
+    ++stats_.fault_wait_cycles;
+    if (--fault_left_ == 0) {
       set_phase(resume_phase_);
     }
     return;
   }
 
   if (phase() == Phase::kMissWait) {
-    ++lanes_->miss_wait_cycles[id_];
+    ++stats_.miss_wait_cycles;
     set_bus_op(mem::CeBusOp::kWait);
     if (cache_.take_fill_ready(id_)) {
       // The stalled access completes with this fill.
@@ -279,7 +274,7 @@ void Ce::tick() {
         if (step_ >= total_steps_) {
           set_phase(Phase::kDone);
           ++stats_.instances_completed;
-          --lanes_->busy_cycles[id_];  // This cycle did no work.
+          --stats_.busy_cycles;  // This cycle did no work.
           return;
         }
         setup_step();
@@ -297,9 +292,9 @@ void Ce::tick() {
         continue;
       }
       case Phase::kCompute: {
-        if (compute_left() > 0) {
-          --compute_left();
-          ++lanes_->compute_cycles[id_];
+        if (compute_left_ > 0) {
+          --compute_left_;
+          ++stats_.compute_cycles;
           return;  // Bus idle this cycle.
         }
         set_phase(Phase::kAccess);
@@ -311,9 +306,9 @@ void Ce::tick() {
               mmu_.translate(inst_.job, id_, pending_addr_);
           pending_translated_ = true;
           if (fault > 0) {
-            fault_left() = fault;
+            fault_left_ = fault;
             resume_phase_ = Phase::kIFetch;
-            ++lanes_->fault_wait_cycles[id_];
+            ++stats_.fault_wait_cycles;
             set_phase(Phase::kFaultWait);
             return;
           }
@@ -344,9 +339,9 @@ void Ce::tick() {
               mmu_.translate(inst_.job, id_, pending_addr_);
           pending_translated_ = true;
           if (fault > 0) {
-            fault_left() = fault;
+            fault_left_ = fault;
             resume_phase_ = Phase::kAccess;
-            ++lanes_->fault_wait_cycles[id_];
+            ++stats_.fault_wait_cycles;
             set_phase(Phase::kFaultWait);
             return;
           }

@@ -8,9 +8,10 @@
 // (bus idle — the fault is handled by the OS). The per-cycle bus opcode is
 // what the logic-analyzer probe on this CE's cache bus latches.
 //
-// The per-tick hot state (phase, bus opcode, stall countdowns) lives in a
-// machine-wide CeHot lane block (fx8/hot_state.hpp), indexed by the CE's
-// global id. tick() is the one complete per-cycle step. The three
+// The CE keeps its own phase, countdowns and counters. Only what other
+// components read (the bus opcode, the cycle the lane is next due, the
+// done bit) goes to the machine-wide CeHot lanes (fx8/hot_state.hpp), at
+// the CE's global id. tick() is the one complete per-cycle step. The three
 // steady-state behaviours (compute burn, miss wait, fault wait) repeat
 // one cycle for as long as quiet_horizon() says, so the machine steps a
 // CE only when that horizon runs out (step()) and books the repeats in
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "base/capsule.hpp"
@@ -57,6 +57,18 @@ struct KernelInstance {
   std::uint32_t extra_steps = 0;
 };
 
+/// The CE execution phases.
+enum class CePhase : std::uint8_t {
+  kIdle,
+  kStepSetup,   ///< Derive compute/access budget for the next step.
+  kIFetch,      ///< Issue a spilled instruction fetch.
+  kCompute,     ///< Burn compute cycles.
+  kAccess,      ///< Issue data accesses.
+  kMissWait,    ///< Outstanding shared-cache miss.
+  kFaultWait,   ///< Page-fault service stall.
+  kDone,
+};
+
 struct CeStats {
   std::uint64_t busy_cycles = 0;       ///< Cycles executing an instance.
   std::uint64_t compute_cycles = 0;
@@ -73,10 +85,9 @@ class Ce {
  public:
   /// `id` is the machine-global CE id (indexes the shared cache's waiter
   /// masks, the MMU memos, the probe channels, and this CE's slots in
-  /// the machine-wide CeHot lane block). `lanes` is the lane block its
-  /// owner keeps; a standalone CE (nullptr) keeps its own.
-  Ce(CeId id, cache::SharedCache& cache, Crossbar& crossbar, Mmu& mmu,
-     std::uint64_t icache_bytes = 16 * 1024, CeHot* lanes = nullptr);
+  /// `lanes`, the CeHot block its owner keeps).
+  Ce(CeId id, CeHot& lanes, cache::SharedCache& cache, Crossbar& crossbar,
+     Mmu& mmu, std::uint64_t icache_bytes = 16 * 1024);
 
   [[nodiscard]] CeId id() const { return id_; }
 
@@ -101,7 +112,7 @@ class Ce {
 
   /// Bus opcode latched by a probe for the cycle just ticked. Idle CEs
   /// latch kIdle.
-  [[nodiscard]] mem::CeBusOp bus_op() const { return lanes_->bus_op[id_]; }
+  [[nodiscard]] mem::CeBusOp bus_op() const { return lanes_.bus_op[id_]; }
 
   // --- Event-horizon fast-forward -------------------------------------
   /// Cycles for which this CE's behaviour is a pure repeat that skip()
@@ -110,18 +121,18 @@ class Ce {
   /// service (minus the transition cycle). 0 means the next tick can
   /// change machine-visible state and must run naively.
   [[nodiscard]] Cycle quiet_horizon() const {
-    switch (lanes_->phase[id_]) {
+    switch (phase_) {
       case Phase::kIdle:
       case Phase::kDone:
         return kHorizonNever;
       case Phase::kCompute:
         // Each of the next compute_left ticks burns one bus-idle compute
         // cycle; the tick after that enters kAccess.
-        return lanes_->compute_left[id_];
+        return compute_left_;
       case Phase::kFaultWait:
         // The tick that drops fault_left to zero also transitions phases,
         // so it must run naively: skip at most fault_left - 1.
-        return lanes_->fault_left[id_] - 1;
+        return fault_left_ - 1;
       case Phase::kMissWait:
         // Waiting on a line fill: the shared cache flags readiness on a
         // bus-completion tick, which the bus horizon already forces to be
@@ -143,65 +154,54 @@ class Ce {
   void step(Cycle now) {
     catch_up(now);
     tick();
-    lanes_->clock[id_] = now + 1;
+    clock_ = now + 1;
     set_due(now + 1);
   }
   /// Book every cycle before `now` the lane has not booked yet. Between
   /// its steps a lane only repeats its steady behaviour, so the lag goes
   /// through advance() whole.
   void catch_up(Cycle now) {
-    const Cycle clock = lanes_->clock[id_];
-    if (clock < now) {
-      advance(now - clock);
+    if (clock_ < now) {
+      advance(now - clock_);
     }
   }
   /// After a capsule load at machine cycle `now`: the lane's state is
   /// exact at `now`, and it is next due when its quiet horizon runs out,
   /// as if it had just stepped.
   void resync(Cycle now) {
-    lanes_->clock[id_] = now;
+    clock_ = now;
     set_due(now);
   }
 
-  /// Assembled from the cold counters kept here and the four per-cycle
-  /// counters that live in the hot lanes.
-  [[nodiscard]] CeStats stats() const {
-    CeStats s = stats_;
-    s.busy_cycles = lanes_->busy_cycles[id_];
-    s.compute_cycles = lanes_->compute_cycles[id_];
-    s.miss_wait_cycles = lanes_->miss_wait_cycles[id_];
-    s.fault_wait_cycles = lanes_->fault_wait_cycles[id_];
-    return s;
-  }
+  /// Inside Machine::tick_block the four per-cycle counters lag the
+  /// machine clock between a lane's steps; they are exact whenever
+  /// tick_block returns.
+  [[nodiscard]] const CeStats& stats() const { return stats_; }
 
-  /// Capsule walk over the cold state, the loaded kernel instance (the
-  /// spec travels by value; a loaded CE runs from its own copy), and
-  /// this CE's hot-lane slots.
+  /// Capsule walk over the CE's state, the loaded kernel instance (the
+  /// spec travels by value; a loaded CE runs from its own copy), and its
+  /// bus opcode lane.
   void serialize(capsule::Io& io);
 
  private:
   using Phase = CePhase;
 
-  [[nodiscard]] Phase phase() const { return lanes_->phase[id_]; }
+  [[nodiscard]] Phase phase() const { return phase_; }
   void set_phase(Phase p) {
-    lanes_->phase[id_] = p;
+    phase_ = p;
     const LaneMask bit = LaneMask{1} << id_;
     if (p == Phase::kDone) {
-      lanes_->done_mask |= bit;
+      lanes_.done_mask |= bit;
     } else {
-      lanes_->done_mask &= ~bit;
+      lanes_.done_mask &= ~bit;
     }
   }
-  [[nodiscard]] std::uint32_t& compute_left() {
-    return lanes_->compute_left[id_];
-  }
-  [[nodiscard]] Cycle& fault_left() { return lanes_->fault_left[id_]; }
-  void set_bus_op(mem::CeBusOp op) { lanes_->bus_op[id_] = op; }
+  void set_bus_op(mem::CeBusOp op) { lanes_.bus_op[id_] = op; }
   /// Record the lane as due at `now` + quiet_horizon(), saturating at
   /// kHorizonNever, for a lane whose state is exact at `now`.
   void set_due(Cycle now) {
     const Cycle quiet = quiet_horizon();
-    lanes_->due[id_] =
+    lanes_.due[id_] =
         quiet >= kHorizonNever - now ? kHorizonNever : now + quiet;
   }
 
@@ -217,9 +217,19 @@ class Ce {
   void issue_access(cache::AccessType type, Addr addr);
   [[nodiscard]] Addr next_data_addr(bool is_store);
 
-  /// Global CE id; also this CE's index (and done_mask bit) in the
-  /// machine-wide CeHot lane block.
+  /// Global CE id; also this CE's index (and done_mask bit) in lanes_.
   CeId id_;
+  CeHot& lanes_;
+  // What a steady-state cycle touches, kept together.
+  Phase phase_ = Phase::kIdle;
+  std::uint32_t compute_left_ = 0;  ///< Compute cycles left this step.
+  Cycle fault_left_ = 0;            ///< Fault service cycles left.
+  /// Machine cycle up to which the countdowns, counters and bus opcode
+  /// are booked: the cycles before it are applied, the ones from it on
+  /// are not. advance() and step() move it; a capsule load sets it to
+  /// the loaded clock.
+  Cycle clock_ = 0;
+  CeStats stats_;
   cache::SharedCache& cache_;
   Crossbar& crossbar_;
   Mmu& mmu_;
@@ -248,13 +258,6 @@ class Ce {
   Addr pending_addr_ = 0;
   bool pending_translated_ = false;  ///< Fault check already done.
 
-  /// Cold counters only (accesses, conflicts, completions); the four
-  /// per-cycle counters live in the CeHot lanes. stats() merges them.
-  CeStats stats_;
-  /// A standalone CE's lanes, on the heap so a moved CE keeps them; null
-  /// when an owner keeps the lanes.
-  std::unique_ptr<CeHot> own_lanes_;
-  CeHot* lanes_;
   /// Backing storage for inst_.spec after a capsule load: the original
   /// spec lives inside scheduler-owned program storage that a freshly
   /// loaded System does not share, so the CE keeps its own copy (the

@@ -47,14 +47,12 @@ std::uint64_t stream_bytes_per_instance(const isa::KernelSpec& k) {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
-                 Mmu& mmu, CeId ce_base, CeHot* lanes,
-                 std::uint64_t* events)
+                 Mmu& mmu, CeHot& lanes, std::uint64_t& events,
+                 CeId ce_base)
     : config_(config), ce_base_(ce_base),
       crossbar_(cache.config().banks),
       base_order_(make_order(config.policy, config.n_ces)),
-      own_ce_hot_(lanes == nullptr ? std::make_unique<CeHot>() : nullptr),
-      ce_hot_(lanes != nullptr ? lanes : own_ce_hot_.get()),
-      events_(events != nullptr ? events : &own_events_) {
+      ce_hot_(lanes), events_(events) {
   REPRO_EXPECT(config.n_ces >= 1 && config.n_ces <= kMaxCes,
                "cluster width must be 1..8");
   REPRO_EXPECT(config.detached_ces < config.n_ces,
@@ -67,8 +65,8 @@ Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
                 [&](CeId c) { return c >= cluster_width(); });
   ces_.reserve(config.n_ces);
   for (CeId c = 0; c < config.n_ces; ++c) {
-    ces_.emplace_back(ce_base + c, cache, crossbar_, mmu,
-                      config.icache_bytes, ce_hot_);
+    ces_.emplace_back(ce_base + c, ce_hot_, cache, crossbar_, mmu,
+                      config.icache_bytes);
     lanes_mask_ |= LaneMask{1} << (ce_base + c);
   }
   service_count_ = static_cast<std::uint32_t>(base_order_.size());
@@ -151,7 +149,7 @@ void Cluster::run_detached(std::uint32_t slot) {
       detached.program = nullptr;
       detached_live_ &= ~(1u << slot);
       ++stats_.jobs_completed;
-      ++*events_;
+      ++events_;
       return;
     }
   }
@@ -267,7 +265,7 @@ void Cluster::serialize(capsule::Io& io) {
   io.u64(stats_.serial_reps_completed);
   io.u64(stats_.dependence_wait_cycles);
   io.u32(deps_waiting_);
-  io.u64(*events_);
+  io.u64(events_);
   io.u64(now_);
   if (io.loading()) {
     if (rotation != now_) {
@@ -309,7 +307,7 @@ void Cluster::finish_job() {
   program_ = nullptr;
   job_ = 0;
   ++stats_.jobs_completed;
-  ++*events_;
+  ++events_;
 }
 
 void Cluster::run_serial_phase(const isa::SerialPhase& phase) {
@@ -415,7 +413,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
   // servicing one lane never changes another lane's state. So the scan
   // walks only the other lanes, in service order.
   const auto done =
-      static_cast<std::uint32_t>(ce_hot_->done_mask >> ce_base_);
+      static_cast<std::uint32_t>(ce_hot_.done_mask >> ce_base_);
   const auto service =
       static_cast<std::uint32_t>(service_lane_mask_ >> ce_base_);
   for (std::uint32_t positions =
@@ -487,7 +485,7 @@ void Cluster::advance_control() {
   // a CE reaching kDone (tracked by the shared done mask), a dependence
   // release (only after a completion), or an undispatched iteration.
   if (in_loop_ && deps_waiting_ == 0 &&
-      (ce_hot_->done_mask & service_lane_mask_) == 0 &&
+      (ce_hot_.done_mask & service_lane_mask_) == 0 &&
       ccb_.all_dispatched()) {
     return;
   }

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "base/types.hpp"
@@ -92,11 +91,10 @@ class Cluster {
   /// probe channels) while every cluster-internal structure stays
   /// lane-indexed 0..n_ces-1. Single-cluster machines and standalone
   /// tests keep the default 0, where lane == global id. `lanes` is the
-  /// machine's CeHot block and `events` its control-event counter, which
-  /// every cluster bumps; a standalone cluster (nullptr) keeps its own.
+  /// CeHot block the cluster's CEs share and `events` the control-event
+  /// counter every cluster of a machine bumps; the owner keeps both.
   Cluster(const ClusterConfig& config, cache::SharedCache& cache, Mmu& mmu,
-          CeId ce_base = 0, CeHot* lanes = nullptr,
-          std::uint64_t* events = nullptr);
+          CeHot& lanes, std::uint64_t& events, CeId ce_base = 0);
 
   /// Load a job onto the cluster. Requires !busy().
   void load(const isa::Program* program, JobId job);
@@ -169,7 +167,7 @@ class Cluster {
   /// cluster job or a detached job completing, on any cluster sharing
   /// the counter. Machine::tick_block stops at the end of the cycle that
   /// bumps it.
-  [[nodiscard]] std::uint64_t control_events() const { return *events_; }
+  [[nodiscard]] std::uint64_t control_events() const { return events_; }
 
   /// True while the cluster has any work (a cluster job or a live
   /// detached slot). While false, every lane is parked — phases
@@ -286,12 +284,9 @@ class Cluster {
   std::uint32_t detached_rebind_mask_ = 0;
 
   ClusterStats stats_;
-  /// The cluster's CEs always share one CeHot block, indexed by global
-  /// CE id, so control can poll the shared done_mask instead of every
-  /// CE: the machine's from construction, or for a standalone cluster
-  /// own_ce_hot_, on the heap.
-  std::unique_ptr<CeHot> own_ce_hot_;
-  CeHot* ce_hot_;
+  /// The CeHot block the cluster's CEs share, indexed by global CE id,
+  /// so control can poll the shared done_mask instead of every CE.
+  CeHot& ce_hot_;
   /// Bitmask (global CE ids) of the lanes participating in cluster
   /// (non-detached) work.
   LaneMask service_lane_mask_ = 0;
@@ -306,9 +301,8 @@ class Cluster {
   /// done mask and the CCB dispatch cursor this tells the concurrent
   /// control scan when it has provably nothing to do this cycle.
   std::uint32_t deps_waiting_ = 0;
-  /// Control-event counter: the machine's, or own_events_ standalone.
-  std::uint64_t own_events_ = 0;
-  std::uint64_t* events_;
+  /// Control-event counter, shared by every cluster of a machine.
+  std::uint64_t& events_;
   ClusterObserver* observer_ = nullptr;
   /// Cluster-local clock; advances with tick(), timestamps marker events
   /// and turns the kRotating service order (equals Machine::now() when

@@ -8,6 +8,13 @@
 
 namespace repro::fx8 {
 
+namespace {
+/// Index of the lowest set bit of a nonzero mask.
+std::size_t lowest_bit(std::uint64_t mask) {
+  return static_cast<std::size_t>(std::countr_zero(mask));
+}
+}  // namespace
+
 MachineConfig MachineConfig::fx8() { return MachineConfig{}; }
 
 MachineConfig MachineConfig::fx1() {
@@ -71,9 +78,6 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   shared_cache_ =
       std::make_unique<cache::SharedCache>(cache_config, *membus_);
 
-  // MMU translation memos are keyed by global CE id as well.
-  mmu.ensure_lanes(topology_.total_ces);
-
   ClusterConfig cluster_config = config.cluster;
   cluster_config.n_ces = topology_.ces_per_cluster;
   if (topology_.n_clusters > 1) {
@@ -82,13 +86,11 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   clusters_.reserve(topology_.n_clusters);
   for (std::uint32_t i = 0; i < topology_.n_clusters; ++i) {
     clusters_.push_back(std::make_unique<Cluster>(
-        cluster_config, *shared_cache_, mmu,
-        /*ce_base=*/i * topology_.ces_per_cluster, &lanes_,
-        &control_events_));
+        cluster_config, *shared_cache_, mmu, lanes_, control_events_,
+        /*ce_base=*/i * topology_.ces_per_cluster));
     if (fabric_) {
       clusters_.back()->crossbar().attach_fabric(fabric_.get());
     }
-    cluster_ptrs_.push_back(clusters_.back().get());
   }
 
   std::uint64_t seed = config.seed;
@@ -117,7 +119,7 @@ Cycle Machine::quiet_horizon() const {
     return 0;
   }
   Cycle due = kHorizonNever;
-  for (const Cluster* cluster : cluster_ptrs_) {
+  for (const auto& cluster : clusters_) {
     if (!cluster->lanes_live()) {
       continue;
     }
@@ -194,16 +196,16 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   // the live prefix of the machine's CE lanes, then step just those
   // through Ce::step() in their owning cluster, cluster-major and in
   // service order. A lane in a steady state (compute burn, miss wait,
-  // fault wait) touches only its own CeHot slots until its quiet horizon
-  // runs out or its fill comes up, so it sits out those cycles and books
-  // them through Ce's bulk-advance body just before it next steps. Which
-  // lanes step early does not change the result: lane_pass_reference,
-  // which steps every live lane every cycle, is the naive oracle the
-  // differential tests hold the horizon selection to. Phases and
-  // done_mask, which are all that control reads of a lane, are exact on
-  // every cycle; countdowns, counters and bus opcodes are exact once the
-  // block-end catch-up below has run, which is the only time the probe
-  // latch, quiet_horizon(), stats() and the capsule walk read them.
+  // fault wait) touches only its own Ce state and bus-opcode lane until
+  // its quiet horizon runs out or its fill comes up, so it sits out those
+  // cycles and books them through Ce's bulk-advance body just before it
+  // next steps. Which lanes step early does not change the result:
+  // lane_pass_reference, which steps every live lane every cycle, is the
+  // naive oracle the differential tests hold the horizon selection to.
+  // Phases and done_mask, which are all that control reads of a lane, are
+  // exact on every cycle; countdowns, counters and bus opcodes are exact
+  // once the block-end catch-up below has run, which is the only time the
+  // probe latch, quiet_horizon(), stats() and the capsule walk read them.
   //
   // The live cluster set is fixed for the whole block. Only the OS layer
   // loads a cluster, and a cluster goes idle only on a control event,
@@ -214,13 +216,12 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   // (the scheduler fills clusters lowest-first); a lane above it can
   // never be due or hold a pending fill — either would keep its cluster
   // live.
-  Cluster* const* clusters = cluster_ptrs_.data();
   std::uint64_t live = 0;
   std::uint32_t live_lanes = 0;
-  for (std::size_t k = 0; k < cluster_ptrs_.size(); ++k) {
-    if (clusters[k]->lanes_live()) {
+  for (std::size_t k = 0; k < clusters_.size(); ++k) {
+    if (clusters_[k]->lanes_live()) {
       live |= std::uint64_t{1} << k;
-      live_lanes = clusters[k]->lane_end();
+      live_lanes = clusters_[k]->lane_end();
     }
   }
   ClusterFabric* const fabric = fabric_.get();
@@ -231,14 +232,14 @@ Cycle Machine::tick_block(Cycle max_cycles) {
       fabric->begin_cycle();
     }
     for (std::uint64_t m = live; m != 0; m &= m - 1) {
-      clusters[std::countr_zero(m)]->tick_control();
+      clusters_[lowest_bit(m)]->tick_control();
     }
     if (live_lanes != 0) {
       const LaneMask due =
           pass(lanes_, shared_cache.fill_ready_mask(), live_lanes, now_);
       if (due != 0) {
         for (std::uint64_t m = live; m != 0; m &= m - 1) {
-          clusters[std::countr_zero(m)]->tick_peel(due, now_);
+          clusters_[lowest_bit(m)]->tick_peel(due, now_);
         }
       }
     }
@@ -255,11 +256,11 @@ Cycle Machine::tick_block(Cycle max_cycles) {
       break;
     }
   }
-  for (std::size_t k = 0; k < cluster_ptrs_.size(); ++k) {
+  for (std::size_t k = 0; k < clusters_.size(); ++k) {
     if (((live >> k) & 1u) != 0) {
-      clusters[k]->catch_up(now_);
+      clusters_[k]->catch_up(now_);
     } else {
-      clusters[k]->skip(done);
+      clusters_[k]->skip(done);
     }
   }
   return done;

@@ -172,9 +172,6 @@ class Machine {
   /// the single-cluster machine is byte-for-byte the pre-topology path.
   std::unique_ptr<ClusterFabric> fabric_;
   std::vector<std::unique_ptr<Cluster>> clusters_;
-  /// Raw mirror of clusters_ so the per-cycle loops index a flat pointer
-  /// array instead of hopping through unique_ptr storage.
-  std::vector<Cluster*> cluster_ptrs_;
   /// Lane selection used by tick_block.
   LanePassFn lane_pass_;
   std::vector<std::unique_ptr<cache::IpCache>> ip_caches_;

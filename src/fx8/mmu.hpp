@@ -9,10 +9,9 @@
 // paper collected (§3.3).
 #pragma once
 
-#include <vector>
+#include <array>
+#include <cstdint>
 
-#include "base/capsule.hpp"
-#include "base/expect.hpp"
 #include "base/types.hpp"
 
 namespace repro::fx8 {
@@ -24,10 +23,13 @@ class Mmu {
   /// The CE-facing entry point: touch `addr` on behalf of `job` from
   /// processor `ce`. A per-CE single-entry memo of the last resident
   /// (job, page) skips the virtual touch() call entirely for the
-  /// within-page streaming accesses that dominate saturated sessions;
-  /// implementations must call invalidate_translations() whenever any
-  /// mapping is removed. The memo works at kPageBytes granularity — the
-  /// system page size every Mmu implementation shares.
+  /// within-page streaming accesses that dominate saturated sessions.
+  /// The memo works at kPageBytes granularity, the system page size
+  /// every Mmu implementation shares. It is not state: a memo hit only
+  /// saves a lookup whose answer is "resident", so dropping the memo
+  /// changes no behaviour and no capsule walks it. Implementations must
+  /// call invalidate_translations() whenever a mapping is removed and
+  /// whenever a capsule load replaces their page tables.
   Cycle translate(JobId job, CeId ce, Addr addr) {
     Memo& memo = memo_[ce];
     const Addr page = addr / kPageBytes;
@@ -47,39 +49,8 @@ class Mmu {
   /// retried access will not fault again.
   virtual Cycle touch(JobId job, CeId ce, Addr addr) = 0;
 
-  /// Grow the per-CE memo to cover `n` CE lanes (a machine with
-  /// global CE ids up to n-1). Called by Machine at construction; only
-  /// ever grows, and the default kMaxCes entries mean machines of width
-  /// <= 8 never reallocate (keeping the capsule walk byte-stable for
-  /// them). Growing wipes the memos — harmless before any activity, and
-  /// behaviour-neutral anyway since a memo miss just re-touches a
-  /// resident page. Virtual so implementations holding their own per-CE
-  /// state (os::VirtualMemory) can widen it in the same call.
-  virtual void ensure_lanes(std::uint32_t n) {
-    REPRO_EXPECT(n <= kMaxTopologyCes, "lane count beyond topology maximum");
-    if (n <= lanes_) {
-      return;
-    }
-    lanes_ = n;
-    memo_.assign(lanes_, Memo{});
-  }
-
-  /// CE lanes the translation memo currently covers.
-  [[nodiscard]] std::uint32_t lanes() const { return lanes_; }
-
-  /// Capsule walk over the per-CE translation memos and their
-  /// epoch. Derived classes call this from their own serialize().
-  void serialize_translation_state(capsule::Io& io) {
-    for (Memo& memo : memo_) {
-      io.u64(memo.epoch);
-      io.u64(memo.job);
-      io.u64(memo.page);
-    }
-    io.u64(epoch_);
-  }
-
  protected:
-  /// Drop every memoized translation (some mapping was removed).
+  /// Drop every memoized translation.
   void invalidate_translations() { ++epoch_; }
 
  private:
@@ -88,8 +59,8 @@ class Mmu {
     JobId job = 0;
     Addr page = 0;
   };
-  std::uint32_t lanes_ = kMaxCes;
-  std::vector<Memo> memo_ = std::vector<Memo>(kMaxCes);
+  /// One entry per global CE id.
+  std::array<Memo, kMaxTopologyCes> memo_{};
   std::uint64_t epoch_ = 1;
 };
 

@@ -19,7 +19,7 @@ VirtualMemory::VirtualMemory(const VmConfig& config, KernelCounters& counters)
 }
 
 void VirtualMemory::unmap(JobPages& pages, Addr page) {
-  drop_memo();
+  invalidate_translations();
   const auto it = pages.resident.find(page);
   if (it == pages.resident.end()) {
     return;
@@ -48,24 +48,13 @@ bool VirtualMemory::reclaim_one() {
 }
 
 Cycle VirtualMemory::touch(JobId job, CeId ce, Addr addr) {
-  ++stats_.translations;
   const Addr page = addr / kPageBytes;
-  // Memo hit: this exact (job, page) resolved resident for this CE
-  // recently and no unmap/release has happened since. Same page means the
-  // bounds check below already passed for it, so the early return is
-  // behaviour-neutral.
-  const std::size_t slot = page & (kMemoSlots - 1);
-  if (memo_valid_[ce][slot] && memo_page_[ce][slot] == page &&
-      memo_job_[ce][slot] == job) {
-    return 0;
-  }
   const Addr limit =
       config_.segments * config_.pages_per_segment * kPageBytes;
   REPRO_EXPECT(addr < limit, "virtual address beyond the segmented space");
 
   JobPages& pages = jobs_[job];
   if (pages.resident.contains(page)) {
-    remember(ce, job, page);
     return 0;
   }
 
@@ -102,15 +91,11 @@ Cycle VirtualMemory::touch(JobId job, CeId ce, Addr addr) {
       }
     }
   }
-  // The freshly mapped page survives any cap eviction above (FIFO evicts
-  // the oldest; with a positive cap that is never the page just pushed —
-  // and the eviction's unmap() has already wiped the memos by this point).
-  remember(ce, job, page);
   return config_.fault_service_cycles;
 }
 
 void VirtualMemory::release_job(JobId job) {
-  drop_memo();
+  invalidate_translations();
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) {
     return;
@@ -191,21 +176,14 @@ void VirtualMemory::serialize(capsule::Io& io) {
     io.u64(page);
   }
 
-  // VM-side translation memos (one row per lane — kMaxCes by default,
-  // more on wide machines), the Mmu base's memos, stats, frame pool.
-  for (CeId ce = 0; ce < memo_job_.size(); ++ce) {
-    for (std::size_t slot = 0; slot < kMemoSlots; ++slot) {
-      io.u64(memo_job_[ce][slot]);
-      io.u64(memo_page_[ce][slot]);
-      io.boolean(memo_valid_[ce][slot]);
-    }
-  }
-  serialize_translation_state(io);
   io.u64(stats_.faults);
   io.u64(stats_.evictions);
   io.u64(stats_.global_reclaims);
-  io.u64(stats_.translations);
   frames_.serialize(io);
+  if (io.loading()) {
+    // The loaded page tables replace the ones the memos were taken from.
+    invalidate_translations();
+  }
 }
 
 }  // namespace repro::os

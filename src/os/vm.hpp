@@ -8,15 +8,16 @@
 // kernel counters the software sampler reads. Reclaim happens at two
 // levels: an optional per-job resident-set cap (FIFO), and global FIFO
 // reclaim when physical memory is exhausted — the pressure that makes
-// page-fault rate a system measure.
+// page-fault rate a system measure. The one translation memo is the
+// fx8::Mmu base's per-CE memo; every touch() that reaches here looks the
+// page up.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
+#include "base/capsule.hpp"
 #include "base/types.hpp"
 #include "fx8/mmu.hpp"
 #include "mem/frame_allocator.hpp"
@@ -41,7 +42,6 @@ struct VmStats {
   std::uint64_t faults = 0;
   std::uint64_t evictions = 0;        ///< Per-job cap evictions.
   std::uint64_t global_reclaims = 0;  ///< Evictions forced by exhaustion.
-  std::uint64_t translations = 0;
 };
 
 class VirtualMemory final : public fx8::Mmu {
@@ -51,17 +51,6 @@ class VirtualMemory final : public fx8::Mmu {
   /// fx8::Mmu: first touch of a page faults (service time returned) and
   /// maps it to a physical frame; later touches are free.
   Cycle touch(JobId job, CeId ce, Addr addr) override;
-
-  /// fx8::Mmu: widen the VM-side per-CE memos alongside the base memo
-  /// when the machine resolves to more than kMaxCes global CEs.
-  void ensure_lanes(std::uint32_t n) override {
-    fx8::Mmu::ensure_lanes(n);
-    if (memo_job_.size() < lanes()) {
-      memo_job_.assign(lanes(), {});
-      memo_page_.assign(lanes(), {});
-      memo_valid_.assign(lanes(), {});
-    }
-  }
 
   /// Drop a finished job's resident set (frames return to the pool).
   void release_job(JobId job);
@@ -74,7 +63,7 @@ class VirtualMemory final : public fx8::Mmu {
   /// Capsule walk: page tables (in sorted key order — the hash maps are
   /// never iterated on behaviour-relevant paths, so the stored order is a
   /// free choice and sorting keeps the digest canonical), FIFO queues,
-  /// translation memos, stats, and the frame pool.
+  /// stats, and the frame pool. A load drops the translation memos.
   void serialize(capsule::Io& io);
 
  private:
@@ -85,22 +74,6 @@ class VirtualMemory final : public fx8::Mmu {
 
   /// Unmap one page of one job, returning its frame to the pool.
   void unmap(JobPages& pages, Addr page);
-  /// Invalidate the translation memos — both the VM-side slots and the
-  /// Mmu base's per-CE fast-path memo (any unmap or job release could
-  /// remove the memoized pages).
-  void drop_memo() {
-    invalidate_translations();
-    for (auto& lanes : memo_valid_) {
-      lanes.fill(false);
-    }
-  }
-  /// Install (job, page) into `ce`'s memo slot for that page.
-  void remember(CeId ce, JobId job, Addr page) {
-    const std::size_t slot = page & (kMemoSlots - 1);
-    memo_job_[ce][slot] = job;
-    memo_page_[ce][slot] = page;
-    memo_valid_[ce][slot] = true;
-  }
   /// Global FIFO reclaim of one page from any job; false if none left.
   bool reclaim_one();
 
@@ -111,21 +84,6 @@ class VirtualMemory final : public fx8::Mmu {
   /// Global mapping order for exhaustion reclaim (entries may be stale;
   /// validated lazily).
   std::deque<std::pair<JobId, Addr>> global_fifo_;
-  /// Per-CE translation memo: recent (job, page) pairs that resolved
-  /// resident for that CE, direct-mapped by the page's low bits (one
-  /// compare per lookup). CEs stream within a page for many consecutive
-  /// accesses and interleave a handful of hot-set pages, so four slots
-  /// short-circuit the hash lookup on the hot path. Invalidated
-  /// wholesale on any unmap or job release.
-  static constexpr std::size_t kMemoSlots = 4;
-  /// Lane-count entries (default kMaxCes; ensure_lanes grows them for
-  /// wider machines, keeping the capsule walk byte-stable at width <= 8).
-  std::vector<std::array<JobId, kMemoSlots>> memo_job_ =
-      std::vector<std::array<JobId, kMemoSlots>>(kMaxCes);
-  std::vector<std::array<Addr, kMemoSlots>> memo_page_ =
-      std::vector<std::array<Addr, kMemoSlots>>(kMaxCes);
-  std::vector<std::array<bool, kMemoSlots>> memo_valid_ =
-      std::vector<std::array<bool, kMemoSlots>>(kMaxCes);
   VmStats stats_;
 };
 

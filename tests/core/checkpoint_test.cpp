@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <exception>
 #include <ios>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -62,6 +63,33 @@ TEST(CapsuleSession, FingerprintMismatchRejected) {
       capsule::CapsuleError);
 }
 
+TEST(CapsuleSession, LoadIntoUsedRigContinuesIdentically) {
+  // A load must leave nothing of the loading rig's own past behind: a
+  // rig that ran other jobs on another seed (warm translation memos
+  // included) continues exactly like the rig that saved.
+  const std::size_t presets[] = {1, 2, 5, 7};
+  const std::uint64_t seeds[] = {0x9999, 0x4242, 0x7777};
+  for (const std::size_t preset : presets) {
+    for (const std::uint64_t seed : seeds) {
+      auto saved = warm_rig(preset);
+      const auto sealed = save_session(saved->system, saved->generator,
+                                       saved->controller);
+      Rig used(workload::session_presets()[preset], os::SystemConfig{},
+               tiny_sampling(), seed);
+      used.controller.advance(30000);
+      load_session(sealed, used.system, used.generator, used.controller);
+      for (int sample = 0; sample < 3; ++sample) {
+        EXPECT_EQ(digest(used.controller.take_sample()),
+                  digest(saved->controller.take_sample()))
+            << "preset " << preset << ", seed 0x" << std::hex << seed
+            << ", sample " << sample;
+      }
+      EXPECT_EQ(used.system.state_digest(), saved->system.state_digest())
+          << "preset " << preset << ", seed 0x" << std::hex << seed;
+    }
+  }
+}
+
 TEST(CapsuleSystem, ArbitraryCycleSaveRestores) {
   // Nothing aligns the capsule to a sample or scheduler boundary: stop
   // at an odd mid-activity cycle and the restored system must still
@@ -78,6 +106,36 @@ TEST(CapsuleSystem, ArbitraryCycleSaveRestores) {
   fresh.run(777);
   EXPECT_EQ(fresh.state_digest(), rig->system.state_digest());
   EXPECT_EQ(fresh.now(), rig->system.now());
+}
+
+TEST(CapsuleSystem, RewindRetakesTheFaultItJustTook) {
+  // The sharpest used system is the one that saved: run it one cycle past
+  // the save, through a cycle in which a CE takes a page fault, and load
+  // the capsule back. That CE's translation memo now names the page the
+  // loaded state has not mapped, on the very access the CE repeats first,
+  // so a load that kept memos would skip the fault.
+  Cycle lead = 0;  // Cycles until the next CE page fault, found on a twin.
+  {
+    auto twin = warm_rig();
+    const std::uint64_t faults = twin->system.vm().stats().faults;
+    while (twin->system.vm().stats().faults == faults) {
+      twin->system.tick();
+      ++lead;
+      ASSERT_LT(lead, 1'000'000u) << "no CE page fault";
+    }
+  }
+  auto rig = warm_rig();
+  os::System& system = rig->system;
+  system.run(lead - 1);
+  const auto sealed = system.save_capsule();
+  const std::uint64_t faults = system.vm().stats().faults;
+  system.tick();
+  ASSERT_EQ(system.vm().stats().faults, faults + 1);
+  const std::uint64_t ahead = system.state_digest();
+  system.load_capsule(sealed);
+  system.tick();
+  EXPECT_EQ(system.vm().stats().faults, faults + 1);
+  EXPECT_EQ(system.state_digest(), ahead);
 }
 
 TEST(CapsuleSystem, LoadRejectsTamperedCapsule) {
@@ -173,9 +231,9 @@ std::vector<PinCase> pin_cases() {
   os::SystemConfig fx8_rotating;
   fx8_rotating.machine.cluster.policy = fx8::ServicePolicy::kRotating;
   return {
-      {"fx8", fx8, session3, 0xf948bf422a0aa1b9},
-      {"fx16_detached", fx16_detached, busy, 0x9a25b2f243f39387},
-      {"fx8_rotating", fx8_rotating, session3, 0xa61968cab5e0e649},
+      {"fx8", fx8, session3, 0xbe78f94e18ea828b},
+      {"fx16_detached", fx16_detached, busy, 0x5704fe3fbe5fbb10},
+      {"fx8_rotating", fx8_rotating, session3, 0xab0888670de6fb4b},
   };
 }
 
@@ -196,6 +254,23 @@ TEST(CapsuleStateWalk, DigestsArePinned) {
       EXPECT_TRUE(machine.cluster(1).detached_busy(0));
     }
   }
+}
+
+TEST(CapsuleStateWalk, TranslationMemosAreNotState) {
+  // Releasing a job id that was never issued drops every translation
+  // memo and changes nothing else. A memo only saves a page-table
+  // lookup, so the two rigs must stay identical in state and in samples.
+  Rig kept(workload::session_presets()[2], os::SystemConfig{},
+           tiny_sampling(), 0x1987);
+  Rig dropped(workload::session_presets()[2], os::SystemConfig{},
+              tiny_sampling(), 0x1987);
+  kept.controller.advance(3000);
+  dropped.controller.advance(3000);
+  dropped.system.vm().release_job(std::numeric_limits<JobId>::max());
+  EXPECT_EQ(dropped.system.state_digest(), kept.system.state_digest());
+  EXPECT_EQ(digest(dropped.controller.take_sample()),
+            digest(kept.controller.take_sample()));
+  EXPECT_EQ(dropped.system.state_digest(), kept.system.state_digest());
 }
 
 // --- Crafted capsules -----------------------------------------------------

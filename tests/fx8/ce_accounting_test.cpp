@@ -2,10 +2,15 @@
 // system measures rest on.
 #include <gtest/gtest.h>
 
+#include "base/rng.hpp"
 #include "fx8/machine.hpp"
 #include "fx8/mmu.hpp"
+#include "instr/session_controller.hpp"
 #include "isa/program.hpp"
+#include "os/system.hpp"
+#include "workload/generator.hpp"
 #include "workload/kernels.hpp"
+#include "workload/presets.hpp"
 
 namespace repro::fx8 {
 namespace {
@@ -98,6 +103,60 @@ TEST(CeAccounting, IcacheSpillsShowAsInstructionTraffic) {
     }
   }
   EXPECT_GT(ifetch_cycles, 0u);
+}
+
+TEST(CeAccounting, WholeRunIdentitiesHold) {
+  // Session 3 on the FX/8 and the FX/64, each with and without one
+  // detached CE per cluster: every access a CE counts reaches the shared
+  // cache, and every CE's cycle taxonomy fits inside its busy time,
+  // which fits inside the run.
+  struct Shape {
+    const char* name;
+    MachineConfig machine;
+    std::uint32_t detached;
+  };
+  const Shape shapes[] = {
+      {"fx8", MachineConfig::fx8(), 0},
+      {"fx8_detached", MachineConfig::fx8(), 1},
+      {"fx64", MachineConfig::fx64(), 0},
+      {"fx64_detached", MachineConfig::fx64(), 1},
+  };
+  instr::SamplingConfig sampling;
+  sampling.interval_cycles = 20000;
+  for (const Shape& shape : shapes) {
+    os::SystemConfig config;
+    config.machine = shape.machine;
+    config.machine.cluster.detached_ces = shape.detached;
+    os::System system(config);
+    workload::WorkloadGenerator generator(workload::session_presets()[2],
+                                          mix64(0x3333));
+    instr::SessionController controller(system, generator, sampling,
+                                        mix64(0x4444));
+    controller.advance(10000);
+    for (int sample = 0; sample < 3; ++sample) {
+      (void)controller.take_sample();
+    }
+    const Machine& machine = system.machine();
+    std::uint64_t ce_accesses = 0;
+    std::uint64_t ce_busy = 0;
+    for (std::uint32_t k = 0; k < machine.n_clusters(); ++k) {
+      const Cluster& cluster = machine.cluster(k);
+      for (CeId lane = 0; lane < cluster.width(); ++lane) {
+        const CeStats& stats = cluster.ce(lane).stats();
+        ce_accesses += stats.mem_accesses;
+        ce_busy += stats.busy_cycles;
+        EXPECT_LE(stats.compute_cycles + stats.miss_wait_cycles +
+                      stats.fault_wait_cycles + stats.xbar_conflict_cycles,
+                  stats.busy_cycles)
+            << shape.name << " CE" << cluster.ce(lane).id();
+        EXPECT_LE(stats.busy_cycles, machine.now())
+            << shape.name << " CE" << cluster.ce(lane).id();
+      }
+    }
+    EXPECT_EQ(ce_accesses, machine.shared_cache().stats().accesses)
+        << shape.name;
+    EXPECT_GT(ce_busy, 0u) << shape.name;
+  }
 }
 
 }  // namespace

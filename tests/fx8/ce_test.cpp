@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
 #include "base/expect.hpp"
@@ -71,12 +70,13 @@ class CeTest : public ::testing::Test {
   mem::MemoryBus bus_;
   cache::SharedCache cache_;
   Crossbar xbar_;
+  CeHot lanes_;
   NoFaultMmu no_fault_;
   Cycle now_ = 0;
 };
 
 TEST_F(CeTest, IdleCeProducesIdleBus) {
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   xbar_.begin_cycle();
   ce.tick();
   EXPECT_TRUE(ce.idle());
@@ -93,7 +93,7 @@ TEST_F(CeTest, PureComputeRunsWithoutBusTraffic) {
   // Actually make it pure compute with a single store-free variant:
   k.stores_per_step = 0;
   k.loads_per_step = 1;
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_EQ(ce.stats().compute_cycles, 50u);
@@ -105,13 +105,13 @@ TEST_F(CeTest, StartWhileLoadedIsContractViolation) {
   isa::KernelSpec k;
   k.steps = 100;
   k.compute_cycles = 4;
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   EXPECT_THROW(ce.start(make_instance(&k)), ContractViolation);
 }
 
 TEST_F(CeTest, TakeCompletedRequiresDone) {
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   EXPECT_THROW(ce.take_completed(), ContractViolation);
 }
 
@@ -120,7 +120,7 @@ TEST_F(CeTest, CompletesAndBecomesReusable) {
   k.steps = 2;
   k.compute_cycles = 1;
   k.loads_per_step = 1;
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   ce.take_completed();
@@ -128,22 +128,6 @@ TEST_F(CeTest, CompletesAndBecomesReusable) {
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_EQ(ce.stats().instances_completed, 2u);
-}
-
-TEST_F(CeTest, MovedCeOutlivesItsOwner) {
-  // A standalone CE's own lanes move with it: once its first owner is
-  // freed, the moved CE must still tick on live state.
-  isa::KernelSpec k;
-  k.steps = 3;
-  k.compute_cycles = 4;
-  k.loads_per_step = 1;
-  auto owner = std::make_unique<Ce>(0, cache_, xbar_, no_fault_);
-  owner->start(make_instance(&k));
-  Ce ce(std::move(*owner));
-  owner.reset();
-  (void)run_to_done(ce);
-  EXPECT_EQ(ce.stats().compute_cycles, 12u);
-  EXPECT_EQ(ce.stats().instances_completed, 1u);
 }
 
 TEST_F(CeTest, StreamingLoadsMissOncePerLine) {
@@ -155,7 +139,7 @@ TEST_F(CeTest, StreamingLoadsMissOncePerLine) {
   k.loads_per_step = 1;
   k.stride_bytes = 8;
   k.working_set_bytes = 64 * 64;  // no wrap within the run
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_EQ(ce.stats().mem_accesses, 64u);
@@ -168,7 +152,7 @@ TEST_F(CeTest, RmwStoresHitAfterLoad) {
   k.compute_cycles = 1;
   k.loads_per_step = 1;
   k.stores_per_step = 1;
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_EQ(ce.stats().mem_accesses, 32u);
@@ -183,7 +167,7 @@ TEST_F(CeTest, MissStallsShowWaitCycles) {
   k.loads_per_step = 1;
   k.stride_bytes = 64;  // every load a new line: all miss
   k.working_set_bytes = 64 * 1024;
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_GT(ce.stats().miss_wait_cycles, 0u);
@@ -196,7 +180,7 @@ TEST_F(CeTest, PageFaultStallsAndRetries) {
   k.compute_cycles = 1;
   k.loads_per_step = 1;
   k.stride_bytes = 8;
-  Ce ce(0, cache_, xbar_, mmu);
+  Ce ce(0, lanes_, cache_, xbar_, mmu);
   ce.start(make_instance(&k));
   const Cycle used = run_to_done(ce);
   EXPECT_EQ(mmu.faults(), 1u);  // all four loads in one page
@@ -212,12 +196,12 @@ TEST_F(CeTest, ExtraStepsLengthenInstance) {
   k.loads_per_step = 0;
   k.stores_per_step = 0;
   k.compute_cycles = 10;  // pure compute
-  Ce short_ce(0, cache_, xbar_, no_fault_);
+  Ce short_ce(0, lanes_, cache_, xbar_, no_fault_);
   KernelInstance inst = make_instance(&k);
   short_ce.start(inst);
   const Cycle short_cycles = run_to_done(short_ce);
 
-  Ce long_ce(1, cache_, xbar_, no_fault_);
+  Ce long_ce(1, lanes_, cache_, xbar_, no_fault_);
   inst.extra_steps = 4;
   long_ce.start(inst);
   const Cycle long_cycles = run_to_done(long_ce);
@@ -233,8 +217,8 @@ TEST_F(CeTest, ComputeJitterIsDeterministicPerKey) {
   k.compute_jitter = 4;
   k.loads_per_step = 0;
   k.stores_per_step = 0;
-  Ce a(0, cache_, xbar_, no_fault_);
-  Ce b(1, cache_, xbar_, no_fault_);
+  Ce a(0, lanes_, cache_, xbar_, no_fault_);
+  Ce b(1, lanes_, cache_, xbar_, no_fault_);
   a.start(make_instance(&k));
   const Cycle ca = run_to_done(a);
   b.start(make_instance(&k));
@@ -250,7 +234,7 @@ TEST_F(CeTest, OversizedCodeGeneratesInstructionFetches) {
   k.stores_per_step = 0;
   k.compute_cycles = 2;
   k.code_bytes = 64 * 1024;  // 4x the icache
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_GT(ce.stats().mem_accesses, 0u);  // ifetches went to shared cache
@@ -263,7 +247,7 @@ TEST_F(CeTest, FittingCodeGeneratesNoInstructionFetches) {
   k.loads_per_step = 0;
   k.stores_per_step = 0;
   k.code_bytes = 8 * 1024;
-  Ce ce(0, cache_, xbar_, no_fault_);
+  Ce ce(0, lanes_, cache_, xbar_, no_fault_);
   ce.start(make_instance(&k));
   (void)run_to_done(ce);
   EXPECT_EQ(ce.stats().mem_accesses, 0u);
@@ -283,12 +267,12 @@ TEST_F(CeTest, HotColdPatternHasFewerMissesThanStreaming) {
   isa::KernelSpec stream = hot;
   stream.pattern = isa::AccessPattern::kStreaming;
 
-  Ce a(0, cache_, xbar_, no_fault_);
+  Ce a(0, lanes_, cache_, xbar_, no_fault_);
   a.start(make_instance(&hot));
   (void)run_to_done(a);
   const std::uint64_t hot_misses = cache_.stats().misses;
 
-  Ce b(1, cache_, xbar_, no_fault_);
+  Ce b(1, lanes_, cache_, xbar_, no_fault_);
   KernelInstance inst = make_instance(&stream);
   inst.data_base = 0x4000000;  // fresh region
   b.start(inst);

@@ -30,7 +30,7 @@ class ClusterTest : public ::testing::Test {
       : memory_(mem::MainMemoryConfig{}),
         bus_(mem::MemoryBusConfig{}, memory_),
         cache_(cache::SharedCacheConfig{}, bus_),
-        cluster_(ClusterConfig{}, cache_, mmu_) {}
+        cluster_(ClusterConfig{}, cache_, mmu_, lanes_, events_) {}
 
   /// Advance machine-style: cluster, then bus, then cache.
   void step() {
@@ -55,6 +55,8 @@ class ClusterTest : public ::testing::Test {
   mem::MemoryBus bus_;
   cache::SharedCache cache_;
   NoFaultMmu mmu_;
+  CeHot lanes_;
+  std::uint64_t events_ = 0;
   Cluster cluster_;
   Cycle now_ = 0;
 };
@@ -223,7 +225,9 @@ TEST_F(ClusterTest, MultiPhaseJobRunsAllPhases) {
 TEST_F(ClusterTest, RotatingPolicyStillCompletesLoops) {
   ClusterConfig config;
   config.policy = ServicePolicy::kRotating;
-  Cluster rotating(config, cache_, mmu_);
+  CeHot lanes;
+  std::uint64_t events = 0;
+  Cluster rotating(config, cache_, mmu_, lanes, events);
   isa::ConcurrentLoopPhase loop;
   loop.trip_count = 50;
   loop.body = tiny_kernel();
@@ -245,7 +249,9 @@ TEST_F(ClusterTest, NarrowClusterWorks) {
   ClusterConfig config;
   config.n_ces = 2;
   config.policy = ServicePolicy::kAscending;
-  Cluster narrow(config, cache_, mmu_);
+  CeHot lanes;
+  std::uint64_t events = 0;
+  Cluster narrow(config, cache_, mmu_, lanes, events);
   isa::ConcurrentLoopPhase loop;
   loop.trip_count = 20;
   loop.body = tiny_kernel();
@@ -281,7 +287,7 @@ struct OrderRig {
       : memory(mem::MainMemoryConfig{}),
         bus(mem::MemoryBusConfig{}, memory),
         cache(cache::SharedCacheConfig{}, bus),
-        cluster(config, cache, mmu) {}
+        cluster(config, cache, mmu, lanes, events) {}
 
   void step() {
     cluster.tick();
@@ -294,6 +300,8 @@ struct OrderRig {
   mem::MemoryBus bus;
   cache::SharedCache cache;
   NoFaultMmu mmu;
+  CeHot lanes;
+  std::uint64_t events = 0;
   Cluster cluster;
   Cycle now = 0;
 };
@@ -395,7 +403,9 @@ TEST_F(ClusterTest, CapsuleRejectsARotationSlotOffTheClock) {
   cluster_.serialize(saver);
   std::vector<std::uint8_t> bytes = saver.bytes();
 
-  Cluster fresh(ClusterConfig{}, cache_, mmu_);
+  CeHot lanes;
+  std::uint64_t events = 0;
+  Cluster fresh(ClusterConfig{}, cache_, mmu_, lanes, events);
   capsule::Io loader = capsule::Io::loader(bytes);
   fresh.serialize(loader);
   fresh.rebind_program(&prog);
