@@ -37,7 +37,7 @@ struct SaturatedMachine {
                   .data_base(0x01000000)
                   .concurrent_loop(loop)
                   .build();
-    machine.cluster().load(&program, 1);
+    machine.cluster().load(program, 1);
     machine.run(2000);  // past dispatch ramp-up, into the steady state
   }
 };
@@ -86,7 +86,7 @@ void BM_WidthTickBlock(benchmark::State& state) {
                            .build());
   }
   for (std::uint32_t i = 0; i < machine.n_clusters(); ++i) {
-    machine.cluster(i).load(&programs[i], i + 1);
+    machine.cluster(i).load(programs[i], i + 1);
   }
   machine.run(2000);  // past dispatch ramp-up, into the steady state
   const Cycle block = 4096;
@@ -109,8 +109,8 @@ BENCHMARK(BM_WidthTickBlock)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 // The shape the studies run at width 64: the scheduler fills clusters
 // lowest-first, so cluster 0 holds a saturated loop while the other seven
 // sit idle. tick_block fixes the live set once per block, so the idle
-// clusters cost one Cluster::skip per block rather than control and peel
-// work every cycle, and the lane selection stops after cluster 0's lanes.
+// clusters cost nothing rather than control and peel work every cycle,
+// and the lane selection stops after cluster 0's lanes.
 void BM_PartialTickBlock(benchmark::State& state) {
   fx8::NoFaultMmu mmu;
   fx8::Machine machine(fx8::MachineConfig::fx64(), mmu);
@@ -122,7 +122,7 @@ void BM_PartialTickBlock(benchmark::State& state) {
                                    .data_base(0x01000000)
                                    .concurrent_loop(loop)
                                    .build();
-  machine.cluster(0).load(&program, 1);
+  machine.cluster(0).load(program, 1);
   machine.run(2000);  // past dispatch ramp-up, into the steady state
   const auto block = static_cast<Cycle>(state.range(0));
   Cycle cycles = 0;

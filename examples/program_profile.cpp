@@ -50,7 +50,7 @@ int main() {
           .serial(workload::scalar_setup_body(tuning), 1)
           .build();
 
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   while (machine.cluster().busy()) {
     machine.tick();
   }

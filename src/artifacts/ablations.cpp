@@ -238,12 +238,12 @@ LoopRun run_loop(Context& ctx, fx8::DispatchPolicy dispatch,
   loop.trip_count = 8 * 12 + 2;
   loop.long_path_prob = 0.25;  // iteration-dependent branching
   loop.long_path_extra_steps = 30;
-  const isa::Program program = isa::ProgramBuilder("dispatch")
-                                   .seed(seed)
-                                   .data_base(0x01000000)
-                                   .concurrent_loop(loop)
-                                   .build();
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(isa::ProgramBuilder("dispatch")
+                             .seed(seed)
+                             .data_base(0x01000000)
+                             .concurrent_loop(loop)
+                             .build(),
+                         1);
   while (machine.cluster().busy()) {
     machine.tick();
   }

@@ -51,13 +51,11 @@ isa::Program saturated_program() {
 struct SaturatedMachine {
   fx8::NoFaultMmu mmu;
   fx8::Machine machine;
-  isa::Program program;
 
   explicit SaturatedMachine(fx8::LanePassFn pass)
       : machine(fx8::MachineConfig::fx8(), mmu) {
     machine.set_lane_pass(pass);
-    program = saturated_program();
-    machine.cluster().load(&program, 1);
+    machine.cluster().load(saturated_program(), 1);
     machine.run(2000);  // past dispatch ramp-up
   }
 };

@@ -19,11 +19,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "base/expect.hpp"
 #include "base/fnv1a.hpp"
 
 namespace repro::capsule {
@@ -44,7 +46,25 @@ class CapsuleError : public std::runtime_error {
 /// added in and no longer carries the fold itself.
 /// v4: no translation memo is walked (a load drops them), and the VM no
 /// longer walks a translation count.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: each cluster walks the programs it runs (the scheduler keeps only
+/// a running job's id and class) and only its real detached slots; the
+/// machine walks its clock and control-event counter once, before the
+/// clusters, which keep no clock of their own; jobs walk only their
+/// submission cycle.
+inline constexpr std::uint32_t kFormatVersion = 5;
+
+/// Run a loaded value's validate() and rethrow a failed check as a
+/// CapsuleError: loaded bytes come from outside, so a value the simulator
+/// could not run marks a corrupt capsule, not a programming error.
+template <typename T>
+void check_loaded(const T& value) {
+  try {
+    value.validate();
+  } catch (const ContractViolation& e) {
+    throw CapsuleError(std::string("capsule: loaded value is invalid: ") +
+                       e.what());
+  }
+}
 
 enum class Mode : std::uint8_t { kSave, kLoad, kDigest };
 
@@ -170,6 +190,24 @@ class Io {
   std::size_t cursor_ = 0;
   std::uint64_t digest_ = base::kFnv1aOffset;
 };
+
+/// Walk an optional as a presence flag, then `walk(*value)` when present.
+/// A load resets `value` and, when the flag is set, walks a
+/// default-constructed one.
+template <typename T, typename Walk>
+void walk_optional(Io& io, std::optional<T>& value, Walk&& walk) {
+  bool present = value.has_value();
+  io.boolean(present);
+  if (io.loading()) {
+    value.reset();
+    if (present) {
+      value.emplace();
+    }
+  }
+  if (present) {
+    walk(*value);
+  }
+}
 
 /// Wrap a payload in the capsule envelope:
 /// magic "FX8CAPS\0" · u32 version · u64 payload size · payload ·

@@ -28,11 +28,11 @@ Cycle run_on_width(const isa::KernelSpec& body, std::uint64_t trip_count,
   isa::ConcurrentLoopPhase loop;
   loop.body = body;
   loop.trip_count = trip_count;
-  const isa::Program program = isa::ProgramBuilder("speedup")
-                                   .data_base(0x01000000)
-                                   .concurrent_loop(loop)
-                                   .build();
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(isa::ProgramBuilder("speedup")
+                             .data_base(0x01000000)
+                             .concurrent_loop(loop)
+                             .build(),
+                         1);
   while (machine.cluster().busy()) {
     machine.tick();
   }

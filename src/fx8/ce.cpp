@@ -21,18 +21,17 @@ Ce::Ce(CeId id, CeHot& lanes, cache::SharedCache& cache, Crossbar& crossbar,
 
 void Ce::start(const KernelInstance& inst) {
   REPRO_EXPECT(idle(), "CE already has an instance loaded");
-  REPRO_EXPECT(inst.spec != nullptr, "instance needs a kernel spec");
   inst_ = inst;
   set_phase(Phase::kStepSetup);
   lanes_.due[id_] = 0;  // Due at once: the machine steps it this cycle.
   resume_phase_ = Phase::kStepSetup;
   step_ = 0;
-  total_steps_ = inst.spec->steps + inst.extra_steps;
+  total_steps_ = inst.spec.steps + inst.extra_steps;
   compute_left_ = 0;
   loads_left_ = 0;
   stores_left_ = 0;
   accesses_done_ = 0;
-  const isa::KernelSpec& k = *inst.spec;
+  const isa::KernelSpec& k = inst.spec;
   const std::uint64_t step_bytes =
       inst.stream_step_bytes == 0 ? k.stride_bytes : inst.stream_step_bytes;
   if (k.working_set_bytes > 0) {
@@ -44,7 +43,7 @@ void Ce::start(const KernelInstance& inst) {
   }
   last_load_addr_ = 0;
   fault_left_ = 0;
-  spill_frac_ = icache_.spill_fraction(inst.spec->code_bytes);
+  spill_frac_ = icache_.spill_fraction(k.code_bytes);
   pending_translated_ = false;
   pending_addr_ = 0;
 }
@@ -82,26 +81,18 @@ void Ce::advance(Cycle cycles) {
 void Ce::take_completed() {
   REPRO_EXPECT(done(), "CE has not completed its instance");
   set_phase(Phase::kIdle);
-  // Drop the spec pointer with the instance: it aims into the job's
-  // program, which the scheduler destroys when the job is reaped, and a
-  // stale pointer here would make the capsule walk read freed memory.
-  inst_.spec = nullptr;
 }
 
 void Ce::serialize(capsule::Io& io) {
-  bool has_spec = inst_.spec != nullptr;
+  // The spec is live from start() to take_completed(): exactly while the
+  // CE is not idle.
+  bool has_spec = !idle();
   io.boolean(has_spec);
   if (has_spec) {
+    inst_.spec.serialize(io);
     if (io.loading()) {
-      owned_spec_ = {};
-      owned_spec_.serialize(io);
-      inst_.spec = &owned_spec_;
-    } else {
-      isa::KernelSpec copy = *inst_.spec;
-      copy.serialize(io);
+      capsule::check_loaded(inst_.spec);
     }
-  } else if (io.loading()) {
-    inst_.spec = nullptr;
   }
   io.u64(inst_.job);
   io.u64(inst_.key);
@@ -135,6 +126,10 @@ void Ce::serialize(capsule::Io& io) {
   Phase p = phase();
   io.enum32(p, CePhase::kDone);
   if (io.loading()) {
+    if (has_spec != (p != Phase::kIdle)) {
+      throw capsule::CapsuleError(
+          "capsule: CE spec flag disagrees with its phase");
+    }
     set_phase(p);
   }
   io.enum32(lanes_.bus_op[id_], mem::CeBusOp::kWait);
@@ -147,7 +142,7 @@ void Ce::serialize(capsule::Io& io) {
 }
 
 void Ce::setup_step() {
-  const isa::KernelSpec& k = *inst_.spec;
+  const isa::KernelSpec& k = inst_.spec;
   const std::uint64_t h =
       mix64(inst_.key + 0x9E3779B97F4A7C15ULL * (step_ + 1));
   std::uint32_t compute = k.compute_cycles;
@@ -170,7 +165,7 @@ void Ce::setup_step() {
 }
 
 Addr Ce::next_data_addr(bool is_store) {
-  const isa::KernelSpec& k = *inst_.spec;
+  const isa::KernelSpec& k = inst_.spec;
   if (is_store && k.loads_per_step > 0) {
     // Stores are read-modify-write of the most recently loaded datum, so
     // they nearly always hit (possibly upgrading Shared -> Unique).
@@ -283,7 +278,7 @@ void Ce::tick() {
           pending_is_ifetch_ = true;
           pending_addr_ = inst_.code_base +
                           (static_cast<std::uint64_t>(step_) * 64) %
-                              inst_.spec->code_bytes;
+                              inst_.spec.code_bytes;
           pending_translated_ = false;
           set_phase(Phase::kIFetch);
         } else {

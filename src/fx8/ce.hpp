@@ -34,9 +34,10 @@
 
 namespace repro::fx8 {
 
-/// Everything needed to run one execution of a kernel.
+/// Everything needed to run one execution of a kernel. A started CE keeps
+/// its own copy, spec included, so it depends on no program's storage.
 struct KernelInstance {
-  const isa::KernelSpec* spec = nullptr;
+  isa::KernelSpec spec;
   JobId job = 0;
   /// Deterministic key: all per-step randomness hashes off this.
   std::uint64_t key = 0;
@@ -178,9 +179,10 @@ class Ce {
   /// tick_block returns.
   [[nodiscard]] const CeStats& stats() const { return stats_; }
 
-  /// Capsule walk over the CE's state, the loaded kernel instance (the
-  /// spec travels by value; a loaded CE runs from its own copy), and its
-  /// bus opcode lane.
+  /// Capsule walk over the CE's state, the loaded kernel instance (spec
+  /// included while the CE is not idle), and its bus opcode lane. A load
+  /// validates the spec and throws capsule::CapsuleError on one the CE
+  /// could not run.
   void serialize(capsule::Io& io);
 
  private:
@@ -257,12 +259,6 @@ class Ce {
   bool pending_is_ifetch_ = false;
   Addr pending_addr_ = 0;
   bool pending_translated_ = false;  ///< Fault check already done.
-
-  /// Backing storage for inst_.spec after a capsule load: the original
-  /// spec lives inside scheduler-owned program storage that a freshly
-  /// loaded System does not share, so the CE keeps its own copy (the
-  /// interpreter only ever reads spec contents, never its address).
-  isa::KernelSpec owned_spec_;
 };
 
 }  // namespace repro::fx8

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "base/expect.hpp"
 #include "base/rng.hpp"
@@ -44,15 +45,23 @@ std::uint64_t stream_bytes_per_instance(const isa::KernelSpec& k) {
   return accesses * k.stride_bytes;
 }
 
+/// A loaded phase index must name one of its program's phases.
+void check_phase_index(const std::optional<isa::Program>& program,
+                       std::size_t phase_idx) {
+  if (program && phase_idx >= program->phases.size()) {
+    throw capsule::CapsuleError("capsule: phase index past the program");
+  }
+}
+
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
                  Mmu& mmu, CeHot& lanes, std::uint64_t& events,
-                 CeId ce_base)
+                 const Cycle& now, CeId ce_base)
     : config_(config), ce_base_(ce_base),
       crossbar_(cache.config().banks),
       base_order_(make_order(config.policy, config.n_ces)),
-      ce_hot_(lanes), events_(events) {
+      ce_hot_(lanes), events_(events), clock_(now) {
   REPRO_EXPECT(config.n_ces >= 1 && config.n_ces <= kMaxCes,
                "cluster width must be 1..8");
   REPRO_EXPECT(config.detached_ces < config.n_ces,
@@ -89,7 +98,7 @@ void Cluster::refresh_service_order() {
   if (config_.policy != ServicePolicy::kRotating || service_count_ == 0) {
     return;
   }
-  const auto rot = static_cast<std::uint32_t>(now_ % service_count_);
+  const auto rot = static_cast<std::uint32_t>(clock_ % service_count_);
   for (std::uint32_t i = 0; i < service_count_; ++i) {
     const CeId c = base_order_[(i + rot) % service_count_];
     service_order_[i] = c;
@@ -112,23 +121,22 @@ CeId Cluster::detached_ce(std::uint32_t slot) const {
 
 bool Cluster::detached_busy(std::uint32_t slot) const {
   REPRO_EXPECT(slot < config_.detached_ces, "detached slot out of range");
-  return detached_[slot].program != nullptr;
+  return detached_[slot].program.has_value();
 }
 
-void Cluster::load_detached(std::uint32_t slot, const isa::Program* program,
+void Cluster::load_detached(std::uint32_t slot, isa::Program program,
                             JobId job) {
   REPRO_EXPECT(!detached_busy(slot), "detached slot already has a job");
-  REPRO_EXPECT(program != nullptr, "cannot load a null program");
-  program->validate();
-  REPRO_EXPECT(!program->has_concurrency(),
+  program.validate();
+  REPRO_EXPECT(!program.has_concurrency(),
                "detached processes are exclusively serial");
-  detached_[slot] = DetachedJob{program, job, 0, 0};
+  detached_[slot] = DetachedJob{std::move(program), job, 0, 0};
   detached_live_ |= 1u << slot;
 }
 
 void Cluster::run_detached(std::uint32_t slot) {
   DetachedJob& detached = detached_[slot];
-  if (detached.program == nullptr) {
+  if (!detached.program) {
     return;
   }
   Ce& ce = ces_[detached_ce(slot)];
@@ -146,7 +154,7 @@ void Cluster::run_detached(std::uint32_t slot) {
     detached.reps_done = 0;
     ++detached.phase_idx;
     if (detached.phase_idx >= detached.program->phases.size()) {
-      detached.program = nullptr;
+      detached.program.reset();
       detached_live_ &= ~(1u << slot);
       ++stats_.jobs_completed;
       ++events_;
@@ -156,7 +164,7 @@ void Cluster::run_detached(std::uint32_t slot) {
   const auto& current = std::get<isa::SerialPhase>(
       detached.program->phases[detached.phase_idx]);
   KernelInstance inst;
-  inst.spec = &current.body;
+  inst.spec = current.body;
   inst.job = detached.job;
   inst.key = mix64(detached.program->seed ^
                    (static_cast<std::uint64_t>(detached.phase_idx) << 40) ^
@@ -170,11 +178,10 @@ void Cluster::run_detached(std::uint32_t slot) {
   ces_[detached_ce(slot)].start(inst);
 }
 
-void Cluster::load(const isa::Program* program, JobId job) {
+void Cluster::load(isa::Program program, JobId job) {
   REPRO_EXPECT(!busy(), "cluster already has a job loaded");
-  REPRO_EXPECT(program != nullptr, "cannot load a null program");
-  program->validate();
-  program_ = program;
+  program.validate();
+  program_ = std::move(program);
   job_ = job;
   phase_idx_ = 0;
   serial_reps_done_ = 0;
@@ -184,7 +191,7 @@ void Cluster::load(const isa::Program* program, JobId job) {
   executing_ = 0;
   deps_waiting_ = 0;
   if (observer_) {
-    observer_->on_job_start(job_, now_);
+    observer_->on_job_start(job_, clock_);
   }
 }
 
@@ -200,32 +207,20 @@ Addr Cluster::code_base_for_phase() const {
 }
 
 void Cluster::serialize(capsule::Io& io) {
-  if (io.loading()) {
-    needs_program_rebind_ = false;
-    detached_rebind_mask_ = 0;
-    detached_live_ = 0;
-  }
+  const auto walk_program = [&io](isa::Program& p) { p.serialize(io); };
   crossbar_.serialize(io);
   ccb_.serialize(io);
   for (Ce& ce : ces_) {
     ce.serialize(io);
   }
-  // The service-order rotation is the clock, but keeps its own capsule
-  // slot; a load holds the slot to the loaded clock.
-  Cycle rotation = now_;
-  io.u64(rotation);
-  bool busy_flag = program_ != nullptr;
-  io.boolean(busy_flag);
-  if (io.loading()) {
-    program_ = nullptr;
-    needs_program_rebind_ = busy_flag;
-  }
+  capsule::walk_optional(io, program_, walk_program);
   io.u64(job_);
   auto phase_idx = static_cast<std::uint64_t>(phase_idx_);
   io.u64(phase_idx);
   phase_idx_ = static_cast<std::size_t>(phase_idx);
+  check_phase_index(program_, phase_idx_);
   io.u64(serial_reps_done_);
-  io.u32(serial_ce_);
+  io.u32_in(serial_ce_, 0, cluster_width() - 1);
   io.boolean(in_loop_);
   io.boolean(in_serial_phase_);
   for (WorkerState& worker : worker_) {
@@ -242,21 +237,24 @@ void Cluster::serialize(capsule::Io& io) {
   for (std::uint64_t& iter : worker_iter_) {
     io.u64(iter);
   }
-  for (std::uint32_t slot = 0; slot < kMaxCes; ++slot) {
+  if (io.loading()) {
+    detached_live_ = 0;
+  }
+  for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
     DetachedJob& detached = detached_[slot];
-    bool slot_busy = detached.program != nullptr;
-    io.boolean(slot_busy);
-    if (io.loading()) {
-      detached.program = nullptr;
-      if (slot_busy) {
-        detached_rebind_mask_ |= 1u << slot;
-        detached_live_ |= 1u << slot;
+    capsule::walk_optional(io, detached.program, walk_program);
+    if (io.loading() && detached.program) {
+      if (detached.program->has_concurrency()) {
+        throw capsule::CapsuleError(
+            "capsule: detached program has a concurrent phase");
       }
+      detached_live_ |= 1u << slot;
     }
     io.u64(detached.job);
     auto detached_phase = static_cast<std::uint64_t>(detached.phase_idx);
     io.u64(detached_phase);
     detached.phase_idx = static_cast<std::size_t>(detached_phase);
+    check_phase_index(detached.program, detached.phase_idx);
     io.u64(detached.reps_done);
   }
   io.u64(stats_.jobs_completed);
@@ -265,46 +263,21 @@ void Cluster::serialize(capsule::Io& io) {
   io.u64(stats_.serial_reps_completed);
   io.u64(stats_.dependence_wait_cycles);
   io.u32(deps_waiting_);
-  io.u64(events_);
-  io.u64(now_);
   if (io.loading()) {
-    if (rotation != now_) {
-      throw capsule::CapsuleError(
-          "capsule: cluster rotation slot disagrees with its clock");
-    }
-    // Lane horizons do not travel: every loaded lane is exact at now_
-    // and records its own from its loaded state.
+    // Lane horizons do not travel: every loaded lane is exact at the
+    // clock, which the owner's walk loaded first, and records its own
+    // from its loaded state.
     for (Ce& ce : ces_) {
-      ce.resync(now_);
+      ce.resync(clock_);
     }
   }
-}
-
-void Cluster::rebind_program(const isa::Program* program) {
-  REPRO_EXPECT(needs_program_rebind_, "no cluster program rebind pending");
-  REPRO_EXPECT(program != nullptr, "cannot rebind a null program");
-  program_ = program;
-  needs_program_rebind_ = false;
-}
-
-bool Cluster::detached_needs_rebind(std::uint32_t slot) const {
-  REPRO_EXPECT(slot < config_.detached_ces, "detached slot out of range");
-  return ((detached_rebind_mask_ >> slot) & 1u) != 0;
-}
-
-void Cluster::rebind_detached_program(std::uint32_t slot,
-                                      const isa::Program* program) {
-  REPRO_EXPECT(detached_needs_rebind(slot), "no detached rebind pending");
-  REPRO_EXPECT(program != nullptr, "cannot rebind a null program");
-  detached_[slot].program = program;
-  detached_rebind_mask_ &= ~(1u << slot);
 }
 
 void Cluster::finish_job() {
   if (observer_) {
-    observer_->on_job_end(job_, now_);
+    observer_->on_job_end(job_, clock_);
   }
-  program_ = nullptr;
+  program_.reset();
   job_ = 0;
   ++stats_.jobs_completed;
   ++events_;
@@ -315,7 +288,7 @@ void Cluster::run_serial_phase(const isa::SerialPhase& phase) {
     in_serial_phase_ = true;
     if (observer_) {
       observer_->on_serial_phase_start(
-          job_, static_cast<std::uint32_t>(phase_idx_), now_);
+          job_, static_cast<std::uint32_t>(phase_idx_), clock_);
     }
   }
   Ce& ce = ces_[serial_ce_];
@@ -332,7 +305,7 @@ void Cluster::run_serial_phase(const isa::SerialPhase& phase) {
     in_serial_phase_ = false;
     if (observer_) {
       observer_->on_serial_phase_end(
-          job_, static_cast<std::uint32_t>(phase_idx_), now_);
+          job_, static_cast<std::uint32_t>(phase_idx_), clock_);
     }
     ++phase_idx_;
     if (phase_idx_ >= program_->phases.size()) {
@@ -341,7 +314,7 @@ void Cluster::run_serial_phase(const isa::SerialPhase& phase) {
     return;
   }
   KernelInstance inst;
-  inst.spec = &phase.body;
+  inst.spec = phase.body;
   inst.job = job_;
   inst.key = phase_key(0xABCD0000ULL + serial_reps_done_);
   inst.data_base = program_->data_base;
@@ -365,10 +338,10 @@ bool Cluster::iteration_has_dependence(const isa::ConcurrentLoopPhase& loop,
 void Cluster::start_iteration(CeId ce_id, const isa::ConcurrentLoopPhase& loop,
                               std::uint64_t iter) {
   if (observer_) {
-    observer_->on_iteration_start(job_, iter, ce_id, now_);
+    observer_->on_iteration_start(job_, iter, ce_id, clock_);
   }
   KernelInstance inst;
-  inst.spec = &loop.body;
+  inst.spec = loop.body;
   inst.job = job_;
   inst.key = phase_key(0x17E40000ULL) ^ mix64(iter);
   inst.data_base = program_->data_base;
@@ -401,7 +374,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
     deps_waiting_ = 0;
     if (observer_) {
       observer_->on_loop_start(job_, static_cast<std::uint32_t>(phase_idx_),
-                               phase.trip_count, now_);
+                               phase.trip_count, clock_);
     }
   }
 
@@ -426,7 +399,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
       ce.take_completed();
       ccb_.mark_complete(worker_iter_[c]);
       if (observer_) {
-        observer_->on_iteration_end(job_, worker_iter_[c], c, now_);
+        observer_->on_iteration_end(job_, worker_iter_[c], c, clock_);
       }
       ++stats_.iterations_completed;
       worker_[c] = WorkerState::kNone;
@@ -466,7 +439,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
     ++stats_.loops_completed;
     if (observer_) {
       observer_->on_loop_end(job_, static_cast<std::uint32_t>(phase_idx_),
-                             now_);
+                             clock_);
     }
     ++phase_idx_;
     if (phase_idx_ >= program_->phases.size()) {
@@ -498,14 +471,13 @@ void Cluster::advance_control() {
 }
 
 void Cluster::tick_control() {
-  if (program_ == nullptr && detached_live_ == 0) {
+  if (!lanes_live()) {
     // Idle cluster (reached only through the standalone tick();
-    // Machine::tick_block advances idle clusters with skip()): control
-    // has provably nothing to do, every lane is parked, and the crossbar
+    // Machine::tick_block leaves idle clusters out): control has
+    // provably nothing to do, every lane is parked, and the crossbar
     // grant word is already clear (the last access any lane issued was
     // followed by a live-cluster cycle whose begin_cycle reset it before
-    // the cluster could drain). Only the clock advances.
-    ++now_;
+    // the cluster could drain).
     return;
   }
   if (rotating_) {
@@ -521,16 +493,11 @@ void Cluster::tick_control() {
       run_detached(slot);
     }
   }
-  // Nothing between here and the lane ticks reads the clock:
-  // refresh_service_order above and the observers during control have
-  // used it, so it pre-increments for the next cycle.
-  ++now_;
 }
 
 void Cluster::tick() {
-  const Cycle now = now_;
   tick_control();
-  tick_peel(lanes_mask_, now);
+  tick_peel(lanes_mask_, clock_);
 }
 
 void Cluster::tick_peel(LaneMask lanes, Cycle now) {
@@ -590,7 +557,7 @@ bool Cluster::control_due() const {
   }
   if (detached_live_ != 0) {
     for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
-      if (detached_[slot].program == nullptr) {
+      if (!detached_[slot].program) {
         continue;
       }
       const Ce& ce = ces_[detached_ce(slot)];
@@ -604,10 +571,7 @@ bool Cluster::control_due() const {
 
 void Cluster::skip(Cycle cycles) {
   if (!lanes_live()) {
-    // Idle: every lane is parked, so only the clock moves — what each
-    // idle tick_control() would do.
-    now_ += cycles;
-    return;
+    return;  // Every lane is parked: an idle tick changes nothing.
   }
   for (Ce& ce : ces_) {
     ce.skip(cycles);
@@ -624,7 +588,6 @@ void Cluster::skip(Cycle cycles) {
     }
     stats_.dependence_wait_cycles += waiting * cycles;
   }
-  now_ += cycles;
 }
 
 std::uint32_t Cluster::active_mask() const {
@@ -633,7 +596,7 @@ std::uint32_t Cluster::active_mask() const {
   // though they are exclusively serial — the Figure-3 footnote's
   // measurement caveat.
   for (std::uint32_t slot = 0; slot < config_.detached_ces; ++slot) {
-    if (detached_[slot].program != nullptr) {
+    if (detached_[slot].program) {
       mask |= 1u << detached_ce(slot);
     }
   }

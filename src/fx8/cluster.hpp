@@ -12,10 +12,16 @@
 // ties. The default order favours CE7 and CE0, the asymmetry the paper
 // observed in transition periods (Figure 7); an evenly rotating order is
 // available as the ablation.
+//
+// A cluster owns the programs it runs (its job's and each busy detached
+// slot's) and writes them in its capsule walk. It keeps no clock: it
+// reads its owner's, as it shares its owner's lanes and control-event
+// counter, and the owner's walk writes those once.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "base/types.hpp"
@@ -91,20 +97,25 @@ class Cluster {
   /// probe channels) while every cluster-internal structure stays
   /// lane-indexed 0..n_ces-1. Single-cluster machines and standalone
   /// tests keep the default 0, where lane == global id. `lanes` is the
-  /// CeHot block the cluster's CEs share and `events` the control-event
-  /// counter every cluster of a machine bumps; the owner keeps both.
+  /// CeHot block the cluster's CEs share, `events` the control-event
+  /// counter every cluster of a machine bumps, and `now` the clock the
+  /// cluster reads (timestamps, the kRotating order); the owner keeps
+  /// all three and advances the clock.
   Cluster(const ClusterConfig& config, cache::SharedCache& cache, Mmu& mmu,
-          CeHot& lanes, std::uint64_t& events, CeId ce_base = 0);
+          CeHot& lanes, std::uint64_t& events, const Cycle& now,
+          CeId ce_base = 0);
 
-  /// Load a job onto the cluster. Requires !busy().
-  void load(const isa::Program* program, JobId job);
+  /// Load a job onto the cluster, which owns its program until the job
+  /// finishes. Requires !busy().
+  void load(isa::Program program, JobId job);
 
   /// True while a job is loaded and unfinished.
-  [[nodiscard]] bool busy() const { return program_ != nullptr; }
+  [[nodiscard]] bool busy() const { return program_.has_value(); }
 
-  /// Advance one cycle (program control, CCB, crossbar, all CEs):
-  /// tick_control() then tick_peel() over every lane. For standalone
-  /// clusters; a machine ticks its clusters through Machine::tick_block.
+  /// Advance the cycle the owner's clock reads (program control, CCB,
+  /// crossbar, all CEs): tick_control() then tick_peel() over every
+  /// lane. For standalone clusters, whose owner then moves the clock; a
+  /// machine ticks its clusters through Machine::tick_block.
   void tick();
 
   /// The control half of tick(): service-order refresh, crossbar/CCB
@@ -133,10 +144,10 @@ class Cluster {
   /// itself and only the CEs can change, on the cycles their lanes
   /// record (CeHot::due). See docs/parallel_execution.md.
   [[nodiscard]] bool control_due() const;
-  /// Bulk-apply `cycles` ticks of quiet behaviour: advances every CE,
-  /// accumulates dependence-wait cycles, and moves the cluster clock.
-  /// Requires !control_due() and cycles within every member CE's quiet
-  /// horizon.
+  /// Bulk-apply `cycles` ticks of quiet behaviour: advances every CE and
+  /// accumulates dependence-wait cycles (an idle cluster has nothing to
+  /// advance). Requires !control_due() and cycles within every member
+  /// CE's quiet horizon.
   void skip(Cycle cycles);
 
   /// Bitmask of CEs "active" in the paper's CCB-probe sense: executing
@@ -171,13 +182,13 @@ class Cluster {
 
   /// True while the cluster has any work (a cluster job or a live
   /// detached slot). While false, every lane is parked — phases
-  /// kIdle/kDone with bus opcodes already latched kIdle — so
-  /// Machine::tick_block leaves the cluster out of its live set (no
-  /// control, lane selection or peel work) and advances it with one
-  /// skip() per block, without changing a byte of state. Only
-  /// load()/load_detached() set it, and only a control event clears it.
+  /// kIdle/kDone with bus opcodes already latched kIdle — so ticking the
+  /// cluster changes no byte of its state and Machine::tick_block leaves
+  /// it out of its live set (no control, lane selection or peel work).
+  /// Only load()/load_detached() set it, and only a control event clears
+  /// it.
   [[nodiscard]] bool lanes_live() const {
-    return program_ != nullptr || detached_live_ != 0;
+    return program_.has_value() || detached_live_ != 0;
   }
   /// One past this cluster's highest global CE id (the lane-selection
   /// prefix bound tick_block takes the max of over live clusters).
@@ -194,33 +205,25 @@ class Cluster {
   /// The CE a detached slot owns (slot 0 = highest CE id).
   [[nodiscard]] CeId detached_ce(std::uint32_t slot) const;
   [[nodiscard]] bool detached_busy(std::uint32_t slot) const;
-  /// Run an exclusively-serial program on a detached CE. Requires a free
-  /// slot and a program with no concurrent phases.
-  void load_detached(std::uint32_t slot, const isa::Program* program,
-                     JobId job);
+  /// Run an exclusively-serial program on a detached CE, which owns it
+  /// until the job finishes. Requires a free slot and a program with no
+  /// concurrent phases.
+  void load_detached(std::uint32_t slot, isa::Program program, JobId job);
 
   // --- Capsules -------------------------------------------------------
-  /// Capsule walk over the cluster's runtime state. Program pointers
-  /// travel as busy flags: loading leaves them null with a rebind
-  /// pending, and the program's owner (the scheduler, which serializes
-  /// after the machine) re-attaches its storage via the rebind calls.
+  /// Capsule walk over the cluster's runtime state, the running program
+  /// and each busy detached slot's program included; the clock and the
+  /// control-event counter belong to the owner's walk, which must run
+  /// the clock first (a load resyncs the lanes to it). A load validates
+  /// every program it installs and throws capsule::CapsuleError on one
+  /// the cluster could not run.
   void serialize(capsule::Io& io);
-
-  /// True after a capsule load until rebind_program() re-attaches the
-  /// running cluster job's program storage.
-  [[nodiscard]] bool needs_program_rebind() const {
-    return needs_program_rebind_;
-  }
-  void rebind_program(const isa::Program* program);
-  [[nodiscard]] bool detached_needs_rebind(std::uint32_t slot) const;
-  void rebind_detached_program(std::uint32_t slot,
-                               const isa::Program* program);
 
  private:
   enum class WorkerState : std::uint8_t { kNone, kAwaitingDep, kExecuting };
 
   struct DetachedJob {
-    const isa::Program* program = nullptr;
+    std::optional<isa::Program> program;
     JobId job = 0;
     std::size_t phase_idx = 0;
     std::uint64_t reps_done = 0;
@@ -252,7 +255,7 @@ class Cluster {
   bool rotating_ = false;
   std::vector<CeId> base_order_;
   /// This cycle's service order: positions 0..service_count_-1 hold the
-  /// service lanes (base_order_, rotated by now_ for kRotating and
+  /// service lanes (base_order_, rotated by the clock for kRotating and
   /// refreshed once per live tick), and the positions after them the
   /// detached lanes by slot (slot 0 = highest CE id first). Position order is the order the
   /// peel steps lanes and control services workers in.
@@ -263,7 +266,7 @@ class Cluster {
   std::array<std::uint8_t, kMaxCes> service_pos_{};
   std::uint32_t service_count_ = 0;
 
-  const isa::Program* program_ = nullptr;
+  std::optional<isa::Program> program_;
   JobId job_ = 0;
   std::size_t phase_idx_ = 0;
   std::uint64_t serial_reps_done_ = 0;
@@ -279,9 +282,6 @@ class Cluster {
   std::uint32_t executing_ = 0;
 
   std::array<DetachedJob, kMaxCes> detached_{};
-  /// Set by a capsule load while program pointers await re-attachment.
-  bool needs_program_rebind_ = false;
-  std::uint32_t detached_rebind_mask_ = 0;
 
   ClusterStats stats_;
   /// The CeHot block the cluster's CEs share, indexed by global CE id,
@@ -303,11 +303,11 @@ class Cluster {
   std::uint32_t deps_waiting_ = 0;
   /// Control-event counter, shared by every cluster of a machine.
   std::uint64_t& events_;
+  /// The owner's clock (Machine::now() in a machine): the cycle being
+  /// ticked, which timestamps marker events and turns the kRotating
+  /// service order.
+  const Cycle& clock_;
   ClusterObserver* observer_ = nullptr;
-  /// Cluster-local clock; advances with tick(), timestamps marker events
-  /// and turns the kRotating service order (equals Machine::now() when
-  /// ticked by the machine).
-  Cycle now_ = 0;
 };
 
 }  // namespace repro::fx8

@@ -86,7 +86,7 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   clusters_.reserve(topology_.n_clusters);
   for (std::uint32_t i = 0; i < topology_.n_clusters; ++i) {
     clusters_.push_back(std::make_unique<Cluster>(
-        cluster_config, *shared_cache_, mmu, lanes_, control_events_,
+        cluster_config, *shared_cache_, mmu, lanes_, control_events_, now_,
         /*ce_base=*/i * topology_.ces_per_cluster));
     if (fabric_) {
       clusters_.back()->crossbar().attach_fabric(fabric_.get());
@@ -165,6 +165,10 @@ void Machine::run(Cycle cycles) {
 }
 
 void Machine::serialize(capsule::Io& io) {
+  // The clock and the control-event counter the clusters share go first:
+  // a cluster's load resyncs its lanes to the loaded clock.
+  io.u64(now_);
+  io.u64(control_events_);
   memory_->serialize(io);
   membus_->serialize(io);
   shared_cache_->serialize(io);
@@ -182,9 +186,6 @@ void Machine::serialize(capsule::Io& io) {
   for (Ip& ip : ips_) {
     ip.serialize(io);
   }
-  // control_events_ travels inside Cluster::serialize (the clusters share
-  // that counter); the machine clock is the one field left.
-  io.u64(now_);
 }
 
 Cycle Machine::tick_block(Cycle max_cycles) {
@@ -211,11 +212,11 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   // loads a cluster, and a cluster goes idle only on a control event,
   // which ends the block at the end of that cycle. An idle cluster's
   // lanes are parked with their bus opcodes already latched kIdle, so
-  // they need neither control nor peel: one Cluster::skip at block end
-  // advances its counters. The selection stops at the highest live lane
-  // (the scheduler fills clusters lowest-first); a lane above it can
-  // never be due or hold a pending fill — either would keep its cluster
-  // live.
+  // they need neither control nor peel, nor anything at block end: a
+  // cluster reads the machine clock. The selection stops at the highest
+  // live lane (the scheduler fills clusters lowest-first); a lane above
+  // it can never be due or hold a pending fill — either would keep its
+  // cluster live.
   std::uint64_t live = 0;
   std::uint32_t live_lanes = 0;
   for (std::size_t k = 0; k < clusters_.size(); ++k) {
@@ -256,12 +257,8 @@ Cycle Machine::tick_block(Cycle max_cycles) {
       break;
     }
   }
-  for (std::size_t k = 0; k < clusters_.size(); ++k) {
-    if (((live >> k) & 1u) != 0) {
-      clusters_[k]->catch_up(now_);
-    } else {
-      clusters_[k]->skip(done);
-    }
+  for (std::uint64_t m = live; m != 0; m &= m - 1) {
+    clusters_[lowest_bit(m)]->catch_up(now_);
   }
   return done;
 }

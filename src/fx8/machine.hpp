@@ -68,10 +68,10 @@ class Machine {
   /// Advance up to `max_cycles` cycles through the machine's one cycle
   /// loop, stopping early at the end of the cycle that completes a
   /// cluster or detached job (a control event the OS layer reacts to).
-  /// The loop works only on the clusters live at entry; idle ones catch
-  /// up with one Cluster::skip when the block ends. Inside the loop a CE
-  /// steps only when its quiet horizon runs out (fx8/lane_kernel.hpp);
-  /// every live lane catches up before the call returns.
+  /// The loop works only on the clusters live at entry; idle ones have
+  /// nothing to advance. Inside the loop a CE steps only when its quiet
+  /// horizon runs out (fx8/lane_kernel.hpp); every live lane catches up
+  /// before the call returns.
   /// Returns the number of cycles actually advanced (>= 1 when
   /// max_cycles >= 1). Bit-identical to calling tick() that many times;
   /// the caller must guarantee no OS/workload action is due during the
@@ -152,9 +152,11 @@ class Machine {
     return mask;
   }
 
-  /// Capsule walk over the full machine: memory, buses, caches, cluster,
-  /// IPs, and the machine clock. Program pointers inside the cluster
-  /// travel as rebind-pending flags (see Cluster::serialize).
+  /// Capsule walk over the full machine: the clock and the control-event
+  /// counter first (each walked once; the clusters read both, and a
+  /// cluster's load resyncs its lanes to the clock), then memory, buses,
+  /// caches, the clusters with the programs they run, the fabric and the
+  /// IPs.
   void serialize(capsule::Io& io);
 
   /// How tick_block selects the lanes to step each cycle
@@ -186,6 +188,7 @@ class Machine {
   /// it, so the scheduler's next tick runs naively, exactly as lockstep
   /// ticking would.
   std::uint64_t control_events_ = 0;
+  /// The one clock: every cluster reads it by reference.
   Cycle now_ = 0;
 };
 

@@ -90,6 +90,7 @@ struct Program {
   [[nodiscard]] bool has_concurrency() const;
 
   /// Capsule walk: phase list (with variant discriminants) and scalars.
+  /// A load validates the program (capsule::CapsuleError if invalid).
   void serialize(capsule::Io& io) {
     io.str(name);
     const std::uint64_t count = io.extent(phases.size());
@@ -112,6 +113,9 @@ struct Program {
     }
     io.u64(data_base);
     io.u64(seed);
+    if (io.loading()) {
+      capsule::check_loaded(*this);
+    }
   }
 };
 

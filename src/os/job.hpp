@@ -27,8 +27,6 @@ struct Job {
   JobClass cls = JobClass::kCluster;
   isa::Program program;
   Cycle submitted_at = 0;
-  Cycle started_at = 0;
-  Cycle finished_at = 0;
 };
 
 }  // namespace repro::os

@@ -45,8 +45,7 @@ void Scheduler::tick(Cycle now) {
   for (std::uint32_t slot = 0; slot < detached_running_.size(); ++slot) {
     if (detached_running_[slot] &&
         !machine_.cluster(slot / per).detached_busy(slot % per)) {
-      detached_running_[slot]->finished_at = now;
-      vm_.release_job(detached_running_[slot]->id);
+      vm_.release_job(*detached_running_[slot]);
       counters_.increment(KernelCounter::kJobsCompleted);
       ++stats_.jobs_completed;
       ++stats_.serial_jobs_completed;
@@ -67,20 +66,17 @@ void Scheduler::tick(Cycle now) {
     }
     Job job = std::move(*candidate);
     queue_.erase(candidate);
-    job.started_at = now;
     stats_.total_wait_cycles += now - job.submitted_at;
     counters_.increment(KernelCounter::kContextSwitches);
-    detached_running_[slot] = std::move(job);
+    detached_running_[slot] = job.id;
     machine_.cluster(slot / per).load_detached(
-        slot % per, &detached_running_[slot]->program,
-        detached_running_[slot]->id);
+        slot % per, std::move(job.program), job.id);
   }
 
   // Reap drained cluster jobs.
   for (std::uint32_t k = 0; k < running_.size(); ++k) {
-    std::optional<Job>& running = running_[k];
+    std::optional<Running>& running = running_[k];
     if (running && !machine_.cluster(k).busy()) {
-      running->finished_at = now;
       vm_.release_job(running->id);
       counters_.increment(KernelCounter::kJobsCompleted);
       ++stats_.jobs_completed;
@@ -95,11 +91,11 @@ void Scheduler::tick(Cycle now) {
   // Start the next ones (cluster 0 first, matching hardware priority).
   for (std::uint32_t k = 0; k < running_.size(); ++k) {
     if (!running_[k] && !queue_.empty()) {
-      running_[k] = pop_next();
-      running_[k]->started_at = now;
-      stats_.total_wait_cycles += now - running_[k]->submitted_at;
+      Job job = pop_next();
+      stats_.total_wait_cycles += now - job.submitted_at;
       counters_.increment(KernelCounter::kContextSwitches);
-      machine_.cluster(k).load(&running_[k]->program, running_[k]->id);
+      running_[k] = Running{job.id, job.cls};
+      machine_.cluster(k).load(std::move(job.program), job.id);
     }
   }
 }
@@ -134,47 +130,30 @@ Cycle Scheduler::quiet_horizon() const {
 }
 
 void Scheduler::serialize(capsule::Io& io) {
-  const auto job = [&io](Job& j) {
-    io.u64(j.id);
-    io.enum32(j.cls, JobClass::kSerialDetached);
-    j.program.serialize(io);
-    io.u64(j.submitted_at);
-    io.u64(j.started_at);
-    io.u64(j.finished_at);
-  };
-  const auto optional_job = [&io, &job](std::optional<Job>& slot) {
-    bool present = slot.has_value();
-    io.boolean(present);
-    if (io.loading()) {
-      slot.reset();
-      if (present) {
-        slot.emplace();
-      }
-    }
-    if (present) {
-      job(*slot);
-    }
-  };
-
   const std::uint64_t depth = io.extent(queue_.size());
   if (io.loading()) {
     queue_.assign(static_cast<std::size_t>(depth), Job{});
   }
   for (Job& queued : queue_) {
-    job(queued);
+    io.u64(queued.id);
+    io.enum32(queued.cls, JobClass::kSerialDetached);
+    queued.program.serialize(io);
+    io.u64(queued.submitted_at);
   }
   // One slot per cluster, no extent: the slot count is structural (it
-  // must match the machine), so the single-cluster stream stays
-  // byte-identical to the pre-topology one-optional walk.
-  for (std::optional<Job>& running : running_) {
-    optional_job(running);
+  // must match the machine).
+  for (std::optional<Running>& running : running_) {
+    capsule::walk_optional(io, running, [&io](Running& r) {
+      io.u64(r.id);
+      io.enum32(r.cls, JobClass::kSerialDetached);
+    });
   }
   const std::uint64_t detached = io.extent(detached_running_.size());
   if (io.loading() && detached != detached_running_.size()) {
     throw capsule::CapsuleError("capsule: detached slot count mismatch");
   }
-  for (std::optional<Job>& slot : detached_running_) {
-    optional_job(slot);
+  for (std::optional<JobId>& slot : detached_running_) {
+    capsule::walk_optional(io, slot, [&io](JobId& id) { io.u64(id); });
   }
   io.u64(stats_.jobs_completed);
   io.u64(stats_.cluster_jobs_completed);
@@ -182,29 +161,22 @@ void Scheduler::serialize(capsule::Io& io) {
   io.u64(stats_.total_wait_cycles);
 
   if (io.loading()) {
-    // The machine's walk left each cluster's program pointers null with
-    // rebind-pending flags for every slot that was mid-job; point them at
-    // the programs that now live inside this scheduler's Job storage.
+    // The machine's walk, which ran first, loaded the clusters with the
+    // programs they run. Every busy one needs the record the next tick
+    // reaps it by; a record whose cluster is idle is fine (its job ended
+    // in the cycle before the save, and the next tick reaps it).
     const std::uint32_t per = detached_per_cluster();
     for (std::uint32_t k = 0; k < running_.size(); ++k) {
-      fx8::Cluster& cluster = machine_.cluster(k);
-      if (cluster.needs_program_rebind()) {
-        if (!running_[k].has_value()) {
-          throw capsule::CapsuleError(
-              "capsule: cluster busy but no running job");
-        }
-        cluster.rebind_program(&running_[k]->program);
+      if (machine_.cluster(k).busy() && !running_[k]) {
+        throw capsule::CapsuleError(
+            "capsule: cluster busy but no running job");
       }
-      for (std::uint32_t slot = 0; slot < per; ++slot) {
-        if (cluster.detached_needs_rebind(slot)) {
-          const std::uint32_t flat = k * per + slot;
-          if (!detached_running_[flat].has_value()) {
-            throw capsule::CapsuleError(
-                "capsule: detached CE busy but no running job");
-          }
-          cluster.rebind_detached_program(
-              slot, &detached_running_[flat]->program);
-        }
+    }
+    for (std::uint32_t slot = 0; slot < detached_running_.size(); ++slot) {
+      if (machine_.cluster(slot / per).detached_busy(slot % per) &&
+          !detached_running_[slot]) {
+        throw capsule::CapsuleError(
+            "capsule: detached CE busy but no running job");
       }
     }
   }
@@ -214,7 +186,7 @@ bool Scheduler::idle() const {
   if (job_running() || !queue_.empty()) {
     return false;
   }
-  for (const std::optional<Job>& job : detached_running_) {
+  for (const auto& job : detached_running_) {
     if (job) {
       return false;
     }

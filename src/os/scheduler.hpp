@@ -63,7 +63,7 @@ class Scheduler {
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   /// True while any cluster has a job loaded.
   [[nodiscard]] bool job_running() const {
-    for (const std::optional<Job>& job : running_) {
+    for (const auto& job : running_) {
       if (job) {
         return true;
       }
@@ -73,13 +73,20 @@ class Scheduler {
   [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
   [[nodiscard]] SchedulingPolicy policy() const { return policy_; }
 
-  /// Capsule walk: run queue, the running jobs, and stats. Must run
-  /// *after* the machine's walk — on load it rebinds the cluster's
-  /// program pointers to the freshly deserialized jobs (the cluster
-  /// flags which slots need it; see Cluster::serialize).
+  /// Capsule walk: run queue, the running jobs' records, and stats. Must
+  /// run *after* the machine's walk: a load throws capsule::CapsuleError
+  /// when a loaded cluster or detached slot is busy with no record for
+  /// the scheduler to reap it by.
   void serialize(capsule::Io& io);
 
  private:
+  /// What the scheduler keeps of a running cluster job; the cluster owns
+  /// its program.
+  struct Running {
+    JobId id = 0;
+    JobClass cls = JobClass::kCluster;
+  };
+
   /// Pop the next job per the policy.
   [[nodiscard]] Job pop_next();
 
@@ -95,10 +102,11 @@ class Scheduler {
   std::deque<Job> queue_;
   /// One running cluster job per cluster (index = cluster index). The
   /// single FIFO queue feeds every cluster; cluster 0 fills first.
-  std::vector<std::optional<Job>> running_;
-  /// Serial jobs running on detached CEs, flattened cluster-major:
-  /// global slot = cluster * detached_per_cluster() + local slot.
-  std::vector<std::optional<Job>> detached_running_;
+  std::vector<std::optional<Running>> running_;
+  /// Ids of the serial jobs running on detached CEs, flattened
+  /// cluster-major: global slot = cluster * detached_per_cluster() +
+  /// local slot.
+  std::vector<std::optional<JobId>> detached_running_;
   SchedulerStats stats_;
 };
 

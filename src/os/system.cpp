@@ -44,7 +44,7 @@ void System::serialize(capsule::Io& io) {
   counters_.serialize(io);
   vm_->serialize(io);
   machine_->serialize(io);
-  scheduler_->serialize(io);  // Last: its load pass rebinds the cluster.
+  scheduler_->serialize(io);  // Last: its load check reads the clusters.
 }
 
 std::uint64_t System::state_digest() {

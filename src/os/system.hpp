@@ -65,9 +65,9 @@ class System {
 
   // --- State capsules --------------------------------------------------
   /// One walk over the entire deterministic state, in dependency order:
-  /// counters, VM, machine, then the scheduler (whose load pass rebinds
-  /// the cluster's program pointers). The same walk serves save, load,
-  /// and digest (base/capsule.hpp).
+  /// counters, VM, machine, then the scheduler (whose load check reads
+  /// the loaded clusters). The same walk serves save, load, and digest
+  /// (base/capsule.hpp).
   void serialize(capsule::Io& io);
 
   /// 64-bit FNV-1a digest over the full state walk. Two systems built

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <ios>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "base/rng.hpp"
+#include "isa/program.hpp"
 #include "workload/presets.hpp"
 
 namespace repro::core {
@@ -159,6 +161,78 @@ TEST(CapsuleSystem, LoadRejectsTamperedCapsule) {
   EXPECT_EQ(other.now(), 0u);
 }
 
+/// A loop job whose body's working set is `working_set` bytes.
+os::Job loop_job(JobId id, std::uint64_t working_set) {
+  isa::ConcurrentLoopPhase loop;
+  loop.trip_count = 64;
+  loop.body.steps = 6;
+  loop.body.working_set_bytes = working_set;
+  os::Job job;
+  job.id = id;
+  job.program = isa::ProgramBuilder("loop")
+                    .data_base(0x01000000)
+                    .concurrent_loop(loop)
+                    .build();
+  return job;
+}
+
+TEST(CapsuleSystem, LoadRejectsAProgramItCouldNotRun) {
+  // A loop body with no working set passes the envelope once re-sealed,
+  // and the next iteration start would divide by it. Every copy of the
+  // field (the queued job, the cluster's running program, the CEs'
+  // specs), zeroed alone, must be refused at load.
+  constexpr std::uint64_t kWorkingSet = 0x5A5A58;
+  os::System system((os::SystemConfig()));
+  system.scheduler().submit(loop_job(1, kWorkingSet));
+  system.scheduler().submit(loop_job(2, kWorkingSet));
+  system.run(300);
+  ASSERT_TRUE(system.machine().cluster().busy());
+  ASSERT_EQ(system.scheduler().queue_depth(), 1u);
+  const std::vector<std::uint8_t> payload =
+      capsule::unseal(system.save_capsule());
+  int copies = 0;
+  for (std::size_t at = 0; at + 8 <= payload.size(); ++at) {
+    std::uint64_t value = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      value |= static_cast<std::uint64_t>(payload[at + b]) << (8 * b);
+    }
+    if (value != kWorkingSet) {
+      continue;
+    }
+    ++copies;
+    std::vector<std::uint8_t> mutant = payload;
+    std::fill_n(mutant.begin() + static_cast<std::ptrdiff_t>(at), 8, 0);
+    os::System fresh((os::SystemConfig()));
+    EXPECT_THROW(fresh.load_capsule(capsule::seal(mutant)),
+                 capsule::CapsuleError)
+        << "working set zeroed at payload byte " << at;
+  }
+  EXPECT_GE(copies, 3);
+}
+
+TEST(CapsuleSystem, LoadRejectsABusyClusterWithNoRunningJob) {
+  // Jobs loaded straight onto the machine leave the scheduler without
+  // the records it reaps them by: a capsule of that state is corrupt.
+  os::SystemConfig config;
+  config.machine.cluster.detached_ces = 1;
+  const isa::Program serial =
+      isa::ProgramBuilder("serial").serial(isa::KernelSpec{}, 50).build();
+  for (const bool detached : {false, true}) {
+    os::System system(config);
+    if (detached) {
+      system.machine().cluster().load_detached(0, serial, 9);
+    } else {
+      system.machine().cluster().load(serial, 9);
+    }
+    system.run(40);
+    ASSERT_TRUE(system.machine().cluster().lanes_live());
+    const auto sealed = system.save_capsule();
+    os::System fresh(config);
+    EXPECT_THROW(fresh.load_capsule(sealed), capsule::CapsuleError)
+        << (detached ? "detached slot" : "cluster");
+  }
+}
+
 TEST(CapsuleStudyCheckpoint, ProgressRoundTrips) {
   auto rig = warm_rig();
   StudyCheckpoint progress;
@@ -231,9 +305,9 @@ std::vector<PinCase> pin_cases() {
   os::SystemConfig fx8_rotating;
   fx8_rotating.machine.cluster.policy = fx8::ServicePolicy::kRotating;
   return {
-      {"fx8", fx8, session3, 0xbe78f94e18ea828b},
-      {"fx16_detached", fx16_detached, busy, 0x5704fe3fbe5fbb10},
-      {"fx8_rotating", fx8_rotating, session3, 0xab0888670de6fb4b},
+      {"fx8", fx8, session3, 0xcf74023568014ef9},
+      {"fx16_detached", fx16_detached, busy, 0x3520dd048105f7f2},
+      {"fx8_rotating", fx8_rotating, session3, 0xe2acdfc722f3d0ed},
   };
 }
 
@@ -254,6 +328,30 @@ TEST(CapsuleStateWalk, DigestsArePinned) {
       EXPECT_TRUE(machine.cluster(1).detached_busy(0));
     }
   }
+}
+
+TEST(CapsuleStateWalk, Fx16DetachedRoundTripContinuesIdentically) {
+  // The pin rig with both clusters' jobs and both detached slots live:
+  // the programs they run cross the capsule with them, so a fresh system
+  // continues exactly like the one that saved.
+  const PinCase pin = pin_cases()[1];
+  Rig rig(pin.mix, pin.config, tiny_sampling(), 0x1987);
+  rig.controller.advance(3000);
+  (void)rig.controller.take_sample();
+  (void)rig.controller.take_sample();
+  os::System& system = rig.system;
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(system.machine().cluster(k).busy()) << "cluster " << k;
+    ASSERT_TRUE(system.machine().cluster(k).detached_busy(0))
+        << "cluster " << k;
+  }
+  os::System fresh(pin.config);
+  fresh.load_capsule(system.save_capsule());
+  EXPECT_EQ(fresh.state_digest(), system.state_digest());
+  system.run(20000);
+  fresh.run(20000);
+  EXPECT_EQ(fresh.state_digest(), system.state_digest());
+  EXPECT_EQ(fresh.now(), system.now());
 }
 
 TEST(CapsuleStateWalk, TranslationMemosAreNotState) {

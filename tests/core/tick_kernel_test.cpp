@@ -66,8 +66,8 @@ TEST(TickKernel, BlockOfOneMatchesSingleTick) {
   make_naive(naive);
   fx8::Machine block(fx8::MachineConfig::fx8(), mmu_b);
   const isa::Program prog = tk_program(24);
-  naive.cluster().load(&prog, 1);
-  block.cluster().load(&prog, 1);
+  naive.cluster().load(prog, 1);
+  block.cluster().load(prog, 1);
   Cycle guard = 0;
   while (naive.cluster().busy()) {
     naive.tick();
@@ -88,8 +88,8 @@ TEST(TickKernel, BlockStopsAtClusterJobCompletion) {
   make_naive(naive);
   fx8::Machine block(fx8::MachineConfig::fx8(), mmu_b);
   const isa::Program prog = tk_program(16);
-  naive.cluster().load(&prog, 1);
-  block.cluster().load(&prog, 1);
+  naive.cluster().load(prog, 1);
+  block.cluster().load(prog, 1);
   // Request far more cycles than the job needs: each call must return
   // early at the completion event, not run past it.
   while (block.cluster().busy()) {
@@ -118,13 +118,13 @@ TEST(TickKernel, BlockPastJobEndReturnsEarly) {
   make_naive(naive);
   fx8::Machine block(fx8::MachineConfig::fx8(), mmu_b);
   const isa::Program prog = tk_program(8);
-  naive.cluster().load(&prog, 1);
+  naive.cluster().load(prog, 1);
   while (naive.cluster().busy()) {
     naive.tick();
   }
   const Cycle job_cycles = naive.now();
 
-  block.cluster().load(&prog, 1);
+  block.cluster().load(prog, 1);
   Cycle advanced = 0;
   while (block.cluster().busy()) {
     advanced += block.tick_block(job_cycles * 10);
@@ -165,7 +165,7 @@ std::vector<isa::Program> wk_programs(std::uint32_t n_clusters) {
 
 void wk_load(fx8::Machine& m, const std::vector<isa::Program>& progs) {
   for (std::uint32_t i = 0; i < m.n_clusters(); ++i) {
-    m.cluster(i).load(&progs[i], i + 1);
+    m.cluster(i).load(progs[i], i + 1);
   }
 }
 
@@ -254,9 +254,9 @@ TEST(WideKernel, DetachedSplitMatchesNaiveAcrossWidths) {
       // Detached load on a subset of clusters, one or two slots each, so
       // live and empty slots coexist.
       for (std::uint32_t i = 0; i < m.n_clusters(); i += 2) {
-        m.cluster(i).load_detached(0, &detached_a, 100 + i);
+        m.cluster(i).load_detached(0, detached_a, 100 + i);
         if (i + 1 < m.n_clusters()) {
-          m.cluster(i + 1).load_detached(1, &detached_b, 200 + i);
+          m.cluster(i + 1).load_detached(1, detached_b, 200 + i);
         }
       }
     };
@@ -316,27 +316,18 @@ struct BlockInput {
   std::vector<const isa::Program*> jobs;
   std::vector<const isa::Program*> detached;
 
-  /// Load the jobs, or with `rebind` re-attach the program storage a
-  /// capsule load left pending.
-  void attach(fx8::Machine& m, bool rebind) const {
+  /// Load the jobs.
+  void attach(fx8::Machine& m) const {
     for (std::uint32_t i = 0; i < m.n_clusters(); ++i) {
       fx8::Cluster& cluster = m.cluster(i);
       if (i < jobs.size() && jobs[i] != nullptr) {
-        if (!rebind) {
-          cluster.load(jobs[i], i + 1);
-        } else if (cluster.needs_program_rebind()) {
-          cluster.rebind_program(jobs[i]);
-        }
+        cluster.load(*jobs[i], i + 1);
       }
       if (i >= detached.size() || detached[i] == nullptr) {
         continue;
       }
       for (std::uint32_t slot = 0; slot < cluster.detached_count(); ++slot) {
-        if (!rebind) {
-          cluster.load_detached(slot, detached[i], 100 + i + slot);
-        } else if (cluster.detached_needs_rebind(slot)) {
-          cluster.rebind_detached_program(slot, detached[i]);
-        }
+        cluster.load_detached(slot, *detached[i], 100 + i + slot);
       }
     }
   }
@@ -378,8 +369,8 @@ TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
     make_naive(naive);
     auto block_mmu = std::make_unique<FirstTouchMmu>();
     auto block = std::make_unique<fx8::Machine>(input.config, *block_mmu);
-    input.attach(naive, false);
-    input.attach(*block, false);
+    input.attach(naive);
+    input.attach(*block);
     std::uint32_t blocks = 0;
     while (wk_any_busy(naive)) {
       seed ^= seed >> 12;
@@ -405,7 +396,6 @@ TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
         auto fresh = std::make_unique<fx8::Machine>(input.config, *fresh_mmu);
         capsule::Io loader = capsule::Io::loader(saver.bytes());
         fresh->serialize(loader);
-        input.attach(*fresh, true);
         block = std::move(fresh);
         block_mmu = std::move(fresh_mmu);
         ASSERT_EQ(block->quiet_horizon(), horizon)

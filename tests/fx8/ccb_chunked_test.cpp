@@ -75,7 +75,7 @@ TEST(CcbChunked, ClusterRunsChunkedLoopsToCompletion) {
                                    .data_base(0x01000000)
                                    .concurrent_loop(loop)
                                    .build();
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   Cycle guard = 0;
   while (machine.cluster().busy()) {
     machine.tick();
@@ -102,7 +102,7 @@ TEST(CcbChunked, ImbalanceHurtsChunkedMoreThanSelfScheduled) {
                                      .data_base(0x01000000)
                                      .concurrent_loop(loop)
                                      .build();
-    machine.cluster().load(&program, 1);
+    machine.cluster().load(program, 1);
     while (machine.cluster().busy()) {
       machine.tick();
     }

@@ -35,7 +35,7 @@ TEST(CeAccounting, CrossbarConflictsAppearUnderGangContention) {
   workload::KernelTuning tuning;
   const isa::Program program =
       one_loop(workload::jacobi_row_body(tuning), 64);
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   while (machine.cluster().busy()) {
     machine.tick();
   }
@@ -57,7 +57,7 @@ TEST(CeAccounting, SingleCeSeesNoCrossbarConflicts) {
   workload::KernelTuning tuning;
   const isa::Program program =
       one_loop(workload::triad_body(tuning), 16);
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   while (machine.cluster().busy()) {
     machine.tick();
   }
@@ -70,7 +70,7 @@ TEST(CeAccounting, BusyCyclesBoundOtherCounters) {
   workload::KernelTuning tuning;
   const isa::Program program =
       one_loop(workload::matmul_row_body(tuning), 40);
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   while (machine.cluster().busy()) {
     machine.tick();
   }
@@ -93,7 +93,7 @@ TEST(CeAccounting, IcacheSpillsShowAsInstructionTraffic) {
   isa::KernelSpec big_code = workload::triad_body(tuning);
   big_code.code_bytes = 64 * 1024;  // 4x the icache
   const isa::Program program = one_loop(big_code, 32);
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   std::uint64_t ifetch_cycles = 0;
   while (machine.cluster().busy()) {
     machine.tick();

@@ -58,7 +58,7 @@ class CeTest : public ::testing::Test {
 
   KernelInstance make_instance(const isa::KernelSpec* spec) {
     KernelInstance inst;
-    inst.spec = spec;
+    inst.spec = *spec;
     inst.job = 1;
     inst.key = 0x1234;
     inst.data_base = 0x10000;

@@ -34,7 +34,7 @@ TEST_P(ClusterProperty, RandomJobsExecuteEveryIterationExactlyOnce) {
     const std::uint64_t expected =
         spec.program.total_concurrent_iterations();
     tracer.clear();
-    machine.cluster().load(&spec.program, job);
+    machine.cluster().load(spec.program, job);
     Cycle guard = 0;
     while (machine.cluster().busy()) {
       machine.tick();
@@ -74,7 +74,7 @@ TEST_P(ClusterProperty, ActiveMaskStaysWithinClusterWidth) {
   workload::NumericJobParams params;
   params.trip_law.width = width;
   const os::Job spec = workload::make_numeric_job(1, rng, params, 0);
-  machine.cluster().load(&spec.program, 1);
+  machine.cluster().load(spec.program, 1);
   Cycle guard = 0;
   while (machine.cluster().busy()) {
     machine.tick();
@@ -95,7 +95,7 @@ TEST_P(ClusterProperty, PhasesAreProperlyNested) {
 
   workload::NumericJobParams params;
   const os::Job spec = workload::make_numeric_job(2, rng, params, 0);
-  machine.cluster().load(&spec.program, 2);
+  machine.cluster().load(spec.program, 2);
   while (machine.cluster().busy()) {
     machine.tick();
   }

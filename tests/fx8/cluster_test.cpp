@@ -7,7 +7,6 @@
 #include <map>
 #include <vector>
 
-#include "base/capsule.hpp"
 #include "base/expect.hpp"
 #include "mem/main_memory.hpp"
 #include "mem/memory_bus.hpp"
@@ -30,7 +29,7 @@ class ClusterTest : public ::testing::Test {
       : memory_(mem::MainMemoryConfig{}),
         bus_(mem::MemoryBusConfig{}, memory_),
         cache_(cache::SharedCacheConfig{}, bus_),
-        cluster_(ClusterConfig{}, cache_, mmu_, lanes_, events_) {}
+        cluster_(ClusterConfig{}, cache_, mmu_, lanes_, events_, now_) {}
 
   /// Advance machine-style: cluster, then bus, then cache.
   void step() {
@@ -41,7 +40,7 @@ class ClusterTest : public ::testing::Test {
   }
 
   Cycle run_job(const isa::Program& prog, Cycle limit = 2'000'000) {
-    cluster_.load(&prog, 1);
+    cluster_.load(prog, 1);
     Cycle used = 0;
     while (cluster_.busy()) {
       step();
@@ -57,8 +56,8 @@ class ClusterTest : public ::testing::Test {
   NoFaultMmu mmu_;
   CeHot lanes_;
   std::uint64_t events_ = 0;
-  Cluster cluster_;
   Cycle now_ = 0;
+  Cluster cluster_;
 };
 
 TEST_F(ClusterTest, IdleClusterHasNoActiveCes) {
@@ -71,7 +70,7 @@ TEST_F(ClusterTest, IdleClusterHasNoActiveCes) {
 TEST_F(ClusterTest, SerialJobUsesExactlyOneCe) {
   const isa::Program prog =
       isa::ProgramBuilder("serial").serial(tiny_kernel(), 5).build();
-  cluster_.load(&prog, 1);
+  cluster_.load(prog, 1);
   while (cluster_.busy()) {
     step();
     if (cluster_.busy()) {
@@ -99,7 +98,7 @@ TEST_F(ClusterTest, ConcurrentLoopReachesFullWidth) {
   loop.body = tiny_kernel();
   const isa::Program prog =
       isa::ProgramBuilder("loop").concurrent_loop(loop).build();
-  cluster_.load(&prog, 1);
+  cluster_.load(prog, 1);
   std::uint32_t max_active = 0;
   while (cluster_.busy()) {
     step();
@@ -139,7 +138,7 @@ TEST_F(ClusterTest, SerialAfterLoopContinuesOnLastFinisher) {
                                 .concurrent_loop(loop)
                                 .serial(tiny_kernel(), 1)
                                 .build();
-  cluster_.load(&prog, 1);
+  cluster_.load(prog, 1);
   bool saw_loop = false;
   CeId continuation_during_tail = 0;
   std::uint32_t tail_active_mask = 0;
@@ -167,7 +166,7 @@ TEST_F(ClusterTest, ActiveMaskDrainsThroughTransition) {
   loop.body.compute_jitter = 2;
   const isa::Program prog =
       isa::ProgramBuilder("drain").concurrent_loop(loop).build();
-  cluster_.load(&prog, 1);
+  cluster_.load(prog, 1);
   std::map<std::uint32_t, int> active_histogram;
   while (cluster_.busy()) {
     step();
@@ -202,8 +201,8 @@ TEST_F(ClusterTest, DependenceSerializesIterations) {
 TEST_F(ClusterTest, LoadWhileBusyIsContractViolation) {
   const isa::Program prog =
       isa::ProgramBuilder("p").serial(tiny_kernel(), 100).build();
-  cluster_.load(&prog, 1);
-  EXPECT_THROW(cluster_.load(&prog, 2), ContractViolation);
+  cluster_.load(prog, 1);
+  EXPECT_THROW(cluster_.load(prog, 2), ContractViolation);
 }
 
 TEST_F(ClusterTest, MultiPhaseJobRunsAllPhases) {
@@ -227,13 +226,13 @@ TEST_F(ClusterTest, RotatingPolicyStillCompletesLoops) {
   config.policy = ServicePolicy::kRotating;
   CeHot lanes;
   std::uint64_t events = 0;
-  Cluster rotating(config, cache_, mmu_, lanes, events);
+  Cluster rotating(config, cache_, mmu_, lanes, events, now_);
   isa::ConcurrentLoopPhase loop;
   loop.trip_count = 50;
   loop.body = tiny_kernel();
   const isa::Program prog =
       isa::ProgramBuilder("rot").concurrent_loop(loop).build();
-  rotating.load(&prog, 1);
+  rotating.load(prog, 1);
   Cycle used = 0;
   while (rotating.busy()) {
     rotating.tick();
@@ -251,13 +250,13 @@ TEST_F(ClusterTest, NarrowClusterWorks) {
   config.policy = ServicePolicy::kAscending;
   CeHot lanes;
   std::uint64_t events = 0;
-  Cluster narrow(config, cache_, mmu_, lanes, events);
+  Cluster narrow(config, cache_, mmu_, lanes, events, now_);
   isa::ConcurrentLoopPhase loop;
   loop.trip_count = 20;
   loop.body = tiny_kernel();
   const isa::Program prog =
       isa::ProgramBuilder("narrow").concurrent_loop(loop).build();
-  narrow.load(&prog, 1);
+  narrow.load(prog, 1);
   std::uint32_t max_active = 0;
   Cycle used = 0;
   while (narrow.busy()) {
@@ -287,7 +286,7 @@ struct OrderRig {
       : memory(mem::MainMemoryConfig{}),
         bus(mem::MemoryBusConfig{}, memory),
         cache(cache::SharedCacheConfig{}, bus),
-        cluster(config, cache, mmu, lanes, events) {}
+        cluster(config, cache, mmu, lanes, events, now) {}
 
   void step() {
     cluster.tick();
@@ -302,8 +301,8 @@ struct OrderRig {
   NoFaultMmu mmu;
   CeHot lanes;
   std::uint64_t events = 0;
-  Cluster cluster;
   Cycle now = 0;
+  Cluster cluster;
 };
 
 class DispatchRecorder : public ClusterObserver {
@@ -330,7 +329,7 @@ std::vector<CeId> first_dispatches(const ClusterConfig& config,
   loop.body.compute_cycles = 400;  // Nobody finishes before all dispatch.
   const isa::Program prog =
       isa::ProgramBuilder("order").concurrent_loop(loop).build();
-  rig.cluster.load(&prog, 1);
+  rig.cluster.load(prog, 1);
   while (recorder.order.size() < loop.trip_count) {
     rig.step();
     EXPECT_LT(rig.now, Cycle{1000});
@@ -353,7 +352,7 @@ CeId tie_winner(const ClusterConfig& config, Cycle warmup, CeId a, CeId b) {
   hold.loads_per_step = 0;
   const isa::Program prog =
       isa::ProgramBuilder("hold").serial(hold, 1).build();
-  rig.cluster.load(&prog, 1);
+  rig.cluster.load(prog, 1);
   for (Cycle t = 0; t < warmup; ++t) {
     rig.step();
   }
@@ -361,7 +360,7 @@ CeId tie_winner(const ClusterConfig& config, Cycle warmup, CeId a, CeId b) {
   probe.compute_cycles = 0;
   probe.loads_per_step = 1;
   KernelInstance inst;
-  inst.spec = &probe;
+  inst.spec = probe;
   inst.job = 2;
   inst.data_base = 0x01000000;
   rig.cluster.ce(a).start(inst);
@@ -387,35 +386,6 @@ void expect_ties_follow(const ClusterConfig& config, Cycle warmup,
           << "tie " << a << " vs " << b << " after " << warmup << " cycles";
     }
   }
-}
-
-// The rotating order reads the cluster clock, and the capsule's rotation
-// slot must equal the loaded clock: a capsule whose clock (the walk's
-// last u64) disagrees with it is rejected.
-TEST_F(ClusterTest, CapsuleRejectsARotationSlotOffTheClock) {
-  const isa::Program prog =
-      isa::ProgramBuilder("serial").serial(tiny_kernel(), 5).build();
-  cluster_.load(&prog, 1);
-  for (int i = 0; i < 37; ++i) {
-    step();
-  }
-  capsule::Io saver = capsule::Io::saver();
-  cluster_.serialize(saver);
-  std::vector<std::uint8_t> bytes = saver.bytes();
-
-  CeHot lanes;
-  std::uint64_t events = 0;
-  Cluster fresh(ClusterConfig{}, cache_, mmu_, lanes, events);
-  capsule::Io loader = capsule::Io::loader(bytes);
-  fresh.serialize(loader);
-  fresh.rebind_program(&prog);
-  capsule::Io resaver = capsule::Io::saver();
-  fresh.serialize(resaver);
-  EXPECT_EQ(resaver.bytes(), bytes);
-
-  bytes[bytes.size() - 8] ^= 1;
-  capsule::Io skewed = capsule::Io::loader(std::move(bytes));
-  EXPECT_THROW(fresh.serialize(skewed), capsule::CapsuleError);
 }
 
 TEST(ServiceOrder, OuterFirstDispatchesAndBreaksTiesOuterFirst) {

@@ -49,7 +49,7 @@ TEST(Detached, SerialJobRunsToCompletionOnItsCe) {
   NoFaultMmu mmu;
   Machine machine(detached_config(1), mmu);
   const isa::Program prog = serial_prog(0x01000000);
-  machine.cluster().load_detached(0, &prog, 5);
+  machine.cluster().load_detached(0, prog, 5);
   EXPECT_TRUE(machine.cluster().detached_busy(0));
   Cycle guard = 0;
   while (machine.cluster().detached_busy(0)) {
@@ -66,7 +66,7 @@ TEST(Detached, ClusterLoopsUseOnlyClusterCes) {
   NoFaultMmu mmu;
   Machine machine(detached_config(2), mmu);
   const isa::Program prog = loop_prog(0x01000000, 40);
-  machine.cluster().load(&prog, 1);
+  machine.cluster().load(prog, 1);
   std::uint32_t max_active = 0;
   Cycle guard = 0;
   while (machine.cluster().busy()) {
@@ -85,8 +85,8 @@ TEST(Detached, ConcurrentAndDetachedWorkOverlap) {
   Machine machine(detached_config(1), mmu);
   const isa::Program loop = loop_prog(0x01000000, 60);
   const isa::Program serial = serial_prog(0x02000000);
-  machine.cluster().load(&loop, 1);
-  machine.cluster().load_detached(0, &serial, 2);
+  machine.cluster().load(loop, 1);
+  machine.cluster().load_detached(0, serial, 2);
   bool saw_overlap = false;
   Cycle guard = 0;
   while (machine.cluster().busy() || machine.cluster().detached_busy(0)) {
@@ -105,7 +105,7 @@ TEST(Detached, RejectsConcurrentPrograms) {
   NoFaultMmu mmu;
   Machine machine(detached_config(1), mmu);
   const isa::Program prog = loop_prog(0x01000000, 8);
-  EXPECT_THROW(machine.cluster().load_detached(0, &prog, 1),
+  EXPECT_THROW(machine.cluster().load_detached(0, prog, 1),
                ContractViolation);
 }
 
@@ -113,8 +113,8 @@ TEST(Detached, RejectsDoubleLoadAndBadSlots) {
   NoFaultMmu mmu;
   Machine machine(detached_config(1), mmu);
   const isa::Program prog = serial_prog(0x01000000);
-  machine.cluster().load_detached(0, &prog, 1);
-  EXPECT_THROW(machine.cluster().load_detached(0, &prog, 2),
+  machine.cluster().load_detached(0, prog, 1);
+  EXPECT_THROW(machine.cluster().load_detached(0, prog, 2),
                ContractViolation);
   EXPECT_THROW((void)machine.cluster().detached_busy(1),
                ContractViolation);

@@ -51,7 +51,7 @@ TEST(Machine, RunsAConcurrentJobEndToEnd) {
                                 .serial(work_kernel(), 1)
                                 .concurrent_loop(loop)
                                 .build();
-  machine.cluster().load(&prog, 1);
+  machine.cluster().load(prog, 1);
   Cycle used = 0;
   std::uint32_t max_active = 0;
   while (machine.cluster().busy()) {
@@ -72,7 +72,7 @@ TEST(Machine, ProbeSurfaceIsConsistent) {
   loop.body = work_kernel();
   const isa::Program prog =
       isa::ProgramBuilder("probe").concurrent_loop(loop).build();
-  machine.cluster().load(&prog, 1);
+  machine.cluster().load(prog, 1);
   bool saw_busy_bus = false;
   bool saw_mem_traffic = false;
   Cycle used = 0;
@@ -119,7 +119,7 @@ TEST(Machine, DeterministicAcrossInstances) {
     loop.body.compute_jitter = 2;
     const isa::Program prog =
         isa::ProgramBuilder("det").concurrent_loop(loop).build();
-    machine.cluster().load(&prog, 1);
+    machine.cluster().load(prog, 1);
     while (machine.cluster().busy()) {
       machine.tick();
     }

@@ -119,8 +119,8 @@ TEST(TopologyMachine, WideMachineRunsJobsOnEveryCluster) {
   const isa::Program prog = loop_program("wide", kMaxCes * 3);
   NoFaultMmu mmu;
   Machine machine(MachineConfig::fx16(), mmu);
-  machine.cluster(0).load(&prog, 1);
-  machine.cluster(1).load(&prog, 2);
+  machine.cluster(0).load(prog, 1);
+  machine.cluster(1).load(prog, 2);
   Cycle used = 0;
   while (machine.cluster(0).busy() || machine.cluster(1).busy()) {
     machine.tick();
@@ -135,7 +135,7 @@ TEST(TopologyMachine, ActiveMaskUsesGlobalCeIds) {
   const isa::Program prog = loop_program("mask", kMaxCes * 4);
   NoFaultMmu mmu;
   Machine machine(MachineConfig::fx16(), mmu);
-  machine.cluster(1).load(&prog, 7);
+  machine.cluster(1).load(prog, 7);
   LaneMask seen = 0;
   Cycle used = 0;
   while (machine.cluster(1).busy()) {
@@ -168,8 +168,8 @@ TEST(TopologyFabric, WideMachinesRecordCrossClusterConflicts) {
   const isa::Program prog = loop_program("contend", kMaxCes * 16);
   NoFaultMmu mmu;
   Machine machine(MachineConfig::fx16(), mmu);
-  machine.cluster(0).load(&prog, 1);
-  machine.cluster(1).load(&prog, 2);
+  machine.cluster(0).load(prog, 1);
+  machine.cluster(1).load(prog, 2);
   Cycle used = 0;
   while (machine.cluster(0).busy() || machine.cluster(1).busy()) {
     machine.tick();

@@ -45,7 +45,7 @@ TEST(CalibrationMechanisms, UniformIterationDurations) {
                                    .data_base(0x01000000)
                                    .concurrent_loop(loop)
                                    .build();
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   while (machine.cluster().busy()) {
     machine.tick();
   }
@@ -84,7 +84,7 @@ TEST(CalibrationMechanisms, GangFillSharingKeepsMissVolumeFlat) {
                                      .data_base(0x01000000)
                                      .concurrent_loop(loop)
                                      .build();
-    machine.cluster().load(&program, 1);
+    machine.cluster().load(program, 1);
     while (machine.cluster().busy()) {
       machine.tick();
     }
@@ -114,7 +114,7 @@ TEST(CalibrationMechanisms, GangExecutionMergesFills) {
                                    .data_base(0x01000000)
                                    .concurrent_loop(loop)
                                    .build();
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   while (machine.cluster().busy()) {
     machine.tick();
   }
@@ -135,7 +135,7 @@ TEST(CalibrationMechanisms, LingererIdentityIsDeterministic) {
                                      .data_base(0x01000000)
                                      .concurrent_loop(loop)
                                      .build();
-    machine.cluster().load(&program, 1);
+    machine.cluster().load(program, 1);
     repro::LaneMask last_two_mask = 0;
     while (machine.cluster().busy()) {
       machine.tick();

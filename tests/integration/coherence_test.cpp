@@ -31,7 +31,7 @@ TEST(Coherence, IpWritesRevokeCeCacheLines) {
                                    .data_base(0x01000000)
                                    .concurrent_loop(loop)
                                    .build();
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   Cycle guard = 0;
   while (machine.cluster().busy()) {
     machine.tick();

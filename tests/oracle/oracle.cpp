@@ -45,6 +45,8 @@ std::vector<Component> machine_components(fx8::Machine& machine) {
   add(out, "machine.clock", [&](capsule::Io& io) {
     std::uint64_t now = machine.now();
     io.u64(now);
+    std::uint64_t events = machine.cluster().control_events();
+    io.u64(events);
   });
   return out;
 }

@@ -100,7 +100,7 @@ TEST_F(ProfileEndToEnd, TracedJobProfileIsConsistent) {
                                    .concurrent_loop(loop)
                                    .serial(workload::scalar_setup_body(tuning), 1)
                                    .build();
-  machine_.cluster().load(&program, 7);
+  machine_.cluster().load(program, 7);
   while (machine_.cluster().busy()) {
     machine_.tick();
   }
@@ -133,7 +133,7 @@ TEST_F(ProfileEndToEnd, ProfileAllFindsEveryCompletedJob) {
           .serial(workload::editor_body(tuning), 1)
           .build();
   for (JobId job = 1; job <= 3; ++job) {
-    machine_.cluster().load(&program, job);
+    machine_.cluster().load(program, job);
     while (machine_.cluster().busy()) {
       machine_.tick();
     }

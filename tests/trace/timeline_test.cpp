@@ -77,7 +77,7 @@ TEST(Timeline, EndToEndTraceRenders) {
                                    .data_base(0x01000000)
                                    .concurrent_loop(loop)
                                    .build();
-  machine.cluster().load(&program, 1);
+  machine.cluster().load(program, 1);
   while (machine.cluster().busy()) {
     machine.tick();
   }

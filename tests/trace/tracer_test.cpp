@@ -17,7 +17,7 @@ class TracerTest : public ::testing::Test {
   }
 
   void run_program(const isa::Program& program, JobId job = 1) {
-    machine_.cluster().load(&program, job);
+    machine_.cluster().load(program, job);
     while (machine_.cluster().busy()) {
       machine_.tick();
     }
