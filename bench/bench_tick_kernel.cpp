@@ -2,8 +2,8 @@
 //
 // The per-cycle simulation path is the floor under every study's runtime:
 // concurrency-saturated sessions have 0-3 cycle horizons, so nearly every
-// cycle runs through Machine::tick_block(n) (Machine::tick() is
-// tick_block(1)). These benchmarks pin its cost on a machine held in the
+// cycle is ticked, not jumped, inside Machine::tick_block(n)
+// (Machine::tick() is tick_block(1)). These benchmarks pin its cost on a machine held in the
 // saturated steady state (eight CEs contending mid concurrent loop) so a
 // regression in the lane kernel, the CE lane layout, or the block loop
 // shows up as items/sec, not as a slow CI run. BM_PartialTickBlock holds
@@ -56,8 +56,12 @@ void BM_SaturatedTickBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
 }
-// Block sizes bracketing the controller's kBlockChunk cap (256): the gap
-// between n=1 and large n is the per-call overhead the fusion removes.
+// Block sizes from one cycle (Machine::tick(), every acquisition cycle)
+// to the long blocks the session controller asks for between probe
+// latches, which run until a control event or the next snapshot start:
+// the gap between n=1 and large n is the per-call overhead the fusion
+// removes. A saturated machine rarely has two quiet cycles, so these
+// rows tick nearly every cycle.
 BENCHMARK(BM_SaturatedTickBlock)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 
 // Machine-width sweep: a saturated machine at each width preset (every
@@ -141,6 +145,8 @@ void BM_PartialTickBlock(benchmark::State& state) {
 // block), where the per-block live-set setup is paid every cycle.
 BENCHMARK(BM_PartialTickBlock)->Arg(1)->Arg(256);
 
+// An idle machine whose IPs never burst: nothing is ever due, so each
+// block is one fast-forward jump and the row times the jump itself.
 void BM_IdleTickBlock(benchmark::State& state) {
   fx8::NoFaultMmu mmu;
   fx8::MachineConfig config = fx8::MachineConfig::fx8();

@@ -76,14 +76,14 @@ bool same_state(const fx8::Machine& a, const fx8::Machine& b) {
   return true;
 }
 
-/// Best-of-3 cycles/sec of `advance(machine, cycles)` on `pass`.
-template <typename Advance>
-double measure(fx8::LanePassFn pass, Cycle cycles, Advance&& advance) {
+/// Best-of-3 cycles/sec of a saturated machine on `pass` running
+/// `cycles` cycles.
+double measure(fx8::LanePassFn pass, Cycle cycles) {
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     SaturatedMachine s(pass);
     const double start = thread_cpu_seconds();
-    advance(s.machine, cycles);
+    s.machine.run(cycles);
     const double seconds = thread_cpu_seconds() - start;
     if (seconds > 0.0) {
       best = std::max(best, static_cast<double>(cycles) / seconds);
@@ -95,16 +95,8 @@ double measure(fx8::LanePassFn pass, Cycle cycles, Advance&& advance) {
 void render_perf_simulator(Context& ctx) {
   const Cycle cycles = ctx.quick() ? 100'000 : 400'000;
 
-  const double naive_rate =
-      measure(&fx8::lane_pass_reference, cycles,
-              [](fx8::Machine& m, Cycle n) { m.run(n); });
-  const double block_rate =
-      measure(fx8::select_lane_pass(), cycles, [](fx8::Machine& m, Cycle n) {
-        Cycle done = 0;
-        while (done < n) {
-          done += m.tick_block(std::min<Cycle>(n - done, 256));
-        }
-      });
+  const double naive_rate = measure(&fx8::lane_pass_reference, cycles);
+  const double block_rate = measure(fx8::select_lane_pass(), cycles);
 
   // Idle machine: the floor cost of a cycle with nothing to simulate.
   double idle_rate = 0.0;
@@ -119,9 +111,9 @@ void render_perf_simulator(Context& ctx) {
     idle_rate = seconds > 0.0 ? static_cast<double>(cycles) / seconds : 0.0;
   }
 
-  // The timing-independent gate: the lane horizons and the naive
-  // oracle advance 200 blocks of 256 cycles (the controller's block cap)
-  // and must agree at every block boundary.
+  // The timing-independent gate: the lane horizons, jumps included, and
+  // the naive oracle advance 200 blocks of 256 cycles and must agree at
+  // every block boundary.
   bool identical = true;
   {
     SaturatedMachine naive(&fx8::lane_pass_reference);

@@ -48,11 +48,6 @@ void Ce::start(const KernelInstance& inst) {
   pending_addr_ = 0;
 }
 
-void Ce::skip(Cycle cycles) {
-  REPRO_EXPECT(cycles <= quiet_horizon(), "CE skip beyond its horizon");
-  advance(cycles);
-}
-
 void Ce::advance(Cycle cycles) {
   clock_ += cycles;
   switch (phase()) {

@@ -15,8 +15,8 @@
 // steady-state behaviours (compute burn, miss wait, fault wait) repeat
 // one cycle for as long as quiet_horizon() says, so the machine steps a
 // CE only when that horizon runs out (step()) and books the repeats in
-// between through the one bulk-advance body (advance()), the same body
-// fast-forward's skip() uses.
+// between, the cycles a fast-forward jump covers included, through the
+// one bulk-advance body (advance()) by clock lag.
 #pragma once
 
 #include <cstdint>
@@ -116,11 +116,12 @@ class Ce {
   [[nodiscard]] mem::CeBusOp bus_op() const { return lanes_.bus_op[id_]; }
 
   // --- Event-horizon fast-forward -------------------------------------
-  /// Cycles for which this CE's behaviour is a pure repeat that skip()
+  /// Cycles for which this CE's behaviour is a pure repeat that advance()
   /// can bulk-apply: an idle/done CE reports kHorizonNever, a computing
   /// CE its remaining compute budget, a fault-stalled CE its remaining
   /// service (minus the transition cycle). 0 means the next tick can
-  /// change machine-visible state and must run naively.
+  /// change machine-visible state and must run naively. The lane records
+  /// it as its due cycle (set_due()).
   [[nodiscard]] Cycle quiet_horizon() const {
     switch (phase_) {
       case Phase::kIdle:
@@ -132,7 +133,7 @@ class Ce {
         return compute_left_;
       case Phase::kFaultWait:
         // The tick that drops fault_left to zero also transitions phases,
-        // so it must run naively: skip at most fault_left - 1.
+        // so it must run naively: stay quiet at most fault_left - 1.
         return fault_left_ - 1;
       case Phase::kMissWait:
         // Waiting on a line fill: the shared cache flags readiness on a
@@ -144,9 +145,6 @@ class Ce {
         return 0;
     }
   }
-  /// Bulk-apply `cycles` ticks of the current uniform behaviour.
-  /// Requires cycles <= quiet_horizon(); bit-identical to ticking.
-  void skip(Cycle cycles);
 
   // --- Lane horizons (Machine::tick_block) ----------------------------
   /// Step at machine cycle `now`: book the cycles since the lane last

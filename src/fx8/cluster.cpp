@@ -264,12 +264,37 @@ void Cluster::serialize(capsule::Io& io) {
   io.u64(stats_.dependence_wait_cycles);
   io.u32(deps_waiting_);
   if (io.loading()) {
+    check_loaded_workers();
     // Lane horizons do not travel: every loaded lane is exact at the
     // clock, which the owner's walk loaded first, and records its own
     // from its loaded state.
     for (Ce& ce : ces_) {
       ce.resync(clock_);
     }
+  }
+}
+
+void Cluster::check_loaded_workers() const {
+  // A worker holding or awaiting an iteration names one of the CCB's
+  // loop, whose completion bits control indexes with it, and only service
+  // lanes take iterations. The waiter count gates the control scan and is
+  // what a fast-forward jump books per cycle (skip()).
+  std::uint32_t waiting = 0;
+  for (CeId c = 0; c < kMaxCes; ++c) {
+    if (worker_[c] == WorkerState::kNone) {
+      continue;
+    }
+    if (c >= cluster_width() || worker_iter_[c] >= ccb_.trip_count()) {
+      throw capsule::CapsuleError(
+          "capsule: worker iteration outside the loop");
+    }
+    if (worker_[c] == WorkerState::kAwaitingDep) {
+      ++waiting;
+    }
+  }
+  if (waiting != deps_waiting_) {
+    throw capsule::CapsuleError(
+        "capsule: dependence-waiter count disagrees with the workers");
   }
 }
 
@@ -570,23 +595,17 @@ bool Cluster::control_due() const {
 }
 
 void Cluster::skip(Cycle cycles) {
-  if (!lanes_live()) {
-    return;  // Every lane is parked: an idle tick changes nothing.
-  }
-  for (Ce& ce : ces_) {
-    ce.skip(cycles);
-  }
-  if (busy() && in_loop_) {
-    // Naive ticks bump the dependence-wait counter once per waiting CE
-    // per cycle; a quiet stretch cannot release a dependence, so the
-    // waiter set is constant across it.
-    std::uint64_t waiting = 0;
-    for (CeId c = 0; c < cluster_width(); ++c) {
-      if (worker_[c] == WorkerState::kAwaitingDep) {
-        ++waiting;
-      }
+  // A quiet tick resets the per-cycle grant words, which the cycle before
+  // the stretch may have spent (a bank, or an iteration that went to a
+  // dependence wait and so stepped no lane), and bumps the
+  // dependence-wait counter once per waiting CE; a quiet stretch cannot
+  // release a dependence, so the waiter set is constant across it.
+  crossbar_.begin_cycle();
+  if (in_loop_) {
+    ccb_.begin_cycle();
+    if (busy()) {
+      stats_.dependence_wait_cycles += std::uint64_t{deps_waiting_} * cycles;
     }
-    stats_.dependence_wait_cycles += waiting * cycles;
   }
 }
 

@@ -144,10 +144,11 @@ class Cluster {
   /// itself and only the CEs can change, on the cycles their lanes
   /// record (CeHot::due). See docs/parallel_execution.md.
   [[nodiscard]] bool control_due() const;
-  /// Bulk-apply `cycles` ticks of quiet behaviour: advances every CE and
-  /// accumulates dependence-wait cycles (an idle cluster has nothing to
-  /// advance). Requires !control_due() and cycles within every member
-  /// CE's quiet horizon.
+  /// Book `cycles` quiet ticks of control: the crossbar and CCB grant
+  /// resets and the dependence waits they repeat. The lanes book their
+  /// own by clock lag (Ce::catch_up).
+  /// Requires !control_due() and cycles within every member lane's
+  /// quiet horizon (Machine::tick_block's jumps).
   void skip(Cycle cycles);
 
   /// Bitmask of CEs "active" in the paper's CCB-probe sense: executing
@@ -215,8 +216,9 @@ class Cluster {
   /// and each busy detached slot's program included; the clock and the
   /// control-event counter belong to the owner's walk, which must run
   /// the clock first (a load resyncs the lanes to it). A load validates
-  /// every program it installs and throws capsule::CapsuleError on one
-  /// the cluster could not run.
+  /// every program it installs and the loop workers (check_loaded_workers)
+  /// and throws capsule::CapsuleError on a state the cluster could not
+  /// run.
   void serialize(capsule::Io& io);
 
  private:
@@ -243,6 +245,10 @@ class Cluster {
   [[nodiscard]] std::uint64_t phase_key(std::uint64_t salt) const;
   [[nodiscard]] Addr code_base_for_phase() const;
   void finish_job();
+  /// Load check: every worker holding or awaiting an iteration is a
+  /// service lane naming an iteration of the CCB's loop, and
+  /// deps_waiting_ counts the awaiting ones. Throws capsule::CapsuleError.
+  void check_loaded_workers() const;
 
   ClusterConfig config_;
   /// Global CE id of lane 0 (cluster index * ces-per-cluster).

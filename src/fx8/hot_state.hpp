@@ -30,11 +30,12 @@ struct CeHot {
   /// one past its last step plus its quiet horizon, kHorizonNever for
   /// miss waits (the fill-ready word wakes those) and parked lanes.
   /// Ce::start sets 0 (due at once); a capsule load records the loaded
-  /// lane's horizon (Ce::resync). So whenever tick_block returns, every
-  /// lane of a live cluster is due at now + Ce::quiet_horizon()
+  /// lane's horizon (Ce::resync). A lane sitting cycles out keeps its due
+  /// cycle, so on every cycle, inside a block too, each lane of a live
+  /// cluster is due on the cycle its steady state next changes
   /// (kHorizonNever if that saturates), except a miss wait whose fill is
   /// up, which the fill-ready word flags: Machine::quiet_horizon() reads
-  /// the CE horizons from here.
+  /// the CE horizons from here, so tick_block can jump mid-block.
   std::array<Cycle, kMaxTopologyCes> due{};
   /// One bit per global CE id, set while that CE's phase is kDone.
   /// Maintained by Ce::set_phase so a cluster's control scan can test

@@ -108,9 +108,10 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
 }
 
 Cycle Machine::quiet_horizon() const {
-  // The CE part comes from the lane records: at a block boundary every
-  // lane of a live cluster is due at now + its quiet horizon, or flagged
-  // in the fill-ready word (CeHot::due); a fill-ready bit always belongs
+  // The CE part comes from the lane records: on every cycle, inside a
+  // block too, each lane of a live cluster records the cycle its quiet
+  // horizon runs out, or is flagged in the fill-ready word (CeHot::due),
+  // though its countdowns may lag until it next steps; a fill-ready bit always belongs
   // to a miss-waiting lane, so to a live cluster. Idle clusters' lanes
   // are parked and drop out with their clusters. The shared cache has no
   // horizon of its own: a fill completes only on a bus-completion tick,
@@ -142,17 +143,6 @@ Cycle Machine::quiet_horizon() const {
     }
   }
   return horizon;
-}
-
-void Machine::skip(Cycle cycles) {
-  for (auto& cluster : clusters_) {
-    cluster->skip(cycles);
-  }
-  for (Ip& ip : ips_) {
-    ip.skip(cycles);
-  }
-  membus_->skip(cycles);
-  now_ += cycles;
 }
 
 void Machine::run(Cycle cycles) {
@@ -203,10 +193,11 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   // next steps. Which lanes step early does not change the result:
   // lane_pass_reference, which steps every live lane every cycle, is the
   // naive oracle the differential tests hold the horizon selection to.
-  // Phases and done_mask, which are all that control reads of a lane, are
-  // exact on every cycle; countdowns, counters and bus opcodes are exact
-  // once the block-end catch-up below has run, which is the only time the
-  // probe latch, quiet_horizon(), stats() and the capsule walk read them.
+  // Phases, done_mask and the lanes' due cycles, which are all that
+  // control and quiet_horizon() read of a lane, are exact on every cycle;
+  // countdowns, counters and bus opcodes are exact once the block-end
+  // catch-up below has run, which is the only time the probe latch,
+  // stats() and the capsule walk read them.
   //
   // The live cluster set is fixed for the whole block. Only the OS layer
   // loads a cluster, and a cluster goes idle only on a control event,
@@ -227,17 +218,47 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   }
   ClusterFabric* const fabric = fabric_.get();
   const LanePassFn pass = lane_pass_;
+  // Fast-forward: a stretch of two or more cycles in which nothing is
+  // due (quiet_horizon()) is jumped, not ticked. A stretch can open only
+  // at entry or after a ticked cycle that stepped no lane and left no
+  // fill ready, so only those read the horizon. A one-cycle block
+  // (tick()) and the naive oracle, the jumps' reference, never jump.
+  const bool may_jump = pass != &lane_pass_reference;
+  bool look = may_jump;
   Cycle done = 0;
   while (done < max_cycles) {
+    if (look && max_cycles - done >= 2) {
+      look = false;
+      const Cycle jump = std::min(quiet_horizon(), max_cycles - done);
+      if (jump >= 2) {
+        // Book what the quiet cycles repeat; the lanes book theirs by
+        // clock lag when they next step or at the block-end catch-up.
+        if (fabric != nullptr) {
+          fabric->begin_cycle();
+        }
+        for (std::uint64_t m = live; m != 0; m &= m - 1) {
+          clusters_[lowest_bit(m)]->skip(jump);
+        }
+        for (Ip& ip : ips_) {
+          ip.skip(jump);
+        }
+        membus.skip(jump);
+        now_ += jump;
+        done += jump;
+        ++jumps_;
+        jumped_cycles_ += jump;
+        continue;
+      }
+    }
     if (fabric != nullptr && !fabric->idle()) {
       fabric->begin_cycle();
     }
     for (std::uint64_t m = live; m != 0; m &= m - 1) {
       clusters_[lowest_bit(m)]->tick_control();
     }
+    LaneMask due = 0;
     if (live_lanes != 0) {
-      const LaneMask due =
-          pass(lanes_, shared_cache.fill_ready_mask(), live_lanes, now_);
+      due = pass(lanes_, shared_cache.fill_ready_mask(), live_lanes, now_);
       if (due != 0) {
         for (std::uint64_t m = live; m != 0; m &= m - 1) {
           clusters_[lowest_bit(m)]->tick_peel(due, now_);
@@ -256,6 +277,7 @@ Cycle Machine::tick_block(Cycle max_cycles) {
       // ticks naively next cycle, exactly as lockstep ticking would.
       break;
     }
+    look = may_jump && due == 0 && shared_cache.fill_ready_mask() == 0;
   }
   for (std::uint64_t m = live; m != 0; m &= m - 1) {
     clusters_[lowest_bit(m)]->catch_up(now_);

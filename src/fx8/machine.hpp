@@ -70,8 +70,10 @@ class Machine {
   /// cluster or detached job (a control event the OS layer reacts to).
   /// The loop works only on the clusters live at entry; idle ones have
   /// nothing to advance. Inside the loop a CE steps only when its quiet
-  /// horizon runs out (fx8/lane_kernel.hpp); every live lane catches up
-  /// before the call returns.
+  /// horizon runs out (fx8/lane_kernel.hpp), a stretch of two or more
+  /// cycles in which nothing is due is jumped in one go (quiet_horizon();
+  /// never on the naive lane_pass_reference), and every live lane catches
+  /// up before the call returns.
   /// Returns the number of cycles actually advanced (>= 1 when
   /// max_cycles >= 1). Bit-identical to calling tick() that many times;
   /// the caller must guarantee no OS/workload action is due during the
@@ -81,14 +83,17 @@ class Machine {
 
   // --- Event-horizon fast-forward -------------------------------------
   /// Minimum quiet horizon across the CE lanes (CeHot::due), the IPs and
-  /// the memory buses, 0 while any live cluster's control would act: the
-  /// machine's externally visible behaviour is a pure repeat for this
-  /// many cycles (docs/parallel_execution.md). Valid between blocks,
-  /// when every lane's due cycle is current.
+  /// the memory buses, 0 while a fill is ready or any live cluster's
+  /// control would act: the machine's externally visible behaviour is a
+  /// pure repeat for this many cycles (docs/parallel_execution.md). Valid
+  /// on every cycle, inside a block too: the lanes' due cycles are exact
+  /// even while their countdowns lag.
   [[nodiscard]] Cycle quiet_horizon() const;
-  /// Bulk-advance `cycles` quiet cycles; bit-identical to run(cycles).
-  /// Requires cycles <= quiet_horizon().
-  void skip(Cycle cycles);
+  /// Jumps tick_block has taken, and the cycles they covered, since the
+  /// machine was built (bookkeeping, not state: the capsule walk leaves
+  /// them out).
+  [[nodiscard]] std::uint64_t jumps() const { return jumps_; }
+  [[nodiscard]] Cycle jumped_cycles() const { return jumped_cycles_; }
 
   [[nodiscard]] Cycle now() const { return now_; }
 
@@ -190,6 +195,8 @@ class Machine {
   std::uint64_t control_events_ = 0;
   /// The one clock: every cluster reads it by reference.
   Cycle now_ = 0;
+  std::uint64_t jumps_ = 0;
+  Cycle jumped_cycles_ = 0;
 };
 
 }  // namespace repro::fx8

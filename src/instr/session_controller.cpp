@@ -6,23 +6,6 @@
 
 namespace repro::instr {
 
-namespace {
-
-/// Shortest horizon worth taking as a bulk jump. skip() walks every
-/// component once, which costs a handful of fused ticks; the horizon
-/// arithmetic itself is already paid by the time the choice is made, so
-/// the bar is low — only 1-3 cycle stretches tick through the kernel.
-constexpr Cycle kMinProfitableSkip = 4;
-
-/// Cap on one fused-kernel burst. tick_block stops on its own at cluster
-/// control events; this cap bounds how stale the controller's bulk-jump
-/// check can get on busy stretches — a skip opportunity that opens up
-/// mid-block is noticed at most kBlockChunk - 1 cycles late, each of
-/// which was only a cheap fused tick.
-constexpr Cycle kBlockChunk = 256;
-
-}  // namespace
-
 SessionController::SessionController(os::System& system,
                                      workload::WorkloadGenerator& workload,
                                      const SamplingConfig& config,
@@ -45,26 +28,21 @@ Cycle SessionController::advance_step(Cycle budget) {
   // draw randomness or submit on the next tick.
   const Cycle workload =
       config_.fast_forward ? workload_.quiet_horizon(system_) : 0;
-  if (workload > 0) {
-    const Cycle horizon =
-        std::min(std::min(workload, system_.quiet_horizon()), budget);
-    if (horizon >= kMinProfitableSkip) {
-      system_.skip(horizon);
-      ff_stats_.skipped_cycles += horizon;
-      ++ff_stats_.jumps;
-      return horizon;
-    }
-    if (system_.scheduler().quiet_horizon() > 0) {
-      // Too busy to bulk-jump, but neither the scheduler nor the
-      // generator can act for `workload` cycles (the scheduler's horizon
-      // is unbounded until the next cluster control event, where the
-      // fused kernel stops on its own), so their per-cycle ticks are
-      // provably no-ops: the machine alone advances through the kernel.
-      const Cycle advanced = system_.machine().tick_block(
-          std::min(std::min(workload, budget), kBlockChunk));
-      ff_stats_.block_cycles += advanced;
-      return advanced;
-    }
+  if (workload > 0 && system_.scheduler().quiet_horizon() > 0) {
+    // Neither the scheduler nor the generator can act for `workload`
+    // cycles (the scheduler's horizon is unbounded until the next cluster
+    // control event, where the block stops on its own), so their
+    // per-cycle ticks are provably no-ops: the machine alone advances,
+    // jumping whatever stretches inside the block are quiet.
+    fx8::Machine& machine = system_.machine();
+    const std::uint64_t jumps = machine.jumps();
+    const Cycle jumped = machine.jumped_cycles();
+    const Cycle advanced = machine.tick_block(std::min(workload, budget));
+    const Cycle skipped = machine.jumped_cycles() - jumped;
+    ff_stats_.skipped_cycles += skipped;
+    ff_stats_.block_cycles += advanced - skipped;
+    ff_stats_.jumps += machine.jumps() - jumps;
+    return advanced;
   }
   // Fast-forward off, or an OS-layer action is due next tick (burst
   // submission, gap draw, job reap/dispatch): run it in lockstep so the

@@ -32,9 +32,10 @@ struct SamplingConfig {
   /// Acquisitions grouped into one sample.
   std::uint32_t snapshots_per_sample = 5;
   std::size_t buffer_depth = 512;
-  /// Event-horizon fast-forward: while no acquisition is armed, quiet
-  /// stretches advance in one bulk jump clamped to the next snapshot
-  /// start, so every probe latch happens on a naively ticked cycle.
+  /// Event-horizon fast-forward: while no acquisition is armed and the OS
+  /// layer is quiet, the machine advances through Machine::tick_block,
+  /// which jumps its quiet stretches, clamped to the next snapshot start
+  /// so every probe latch happens on a naively ticked cycle.
   /// Bit-identical to cycle-by-cycle stepping; false forces the naive
   /// path (differential testing). See docs/parallel_execution.md.
   bool fast_forward = true;
@@ -67,14 +68,15 @@ struct SampleRecord {
   }
 };
 
-/// Where the controller's cycles went: bulk-jumped, block-ticked through
-/// the fused kernel, or naively lockstep-ticked. Pure bookkeeping —
-/// identical simulation state any way.
+/// Where the controller's cycles went: jumped or ticked inside
+/// Machine::tick_block, or naively lockstep-ticked. Pure bookkeeping —
+/// identical simulation state any way. skipped + block + naive is every
+/// cycle the controller advanced.
 struct FastForwardStats {
-  Cycle skipped_cycles = 0;  ///< Advanced via system skip jumps.
+  Cycle skipped_cycles = 0;  ///< Jumped inside Machine::tick_block.
   Cycle naive_cycles = 0;    ///< Advanced tick-by-tick (lockstep).
-  Cycle block_cycles = 0;    ///< Advanced via Machine::tick_block.
-  std::uint64_t jumps = 0;   ///< Number of bulk jumps taken.
+  Cycle block_cycles = 0;    ///< Ticked inside Machine::tick_block.
+  std::uint64_t jumps = 0;   ///< Number of jumps taken.
 
   void merge(const FastForwardStats& other) {
     skipped_cycles += other.skipped_cycles;
@@ -141,14 +143,13 @@ class SessionController {
   void step();
   /// The one advance decision, shared by advance() and the stretches
   /// between acquisitions in take_sample(): up to `budget` cycles with
-  /// no acquisition armed. With fast-forward off, one lockstep step().
-  /// Otherwise a quiet horizon of at least kMinProfitableSkip across the
-  /// workload generator and the system is taken as one bulk jump; a
-  /// cycle on which the OS layer (scheduler or generator) is due to act
-  /// runs as one lockstep step(); everything else runs through the fused
-  /// tick kernel, which stops at cluster control events so the
-  /// scheduler's reaction cycle is lockstep-ticked exactly as naive
-  /// stepping would. Returns the cycles advanced (>= 1).
+  /// no acquisition armed. With fast-forward off, or on a cycle on which
+  /// the OS layer (scheduler or generator) is due to act, one lockstep
+  /// step(). Otherwise one Machine::tick_block over the generator's quiet
+  /// horizon, capped by the budget: it jumps the quiet stretches inside
+  /// it and stops at cluster control events, so the scheduler's reaction
+  /// cycle is lockstep-ticked exactly as naive stepping would. Returns
+  /// the cycles advanced (>= 1).
   Cycle advance_step(Cycle budget);
   /// An analyzer sized for this controller's acquisitions and machine.
   [[nodiscard]] LogicAnalyzer make_analyzer(TriggerMode trigger) const;

@@ -1,6 +1,5 @@
 #include "os/system.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace repro::os {
@@ -15,20 +14,6 @@ System::System(const SystemConfig& config) : config_(config) {
 void System::tick() {
   scheduler_->tick(machine_->now());
   machine_->tick();
-}
-
-Cycle System::quiet_horizon() const {
-  const Cycle sched = scheduler_->quiet_horizon();
-  if (sched == 0) {
-    return 0;
-  }
-  return std::min(sched, machine_->quiet_horizon());
-}
-
-void System::skip(Cycle cycles) {
-  // The scheduler and kernel counters are event-driven (no per-cycle
-  // state), so skipping the quiet stretch is entirely a machine affair.
-  machine_->skip(cycles);
 }
 
 void System::run(Cycle cycles) {

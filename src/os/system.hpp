@@ -43,15 +43,6 @@ class System {
   void tick();
   void run(Cycle cycles);
 
-  // --- Event-horizon fast-forward -------------------------------------
-  /// Minimum quiet horizon of the scheduler and the machine: the number
-  /// of cycles the whole system is guaranteed to repeat its current
-  /// behaviour (docs/parallel_execution.md). 0 = must tick naively.
-  [[nodiscard]] Cycle quiet_horizon() const;
-  /// Bulk-advance `cycles` quiet cycles; bit-identical to run(cycles).
-  /// Requires cycles <= quiet_horizon().
-  void skip(Cycle cycles);
-
   [[nodiscard]] Cycle now() const { return machine_->now(); }
 
   [[nodiscard]] fx8::Machine& machine() { return *machine_; }

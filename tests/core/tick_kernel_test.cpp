@@ -9,13 +9,15 @@
 // the session controller can produce: blocks of one, blocks cut short by
 // a cluster control event, blocks requested past the end of the running
 // job, arbitrary interleavings of block and single-cycle advancement,
-// random block lengths, and a capsule loaded into a fresh machine
-// mid-run. Machines are compared through the differential oracle's
+// random block lengths, a capsule loaded into a fresh machine mid-run,
+// and blocks that jump their quiet stretches, ending inside one or on a
+// ticked cycle. Machines are compared through the differential oracle's
 // machine digest, which names the first divergent component
 // (tests/oracle/oracle.hpp); the oracle's own tables cover the
 // session-level configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -405,6 +407,165 @@ TEST(TickKernel, MixedBlockAndNaiveRunsStayConsistent) {
     }
     EXPECT_GT(blocks, kReloadBlock);
     EXPECT_FALSE(wk_any_busy(*block));
+  }
+}
+
+// --- Jumps inside a block ----------------------------------------------
+//
+// tick_block jumps any stretch of two or more cycles in which nothing is
+// due, reading the horizon at entry and after each ticked cycle that
+// stepped no lane and left no fill ready. The reference machine and a
+// machine driven one cycle at a time never jump.
+
+/// A loop whose iterations stream loads over a working set far larger
+/// than the shared cache, so line fetches keep the buses busy and queue
+/// behind busy memory banks.
+isa::Program miss_heavy_program() {
+  isa::KernelSpec k = tk_kernel();
+  k.compute_cycles = 2;
+  k.compute_jitter = 1;
+  k.loads_per_step = 4;
+  k.working_set_bytes = 8 * 1024 * 1024;
+  isa::ConcurrentLoopPhase loop;
+  loop.trip_count = 48;
+  loop.body = k;
+  return isa::ProgramBuilder("miss-heavy")
+      .data_base(0x1000000)
+      .concurrent_loop(loop)
+      .build();
+}
+
+/// Loops of compute-bound iterations each awaiting its predecessor, so
+/// waiting workers book dependence-wait cycles across quiet stretches, and
+/// each loop's last grant goes to a waiting worker, on a cycle that may
+/// step no lane.
+isa::Program dependent_program() {
+  isa::KernelSpec k = tk_kernel();
+  k.compute_cycles = 120;
+  k.compute_jitter = 40;
+  isa::ConcurrentLoopPhase loop;
+  loop.trip_count = 12;
+  loop.body = k;
+  loop.dependence_prob = 1.0;
+  isa::ProgramBuilder builder("dependent");
+  builder.data_base(0x800000);
+  for (int i = 0; i < 6; ++i) {
+    builder.concurrent_loop(loop);
+  }
+  return builder.build();
+}
+
+/// True when some bus holds a queued transaction but carries none: its
+/// head waits for a busy memory bank.
+bool bank_blocked_head(fx8::Machine& m) {
+  for (std::uint32_t bus = 0; bus < m.mem_bus_count(); ++bus) {
+    if (m.membus().queue_depth(bus) > 0 &&
+        m.mem_bus_op(bus) == mem::MemBusOp::kIdle) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A session-like sequence on a bare machine: idle gaps between jobs (only
+// the IPs live, idling or bursting), a compute-bound serial job, a loop of
+// dependent iterations and a miss-heavy loop whose line fetches meet
+// memory banks that stay busy longer than a transfer, on FX/8, on one
+// two-CE cluster and on FX/64. Gaps and jobs are cut into blocks: a third
+// run exactly over the quiet stretch the machine is in and a third last 2
+// to 4 cycles, so many jumps end on a block end, the one place a jump's
+// leftovers (a grant word a quiet tick would reset) can show; the rest
+// last 1 to 2000 cycles, so blocks end on control events, inside quiet
+// stretches and on ticked cycles alike. At every block end the block machine must match the
+// reference, which ticks every lane every cycle, and a machine advanced
+// by tick_block(1), and report the reference's quiet horizon.
+TEST(TickKernel, MidBlockJumpsMatchTheReference) {
+  const isa::Program compute = compute_bound_program();
+  const isa::Program dependent = dependent_program();
+  const isa::Program misses = miss_heavy_program();
+  const std::vector<const isa::Program*> jobs = {&compute, &dependent,
+                                                 &misses, &compute};
+  std::uint64_t seed = 0x0DD1E5EEDULL;  // xorshift64* lengths
+  const auto draw = [&seed](Cycle bound) -> Cycle {
+    seed ^= seed >> 12;
+    seed ^= seed << 25;
+    seed ^= seed >> 27;
+    return 1 + seed * 0x2545F4914F6CDD1DULL % bound;
+  };
+  fx8::MachineConfig narrow = fx8::MachineConfig::fx8();
+  narrow.cluster.n_ces = 2;
+  for (fx8::MachineConfig config :
+       {fx8::MachineConfig::fx8(), narrow, fx8::MachineConfig::fx64()}) {
+    config.memory.bank_busy_cycles = 16;
+    SCOPED_TRACE(config.cluster.n_ces * config.topology.n_clusters);
+    FirstTouchMmu naive_mmu;
+    FirstTouchMmu single_mmu;
+    FirstTouchMmu block_mmu;
+    fx8::Machine naive(config, naive_mmu);
+    make_naive(naive);
+    fx8::Machine single(config, single_mmu);
+    fx8::Machine block(config, block_mmu);
+    const auto length = [&]() -> Cycle {
+      switch (draw(3)) {
+        case 1:  // One jump over the quiet stretch the machine is in.
+          return std::clamp<Cycle>(block.quiet_horizon(), 1, 2000);
+        case 2:
+          return 1 + draw(3);
+        default:
+          return draw(2000);
+      }
+    };
+    std::uint32_t blocks = 0;
+    std::uint32_t quiet_ends = 0;
+    std::uint32_t blocked_heads = 0;
+    // Advance all three machines through one block of at most `want`
+    // cycles and compare them.
+    const auto run_block = [&](Cycle want) {
+      const Cycle jumped = block.jumped_cycles();
+      const Cycle advanced = block.tick_block(want);
+      ASSERT_TRUE(advanced >= 1 && advanced <= want);
+      for (Cycle i = 0; i < advanced; ++i) {
+        naive.tick();
+        ASSERT_EQ(single.tick_block(1), 1u);
+        if (bank_blocked_head(naive)) {
+          ++blocked_heads;
+        }
+      }
+      ASSERT_TRUE(oracle::same_machine(naive, block))
+          << "after block " << blocks << " of " << advanced << " cycles";
+      ASSERT_TRUE(oracle::same_machine(naive, single))
+          << "after block " << blocks;
+      const Cycle horizon = naive.quiet_horizon();
+      ASSERT_EQ(block.quiet_horizon(), horizon) << "after block " << blocks;
+      if (horizon > 0 && block.jumped_cycles() != jumped) {
+        ++quiet_ends;  // The budget ended a jump inside a quiet stretch.
+      }
+      ++blocks;
+    };
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (fx8::Machine* m : {&naive, &single, &block}) {
+        for (std::uint32_t k = 0; k < m->n_clusters(); k += 3) {
+          m->cluster(k).load(*jobs[j], 10 * j + k + 1);
+        }
+      }
+      while (wk_any_busy(naive)) {
+        ASSERT_NO_FATAL_FAILURE(run_block(length()));
+      }
+      for (Cycle gap = 1000 + draw(6000); gap > 0;) {
+        const Cycle before = block.now();
+        ASSERT_NO_FATAL_FAILURE(run_block(std::min(gap, length())));
+        gap -= block.now() - before;
+      }
+    }
+    EXPECT_GT(block.jumps(), 0u);
+    EXPECT_GT(block.jumped_cycles(), 0u);
+    EXPECT_GT(quiet_ends, 0u);
+    EXPECT_GT(blocked_heads, 0u);
+    EXPECT_GT(naive.ips()[0].accesses_issued(), 0u);
+    EXPECT_EQ(naive.jumps(), 0u);
+    EXPECT_EQ(single.jumps(), 0u);
+    EXPECT_EQ(naive.cluster(0).stats().jobs_completed, jobs.size());
+    EXPECT_GT(naive.cluster(0).stats().dependence_wait_cycles, 0u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <vector>
 
+#include "base/capsule.hpp"
 #include "base/expect.hpp"
 #include "mem/main_memory.hpp"
 #include "mem/memory_bus.hpp"
@@ -196,6 +197,49 @@ TEST_F(ClusterTest, DependenceSerializesIterations) {
 
   EXPECT_GT(t_dep, 2 * t_free);
   EXPECT_GT(cluster_.stats().dependence_wait_cycles, 0u);
+}
+
+// Crafted walks are rejected as corrupt: worker iterations past the loop
+// (the next control scan would index the CCB's completion bits with
+// them) and a dependence-waiter count that disagrees with the workers
+// (a fast-forward jump books it once per quiet cycle). The walk of a
+// cluster with no detached CEs ends in the eight u64 worker iterations,
+// five u64 stats counters and the u32 waiter count.
+TEST_F(ClusterTest, LoadRejectsCraftedWorkerWalks) {
+  isa::ConcurrentLoopPhase loop;
+  loop.trip_count = 64;
+  loop.body = tiny_kernel();
+  loop.dependence_prob = 1.0;
+  cluster_.load(isa::ProgramBuilder("dep").concurrent_loop(loop).build(), 1);
+  for (int i = 0; i < 50; ++i) {
+    step();
+  }
+  capsule::Io saver = capsule::Io::saver();
+  cluster_.serialize(saver);
+  const std::vector<std::uint8_t> saved = saver.bytes();
+  const std::size_t waiting_at = saved.size() - 4;
+  const std::size_t iters_at = waiting_at - 5 * 8 - kMaxCes * 8;
+  ASSERT_GT(saved[waiting_at], 0);  // Some worker awaits its predecessor.
+
+  std::vector<std::uint8_t> crafted = saved;
+  for (CeId c = 0; c < kMaxCes; ++c) {
+    crafted[iters_at + 8 * c + 5] = 1;  // Iteration + 2^40.
+  }
+  capsule::Io far = capsule::Io::loader(std::move(crafted));
+  EXPECT_THROW(cluster_.serialize(far), capsule::CapsuleError);
+
+  crafted = saved;
+  ++crafted[waiting_at];
+  capsule::Io miscounted = capsule::Io::loader(std::move(crafted));
+  EXPECT_THROW(cluster_.serialize(miscounted), capsule::CapsuleError);
+
+  // The saved walk itself loads and runs the loop to its end.
+  capsule::Io loader = capsule::Io::loader(saved);
+  cluster_.serialize(loader);
+  while (cluster_.busy()) {
+    step();
+  }
+  EXPECT_EQ(cluster_.stats().iterations_completed, 64u);
 }
 
 TEST_F(ClusterTest, LoadWhileBusyIsContractViolation) {

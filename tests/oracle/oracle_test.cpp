@@ -6,10 +6,11 @@
 // load_session at every boundary, the re-sealed bytes equal to the
 // saved; the loaded machine's quiet horizon equal to the saved one's and
 // the row's fast-forward accounting equal to the ff row's, so a loaded
-// run takes the same skip decisions). At the warmup end
+// run takes the same jump decisions). At the warmup end
 // and after every sample or capture a row must match the reference on
 // System::state_digest(), the generator and controller walks and the
-// boundary's record; a mismatch names the first divergent component
+// boundary's record, and its skipped + block + naive cycles must sum to
+// its clock; a mismatch names the first divergent component
 // (oracle.hpp). The study table compares whole StudyResult digests.
 #include "oracle/oracle.hpp"
 
@@ -234,6 +235,12 @@ std::optional<std::string> run(const Input& input,
           component = "controller.ff_stats (vs row ff)";
         }
         rig = std::move(fresh);
+      }
+      const instr::FastForwardStats& ff = rig->controller.ff_stats();
+      if (component.empty() &&
+          ff.skipped_cycles + ff.block_cycles + ff.naive_cycles !=
+              rig->system.now()) {
+        component = "controller.ff_stats (split does not sum to now)";
       }
       if (component.empty() && rig->key(record) != expected) {
         component = first_divergence(reference.components(), rig->components());
