@@ -35,12 +35,12 @@
 #include "base/capsule.hpp"
 #include "base/expect.hpp"
 #include "base/text.hpp"
-#include "fx8/topology.hpp"
 #include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/regression_models.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
+#include "fx8/machine.hpp"
 #include "workload/mix_io.hpp"
 #include "workload/presets.hpp"
 
@@ -314,27 +314,27 @@ int main(int argc, char** argv) {
 
   core::StudyConfig config;
   if (options.ces != 0 || options.clusters != 0) {
-    fx8::TopologyConfig topology;
-    topology.n_ces = options.ces;
+    fx8::MachineConfig& machine = config.system.machine;
     // --ces alone spreads over as few whole clusters as fit; --clusters
     // alone gangs stock 8-CE clusters.
-    topology.n_clusters =
+    const std::uint32_t clusters =
         options.clusters != 0
             ? options.clusters
-            : std::max<std::uint32_t>(1, (options.ces + kMaxCes - 1) /
-                                             kMaxCes);
-    if (!fx8::topology_valid(topology,
-                             config.system.machine.cluster.n_ces)) {
+            : 1 + (options.ces - 1) / kMaxCes;
+    const std::uint32_t ces =
+        options.ces != 0 ? options.ces : clusters * machine.cluster.n_ces;
+    if (ces % clusters != 0 || !fx8::shape_valid(clusters, ces / clusters)) {
       std::fprintf(stderr,
                    "fx8meter: invalid topology (--ces %u --clusters %u): "
                    "need 1..%u clusters of 1..%u CEs each (the lane "
                    "kernel's chunk), evenly divided, %u CEs total at "
                    "most\n",
-                   options.ces, topology.n_clusters, kMaxCes, kMaxCes,
+                   options.ces, clusters, kMaxTopologyCes / kMaxCes, kMaxCes,
                    kMaxTopologyCes);
       return 2;
     }
-    config.system.machine.topology = topology;
+    machine.n_clusters = clusters;
+    machine.cluster.n_ces = ces / clusters;
   }
   config.samples_per_session = options.samples;
   config.sampling.interval_cycles = options.interval;

@@ -49,7 +49,7 @@ core::RunSpec width_run(const os::SystemConfig& system,
   spec.system = system;
   // Clusters schedule independently off one FIFO queue; deepen the
   // arrival bursts so every cluster stays fed.
-  mix.mean_burst_jobs *= system.machine.topology.n_clusters;
+  mix.mean_burst_jobs *= system.machine.n_clusters;
   spec.mix = std::move(mix);
   spec.generator_seed = seed;
   spec.controller_seed = seed;

@@ -28,8 +28,8 @@ using JobId = std::uint64_t;
 /// clusters and advanced in 8-lane passes.
 inline constexpr std::uint32_t kMaxCes = 8;
 
-/// Maximum machine-wide CE count across all clusters of a topology
-/// (fx8/topology.hpp): kMaxCes lanes in each of up to eight clusters.
+/// Maximum machine-wide CE count across all clusters (fx8::shape_valid):
+/// kMaxCes lanes in each of up to eight clusters.
 inline constexpr std::uint32_t kMaxTopologyCes = 64;
 
 /// Machine-wide per-CE bitmask (bit = global CE id). Wide enough for the

@@ -10,7 +10,6 @@ IpCache::IpCache(const IpCacheConfig& config, mem::MemoryBus& bus)
     : config_(config), bus_(bus) {
   REPRO_EXPECT(config.capacity_bytes >= kLineBytes,
                "IP cache must hold at least one line");
-  REPRO_EXPECT(config.ways == 1, "IP cache model is direct mapped");
   tags_.assign(config.capacity_bytes / kLineBytes, 0);
 }
 

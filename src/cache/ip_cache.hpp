@@ -19,9 +19,9 @@
 
 namespace repro::cache {
 
+/// The IP cache is direct mapped.
 struct IpCacheConfig {
   std::uint64_t capacity_bytes = 32 * 1024;
-  std::uint32_t ways = 1;  ///< Direct mapped.
   /// Memory bus the IP cache's traffic rides on.
   std::uint32_t bus = 0;
 };

@@ -4,13 +4,14 @@
 
 namespace repro::cache {
 
-SharedCache::SharedCache(const SharedCacheConfig& config, mem::MemoryBus& bus)
-    : config_(config), bus_(bus) {
+SharedCache::SharedCache(const SharedCacheConfig& config, mem::MemoryBus& bus,
+                         std::uint32_t n_ces)
+    : config_(config), bus_(bus), n_ces_(n_ces) {
   REPRO_EXPECT(config.banks > 0 && config.modules > 0 && config.ways > 0,
                "cache geometry must be positive");
   REPRO_EXPECT(config.banks % config.modules == 0,
                "banks must divide evenly across modules");
-  REPRO_EXPECT(config.max_ces > 0 && config.max_ces <= kMaxTopologyCes,
+  REPRO_EXPECT(n_ces > 0 && n_ces <= kMaxTopologyCes,
                "MSHR waiter mask supports up to 64 CEs");
   const std::uint64_t total_lines = config.total_bytes / kLineBytes;
   REPRO_EXPECT(total_lines % (config.banks * config.ways) == 0,
@@ -83,7 +84,7 @@ SharedCache::Line& SharedCache::victim_for(Addr addr) {
 }
 
 AccessOutcome SharedCache::access(CeId ce, Addr addr, AccessType type) {
-  REPRO_EXPECT(ce < config_.max_ces, "CE index out of range");
+  REPRO_EXPECT(ce < n_ces_, "CE index out of range");
   REPRO_EXPECT(!miss_outstanding(ce),
                "CE presented an access with a miss already outstanding");
   ++stats_.accesses;
@@ -155,7 +156,7 @@ void SharedCache::drain_fills() {
 }
 
 bool SharedCache::take_fill_ready(CeId ce) {
-  REPRO_EXPECT(ce < config_.max_ces, "CE index out of range");
+  REPRO_EXPECT(ce < n_ces_, "CE index out of range");
   const LaneMask ce_bit = LaneMask{1} << ce;
   if (fill_ready_mask_ & ce_bit) {
     fill_ready_mask_ &= ~ce_bit;

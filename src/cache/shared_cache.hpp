@@ -36,10 +36,6 @@ struct SharedCacheConfig {
   std::uint32_t banks = 4;          ///< Interleave factor across modules.
   std::uint32_t modules = 2;        ///< CPC modules (one memory bus each).
   std::uint32_t ways = 2;           ///< Set associativity within a bank.
-  /// Requesters tracked by the MSHRs — the machine's *total* CE count
-  /// across clusters (global CE ids index the waiter masks). Machine
-  /// raises this to the resolved topology width at construction.
-  std::uint32_t max_ces = kMaxCes;
 };
 
 /// Outcome of presenting an access to the cache.
@@ -60,7 +56,10 @@ struct SharedCacheStats {
 
 class SharedCache {
  public:
-  SharedCache(const SharedCacheConfig& config, mem::MemoryBus& bus);
+  /// `n_ces` is the requesters the MSHRs track: the machine's total CE
+  /// count across clusters (global CE ids index the waiter masks).
+  SharedCache(const SharedCacheConfig& config, mem::MemoryBus& bus,
+              std::uint32_t n_ces = kMaxCes);
 
   [[nodiscard]] const SharedCacheConfig& config() const { return config_; }
 
@@ -85,7 +84,7 @@ class SharedCache {
 
   /// True while the CE has a miss outstanding.
   [[nodiscard]] bool miss_outstanding(CeId ce) const {
-    REPRO_EXPECT(ce < config_.max_ces, "CE index out of range");
+    REPRO_EXPECT(ce < n_ces_, "CE index out of range");
     return (miss_outstanding_mask_ >> ce) & 1u;
   }
 
@@ -158,11 +157,13 @@ class SharedCache {
   std::uint32_t bank_shift_ = 0;
   std::size_t set_mask_ = 0;
   bool sets_pow2_ = false;
+  /// Requesters the MSHRs track (the machine width).
+  std::uint32_t n_ces_;
   /// In-flight fills keyed by line address, in issue order. A vector,
   /// not a hash map: drain order decides victim choice, LRU stamps, and
   /// write-back submit order, so it must be deterministic state a
   /// capsule can reproduce — and with at most one outstanding miss per
-  /// CE the set never exceeds max_ces entries, where a linear scan wins
+  /// CE the set never exceeds n_ces_ entries, where a linear scan wins
   /// anyway.
   std::vector<std::pair<Addr, Fill>> fills_;
   /// Bus completion epoch at the last drain; unchanged epoch = no fill

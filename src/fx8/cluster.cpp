@@ -275,10 +275,15 @@ void Cluster::serialize(capsule::Io& io) {
 }
 
 void Cluster::check_loaded_workers() const {
-  // A worker holding or awaiting an iteration names one of the CCB's
-  // loop, whose completion bits control indexes with it, and only service
-  // lanes take iterations. The waiter count gates the control scan and is
-  // what a fast-forward jump books per cycle (skip()).
+  // The loop flag says whether control may poll the CCB's loop. A worker
+  // holding or awaiting an iteration names one of the CCB's loop, whose
+  // completion bits control indexes with it, and only service lanes take
+  // iterations. The waiter count gates the control scan and is what a
+  // fast-forward jump books per cycle (skip()).
+  if (in_loop_ != ccb_.loop_active()) {
+    throw capsule::CapsuleError(
+        "capsule: loop flag disagrees with the concurrency control bus");
+  }
   std::uint32_t waiting = 0;
   for (CeId c = 0; c < kMaxCes; ++c) {
     if (worker_[c] == WorkerState::kNone) {

@@ -245,9 +245,10 @@ class Cluster {
   [[nodiscard]] std::uint64_t phase_key(std::uint64_t salt) const;
   [[nodiscard]] Addr code_base_for_phase() const;
   void finish_job();
-  /// Load check: every worker holding or awaiting an iteration is a
-  /// service lane naming an iteration of the CCB's loop, and
-  /// deps_waiting_ counts the awaiting ones. Throws capsule::CapsuleError.
+  /// Load check: the loop flag matches the CCB's, every worker holding
+  /// or awaiting an iteration is a service lane naming an iteration of
+  /// the CCB's loop, and deps_waiting_ counts the awaiting ones. Throws
+  /// capsule::CapsuleError.
   void check_loaded_workers() const;
 
   ClusterConfig config_;

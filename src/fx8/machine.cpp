@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "base/expect.hpp"
 #include "base/rng.hpp"
@@ -31,7 +32,7 @@ MachineConfig MachineConfig::fx1() {
 
 MachineConfig MachineConfig::fx16() {
   MachineConfig config;
-  config.topology.n_clusters = 2;
+  config.n_clusters = 2;
   config.shared_cache.total_bytes = 256 * 1024;
   config.shared_cache.banks = 8;
   return config;
@@ -39,7 +40,7 @@ MachineConfig MachineConfig::fx16() {
 
 MachineConfig MachineConfig::fx32() {
   MachineConfig config;
-  config.topology.n_clusters = 4;
+  config.n_clusters = 4;
   config.shared_cache.total_bytes = 512 * 1024;
   config.shared_cache.banks = 16;
   config.shared_cache.modules = 4;
@@ -49,7 +50,7 @@ MachineConfig MachineConfig::fx32() {
 
 MachineConfig MachineConfig::fx64() {
   MachineConfig config;
-  config.topology.n_clusters = 8;
+  config.n_clusters = 8;
   config.shared_cache.total_bytes = 1024 * 1024;
   config.shared_cache.banks = 32;
   config.shared_cache.modules = 4;
@@ -58,36 +59,29 @@ MachineConfig MachineConfig::fx64() {
 }
 
 Machine::Machine(const MachineConfig& config, Mmu& mmu)
-    : config_(config),
-      topology_(resolve_topology(config.topology, config.cluster.n_ces)),
-      lane_pass_(select_lane_pass()) {
+    : config_(config), lane_pass_(select_lane_pass()) {
+  REPRO_EXPECT(shape_valid(config.n_clusters, config.cluster.n_ces),
+               "invalid machine shape: need 1..8 clusters of 1..8 CEs each");
+  REPRO_EXPECT(config.membus.bus_count >= config.shared_cache.modules,
+               "memory bus count " + std::to_string(config.membus.bus_count) +
+                   " is below the shared cache's " +
+                   std::to_string(config.shared_cache.modules) +
+                   " modules (each module's misses ride the bus of its "
+                   "index)");
   memory_ = std::make_unique<mem::MainMemory>(config.memory);
-
-  mem::MemoryBusConfig bus_config = config.membus;
-  if (config.topology.mem_buses != 0) {
-    bus_config.bus_count = config.topology.mem_buses;
-  }
-  membus_ = std::make_unique<mem::MemoryBus>(bus_config, *memory_);
-
-  cache::SharedCacheConfig cache_config = config.shared_cache;
-  if (config.topology.cache_banks != 0) {
-    cache_config.banks = config.topology.cache_banks;
-  }
+  membus_ = std::make_unique<mem::MemoryBus>(config.membus, *memory_);
   // Global CE ids index the MSHR waiter masks: cover every cluster.
-  cache_config.max_ces = std::max(cache_config.max_ces, topology_.total_ces);
-  shared_cache_ =
-      std::make_unique<cache::SharedCache>(cache_config, *membus_);
+  shared_cache_ = std::make_unique<cache::SharedCache>(
+      config.shared_cache, *membus_, total_ces());
 
-  ClusterConfig cluster_config = config.cluster;
-  cluster_config.n_ces = topology_.ces_per_cluster;
-  if (topology_.n_clusters > 1) {
-    fabric_ = std::make_unique<ClusterFabric>(cache_config.banks);
+  if (config.n_clusters > 1) {
+    fabric_ = std::make_unique<ClusterFabric>(config.shared_cache.banks);
   }
-  clusters_.reserve(topology_.n_clusters);
-  for (std::uint32_t i = 0; i < topology_.n_clusters; ++i) {
+  clusters_.reserve(config.n_clusters);
+  for (std::uint32_t i = 0; i < config.n_clusters; ++i) {
     clusters_.push_back(std::make_unique<Cluster>(
-        cluster_config, *shared_cache_, mmu, lanes_, control_events_, now_,
-        /*ce_base=*/i * topology_.ces_per_cluster));
+        config.cluster, *shared_cache_, mmu, lanes_, control_events_, now_,
+        /*ce_base=*/i * config.cluster.n_ces));
     if (fabric_) {
       clusters_.back()->crossbar().attach_fabric(fabric_.get());
     }
@@ -96,7 +90,7 @@ Machine::Machine(const MachineConfig& config, Mmu& mmu)
   std::uint64_t seed = config.seed;
   for (IpId ip = 0; ip < config.n_ips; ++ip) {
     cache::IpCacheConfig ipc;
-    ipc.bus = ip % bus_config.bus_count;
+    ipc.bus = ip % config.membus.bus_count;
     auto ip_cache = std::make_unique<cache::IpCache>(ipc, *membus_);
     ip_cache->set_snoop_hook(
         [this](Addr line) { shared_cache_->snoop_invalidate(line); });

@@ -22,11 +22,19 @@
 #include "fx8/lane_kernel.hpp"
 #include "fx8/ip.hpp"
 #include "fx8/mmu.hpp"
-#include "fx8/topology.hpp"
 #include "mem/main_memory.hpp"
 #include "mem/memory_bus.hpp"
 
 namespace repro::fx8 {
+
+/// True iff `n_clusters` clusters of `ces_per_cluster` CEs each is a
+/// shape the machine can build: 1..8 clusters of 1..kMaxCes CEs (each
+/// cluster one lane-kernel chunk), so at most kMaxTopologyCes CEs in all.
+[[nodiscard]] constexpr bool shape_valid(std::uint32_t n_clusters,
+                                         std::uint32_t ces_per_cluster) {
+  return n_clusters >= 1 && n_clusters <= kMaxTopologyCes / kMaxCes &&
+         ces_per_cluster >= 1 && ces_per_cluster <= kMaxCes;
+}
 
 struct MachineConfig {
   mem::MainMemoryConfig memory;
@@ -36,11 +44,10 @@ struct MachineConfig {
   IpConfig ip;
   std::uint32_t n_ips = 2;
   std::uint64_t seed = 0x1987;
-  /// Machine topology: cluster count and total CE width (0-valued fields
-  /// inherit the legacy single-cluster fields above — see
-  /// fx8/topology.hpp). The default is the measured machine's one
-  /// cluster.
-  TopologyConfig topology;
+  /// Identical clusters of cluster.n_ces CEs each, sharing the cache and
+  /// the memory buses: the machine is n_clusters * cluster.n_ces CEs
+  /// wide (docs/topology.md). The measured machine has one.
+  std::uint32_t n_clusters = 1;
 
   /// The measured machine: 8 CEs, 2 IPs, 128 KB shared cache (the CSRD
   /// configuration of Figure 1).
@@ -109,8 +116,9 @@ class Machine {
     return static_cast<std::uint32_t>(clusters_.size());
   }
   /// Total CE count across clusters (the machine width N).
-  [[nodiscard]] std::uint32_t total_ces() const { return topology_.total_ces; }
-  [[nodiscard]] const ResolvedTopology& topology() const { return topology_; }
+  [[nodiscard]] std::uint32_t total_ces() const {
+    return config_.n_clusters * config_.cluster.n_ces;
+  }
   /// Second-level bank arbiter; nullptr on single-cluster machines.
   [[nodiscard]] ClusterFabric* fabric() { return fabric_.get(); }
   [[nodiscard]] const ClusterFabric* fabric() const { return fabric_.get(); }
@@ -138,7 +146,7 @@ class Machine {
   [[nodiscard]] mem::MemBusOp mem_bus_op(std::uint32_t bus) const {
     return membus_->op_on(bus);
   }
-  /// Effective memory-bus count (after any topology override).
+  /// Memory-bus count.
   [[nodiscard]] std::uint32_t mem_bus_count() const {
     return membus_->config().bus_count;
   }
@@ -171,7 +179,6 @@ class Machine {
 
  private:
   MachineConfig config_;
-  ResolvedTopology topology_;
   std::unique_ptr<mem::MainMemory> memory_;
   std::unique_ptr<mem::MemoryBus> membus_;
   std::unique_ptr<cache::SharedCache> shared_cache_;

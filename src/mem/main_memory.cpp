@@ -11,8 +11,6 @@ MainMemory::MainMemory(const MainMemoryConfig& config) : config_(config) {
                    config.interleave <= bank_free_at_.size(),
                "interleave factor out of range");
   REPRO_EXPECT(config.bank_busy_cycles > 0, "bank busy time must be positive");
-  REPRO_EXPECT(config.capacity_bytes >= kLineBytes,
-               "memory must hold at least one line");
 }
 
 std::uint32_t MainMemory::bank_of(Addr addr) const {

@@ -1,9 +1,11 @@
 // Interleaved main memory model.
 //
 // The FX/8 main memory is four-way interleaved with up to 64 MB capacity
-// (Appendix C). We model bank occupancy: a line access engages one bank
-// for a fixed busy time; a second access to a busy bank must wait, which
-// is how memory contention shows up as extra memory-bus cycles.
+// (Appendix C; the capacity sizes the VM layer's frame pool,
+// os::VmConfig::physical_bytes). We model bank occupancy: a line access
+// engages one bank for a fixed busy time; a second access to a busy bank
+// must wait, which is how memory contention shows up as extra memory-bus
+// cycles.
 #pragma once
 
 #include <array>
@@ -15,7 +17,6 @@
 namespace repro::mem {
 
 struct MainMemoryConfig {
-  std::uint64_t capacity_bytes = 64ULL * 1024 * 1024;
   std::uint32_t interleave = 4;     ///< Number of banks.
   std::uint32_t bank_busy_cycles = 4;  ///< Bank occupancy per line access.
 };

@@ -39,7 +39,6 @@ std::uint64_t System::state_digest() {
 }
 
 void serialize_config(capsule::Io& io, SystemConfig& c) {
-  io.u64(c.machine.memory.capacity_bytes);
   io.u32(c.machine.memory.interleave);
   io.u32(c.machine.memory.bank_busy_cycles);
   io.u32(c.machine.membus.bus_count);
@@ -49,7 +48,6 @@ void serialize_config(capsule::Io& io, SystemConfig& c) {
   io.u32(c.machine.shared_cache.banks);
   io.u32(c.machine.shared_cache.modules);
   io.u32(c.machine.shared_cache.ways);
-  io.u32(c.machine.shared_cache.max_ces);
   io.u32(c.machine.cluster.n_ces);
   io.enum32(c.machine.cluster.policy, fx8::ServicePolicy::kRotating);
   io.enum32(c.machine.cluster.dispatch,
@@ -64,10 +62,7 @@ void serialize_config(capsule::Io& io, SystemConfig& c) {
   io.f64(c.machine.ip.jump_prob);
   io.u32(c.machine.n_ips);
   io.u64(c.machine.seed);
-  io.u32(c.machine.topology.n_ces);
-  io.u32(c.machine.topology.n_clusters);
-  io.u32(c.machine.topology.cache_banks);
-  io.u32(c.machine.topology.mem_buses);
+  io.u32(c.machine.n_clusters);
   io.u64(c.vm.segments);
   io.u64(c.vm.pages_per_segment);
   io.u64(c.vm.fault_service_cycles);

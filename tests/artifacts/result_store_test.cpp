@@ -311,15 +311,13 @@ TEST(CacheKeys, EveryStudyConfigFieldChangesTheKey) {
   }));
   EXPECT_TRUE(changes([](auto& c) { c.system.machine.n_ips += 1; }));
   EXPECT_TRUE(changes([](auto& c) { c.system.machine.seed += 1; }));
-  // The topology block: every field keys (a width-16 run must never
+  // The machine's shape: every field keys (a width-16 run must never
   // serve a width-8 blob and vice versa).
-  EXPECT_TRUE(changes([](auto& c) { c.system.machine.topology.n_ces += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.system.machine.n_clusters += 1; }));
+  EXPECT_TRUE(changes([](auto& c) { c.system.machine.cluster.n_ces -= 1; }));
   EXPECT_TRUE(
-      changes([](auto& c) { c.system.machine.topology.n_clusters += 1; }));
-  EXPECT_TRUE(
-      changes([](auto& c) { c.system.machine.topology.cache_banks += 1; }));
-  EXPECT_TRUE(
-      changes([](auto& c) { c.system.machine.topology.mem_buses += 1; }));
+      changes([](auto& c) { c.system.machine.shared_cache.banks *= 2; }));
+  EXPECT_TRUE(changes([](auto& c) { c.system.machine.membus.bus_count += 1; }));
   EXPECT_TRUE(changes([](auto& c) { c.system.vm.fault_service_cycles += 1; }));
   EXPECT_TRUE(changes([](auto& c) {
     c.system.scheduling = os::SchedulingPolicy::kConcurrentFirst;

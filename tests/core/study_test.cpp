@@ -50,8 +50,8 @@ TEST(Study, SpecsAreOnePerSession) {
     EXPECT_EQ(specs[i].mix.name, mixes[i].name);
     EXPECT_EQ(specs[i].samples, config.samples_per_session);
   }
-  EXPECT_EQ(run_key(specs.front()), 0xe44cfd7bed0d3c89ULL);
-  EXPECT_EQ(run_key(specs.back()), 0xbc85fe30999fb5eeULL);
+  EXPECT_EQ(run_key(specs.front()), 0xaf65486b2ba530bdULL);
+  EXPECT_EQ(run_key(specs.back()), 0xb81ddad193cc6f12ULL);
 }
 
 TEST(Study, DeterministicForConfigSeed) {

@@ -497,7 +497,7 @@ TEST(TickKernel, MidBlockJumpsMatchTheReference) {
   for (fx8::MachineConfig config :
        {fx8::MachineConfig::fx8(), narrow, fx8::MachineConfig::fx64()}) {
     config.memory.bank_busy_cycles = 16;
-    SCOPED_TRACE(config.cluster.n_ces * config.topology.n_clusters);
+    SCOPED_TRACE(config.cluster.n_ces * config.n_clusters);
     FirstTouchMmu naive_mmu;
     FirstTouchMmu single_mmu;
     FirstTouchMmu block_mmu;

@@ -242,6 +242,55 @@ TEST_F(ClusterTest, LoadRejectsCraftedWorkerWalks) {
   EXPECT_EQ(cluster_.stats().iterations_completed, 64u);
 }
 
+// A capsule's loop flag must match the CCB: a cluster loaded "in a loop"
+// the CCB never started polls a CCB with no loop on its next control
+// scan, and one loaded outside a loop the CCB is running starts it twice.
+// The flag is the first of the two booleans ahead of the eight u32 worker
+// states, eight u64 worker iterations, five u64 stats counters and the
+// u32 waiter count that end the walk.
+TEST_F(ClusterTest, LoadRejectsALoopFlagTheCcbDoesNotHold) {
+  isa::ConcurrentLoopPhase loop;
+  loop.trip_count = 16;
+  loop.body = tiny_kernel();
+  cluster_.load(isa::ProgramBuilder("serial-then-loop")
+                    .serial(tiny_kernel(), 50)
+                    .concurrent_loop(loop)
+                    .build(),
+                1);
+  for (int i = 0; i < 20; ++i) {
+    step();
+  }
+  const auto walk = [this] {
+    capsule::Io saver = capsule::Io::saver();
+    cluster_.serialize(saver);
+    return saver.bytes();
+  };
+  const auto in_loop_at = [](const std::vector<std::uint8_t>& bytes) {
+    return bytes.size() - 4 - 5 * 8 - kMaxCes * 8 - kMaxCes * 4 - 2;
+  };
+  const std::vector<std::uint8_t> serial = walk();
+  ASSERT_EQ(serial[in_loop_at(serial)], 0);  // Still in the serial phase.
+  std::vector<std::uint8_t> crafted = serial;
+  crafted[in_loop_at(crafted)] = 1;
+  capsule::Io in_loop = capsule::Io::loader(std::move(crafted));
+  EXPECT_THROW(cluster_.serialize(in_loop), capsule::CapsuleError);
+
+  // Reload the true walk and run into the loop; clearing the flag there
+  // is refused too.
+  capsule::Io loader = capsule::Io::loader(serial);
+  cluster_.serialize(loader);
+  for (Cycle used = 0; cluster_.active_count() < 2; ++used) {
+    ASSERT_LT(used, 100'000u);
+    step();
+  }
+  const std::vector<std::uint8_t> looping = walk();
+  ASSERT_EQ(looping[in_loop_at(looping)], 1);
+  crafted = looping;
+  crafted[in_loop_at(crafted)] = 0;
+  capsule::Io outside = capsule::Io::loader(std::move(crafted));
+  EXPECT_THROW(cluster_.serialize(outside), capsule::CapsuleError);
+}
+
 TEST_F(ClusterTest, LoadWhileBusyIsContractViolation) {
   const isa::Program prog =
       isa::ProgramBuilder("p").serial(tiny_kernel(), 100).build();

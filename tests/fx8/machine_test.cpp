@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/expect.hpp"
 
 namespace repro::fx8 {
@@ -38,6 +40,31 @@ TEST(Machine, Fx1IsSingleCe) {
   Machine machine(MachineConfig::fx1(), mmu);
   EXPECT_EQ(machine.cluster().width(), 1u);
   EXPECT_EQ(machine.ips().size(), 1u);
+}
+
+// Each shared-cache module's misses ride the memory bus of its own index,
+// so a machine with fewer buses than modules is refused when it is built,
+// not at its first miss on a bus that is not there. The other fan-out
+// bounds hold at construction too: grant words of 64 banks and four
+// memory-bus probe channels.
+TEST(Machine, RejectsFanOutItCannotWire) {
+  NoFaultMmu mmu;
+  MachineConfig one_bus = MachineConfig::fx8();
+  one_bus.membus.bus_count = 1;
+  try {
+    Machine machine(one_bus, mmu);
+    ADD_FAILURE() << "one memory bus behind two cache modules was built";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("memory bus count 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("2 modules"), std::string::npos) << what;
+  }
+  MachineConfig many_banks = MachineConfig::fx8();
+  many_banks.shared_cache.banks = 128;
+  EXPECT_THROW(Machine machine(many_banks, mmu), ContractViolation);
+  MachineConfig five_buses = MachineConfig::fx8();
+  five_buses.membus.bus_count = 5;
+  EXPECT_THROW(Machine machine(five_buses, mmu), ContractViolation);
 }
 
 TEST(Machine, RunsAConcurrentJobEndToEnd) {

@@ -1,12 +1,10 @@
 // Topology scale-out tests: parameterized N-CE, multi-cluster machines.
 //
-// The TopologyConfig validation matrix, multi-cluster machine
-// construction (global CE ids, fabric wiring, scheduler slots), the
-// second-level bank fabric's arbitration, and capsule round-trips at
-// every preset width. The FX/8 default must stay structurally identical
-// to the pre-topology machine: one cluster, no fabric.
-#include "fx8/topology.hpp"
-
+// The machine-shape predicate, multi-cluster machine construction
+// (global CE ids, fabric wiring, scheduler slots), the second-level bank
+// fabric's arbitration, and capsule round-trips at every preset width.
+// The FX/8 default must stay structurally identical to the pre-topology
+// machine: one cluster, no fabric.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -33,50 +31,35 @@ isa::Program loop_program(const char* name, std::uint64_t trips) {
       .build();
 }
 
-// --- TopologyConfig validation matrix ---------------------------------
+// --- The machine-shape predicate --------------------------------------
 
-TEST(TopologyConfig, DefaultInheritsTheLegacyWidth) {
-  const TopologyConfig inherit;
-  EXPECT_TRUE(topology_valid(inherit, kMaxCes));
-  const ResolvedTopology resolved = resolve_topology(inherit, kMaxCes);
-  EXPECT_EQ(resolved.n_clusters, 1u);
-  EXPECT_EQ(resolved.ces_per_cluster, kMaxCes);
-  EXPECT_EQ(resolved.total_ces, kMaxCes);
-
-  const ResolvedTopology narrow = resolve_topology(inherit, 4);
-  EXPECT_EQ(narrow.ces_per_cluster, 4u);
-  EXPECT_EQ(narrow.total_ces, 4u);
-}
-
-TEST(TopologyConfig, ValidationMatrix) {
-  const auto valid = [](std::uint32_t ces, std::uint32_t clusters) {
-    TopologyConfig t;
-    t.n_ces = ces;
-    t.n_clusters = clusters;
-    return topology_valid(t, kMaxCes);
-  };
+TEST(MachineShape, ValidationMatrix) {
   // Every preset shape and the single-cluster widths.
-  EXPECT_TRUE(valid(0, 1));    // inherit
-  EXPECT_TRUE(valid(8, 1));    // FX/8
-  EXPECT_TRUE(valid(4, 1));    // narrow cluster
-  EXPECT_TRUE(valid(16, 2));   // fx16
-  EXPECT_TRUE(valid(32, 4));   // fx32
-  EXPECT_TRUE(valid(64, 8));   // fx64
-  EXPECT_TRUE(valid(12, 4));   // 3 CEs per cluster
-  // Shapes the lane kernel cannot chunk or the grant words cannot hold.
-  EXPECT_FALSE(valid(16, 1));  // 16 CEs in one cluster: chunk is 8
-  EXPECT_FALSE(valid(12, 5));  // not evenly divided
-  EXPECT_FALSE(valid(0, 0));   // zero clusters
-  EXPECT_FALSE(valid(0, 9));   // too many clusters
-  EXPECT_FALSE(valid(65, 8));  // over the 64-CE grant word
-  EXPECT_FALSE(valid(72, 8));  // 9 CEs per cluster
+  EXPECT_TRUE(shape_valid(1, 8));   // FX/8
+  EXPECT_TRUE(shape_valid(1, 4));   // narrow cluster
+  EXPECT_TRUE(shape_valid(2, 8));   // fx16
+  EXPECT_TRUE(shape_valid(4, 8));   // fx32
+  EXPECT_TRUE(shape_valid(8, 8));   // fx64
+  EXPECT_TRUE(shape_valid(4, 3));   // 12 CEs, 3 per cluster
+  // Shapes the lane kernel cannot chunk or the lane masks cannot hold.
+  EXPECT_FALSE(shape_valid(1, 16));  // 16 CEs in one cluster: chunk is 8
+  EXPECT_FALSE(shape_valid(0, 8));   // zero clusters
+  EXPECT_FALSE(shape_valid(1, 0));   // zero CEs
+  EXPECT_FALSE(shape_valid(9, 8));   // too many clusters: 72 CEs
+  EXPECT_FALSE(shape_valid(8, 9));   // 9 CEs per cluster
 }
 
-TEST(TopologyConfig, ResolveRejectsInvalidShapes) {
-  TopologyConfig bad;
-  bad.n_ces = 16;
-  bad.n_clusters = 1;
-  EXPECT_THROW((void)resolve_topology(bad, kMaxCes), ContractViolation);
+TEST(MachineShape, ConstructorRejectsInvalidShapes) {
+  NoFaultMmu mmu;
+  MachineConfig nine_clusters = MachineConfig::fx8();
+  nine_clusters.n_clusters = 9;
+  EXPECT_THROW(Machine machine(nine_clusters, mmu), ContractViolation);
+  MachineConfig no_clusters = MachineConfig::fx8();
+  no_clusters.n_clusters = 0;
+  EXPECT_THROW(Machine machine(no_clusters, mmu), ContractViolation);
+  MachineConfig wide_cluster = MachineConfig::fx16();
+  wide_cluster.cluster.n_ces = 16;
+  EXPECT_THROW(Machine machine(wide_cluster, mmu), ContractViolation);
 }
 
 // --- Multi-cluster machine construction -------------------------------
@@ -238,18 +221,20 @@ TEST(TopologyCapsule, SystemRoundTripsAtEveryPresetWidth) {
 }
 
 TEST(TopologyCapsule, FingerprintCoversTopologyFields) {
+  // Every field that shapes the machine keys the fingerprint: a capsule
+  // of one shape never restores into another.
   os::SystemConfig base;
   const std::uint64_t key = os::config_fingerprint(base);
-  os::SystemConfig ces = base;
-  ces.machine.topology.n_ces = 16;
   os::SystemConfig clusters = base;
-  clusters.machine.topology.n_clusters = 2;
+  clusters.machine.n_clusters = 2;
+  os::SystemConfig ces = base;
+  ces.machine.cluster.n_ces = 4;
   os::SystemConfig banks = base;
-  banks.machine.topology.cache_banks = 32;
+  banks.machine.shared_cache.banks = 8;
   os::SystemConfig buses = base;
-  buses.machine.topology.mem_buses = 4;
-  EXPECT_NE(os::config_fingerprint(ces), key);
+  buses.machine.membus.bus_count = 4;
   EXPECT_NE(os::config_fingerprint(clusters), key);
+  EXPECT_NE(os::config_fingerprint(ces), key);
   EXPECT_NE(os::config_fingerprint(banks), key);
   EXPECT_NE(os::config_fingerprint(buses), key);
 }
