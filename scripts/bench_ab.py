@@ -19,12 +19,16 @@ neither side), and whether a gain would be claimable by the rule of the
 choosing-metrics method: the change wins at least nine tenths of the
 pairs, and its median beats the parent's by more than the distance
 between the parent's quartiles. It also prints each metric's regression
-check against the benchmark's bound.
+check against the benchmark's bound, and the paired verdict: the median
+over pairs of log(change / parent), shown as a percent change, with a
+95% percentile-bootstrap confidence interval over the pairs (stdlib
+only, seeded, so a rerun prints the same interval).
 
 With --history FILE it appends one JSON line per workload to FILE: the
 date, both sides' `git describe`, build type and compiler, the pairs,
 seconds and seed, and for each end-to-end metric both sides' medians and
-quartiles, the pair wins and the gain and bound verdicts. The repository
+quartiles, the pair wins, the paired median log ratio with its CI, and
+the gain and bound verdicts. The repository
 keeps its A/B results that way in BENCH_history.jsonl.
 
 Exits 1 as soon as either side reports `correct: false` or `failed > 0`,
@@ -36,6 +40,7 @@ import datetime
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -43,6 +48,7 @@ from pathlib import Path
 
 WORKLOADS = ("reproduce", "study_fx8", "study_fx64")
 SIDES = ("parent", "change")
+BOOTSTRAP_RESAMPLES = 4000
 
 
 def run_once(checkout, workload, seconds, seed):
@@ -72,6 +78,31 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def paired_log_ratios(parent, change):
+    """log(change / parent) for each pair whose values are both positive
+    (a ratio of a zero or negative value means nothing)."""
+    return [math.log(c / p) for p, c in zip(parent, change) if p > 0 and c > 0]
+
+
+def bootstrap_median_ci(values, level=0.95, resamples=BOOTSTRAP_RESAMPLES,
+                        seed=0):
+    """Median of `values` and its percentile-bootstrap confidence interval:
+    the median of `resamples` same-size resamples drawn with replacement
+    from a seeded generator, cut at the (1 - level) / 2 tails. None for
+    no values."""
+    if not values:
+        return None
+    rng = random.Random(seed)
+    n = len(values)
+    medians = sorted(
+        statistics.median(rng.choice(values) for _ in range(n))
+        for _ in range(resamples))
+    tail = (1 - level) / 2
+    low = medians[int(math.floor(tail * (resamples - 1)))]
+    high = medians[int(math.ceil((1 - tail) * (resamples - 1)))]
+    return statistics.median(values), low, high
+
+
 def better(a, b, direction):
     """True when value a is better than b."""
     return a < b if direction == "lower" else a > b
@@ -96,24 +127,39 @@ def summarize(metric, runs):
     limit = (parent_q[1] * (1 + bound) if direction == "lower"
              else parent_q[1] * (1 - bound))
     regressed = better(limit, change_q[1], direction)
+    paired = bootstrap_median_ci(
+        paired_log_ratios(values["parent"], values["change"]))
     return {
         "metric": name, "better": direction, "pairs": len(runs),
         "parent": values["parent"], "change": values["change"],
         "parent_quartiles": parent_q, "change_quartiles": change_q,
         "change_wins": wins, "parent_wins": losses,
         "median_gap": gap, "parent_iqr": iqr,
+        "log_ratio_median": paired[0] if paired else None,
+        "log_ratio_ci95": [paired[1], paired[2]] if paired else None,
         "gain_claimable": claimable, "within_bound": not regressed,
     }
+
+
+def percent(log_ratio):
+    """A log ratio as a signed percent change."""
+    return (math.exp(log_ratio) - 1) * 100
 
 
 def print_row(row, unit):
     p1, p2, p3 = row["parent_quartiles"]
     c1, c2, c3 = row["change_quartiles"]
     change = (c2 - p2) / p2 * 100 if p2 else float("nan")
+    if row["log_ratio_median"] is None:
+        paired = "paired n/a"
+    else:
+        low, high = row["log_ratio_ci95"]
+        paired = (f"paired {percent(row['log_ratio_median']):+.1f}% "
+                  f"[{percent(low):+.1f}%, {percent(high):+.1f}%]")
     print(f"  {row['metric']:18s} parent {p2:.4g} [{p1:.4g}-{p3:.4g}] "
           f"change {c2:.4g} [{c1:.4g}-{c3:.4g}] {unit} ({change:+.1f}%)  "
           f"wins {row['change_wins']}/{row['pairs']} "
-          f"(parent {row['parent_wins']})  "
+          f"(parent {row['parent_wins']})  {paired}  "
           f"gain rule: {'holds' if row['gain_claimable'] else 'not met'}  "
           f"bound: {'ok' if row['within_bound'] else 'EXCEEDED'}")
 
@@ -137,6 +183,8 @@ def history_line(workload, args, runs, rows):
                                  row["change_quartiles"][2]],
             "change_wins": row["change_wins"],
             "parent_wins": row["parent_wins"],
+            "log_ratio_median": row["log_ratio_median"],
+            "log_ratio_ci95": row["log_ratio_ci95"],
             "gain_claimable": row["gain_claimable"],
             "within_bound": row["within_bound"],
         }

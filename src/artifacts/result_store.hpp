@@ -63,7 +63,10 @@ inline constexpr std::uint32_t kStoreFormatVersion = 2;
 /// as naive.
 /// v8: the activity histograms list rows width..0 only, not one row per
 /// bin of the widest topology.
-inline constexpr std::uint32_t kCodeVersion = 8;
+/// v9: acquisitions are counted inside blocks, not lockstep-latched, so a
+/// run's fast-forward split moves (the jumps moved it once before
+/// without a bump).
+inline constexpr std::uint32_t kCodeVersion = 9;
 
 /// The salt walked into every key.
 inline constexpr std::uint64_t kCodeSalt =

@@ -26,6 +26,12 @@ SharedCache::SharedCache(const SharedCacheConfig& config, mem::MemoryBus& bus,
     sets_pow2_ = true;
     set_mask_ = sets_per_bank_ - 1;
   }
+  banks_per_module_ = config.banks / config.modules;
+  if (std::has_single_bit(banks_per_module_)) {
+    modules_pow2_ = true;
+    module_shift_ =
+        static_cast<std::uint32_t>(std::countr_zero(banks_per_module_));
+  }
 }
 
 Addr SharedCache::line_addr(Addr addr) const {
@@ -34,7 +40,7 @@ Addr SharedCache::line_addr(Addr addr) const {
 
 std::uint32_t SharedCache::module_of_bank(std::uint32_t bank) const {
   REPRO_EXPECT(bank < config_.banks, "bank index out of range");
-  return bank / (config_.banks / config_.modules);
+  return modules_pow2_ ? bank >> module_shift_ : bank / banks_per_module_;
 }
 
 std::size_t SharedCache::set_index(Addr addr) const {

@@ -157,6 +157,11 @@ class SharedCache {
   std::uint32_t bank_shift_ = 0;
   std::size_t set_mask_ = 0;
   bool sets_pow2_ = false;
+  /// Banks per module, and its log2 when a power of two (every real
+  /// geometry): module_of_bank shifts, falling back to one division.
+  std::uint32_t banks_per_module_ = 1;
+  std::uint32_t module_shift_ = 0;
+  bool modules_pow2_ = false;
   /// Requesters the MSHRs track (the machine width).
   std::uint32_t n_ces_;
   /// In-flight fills keyed by line address, in issue order. A vector,

@@ -116,28 +116,22 @@ RunResult run(const RunSpec& spec) {
   result.clusters = system.machine().n_clusters();
   controller.advance(spec.warmup_cycles);
 
-  const std::uint32_t n_buses = system.machine().mem_bus_count();
   for (std::uint32_t capture = 0; capture < spec.captures; ++capture) {
-    const auto buffer =
+    const auto window =
         controller.capture_triggered(spec.capture_mode, spec.capture_timeout);
-    if (!buffer) {
+    if (!window) {
       ++result.captures_timed_out;
       continue;
     }
     ++result.captures_completed;
-    result.captured.merge(instr::reduce(*buffer, result.width, n_buses));
-    for (const instr::ProbeRecord& record : *buffer) {
-      const std::uint32_t active = record.active_count();
-      ++result.state_counts[active];
-      // Per-processor tallies over the transition states proper, the
-      // population Figure 7 describes.
-      if (active >= 2 && active < result.width) {
-        for (CeId ce = 0; ce < result.width; ++ce) {
-          if (record.ce_active(ce)) {
-            ++result.processor_counts[ce];
-          }
-        }
-      }
+    result.captured.merge(window->counts);
+    // Per-processor tallies over the transition states proper, the
+    // population Figure 7 describes.
+    for (std::size_t j = 0; j <= result.width; ++j) {
+      result.state_counts[j] += window->counts.num[j];
+    }
+    for (CeId ce = 0; ce < result.width; ++ce) {
+      result.processor_counts[ce] += window->transition_proc[ce];
     }
   }
 

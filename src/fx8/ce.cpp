@@ -56,21 +56,22 @@ void Ce::advance(Cycle cycles) {
       compute_left_ -= static_cast<std::uint32_t>(cycles);
       stats_.busy_cycles += cycles;
       stats_.compute_cycles += cycles;
-      return;
+      break;
     case Phase::kMissWait:
       set_bus_op(mem::CeBusOp::kWait);
       stats_.busy_cycles += cycles;
       stats_.miss_wait_cycles += cycles;
-      return;
+      break;
     case Phase::kFaultWait:
       set_bus_op(mem::CeBusOp::kIdle);
       fault_left_ -= cycles;
       stats_.busy_cycles += cycles;
       stats_.fault_wait_cycles += cycles;
-      return;
+      break;
     default:
       return;
   }
+  lanes_.op_cycles[static_cast<std::size_t>(lanes_.bus_op[id_])] += cycles;
 }
 
 void Ce::take_completed() {

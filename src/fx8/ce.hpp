@@ -148,11 +148,13 @@ class Ce {
 
   // --- Lane horizons (Machine::tick_block) ----------------------------
   /// Step at machine cycle `now`: book the cycles since the lane last
-  /// stepped (catch_up), tick(), and record when the lane is next due
+  /// stepped (catch_up), tick(), count the cycle under the opcode it
+  /// latched (CeHot::op_cycles), and record when the lane is next due
   /// (set_due(now + 1)).
   void step(Cycle now) {
     catch_up(now);
     tick();
+    ++lanes_.op_cycles[static_cast<std::size_t>(lanes_.bus_op[id_])];
     clock_ = now + 1;
     set_due(now + 1);
   }
@@ -207,7 +209,8 @@ class Ce {
 
   /// The one bulk-advance body: `cycles` repeats of the current steady
   /// behaviour (compute burn, miss wait, fault wait), with the bus opcode
-  /// each would latch, and the lane clock moved by `cycles`. A parked
+  /// each would latch (counted in CeHot::op_cycles), and the lane clock
+  /// moved by `cycles`. A parked
   /// lane repeats nothing; neither does one that start() loaded after
   /// it sat parked through the lag. Checks no horizon: the machine's
   /// catch-up also books a miss wait whose fill is already up.

@@ -87,6 +87,14 @@ Cluster::Cluster(const ClusterConfig& config, cache::SharedCache& cache,
     service_pos_[service_order_[i]] = static_cast<std::uint8_t>(i);
   }
   rotating_ = config.policy == ServicePolicy::kRotating;
+  for (std::uint32_t local = 0; local < fixed_positions_.size(); ++local) {
+    std::uint32_t positions = 0;
+    for (std::uint32_t m = local & ((1u << config.n_ces) - 1); m != 0;
+         m &= m - 1) {
+      positions |= 1u << service_pos_[lowest_bit(m)];
+    }
+    fixed_positions_[local] = static_cast<std::uint8_t>(positions);
+  }
   for (const CeId c : base_order_) {
     service_lane_mask_ |= LaneMask{1} << (ce_base + c);
   }
@@ -107,6 +115,9 @@ void Cluster::refresh_service_order() {
 }
 
 std::uint32_t Cluster::service_positions(std::uint32_t lanes) const {
+  if (!rotating_) {
+    return fixed_positions_[lanes];
+  }
   std::uint32_t positions = 0;
   for (; lanes != 0; lanes &= lanes - 1) {
     positions |= 1u << service_pos_[lowest_bit(lanes)];
@@ -132,6 +143,7 @@ void Cluster::load_detached(std::uint32_t slot, isa::Program program,
                "detached processes are exclusively serial");
   detached_[slot] = DetachedJob{std::move(program), job, 0, 0};
   detached_live_ |= 1u << slot;
+  ++ce_hot_.active_changes;
 }
 
 void Cluster::run_detached(std::uint32_t slot) {
@@ -158,6 +170,7 @@ void Cluster::run_detached(std::uint32_t slot) {
       detached_live_ &= ~(1u << slot);
       ++stats_.jobs_completed;
       ++events_;
+      ++ce_hot_.active_changes;
       return;
     }
   }
@@ -190,6 +203,7 @@ void Cluster::load(isa::Program program, JobId job) {
   worker_.fill(WorkerState::kNone);
   executing_ = 0;
   deps_waiting_ = 0;
+  ++ce_hot_.active_changes;
   if (observer_) {
     observer_->on_job_start(job_, clock_);
   }
@@ -311,6 +325,7 @@ void Cluster::finish_job() {
   job_ = 0;
   ++stats_.jobs_completed;
   ++events_;
+  ++ce_hot_.active_changes;
 }
 
 void Cluster::run_serial_phase(const isa::SerialPhase& phase) {
@@ -399,6 +414,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
   if (!in_loop_) {
     ccb_.start_loop(phase.trip_count, config_.dispatch, cluster_width());
     in_loop_ = true;
+    ++ce_hot_.active_changes;
     worker_.fill(WorkerState::kNone);
     executing_ = 0;
     deps_waiting_ = 0;
@@ -434,6 +450,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
       ++stats_.iterations_completed;
       worker_[c] = WorkerState::kNone;
       executing_ &= ~bit;
+      ++ce_hot_.active_changes;
       if (ccb_.all_complete()) {
         serial_ce_ = c;  // Last finisher continues serially (Figure 2).
       }
@@ -450,6 +467,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
     if (worker_[c] == WorkerState::kNone && !ccb_.all_dispatched()) {
       if (const auto iter = ccb_.try_dispatch(c)) {
         worker_iter_[c] = *iter;
+        ++ce_hot_.active_changes;
         if (iteration_has_dependence(phase, *iter) &&
             !ccb_.predecessor_complete(*iter)) {
           worker_[c] = WorkerState::kAwaitingDep;
@@ -466,6 +484,7 @@ void Cluster::run_concurrent_phase(const isa::ConcurrentLoopPhase& phase) {
   if (ccb_.all_complete()) {
     ccb_.end_loop();
     in_loop_ = false;
+    ++ce_hot_.active_changes;
     ++stats_.loops_completed;
     if (observer_) {
       observer_->on_loop_end(job_, static_cast<std::uint32_t>(phase_idx_),

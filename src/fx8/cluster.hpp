@@ -154,7 +154,8 @@ class Cluster {
   /// Bitmask of CEs "active" in the paper's CCB-probe sense: executing
   /// serial code, or participating in a concurrent operation (holding an
   /// iteration, awaiting a dependence, or contending for one while
-  /// undispatched iterations remain).
+  /// undispatched iterations remain). Every change to it bumps
+  /// CeHot::active_changes in the same call.
   [[nodiscard]] std::uint32_t active_mask() const;
 
   /// Number of active CEs this cycle (popcount of active_mask).
@@ -191,6 +192,8 @@ class Cluster {
   [[nodiscard]] bool lanes_live() const {
     return program_.has_value() || detached_live_ != 0;
   }
+  /// Bitmask (global CE ids) of every lane this cluster owns.
+  [[nodiscard]] LaneMask lanes_mask() const { return lanes_mask_; }
   /// One past this cluster's highest global CE id (the lane-selection
   /// prefix bound tick_block takes the max of over live clusters).
   [[nodiscard]] CeId lane_end() const { return ce_base_ + config_.n_ces; }
@@ -271,6 +274,9 @@ class Cluster {
   /// hot loops turn a lane mask into a position mask and walk only its
   /// set bits, in service order.
   std::array<std::uint8_t, kMaxCes> service_pos_{};
+  /// service_positions() of every local lane mask, for the orders that
+  /// never rotate (built once by the constructor).
+  std::array<std::uint8_t, std::size_t{1} << kMaxCes> fixed_positions_{};
   std::uint32_t service_count_ = 0;
 
   std::optional<isa::Program> program_;

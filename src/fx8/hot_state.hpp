@@ -41,6 +41,18 @@ struct CeHot {
   /// Maintained by Ce::set_phase so a cluster's control scan can test
   /// "any completion to reap?" in O(1) instead of polling every CE.
   LaneMask done_mask = 0;
+
+  // Probe bookkeeping, not state: the capsule walk leaves both out, and
+  // only their differences between two block ends mean anything.
+  /// CE-bus cycles booked per opcode, summed over every lane: Ce::step
+  /// adds the cycle it steps with the opcode it latched, Ce's bulk-advance
+  /// body the repeats it books. Parked lanes book nothing, so a probe
+  /// window takes kIdle as the complement over width x cycles.
+  std::array<std::uint64_t, mem::kNumCeBusOps> op_cycles{};
+  /// Bumped by a cluster wherever its CCB active lines may change (worker
+  /// transitions, loop start and end, job and detached-job load and
+  /// finish); Machine::tick_block re-reads the lines only when it moves.
+  std::uint64_t active_changes = 0;
 };
 
 }  // namespace repro::fx8

@@ -16,6 +16,20 @@ std::size_t lowest_bit(std::uint64_t mask) {
 }
 }  // namespace
 
+void ActiveLineCycles::book(LaneMask mask, Cycle cycles,
+                            std::uint32_t width) {
+  const auto count = static_cast<std::uint32_t>(std::popcount(mask));
+  by_count[count] += cycles;
+  const bool transition = count >= 2 && count < width;
+  for (; mask != 0; mask &= mask - 1) {
+    const std::size_t ce = lowest_bit(mask);
+    per_ce[ce] += cycles;
+    if (transition) {
+      per_ce_transition[ce] += cycles;
+    }
+  }
+}
+
 MachineConfig MachineConfig::fx8() { return MachineConfig{}; }
 
 MachineConfig MachineConfig::fx1() {
@@ -139,6 +153,36 @@ Cycle Machine::quiet_horizon() const {
   return horizon;
 }
 
+ProbeCounters Machine::probe_counters() const {
+  ProbeCounters counters;
+  counters.now = now_;
+  counters.ce_op_cycles = lanes_.op_cycles;
+  for (std::uint32_t bus = 0; bus < mem_bus_count(); ++bus) {
+    for (std::size_t op = 0; op < mem::kNumMemBusOps; ++op) {
+      counters.mem_op_cycles[op] +=
+          membus_->op_cycles(bus, static_cast<mem::MemBusOp>(op));
+    }
+  }
+  // The lines have read active_lines_ since active_since_: a change
+  // after the last ticked cycle (an OS-layer load) shows from now_ on.
+  counters.active = active_booked_;
+  counters.active.book(active_lines_, now_ - active_since_, total_ces());
+  return counters;
+}
+
+bool Machine::rebook_active_lines() {
+  active_changes_seen_ = lanes_.active_changes;
+  const LaneMask lines = active_mask();
+  if (lines == active_lines_) {
+    return false;
+  }
+  active_booked_.book(active_lines_, now_ - active_since_, total_ces());
+  const bool count_changed = std::popcount(lines) != std::popcount(active_lines_);
+  active_lines_ = lines;
+  active_since_ = now_;
+  return count_changed;
+}
+
 void Machine::run(Cycle cycles) {
   // tick_block's early stops only split the loop and it always advances
   // >= 1 cycle per call, so run() is just the block driven to completion.
@@ -170,9 +214,16 @@ void Machine::serialize(capsule::Io& io) {
   for (Ip& ip : ips_) {
     ip.serialize(io);
   }
+  if (io.loading()) {
+    // The active-line record is bookkeeping: re-read the loaded lines
+    // and count on from the loaded clock.
+    active_lines_ = active_mask();
+    active_since_ = now_;
+    active_changes_seen_ = lanes_.active_changes;
+  }
 }
 
-Cycle Machine::tick_block(Cycle max_cycles) {
+Cycle Machine::tick_block(Cycle max_cycles, bool stop_on_active_count) {
   mem::MemoryBus& membus = *membus_;
   cache::SharedCache& shared_cache = *shared_cache_;
   const std::uint64_t events_at_entry = control_events_;
@@ -190,8 +241,8 @@ Cycle Machine::tick_block(Cycle max_cycles) {
   // Phases, done_mask and the lanes' due cycles, which are all that
   // control and quiet_horizon() read of a lane, are exact on every cycle;
   // countdowns, counters and bus opcodes are exact once the block-end
-  // catch-up below has run, which is the only time the probe latch,
-  // stats() and the capsule walk read them.
+  // catch-up below has run, which is the only time the probe (its latch
+  // and its counters), stats() and the capsule walk read them.
   //
   // The live cluster set is fixed for the whole block. Only the OS layer
   // loads a cluster, and a cluster goes idle only on a control event,
@@ -250,12 +301,19 @@ Cycle Machine::tick_block(Cycle max_cycles) {
     for (std::uint64_t m = live; m != 0; m &= m - 1) {
       clusters_[lowest_bit(m)]->tick_control();
     }
+    // Only control (and the OS layer's loads before the block) moves the
+    // CCB active lines, so this cycle latches what they read now.
+    const bool count_changed = lanes_.active_changes != active_changes_seen_ &&
+                               rebook_active_lines();
     LaneMask due = 0;
     if (live_lanes != 0) {
       due = pass(lanes_, shared_cache.fill_ready_mask(), live_lanes, now_);
       if (due != 0) {
         for (std::uint64_t m = live; m != 0; m &= m - 1) {
-          clusters_[lowest_bit(m)]->tick_peel(due, now_);
+          Cluster& cluster = *clusters_[lowest_bit(m)];
+          if ((due & cluster.lanes_mask()) != 0) {
+            cluster.tick_peel(due, now_);
+          }
         }
       }
     }
@@ -269,6 +327,9 @@ Cycle Machine::tick_block(Cycle max_cycles) {
     if (control_events_ != events_at_entry) {
       // A job or detached job completed this cycle: stop so the OS layer
       // ticks naively next cycle, exactly as lockstep ticking would.
+      break;
+    }
+    if (count_changed && stop_on_active_count) {
       break;
     }
     look = may_jump && due == 0 && shared_cache.fill_ready_mask() == 0;

@@ -9,6 +9,7 @@
 //   3. the Concurrency Control Bus activity state of every CE.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -35,6 +36,33 @@ namespace repro::fx8 {
   return n_clusters >= 1 && n_clusters <= kMaxTopologyCes / kMaxCes &&
          ces_per_cluster >= 1 && ces_per_cluster <= kMaxCes;
 }
+
+/// The CCB active lines' record: how many cycles the machine spent at each
+/// active count, and per CE how many it was active (overall and while
+/// 2 <= active count < width, Figure 7's transition population).
+struct ActiveLineCycles {
+  std::array<std::uint64_t, kMaxTopologyCes + 1> by_count{};
+  std::array<std::uint64_t, kMaxTopologyCes> per_ce{};
+  std::array<std::uint64_t, kMaxTopologyCes> per_ce_transition{};
+
+  /// Book `cycles` cycles on which the lines read `mask` on a machine
+  /// `width` CEs wide.
+  void book(LaneMask mask, Cycle cycles, std::uint32_t width);
+};
+
+/// Cumulative probe counters: what the DAS reduction counts
+/// (instr/reduction.hpp), booked by the components as they advance
+/// instead of latched cycle by cycle. Only the difference of two
+/// snapshots taken at block ends means anything.
+struct ProbeCounters {
+  Cycle now = 0;
+  /// CE-bus cycles per opcode over every CE. Parked lanes book nothing,
+  /// so the kIdle slot undercounts (CeHot::op_cycles).
+  std::array<std::uint64_t, mem::kNumCeBusOps> ce_op_cycles{};
+  /// Memory-bus cycles per opcode over every bus.
+  std::array<std::uint64_t, mem::kNumMemBusOps> mem_op_cycles{};
+  ActiveLineCycles active;
+};
 
 struct MachineConfig {
   mem::MainMemoryConfig memory;
@@ -81,12 +109,13 @@ class Machine {
   /// cycles in which nothing is due is jumped in one go (quiet_horizon();
   /// never on the naive lane_pass_reference), and every live lane catches
   /// up before the call returns.
+  /// With `stop_on_active_count`, the block also stops at the end of a
+  /// cycle whose CCB active count changed (a triggered capture's watch).
   /// Returns the number of cycles actually advanced (>= 1 when
   /// max_cycles >= 1). Bit-identical to calling tick() that many times;
   /// the caller must guarantee no OS/workload action is due during the
-  /// block, exactly as for the cycles a SessionController runs between
-  /// probe latch points.
-  Cycle tick_block(Cycle max_cycles);
+  /// block, exactly as SessionController does.
+  Cycle tick_block(Cycle max_cycles, bool stop_on_active_count = false);
 
   // --- Event-horizon fast-forward -------------------------------------
   /// Minimum quiet horizon across the CE lanes (CeHot::due), the IPs and
@@ -138,8 +167,7 @@ class Machine {
   // --- Probe surface -------------------------------------------------
   /// `ce` is the machine-global id — also its index in the machine's
   /// CE lanes, so the probe reads the latched opcode straight out of the
-  /// lane array (the DAS latches every CE channel each sample clock; a
-  /// per-call cluster hop would dominate wide acquisitions).
+  /// lane array.
   [[nodiscard]] mem::CeBusOp ce_bus_op(CeId ce) const {
     return lanes_.bus_op[ce];
   }
@@ -150,6 +178,9 @@ class Machine {
   [[nodiscard]] std::uint32_t mem_bus_count() const {
     return membus_->config().bus_count;
   }
+  /// The probe's counters up to now(): exact between blocks, when every
+  /// live lane has caught up.
+  [[nodiscard]] ProbeCounters probe_counters() const;
   /// CCB probe: bitmask of concurrent/serial-active CEs over global ids
   /// (each cluster's local mask shifted to its ce_base).
   [[nodiscard]] LaneMask active_mask() const {
@@ -178,6 +209,10 @@ class Machine {
   void set_lane_pass(LanePassFn pass) { lane_pass_ = pass; }
 
  private:
+  /// Re-read the CCB active lines; if they moved, book the cycles the
+  /// old lines held. Returns true if the active count changed.
+  bool rebook_active_lines();
+
   MachineConfig config_;
   std::unique_ptr<mem::MainMemory> memory_;
   std::unique_ptr<mem::MemoryBus> membus_;
@@ -202,6 +237,15 @@ class Machine {
   std::uint64_t control_events_ = 0;
   /// The one clock: every cluster reads it by reference.
   Cycle now_ = 0;
+  /// The CCB active lines as last re-read, the cycle from which they have
+  /// read so, and what the cycles before it booked. tick_block re-reads
+  /// the lines after the control pass of a cycle that moved
+  /// CeHot::active_changes (the count it last saw). Bookkeeping, not
+  /// state: a capsule load re-reads the lines at the loaded clock.
+  LaneMask active_lines_ = 0;
+  Cycle active_since_ = 0;
+  ActiveLineCycles active_booked_;
+  std::uint64_t active_changes_seen_ = 0;
   std::uint64_t jumps_ = 0;
   Cycle jumped_cycles_ = 0;
 };

@@ -2,10 +2,12 @@
 //
 // "This instrument acquires the state of up to 80 signals, and stores this
 // data in a 512-deep buffer memory. The DAS is fully controllable through
-// an i/o port" (§3.3). The session controller (the study's C-Shell
-// scripts) plays that port: it configures the analyzer, arms it, feeds it
-// one latched probe record per cycle and reads the buffer back. Three
-// trigger modes cover the study's experiments:
+// an i/o port" (§3.3). Fed one latched probe record per cycle, this class
+// is the instrument itself: the per-cycle reference for the session
+// controller, which reads the same acquisitions off the machine's probe
+// counters instead (instr/session_controller.hpp) and is held to this
+// analyzer by tests/instr/probe_window_test.cpp. Three trigger modes
+// cover the study's experiments:
 //   * immediate      — random workload sampling (§3.5, first group),
 //   * all-active     — trigger when all N processors are concurrent-active
 //                      (§3.5, ten high-concurrency sessions),

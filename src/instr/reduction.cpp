@@ -111,6 +111,61 @@ std::string EventCounts::render() const {
   return os.str();
 }
 
+void ProbeWindow::add(const ProbeRecord& record, std::uint32_t n_ces,
+                      std::uint32_t n_buses) {
+  counts.accumulate(record, n_ces, n_buses);
+  const std::uint32_t active = record.active_count();
+  if (active >= 2 && active < n_ces) {
+    for (CeId ce = 0; ce < n_ces; ++ce) {
+      if (record.ce_active(ce)) {
+        ++transition_proc[ce];
+      }
+    }
+  }
+}
+
+void ProbeWindow::add(const fx8::ProbeCounters& begin,
+                      const fx8::ProbeCounters& end, std::uint32_t n_ces,
+                      std::uint32_t n_buses) {
+  REPRO_EXPECT(n_ces >= 1 && n_ces <= kMaxTopologyCes,
+               "CE count out of range");
+  REPRO_EXPECT(n_buses >= 1 && n_buses <= mem::kMaxMemBuses,
+               "bus count out of range");
+  REPRO_EXPECT(end.now >= begin.now, "counter snapshots out of order");
+  const std::uint64_t cycles = end.now - begin.now;
+  if (cycles == 0) {
+    return;
+  }
+  if (n_ces > counts.width) {
+    counts.width = n_ces;
+  }
+  counts.records += cycles;
+  counts.ce_bus_cycles += cycles * n_ces;
+  for (std::size_t j = 0; j <= n_ces; ++j) {
+    counts.num[j] += end.active.by_count[j] - begin.active.by_count[j];
+  }
+  for (std::size_t ce = 0; ce < n_ces; ++ce) {
+    counts.proc[ce] += end.active.per_ce[ce] - begin.active.per_ce[ce];
+    transition_proc[ce] += end.active.per_ce_transition[ce] -
+                           begin.active.per_ce_transition[ce];
+  }
+  // Parked lanes book no CE-bus cycles: idle is what the others leave.
+  std::uint64_t busy = 0;
+  for (std::size_t op = 0; op < mem::kNumCeBusOps; ++op) {
+    if (op != static_cast<std::size_t>(mem::CeBusOp::kIdle)) {
+      const std::uint64_t n = end.ce_op_cycles[op] - begin.ce_op_cycles[op];
+      counts.ceop[op] += n;
+      busy += n;
+    }
+  }
+  REPRO_ENSURE(busy <= cycles * n_ces, "more busy CE-bus cycles than exist");
+  counts.ceop[static_cast<std::size_t>(mem::CeBusOp::kIdle)] +=
+      cycles * n_ces - busy;
+  for (std::size_t op = 0; op < mem::kNumMemBusOps; ++op) {
+    counts.membop[op] += end.mem_op_cycles[op] - begin.mem_op_cycles[op];
+  }
+}
+
 EventCounts reduce(std::span<const ProbeRecord> records, std::uint32_t n_ces,
                    std::uint32_t n_buses) {
   EventCounts counts;

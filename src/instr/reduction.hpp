@@ -46,6 +46,8 @@ struct EventCounts {
                   std::uint32_t n_buses = 2);
   void merge(const EventCounts& other);
 
+  bool operator==(const EventCounts&) const = default;
+
   /// Missrate: fraction of CE bus cycles that are cache misses (§5).
   [[nodiscard]] double miss_rate() const;
   /// CE Bus Busy: fraction of CE bus cycles that are not idle, averaged
@@ -76,6 +78,26 @@ struct EventCounts {
     io.u64(ce_bus_cycles);
     io.u32_in(width, 1, kMaxTopologyCes);
   }
+};
+
+/// One acquisition reduced: Table 1's counts plus, per CE, the records in
+/// which it was active while 2..width-1 CEs were (Figure 7's transition
+/// population). The session controller counts a window off the machine's
+/// probe counters; a latched record adds the same way a counted cycle
+/// does, so a window of latched records is its per-cycle reference.
+struct ProbeWindow {
+  EventCounts counts;
+  std::array<std::uint64_t, kMaxTopologyCes> transition_proc{};
+
+  /// Add one latched record of a machine `n_ces` CEs wide.
+  void add(const ProbeRecord& record, std::uint32_t n_ces,
+           std::uint32_t n_buses);
+  /// Add every cycle between two probe-counter snapshots of a machine
+  /// `n_ces` CEs wide, `begin` taken first.
+  void add(const fx8::ProbeCounters& begin, const fx8::ProbeCounters& end,
+           std::uint32_t n_ces, std::uint32_t n_buses);
+
+  bool operator==(const ProbeWindow&) const = default;
 };
 
 /// Reduce a transferred acquisition buffer.

@@ -1,6 +1,7 @@
 #include "instr/session_controller.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/expect.hpp"
 
@@ -15,6 +16,7 @@ SessionController::SessionController(os::System& system,
                    config.snapshots_per_sample * config.buffer_depth,
                "interval too short for the requested acquisitions");
   REPRO_EXPECT(config.snapshots_per_sample > 0, "need at least one snapshot");
+  REPRO_EXPECT(config.buffer_depth > 0, "buffer depth must be positive");
   starts_scratch_.reserve(config.snapshots_per_sample);
 }
 
@@ -23,7 +25,7 @@ void SessionController::step() {
   system_.tick();
 }
 
-Cycle SessionController::advance_step(Cycle budget) {
+Cycle SessionController::advance_step(Cycle budget, bool watch_active) {
   // The workload generator's horizon bounds everything: 0 means it may
   // draw randomness or submit on the next tick.
   const Cycle workload =
@@ -37,7 +39,8 @@ Cycle SessionController::advance_step(Cycle budget) {
     fx8::Machine& machine = system_.machine();
     const std::uint64_t jumps = machine.jumps();
     const Cycle jumped = machine.jumped_cycles();
-    const Cycle advanced = machine.tick_block(std::min(workload, budget));
+    const Cycle advanced =
+        machine.tick_block(std::min(workload, budget), watch_active);
     const Cycle skipped = machine.jumped_cycles() - jumped;
     ff_stats_.skipped_cycles += skipped;
     ff_stats_.block_cycles += advanced - skipped;
@@ -59,31 +62,17 @@ void SessionController::advance(Cycle cycles) {
   }
 }
 
-LogicAnalyzer SessionController::make_analyzer(TriggerMode trigger) const {
-  return LogicAnalyzer({.buffer_depth = config_.buffer_depth,
-                        .trigger = trigger,
-                        .full_width = system_.machine().total_ces()});
-}
-
-Cycle SessionController::acquire(LogicAnalyzer& analyzer, Cycle limit) {
-  Cycle stepped = 0;
-  while (stepped < limit) {
-    // The probe latches this CE-bus cycle: acquisitions always run as
-    // real single ticks.
-    step();
-    ++stepped;
-    if (analyzer.sample(latch(system_.machine()))) {
-      break;
-    }
+void SessionController::count_window(ProbeWindow& window, Cycle cycles) {
+  const fx8::Machine& machine = system_.machine();
+  const fx8::ProbeCounters begin = machine.probe_counters();
+  while (cycles > 0) {
+    cycles -= advance_step(cycles);
   }
-  ff_stats_.naive_cycles += stepped;
-  return stepped;
+  window.add(begin, machine.probe_counters(), machine.total_ces(),
+             machine.mem_bus_count());
 }
 
 SampleRecord SessionController::take_sample() {
-  const std::uint32_t n_ces = system_.machine().total_ces();
-  const std::uint32_t n_buses = system_.machine().mem_bus_count();
-
   // Choose snapshot start offsets within the interval, far enough apart
   // that acquisitions never overlap. The offsets live in a member scratch
   // buffer reused across samples, so the per-sample path does not
@@ -99,7 +88,6 @@ SampleRecord SessionController::take_sample() {
   }
 
   SoftwareSampler sw(system_.counters());
-  LogicAnalyzer analyzer = make_analyzer(TriggerMode::kImmediate);
 
   SampleRecord record;
   record.index = next_index_++;
@@ -109,15 +97,18 @@ SampleRecord SessionController::take_sample() {
   Cycle c = 0;
   while (c < config_.interval_cycles) {
     if (next_snapshot < starts.size() && c == starts[next_snapshot]) {
-      analyzer.arm();
-      c += acquire(analyzer, config_.interval_cycles - c);
-      record.hw.merge(reduce(analyzer.records(), n_ces, n_buses));
+      // An immediate acquisition: the next buffer_depth cycles, which
+      // the slot spacing keeps inside the interval.
+      ProbeWindow window;
+      count_window(window, config_.buffer_depth);
+      c += config_.buffer_depth;
+      record.hw.merge(window.counts);
       ++next_snapshot;
       continue;
     }
-    // Between acquisitions the probe is not latched, so the stretch
-    // advances like any other, clamped to the next snapshot start so
-    // the arm() lands on exactly the naive cycle.
+    // Between acquisitions the stretch is clamped to the next snapshot
+    // start, so the acquisition's counters are read on exactly its first
+    // cycle.
     const Cycle bound = next_snapshot < starts.size()
                             ? starts[next_snapshot]
                             : config_.interval_cycles;
@@ -130,15 +121,57 @@ SampleRecord SessionController::take_sample() {
   return record;
 }
 
-std::optional<std::vector<ProbeRecord>> SessionController::capture_triggered(
+std::optional<ProbeWindow> SessionController::capture_triggered(
     TriggerMode trigger, Cycle timeout) {
-  LogicAnalyzer analyzer = make_analyzer(trigger);
-  analyzer.arm();
-  acquire(analyzer, timeout);
-  if (!analyzer.complete()) {
+  fx8::Machine& machine = system_.machine();
+  const std::uint32_t full = machine.total_ces();
+  const std::size_t depth = config_.buffer_depth;
+  ProbeWindow window;
+  Cycle left = timeout;
+  if (trigger != TriggerMode::kImmediate) {
+    // Armed: blocks stop at the end of every cycle whose active count
+    // changed, so each cycle of a block but its last reads the count the
+    // cycle before the block read (`previous`), and only the last can
+    // fire. The one exception is an all-active trigger that already
+    // holds when armed: it fires on the first armed cycle if the count
+    // holds, so that cycle runs alone.
+    auto previous =
+        static_cast<std::uint32_t>(std::popcount(machine.active_mask()));
+    bool first = true;
+    for (;;) {
+      if (left == 0) {
+        return std::nullopt;
+      }
+      const bool holds = trigger == TriggerMode::kAllActive && first &&
+                         previous == full;
+      const Cycle advanced =
+          advance_step(holds ? 1 : left, /*watch_active=*/true);
+      left -= advanced;
+      const auto active =
+          static_cast<std::uint32_t>(std::popcount(machine.active_mask()));
+      // A transition needs a previous armed cycle: the first never fires.
+      const bool fires =
+          trigger == TriggerMode::kAllActive
+              ? active == full
+              : !(first && advanced == 1) && previous == full &&
+                    active < full;
+      if (fires) {
+        break;
+      }
+      previous = active;
+      first = false;
+    }
+    // The trigger record opens the buffer.
+    window.add(latch(machine), full, machine.mem_bus_count());
+  }
+  const Cycle rest = depth - window.counts.records;
+  if (left < rest) {
+    // The timeout hits mid-capture: the cycles still run.
+    advance(left);
     return std::nullopt;
   }
-  return analyzer.transfer();
+  count_window(window, rest);
+  return window;
 }
 
 }  // namespace repro::instr

@@ -10,6 +10,15 @@
 // One SampleRecord therefore bundles the reduced hardware event counts of
 // five 512-deep acquisitions taken at random offsets inside the interval,
 // plus the interval's kernel-counter deltas.
+//
+// The controller reduces an acquisition the way the study's programs did,
+// to event counts, but reads them off cumulative counters the machine's
+// components book as they advance (fx8::ProbeCounters) instead of
+// latching every acquired cycle: an acquisition advances through the same
+// blocks and jumps as any other stretch. A triggered capture latches one
+// record, the trigger's; a window of latched records (LogicAnalyzer,
+// latch, reduce) is the per-cycle reference the differential tests hold
+// the counters to.
 #pragma once
 
 #include <cstdint>
@@ -32,12 +41,13 @@ struct SamplingConfig {
   /// Acquisitions grouped into one sample.
   std::uint32_t snapshots_per_sample = 5;
   std::size_t buffer_depth = 512;
-  /// Event-horizon fast-forward: while no acquisition is armed and the OS
-  /// layer is quiet, the machine advances through Machine::tick_block,
-  /// which jumps its quiet stretches, clamped to the next snapshot start
-  /// so every probe latch happens on a naively ticked cycle.
-  /// Bit-identical to cycle-by-cycle stepping; false forces the naive
-  /// path (differential testing). See docs/parallel_execution.md.
+  /// Event-horizon fast-forward: while the OS layer is quiet, the machine
+  /// advances through Machine::tick_block, which jumps its quiet
+  /// stretches, acquisitions included (they are counted, not latched),
+  /// clamped to each acquisition's start and end so its counters are read
+  /// at block ends. Bit-identical to cycle-by-cycle stepping; false
+  /// forces the naive path (differential testing). See
+  /// docs/parallel_execution.md.
   bool fast_forward = true;
 };
 
@@ -69,9 +79,10 @@ struct SampleRecord {
 };
 
 /// Where the controller's cycles went: jumped or ticked inside
-/// Machine::tick_block, or naively lockstep-ticked. Pure bookkeeping —
-/// identical simulation state any way. skipped + block + naive is every
-/// cycle the controller advanced.
+/// Machine::tick_block, or naively lockstep-ticked because the OS layer
+/// was due (or fast-forward is off). Pure bookkeeping — identical
+/// simulation state any way. skipped + block + naive is every cycle the
+/// controller advanced.
 struct FastForwardStats {
   Cycle skipped_cycles = 0;  ///< Jumped inside Machine::tick_block.
   Cycle naive_cycles = 0;    ///< Advanced tick-by-tick (lockstep).
@@ -111,9 +122,11 @@ class SessionController {
   [[nodiscard]] SampleRecord take_sample();
 
   /// Triggered capture (high-concurrency / transition experiments): run
-  /// until the analyzer completes one acquisition or `timeout` elapses.
-  /// Returns nothing on timeout.
-  [[nodiscard]] std::optional<std::vector<ProbeRecord>> capture_triggered(
+  /// until one acquisition of buffer_depth records completes or `timeout`
+  /// cycles elapse, exactly as a LogicAnalyzer fed every cycle would, and
+  /// return it reduced. Returns nothing on timeout, having advanced
+  /// exactly `timeout` cycles.
+  [[nodiscard]] std::optional<ProbeWindow> capture_triggered(
       TriggerMode trigger, Cycle timeout);
 
   /// Cumulative fast-forward accounting for this controller.
@@ -141,23 +154,19 @@ class SessionController {
 
  private:
   void step();
-  /// The one advance decision, shared by advance() and the stretches
-  /// between acquisitions in take_sample(): up to `budget` cycles with
-  /// no acquisition armed. With fast-forward off, or on a cycle on which
+  /// The one advance decision, for every stretch the controller runs:
+  /// up to `budget` cycles. With fast-forward off, or on a cycle on which
   /// the OS layer (scheduler or generator) is due to act, one lockstep
   /// step(). Otherwise one Machine::tick_block over the generator's quiet
   /// horizon, capped by the budget: it jumps the quiet stretches inside
   /// it and stops at cluster control events, so the scheduler's reaction
-  /// cycle is lockstep-ticked exactly as naive stepping would. Returns
-  /// the cycles advanced (>= 1).
-  Cycle advance_step(Cycle budget);
-  /// An analyzer sized for this controller's acquisitions and machine.
-  [[nodiscard]] LogicAnalyzer make_analyzer(TriggerMode trigger) const;
-  /// The one acquisition loop, shared by take_sample() and
-  /// capture_triggered(): lockstep step(), latch the probe into the armed
-  /// `analyzer`, until it completes or `limit` cycles pass. Every cycle
-  /// counts as naive. Returns the cycles stepped.
-  Cycle acquire(LogicAnalyzer& analyzer, Cycle limit);
+  /// cycle is lockstep-ticked exactly as naive stepping would, and with
+  /// `watch_active` at every change of the CCB active count. Returns the
+  /// cycles advanced (>= 1).
+  Cycle advance_step(Cycle budget, bool watch_active = false);
+  /// Advance `cycles` cycles and add them to `window` from the machine's
+  /// probe counters.
+  void count_window(ProbeWindow& window, Cycle cycles);
 
   os::System& system_;
   workload::WorkloadGenerator& workload_;

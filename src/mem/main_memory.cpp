@@ -1,6 +1,7 @@
 #include "mem/main_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/expect.hpp"
 
@@ -11,10 +12,17 @@ MainMemory::MainMemory(const MainMemoryConfig& config) : config_(config) {
                    config.interleave <= bank_free_at_.size(),
                "interleave factor out of range");
   REPRO_EXPECT(config.bank_busy_cycles > 0, "bank busy time must be positive");
+  if (std::has_single_bit(config.interleave)) {
+    bank_mask_ = config.interleave - 1;
+  }
 }
 
 std::uint32_t MainMemory::bank_of(Addr addr) const {
-  return static_cast<std::uint32_t>((addr / kLineBytes) % config_.interleave);
+  const Addr line = addr / kLineBytes;
+  if (bank_mask_ != 0 || config_.interleave == 1) {
+    return static_cast<std::uint32_t>(line) & bank_mask_;
+  }
+  return static_cast<std::uint32_t>(line % config_.interleave);
 }
 
 Cycle MainMemory::earliest_start(Addr addr, Cycle now) const {

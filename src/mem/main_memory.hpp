@@ -51,6 +51,9 @@ class MainMemory {
 
  private:
   MainMemoryConfig config_;
+  /// interleave - 1 when the interleave is a power of two (every real
+  /// configuration), so bank_of masks; 0 otherwise, and bank_of divides.
+  std::uint32_t bank_mask_ = 0;
   // Cycle until which each bank is busy. Sized at construction.
   std::array<Cycle, 16> bank_free_at_{};
   std::uint64_t accesses_ = 0;

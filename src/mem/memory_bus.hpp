@@ -14,6 +14,7 @@
 // polling every cycle.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -130,8 +131,7 @@ class MemoryBus {
     std::uint32_t remaining = 0;
     /// Opcode a probe would latch for the cycle just ticked.
     MemBusOp current_op = MemBusOp::kIdle;
-    std::vector<std::uint64_t> op_cycle_counts =
-        std::vector<std::uint64_t>(kNumMemBusOps, 0);
+    std::array<std::uint64_t, kNumMemBusOps> op_cycle_counts{};
   };
 
   void start_next(BusState& bus, Cycle now);

@@ -68,12 +68,12 @@ TEST_F(SessionControllerTest, SoftwareCountersAreDeltas) {
 
 TEST_F(SessionControllerTest, TriggeredCaptureCompletesUnderLoad) {
   SessionController controller(system_, generator_, quick_config(), 1);
-  const auto buffer = controller.capture_triggered(
+  const auto window = controller.capture_triggered(
       TriggerMode::kTransitionFromFull, 500000);
-  ASSERT_TRUE(buffer.has_value());
-  EXPECT_EQ(buffer->size(), 512u);
+  ASSERT_TRUE(window.has_value());
+  EXPECT_EQ(window->counts.records, 512u);
   // The first captured record is the transition itself: < 8 active.
-  EXPECT_LT(buffer->front().active_count(), 8u);
+  EXPECT_LT(window->counts.num[8], 512u);
 }
 
 TEST_F(SessionControllerTest, TriggeredCaptureTimesOutOnIdleSystem) {
@@ -84,11 +84,23 @@ TEST_F(SessionControllerTest, TriggeredCaptureTimesOutOnIdleSystem) {
   workload::WorkloadGenerator idle_generator(idle_mix, 1);
   SessionController controller(idle_system, idle_generator, quick_config(),
                                1);
-  const auto buffer =
+  const auto window =
       controller.capture_triggered(TriggerMode::kAllActive, 5000);
-  EXPECT_FALSE(buffer.has_value());
-  // The watched cycles still count: they were stepped in lockstep.
-  EXPECT_EQ(controller.ff_stats().naive_cycles, 5000u);
+  EXPECT_FALSE(window.has_value());
+  // The watched cycles still run, exactly the timeout's worth.
+  const FastForwardStats& ff = controller.ff_stats();
+  EXPECT_EQ(ff.skipped_cycles + ff.block_cycles + ff.naive_cycles, 5000u);
+  EXPECT_EQ(idle_system.now(), 5000u);
+}
+
+TEST_F(SessionControllerTest, RejectsZeroBufferDepth) {
+  // A zero-deep acquisition would count nothing and could never complete
+  // a triggered capture: refuse it when the controller is built.
+  SamplingConfig config = quick_config();
+  config.buffer_depth = 0;
+  EXPECT_THROW(
+      (SessionController{system_, generator_, config, 1}),
+      ContractViolation);
 }
 
 TEST_F(SessionControllerTest, RejectsTooShortInterval) {

@@ -151,19 +151,20 @@ struct Rig {
   }
 
   /// Advance to `boundary`; returns the digest of what the step recorded
-  /// (the sample, or the captured probe buffer).
+  /// (the sample, or the captured window's counts).
   std::uint64_t advance(const Input& input, std::uint32_t boundary) {
     capsule::Io io = capsule::Io::digester();
     if (boundary == 0) {
       controller.advance(input.warmup);
     } else if (input.trigger) {
-      auto buffer =
+      auto window =
           controller.capture_triggered(*input.trigger, kCaptureTimeout);
-      bool fired = buffer.has_value();
+      bool fired = window.has_value();
       io.boolean(fired);
-      if (buffer) {
-        for (instr::ProbeRecord& record : *buffer) {
-          record.serialize(io);
+      if (window) {
+        window->counts.serialize(io);
+        for (std::uint64_t& n : window->transition_proc) {
+          io.u64(n);
         }
       }
     } else {
